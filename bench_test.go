@@ -96,7 +96,7 @@ func BenchmarkTableS3(b *testing.B) { benchTable(b, "S3", 1, 3) }
 // a sum-over-patterns variant on the full 18-benchmark suite, reporting
 // both aggregations' precision.
 func BenchmarkAblationPhiMax(b *testing.B) {
-	cfg, err := tables.HeuristicConfig(true)
+	cfg, err := tables.HeuristicConfigISA(true, "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func BenchmarkAblationPhiMax(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		piMax, piSum = 0, 0
 		for _, bm := range bench.All() {
-			ctx, err := tables.Load(bm, false, false)
+			ctx, err := tables.LoadISACtx(context.Background(), bm, false, false, "")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func BenchmarkAblationExpansionBounds(b *testing.B) {
 		depth := depth
 		b.Run("depth="+strconv.Itoa(depth), func(b *testing.B) {
 			bm := bench.ByName("126.gcc")
-			bd, err := bench.Compile(bm, false)
+			bd, err := bench.CompileISACtx(context.Background(), bm, false, "")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -174,15 +174,15 @@ func BenchmarkAblationNegativeClasses(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		with, without = 0, 0
 		for _, bm := range bench.All() {
-			ctx, err := tables.Load(bm, false, false)
+			ctx, err := tables.LoadISACtx(context.Background(), bm, false, false, "")
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfgF, err := tables.HeuristicConfig(true)
+			cfgF, err := tables.HeuristicConfigISA(true, "")
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfgN, err := tables.HeuristicConfig(false)
+			cfgN, err := tables.HeuristicConfigISA(false, "")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -200,14 +200,19 @@ func BenchmarkAblationNegativeClasses(b *testing.B) {
 // BenchmarkPatternAnalysis measures the post-compilation analysis
 // throughput on the largest benchmark binary.
 func BenchmarkPatternAnalysis(b *testing.B) {
-	bd, err := bench.Compile(bench.ByName("126.gcc"), false)
+	ctx := context.Background()
+	bd, err := bench.CompileISACtx(ctx, bench.ByName("126.gcc"), false, "")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var n int
 	for i := 0; i < b.N; i++ {
-		n = len(pattern.AnalyzeProgram(bd.Prog, pattern.DefaultConfig()))
+		loads, err := pattern.AnalyzeProgramCtx(ctx, bd.Prog, pattern.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		n = len(loads)
 	}
 	b.ReportMetric(float64(n), "loads")
 }
@@ -215,14 +220,15 @@ func BenchmarkPatternAnalysis(b *testing.B) {
 // BenchmarkSimulator measures interpreter+cache throughput in
 // instructions per second.
 func BenchmarkSimulator(b *testing.B) {
-	bd, err := bench.Compile(bench.ByName("099.go"), false)
+	ctx := context.Background()
+	bd, err := bench.CompileISACtx(ctx, bench.ByName("099.go"), false, "")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var insts int64
 	for i := 0; i < b.N; i++ {
-		sim, err := core.Simulate(bd.Image, bd.Bench.Input1)
+		sim, err := core.SimulateCtx(ctx, bd.Image, bd.Bench.Input1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,13 +241,14 @@ func BenchmarkSimulator(b *testing.B) {
 // BenchmarkSimulatorNoCache isolates the interpreter from the cache
 // model.
 func BenchmarkSimulatorNoCache(b *testing.B) {
-	bd, err := bench.Compile(bench.ByName("099.go"), false)
+	ctx := context.Background()
+	bd, err := bench.CompileISACtx(ctx, bench.ByName("099.go"), false, "")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := vm.Run(bd.Image, vm.Options{Args: bd.Bench.Input1}); err != nil {
+		if _, err := vm.RunContext(ctx, bd.Image, vm.Options{Args: bd.Bench.Input1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -253,7 +260,7 @@ func BenchmarkCompiler(b *testing.B) {
 	bm := bench.ByName("126.gcc")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.BuildSource(bm.Source, false); err != nil {
+		if _, err := core.BuildSourceISA(bm.Source, false, ""); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,11 +271,11 @@ func BenchmarkCompiler(b *testing.B) {
 func BenchmarkEndToEnd(b *testing.B) {
 	bm := bench.ByName("181.mcf")
 	for i := 0; i < b.N; i++ {
-		img, err := core.BuildSource(bm.Source, false)
+		img, err := core.BuildSourceISA(bm.Source, false, "")
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := core.IdentifyImage(img, core.Options{})
+		res, err := core.IdentifyImageCtx(context.Background(), img, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -282,7 +289,8 @@ func BenchmarkEndToEnd(b *testing.B) {
 // the full standard geometry bundle attached (the hot configuration of
 // every table sweep), reporting simulated instructions per second.
 func BenchmarkVMInstsPerSec(b *testing.B) {
-	bd, err := bench.Compile(bench.ByName("099.go"), false)
+	ctx := context.Background()
+	bd, err := bench.CompileISACtx(ctx, bench.ByName("099.go"), false, "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -293,7 +301,7 @@ func BenchmarkVMInstsPerSec(b *testing.B) {
 		for k, g := range tables.StdGeoms {
 			caches[k] = mustCache(g)
 		}
-		res, err := vm.Run(bd.Image, vm.Options{Args: bd.Bench.Input1, Caches: caches})
+		res, err := vm.RunContext(ctx, bd.Image, vm.Options{Args: bd.Bench.Input1, Caches: caches})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -336,11 +344,12 @@ func BenchmarkCacheAccess(b *testing.B) {
 // path measured in the same process. On a single-core machine the
 // speedup is ~1.0 by construction; it scales with GOMAXPROCS.
 func BenchmarkTableAllParallel(b *testing.B) {
+	ctx := context.Background()
 	sweep := func(workers int) time.Duration {
 		bench.ResetCache()
 		tables.ResetTraining()
 		start := time.Now()
-		if _, err := tables.RenderAll(context.Background(), io.Discard, workers); err != nil {
+		if _, err := tables.RenderAll(ctx, io.Discard, workers); err != nil {
 			b.Fatal(err)
 		}
 		return time.Since(start)
@@ -348,7 +357,7 @@ func BenchmarkTableAllParallel(b *testing.B) {
 	serial := sweep(1)
 	var insts int64
 	for _, cb := range tables.AllCombos() {
-		bd, err := bench.Compile(cb.Bench, cb.Optimize)
+		bd, err := bench.CompileISACtx(ctx, cb.Bench, cb.Optimize, "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -356,7 +365,7 @@ func BenchmarkTableAllParallel(b *testing.B) {
 		if cb.Input2 {
 			input = cb.Bench.Input2
 		}
-		run, err := bench.Simulate(bd, input, cb.Geoms)
+		run, err := bench.SimulateCtx(ctx, bd, input, cb.Geoms)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -377,7 +386,8 @@ func BenchmarkTableAllParallel(b *testing.B) {
 // under FIFO replacement instead of the paper's LRU — the design-choice
 // ablation DESIGN.md lists for the cache substrate.
 func BenchmarkAblationReplacementPolicy(b *testing.B) {
-	cfg, err := tables.HeuristicConfig(true)
+	ctx := context.Background()
+	cfg, err := tables.HeuristicConfigISA(true, "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -390,11 +400,11 @@ func BenchmarkAblationReplacementPolicy(b *testing.B) {
 		rhoLRU, rhoFIFO = 0, 0
 		names := []string{"181.mcf", "179.art", "164.gzip", "129.compress"}
 		for _, name := range names {
-			bd, err := bench.Compile(bench.ByName(name), false)
+			bd, err := bench.CompileISACtx(ctx, bench.ByName(name), false, "")
 			if err != nil {
 				b.Fatal(err)
 			}
-			run, err := bench.Simulate(bd, bd.Bench.Input1, geoms)
+			run, err := bench.SimulateCtx(ctx, bd, bd.Bench.Input1, geoms)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,6 +1,6 @@
 // End-to-end crash-safety tests for the durability layer: the daemon's
-// warm restart, the checkpointed table sweep's kill-anywhere resume,
-// and the per-flag usage contract of the new serve validation.
+// warm restart and the per-flag usage contract of the serve
+// validation.
 package main
 
 import (
@@ -95,78 +95,6 @@ func TestCLIServeWarmRestart(t *testing.T) {
 	}
 	cmd2.Process.Signal(syscall.SIGTERM)
 	cmd2.Wait()
-}
-
-// TestCLITableCheckpointKillResume is the sweep half of the recovery
-// matrix, end to end through the real binary: `table all -checkpoint`
-// is SIGKILLed mid-journal-write by the lethal fault seam, then rerun
-// clean — and the resumed output must reproduce the committed golden
-// file byte for byte.
-func TestCLITableCheckpointKillResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full table sweep in short mode")
-	}
-	bin := buildCLI(t)
-	want, err := os.ReadFile(filepath.Join("..", "..", "tables_output.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt := filepath.Join(t.TempDir(), "ckpt.wal")
-
-	// Fire the lethal seam on a mid-sweep journal append: the process
-	// dies half-way through writing a table record.
-	kill := exec.Command(bin, "table", "-checkpoint", ckpt, "all")
-	kill.Env = append(os.Environ(),
-		"DELINQ_FAULTS=wal:write=checkpoint#10",
-		"DELINQ_FAULT_LETHAL=1",
-	)
-	var killOut bytes.Buffer
-	kill.Stdout = &killOut
-	kill.Stderr = &killOut
-	err = kill.Run()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ProcessState.ExitCode() != -1 {
-		t.Fatalf("lethal seam did not kill the sweep: %v\n%s", err, killOut.String())
-	}
-	if st, err := os.Stat(ckpt); err != nil || st.Size() == 0 {
-		t.Fatalf("killed sweep left no journal: %v", err)
-	}
-
-	// Resume without faults: the torn record is dropped, completed
-	// tables replay, the remainder recomputes.
-	resume := exec.Command(bin, "table", "-checkpoint", ckpt, "all")
-	var got bytes.Buffer
-	resume.Stdout = &got
-	var stderr bytes.Buffer
-	resume.Stderr = &stderr
-	if err := resume.Run(); err != nil {
-		t.Fatalf("resume failed: %v\n%s", err, stderr.String())
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		gl := bytes.Split(got.Bytes(), []byte("\n"))
-		wl := bytes.Split(want, []byte("\n"))
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if !bytes.Equal(gl[i], wl[i]) {
-				t.Fatalf("resumed sweep diverges from tables_output.txt at line %d:\ngot:  %s\nwant: %s",
-					i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("resumed sweep length differs: got %d lines, want %d", len(gl), len(wl))
-	}
-}
-
-// TestCLITableCheckpointUsage: -checkpoint outside the 'all' sweep is
-// a usage error.
-func TestCLITableCheckpointUsage(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the binary")
-	}
-	bin := buildCLI(t)
-	out, err := exec.Command(bin, "table", "-checkpoint", "x.wal", "S5").CombinedOutput()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 2 {
-		t.Fatalf("table -checkpoint S5: %v, want exit 2\n%s", err, out)
-	}
 }
 
 // TestCLILoadtestWarmBucket: a loadtest rerun over a populated

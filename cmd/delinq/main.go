@@ -13,7 +13,7 @@
 //	delinq profile [-O] prog.c [args...]         hotspot blocks and their loads
 //	delinq trace [-o t.bin] prog.img [args...]   memory trace collection + replay
 //	delinq train                                 print the training report
-//	delinq table [-j N] [-v] [-checkpoint f] <1-14|S1|all>  regenerate a paper table
+//	delinq table [-j N] [-v] [-isa arm] <1-14|S1-S5|all>  regenerate a paper table
 //	delinq bench                                 list the benchmark suite
 //	delinq difftest [-n N] [-seed S] [-v]        three-way differential test
 //	delinq serve [-addr :8080] [-state-dir d]    run the analysis daemon
@@ -32,6 +32,7 @@ import (
 	"strconv"
 	"time"
 
+	"delinq/internal/asm"
 	"delinq/internal/bench"
 	"delinq/internal/cache"
 	"delinq/internal/classify"
@@ -220,7 +221,7 @@ func cmdBuild(args []string) error {
 	if err != nil {
 		return err
 	}
-	img, err := core.BuildSource(string(src), *opt)
+	img, err := core.BuildSourceISA(string(src), *opt, "")
 	if err != nil {
 		return err
 	}
@@ -245,7 +246,7 @@ func cmdAsm(args []string) error {
 	if err != nil {
 		return err
 	}
-	img, err := core.BuildAsm(string(src))
+	img, err := asm.Assemble(string(src))
 	if err != nil {
 		return err
 	}
@@ -264,7 +265,7 @@ func cmdDisasm(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := core.IdentifyImage(img, core.Options{})
+	res, err := core.IdentifyImageCtx(context.Background(), img, core.Options{})
 	if err != nil {
 		return err
 	}
@@ -449,15 +450,16 @@ func cmdProfile(args []string) error {
 	if err != nil {
 		return err
 	}
-	img, err := core.BuildSource(string(src), *opt)
+	img, err := core.BuildSourceISA(string(src), *opt, "")
 	if err != nil {
 		return err
 	}
-	sim, err := core.Simulate(img, progArgs)
+	ctx := context.Background()
+	sim, err := core.SimulateCtx(ctx, img, progArgs)
 	if err != nil {
 		return err
 	}
-	res, err := core.IdentifyImage(img, core.Options{Profile: sim})
+	res, err := core.IdentifyImageCtx(ctx, img, core.Options{Profile: sim})
 	if err != nil {
 		return err
 	}
@@ -515,7 +517,6 @@ func cmdTable(args []string) error {
 	timeout := fs.Duration("timeout", 0, "per-benchmark deadline (0 = none)")
 	strict := fs.Bool("strict", false, "exit nonzero if any benchmark degrades")
 	isaName := fs.String("isa", "", "machine description to evaluate on (mips, arm)")
-	checkpoint := fs.String("checkpoint", "", "journal completed tables here and resume interrupted 'all' sweeps")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -533,22 +534,12 @@ func cmdTable(args []string) error {
 	var err error
 	if id := fs.Arg(0); id == "all" {
 		// The full sweep preloads every simulation through the parallel
-		// experiment engine before rendering. With -checkpoint, every
-		// completed table is journaled so an interrupted sweep resumes
-		// where it died instead of starting over.
+		// experiment engine before rendering.
 		var rep *tables.Report
-		if *checkpoint != "" {
-			rep, err = tables.RenderAllCheckpoint(context.Background(), os.Stdout, *workers, *checkpoint)
-		} else {
-			rep, err = tables.RenderAll(context.Background(), os.Stdout, *workers)
-		}
-		if err == nil {
+		if rep, err = tables.RenderAll(context.Background(), os.Stdout, *workers); err == nil {
 			err = reportDegradations(rep.Degraded, *strict)
 		}
 	} else {
-		if *checkpoint != "" {
-			return usagef("table -checkpoint only applies to the 'all' sweep")
-		}
 		tables.ResetDegradations()
 		var t *tables.Table
 		if t, err = tables.ByID(id); err == nil {

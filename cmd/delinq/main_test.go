@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -72,8 +73,15 @@ func TestCLIEndToEnd(t *testing.T) {
 	// (which go to stderr, captured by CombinedOutput).
 	run("Table 6.", "table", "-j", "2", "6")
 	out = run("Table 1.", "table", "-j", "2", "-v", "1")
-	if !strings.Contains(out, "memo:") {
+	// Exactly once: Table 1 builds and simulates each of the 18
+	// benchmarks once, unoptimised on Input 1. The pattern is the one
+	// delinqbench/sweep.go parses.
+	memoLine := regexp.MustCompile(`memo: builds hits=\d+ misses=(\d+) joined=\d+ errors=(\d+); runs hits=\d+ misses=(\d+) joined=\d+ errors=(\d+)`)
+	if m := memoLine.FindStringSubmatch(out); m == nil {
 		t.Errorf("table -v missing memo stats:\n%s", out)
+	} else if m[1] != "18" || m[2] != "0" || m[3] != "18" || m[4] != "0" {
+		t.Errorf("table -v 1: builds misses=%s errors=%s, runs misses=%s errors=%s; want 18/0 and 18/0",
+			m[1], m[2], m[3], m[4])
 	}
 
 	// Error paths exit non-zero.

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,8 @@ int main() {
 `
 
 func main() {
-	img, err := core.BuildSource(program, false)
+	ctx := context.Background()
+	img, err := core.BuildSourceISA(program, false, "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,14 +65,14 @@ func main() {
 		{SizeBytes: 32 * 1024, Assoc: 4, BlockBytes: 32},
 		{SizeBytes: 64 * 1024, Assoc: 4, BlockBytes: 32},
 	}
-	sim, err := core.Simulate(img, nil, geoms...)
+	sim, err := core.SimulateCtx(ctx, img, nil, geoms...)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Δ is computed once: it is a property of the binary, not of any
 	// cache.
-	res, err := core.IdentifyImage(img, core.Options{Profile: sim})
+	res, err := core.IdentifyImageCtx(ctx, img, core.Options{Profile: sim})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -48,7 +49,8 @@ int main() {
 `
 
 func main() {
-	img, err := core.BuildSource(program, false)
+	ctx := context.Background()
+	img, err := core.BuildSourceISA(program, false, "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func main() {
 	// step the paper wants to avoid: the trace is ~6 bytes per access).
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
-	res, err := vm.Run(img, vm.Options{
+	res, err := vm.RunContext(ctx, img, vm.Options{
 		OnAccess: func(pc, addr uint32, store bool) { tw.Add(pc, addr, store) },
 	})
 	if err != nil {
@@ -84,7 +86,7 @@ func main() {
 
 	// Phase 3: the measured delinquent set (top loads by replayed
 	// misses) versus the static prediction that needed no run at all.
-	ident, err := core.IdentifyImage(img, core.Options{})
+	ident, err := core.IdentifyImageCtx(ctx, img, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,15 +49,16 @@ int main() {
 `
 
 func main() {
-	img, err := core.BuildSource(program, false)
+	ctx := context.Background()
+	img, err := core.BuildSourceISA(program, false, "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim, err := core.Simulate(img, nil)
+	sim, err := core.SimulateCtx(ctx, img, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := core.IdentifyImage(img, core.Options{Profile: sim})
+	res, err := core.IdentifyImageCtx(ctx, img, core.Options{Profile: sim})
 	if err != nil {
 		log.Fatal(err)
 	}

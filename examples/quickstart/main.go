@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,15 +41,16 @@ int main() {
 `
 
 func main() {
+	ctx := context.Background()
 	// 1. Compile (unoptimised, like the paper's training runs).
-	img, err := core.BuildSource(program, false)
+	img, err := core.BuildSourceISA(program, false, "")
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 2. Simulate against the paper's 8 KB baseline D-cache to obtain
 	// the execution profile and ground-truth misses.
-	sim, err := core.Simulate(img, nil)
+	sim, err := core.SimulateCtx(ctx, img, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func main() {
 		sim.Result.Insts, st.Accesses, 100*st.MissRate())
 
 	// 3. Static identification: address patterns -> classes -> phi.
-	res, err := core.IdentifyImage(img, core.Options{Profile: sim})
+	res, err := core.IdentifyImageCtx(ctx, img, core.Options{Profile: sim})
 	if err != nil {
 		log.Fatal(err)
 	}

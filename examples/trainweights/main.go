@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -51,14 +52,14 @@ func main() {
 	}
 
 	// Hold-out evaluation: the litmus test of Section 8.4.
-	cfg, err := tables.HeuristicConfig(true)
+	cfg, err := tables.HeuristicConfigISA(true, "")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nheld-out benchmarks (weights trained on the other 11):")
 	var pis, rhos []float64
 	for _, b := range bench.Test() {
-		ctx, err := tables.Load(b, false, false)
+		ctx, err := tables.LoadISACtx(context.Background(), b, false, false, "")
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -3,6 +3,7 @@
 package delinq
 
 import (
+	"context"
 	"testing"
 
 	"delinq/internal/baseline"
@@ -18,7 +19,7 @@ import (
 
 func loadCtx(t *testing.T, name string) *tables.Ctx {
 	t.Helper()
-	ctx, err := tables.Load(bench.ByName(name), false, false)
+	ctx, err := tables.LoadISACtx(context.Background(), bench.ByName(name), false, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestDeltaIsDeterministic(t *testing.T) {
 	src := bench.ByName("147.vortex").Source
 	sets := make([]map[uint32]bool, 2)
 	for i := range sets {
-		res, err := core.IdentifySource(src, core.Options{})
+		res, err := core.IdentifySourceCtx(context.Background(), src, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +98,8 @@ func TestImageRoundTripPreservesAnalysis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compilation in short mode")
 	}
-	img, err := core.BuildSource(bench.ByName("022.li").Source, false)
+	ctx := context.Background()
+	img, err := core.BuildSourceISA(bench.ByName("022.li").Source, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +111,11 @@ func TestImageRoundTripPreservesAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := core.IdentifyImage(img, core.Options{})
+	r1, err := core.IdentifyImageCtx(ctx, img, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := core.IdentifyImage(img2, core.Options{})
+	r2, err := core.IdentifyImageCtx(ctx, img2, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func TestHeuristicSubsetOfOKN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in short mode")
 	}
-	cfg, err := tables.HeuristicConfig(false)
+	cfg, err := tables.HeuristicConfigISA(false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func TestEveryLoadHasAPattern(t *testing.T) {
 		t.Skip("compilation in short mode")
 	}
 	for _, b := range bench.All() {
-		bd, err := bench.Compile(b, false)
+		bd, err := bench.CompileISACtx(context.Background(), b, false, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,11 +184,11 @@ func TestFrequencyClassesOnlyShrinkDelta(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in short mode")
 	}
-	cfgN, err := tables.HeuristicConfig(false)
+	cfgN, err := tables.HeuristicConfigISA(false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgF, err := tables.HeuristicConfig(true)
+	cfgF, err := tables.HeuristicConfigISA(true, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +215,7 @@ func TestClassifyScoreMatchesManualPhi(t *testing.T) {
 		t.Skip("simulation in short mode")
 	}
 	ctx := loadCtx(t, "181.mcf")
-	cfg, err := tables.HeuristicConfig(true)
+	cfg, err := tables.HeuristicConfigISA(true, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,12 +249,13 @@ func TestCacheModelAgainstDirectSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in short mode")
 	}
+	ctx := context.Background()
 	for _, b := range bench.All()[:6] {
-		bd, err := bench.Compile(b, false)
+		bd, err := bench.CompileISACtx(ctx, b, false, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := bench.Simulate(bd, b.Input1, []cache.Config{cache.Baseline})
+		run, err := bench.SimulateCtx(ctx, bd, b.Input1, []cache.Config{cache.Baseline})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"delinq/internal/asm"
@@ -18,7 +19,11 @@ func analyze(t *testing.T, src string) (*disasm.Program, []*pattern.Load) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, pattern.AnalyzeProgram(p, pattern.DefaultConfig())
+	loads, err := pattern.AnalyzeProgramCtx(context.Background(), p, pattern.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, loads
 }
 
 func loadAt(t *testing.T, prog *disasm.Program, loads []*pattern.Load, fn string, idx int) *pattern.Load {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"delinq/internal/cache"
@@ -37,19 +38,20 @@ func TestAllBenchmarksRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in short mode")
 	}
+	ctx := context.Background()
 	geoms := []cache.Config{cache.Baseline}
 	for _, b := range All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			for _, opt := range []bool{false, true} {
-				bd, err := Compile(b, opt)
+				bd, err := CompileISACtx(ctx, b, opt, "")
 				if err != nil {
 					t.Fatalf("compile(opt=%v): %v", opt, err)
 				}
 				if n := bd.NumLoads(); n < 25 {
 					t.Errorf("opt=%v: only %d static loads", opt, n)
 				}
-				run, err := Simulate(bd, b.Input1, geoms)
+				run, err := SimulateCtx(ctx, bd, b.Input1, geoms)
 				if err != nil {
 					t.Fatalf("run(opt=%v): %v", opt, err)
 				}
@@ -73,16 +75,17 @@ func TestInputsDiffer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in short mode")
 	}
+	ctx := context.Background()
 	b := ByName("129.compress")
-	bd, err := Compile(b, false)
+	bd, err := CompileISACtx(ctx, b, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := Simulate(bd, b.Input1, nil)
+	r1, err := SimulateCtx(ctx, bd, b.Input1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Simulate(bd, b.Input2, nil)
+	r2, err := SimulateCtx(ctx, bd, b.Input2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,23 +95,24 @@ func TestInputsDiffer(t *testing.T) {
 }
 
 func TestCaching(t *testing.T) {
+	ctx := context.Background()
 	b := ByName("099.go")
-	b1, err := Compile(b, false)
+	b1, err := CompileISACtx(ctx, b, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := Compile(b, false)
+	b2, err := CompileISACtx(ctx, b, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b1 != b2 {
 		t.Error("build cache miss")
 	}
-	r1, err := Simulate(b1, b.Input1, []cache.Config{cache.Baseline})
+	r1, err := SimulateCtx(ctx, b1, b.Input1, []cache.Config{cache.Baseline})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Simulate(b1, b.Input1, []cache.Config{cache.Baseline})
+	r2, err := SimulateCtx(ctx, b1, b.Input1, []cache.Config{cache.Baseline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +122,13 @@ func TestCaching(t *testing.T) {
 }
 
 func TestLoadStats(t *testing.T) {
+	ctx := context.Background()
 	b := ByName("099.go")
-	bd, err := Compile(b, false)
+	bd, err := CompileISACtx(ctx, b, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := Simulate(bd, b.Input1, []cache.Config{cache.Baseline})
+	run, err := SimulateCtx(ctx, bd, b.Input1, []cache.Config{cache.Baseline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +158,13 @@ func TestColdCodePresent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in short mode")
 	}
+	ctx := context.Background()
 	for _, b := range All() {
-		bd, err := Compile(b, false)
+		bd, err := CompileISACtx(ctx, b, false, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := Simulate(bd, b.Input1, nil)
+		run, err := SimulateCtx(ctx, bd, b.Input1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,20 +194,21 @@ func TestBenchmarkChecksumsStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in short mode")
 	}
+	ctx := context.Background()
 	for _, b := range All() {
-		bd, err := Compile(b, false)
+		bd, err := CompileISACtx(ctx, b, false, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		r1, err := Simulate(bd, b.Input1, nil)
+		r1, err := SimulateCtx(ctx, bd, b.Input1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bdO, err := Compile(b, true)
+		bdO, err := CompileISACtx(ctx, b, true, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := Simulate(bdO, b.Input1, nil)
+		r2, err := SimulateCtx(ctx, bdO, b.Input1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

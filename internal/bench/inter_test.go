@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"delinq/internal/pattern"
@@ -32,7 +33,7 @@ func TestInterRaisesCrossCallDeref(t *testing.T) {
 		if b == nil {
 			t.Fatalf("no benchmark %q", name)
 		}
-		bd, err := Compile(b, true)
+		bd, err := CompileISACtx(context.Background(), b, true, "")
 		if err != nil {
 			t.Fatal(err)
 		}

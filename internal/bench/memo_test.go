@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"sync"
@@ -77,7 +78,7 @@ func TestCompileSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			bd, err := Compile(b, false)
+			bd, err := CompileISACtx(context.Background(), b, false, "")
 			if err != nil {
 				t.Error(err)
 				return
@@ -107,6 +108,7 @@ func TestResetCacheDuringWork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulations in short mode")
 	}
+	ctx := context.Background()
 	ResetCache()
 	b := ByName("147.vortex")
 	geoms := []cache.Config{cache.Baseline}
@@ -116,12 +118,12 @@ func TestResetCacheDuringWork(t *testing.T) {
 		go func() {
 			defer workers.Done()
 			for i := 0; i < 3; i++ {
-				bd, err := Compile(b, false)
+				bd, err := CompileISACtx(ctx, b, false, "")
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				run, err := Simulate(bd, b.Input1, geoms)
+				run, err := SimulateCtx(ctx, bd, b.Input1, geoms)
 				if err != nil {
 					t.Error(err)
 					return
@@ -156,11 +158,11 @@ func TestResetCacheDuringWork(t *testing.T) {
 	resetter.Wait()
 
 	// After the dust settles the engine still computes and memoises.
-	bd, err := Compile(b, false)
+	bd, err := CompileISACtx(ctx, b, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Simulate(bd, b.Input1, geoms); err != nil {
+	if _, err := SimulateCtx(ctx, bd, b.Input1, geoms); err != nil {
 		t.Fatal(err)
 	}
 	_, rs := CacheStats()

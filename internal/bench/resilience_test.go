@@ -4,13 +4,12 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"delinq/internal/cache"
 	"delinq/internal/core"
 	"delinq/internal/faultinject"
-	"delinq/internal/memo"
 	"delinq/internal/pattern"
+	"delinq/internal/rescache"
 	"delinq/internal/vm"
 )
 
@@ -33,7 +32,7 @@ func TestPatternRetryRecovers(t *testing.T) {
 	p.ArmN(faultinject.PatternBudget, b.Name, 1)
 	withPlan(t, p)
 
-	bd, err := Compile(b, false)
+	bd, err := CompileISACtx(context.Background(), b, false, "")
 	if err != nil {
 		t.Fatalf("compile with one-shot pattern fault: %v", err)
 	}
@@ -55,70 +54,13 @@ func TestPatternRetryRecovers(t *testing.T) {
 	}
 }
 
-// TestPatternRetryBackoff pins the retry mechanics now routed through
-// internal/retry: the one-shot fault triggers exactly one jittered
-// backoff sleep, the schedule is deterministic in the benchmark name,
-// and a fault-free compile never sleeps at all (so goldens can't move).
-func TestPatternRetryBackoff(t *testing.T) {
-	b := ByName("181.mcf")
-
-	record := func() []time.Duration {
-		var slept []time.Duration
-		patternRetrySleep = func(_ context.Context, d time.Duration) error {
-			slept = append(slept, d)
-			return nil
-		}
-		t.Cleanup(func() { patternRetrySleep = nil })
-		p := faultinject.NewPlan(1)
-		p.ArmN(faultinject.PatternBudget, b.Name, 1)
-		withPlan(t, p)
-		if _, err := Compile(b, false); err != nil {
-			t.Fatalf("compile with one-shot pattern fault: %v", err)
-		}
-		return slept
-	}
-
-	first := record()
-	if len(first) != 1 {
-		t.Fatalf("slept %d times, want exactly 1 backoff", len(first))
-	}
-	pol := patternPolicy(b.Name)
-	raw := pol.Backoff(0)
-	lo := time.Duration(float64(raw) * (1 - pol.Jitter/2))
-	hi := time.Duration(float64(raw) * (1 + pol.Jitter/2))
-	if first[0] < lo || first[0] > hi {
-		t.Errorf("backoff %v outside jitter window [%v, %v]", first[0], lo, hi)
-	}
-
-	second := record()
-	if len(second) != 1 || second[0] != first[0] {
-		t.Errorf("backoff not deterministic: %v vs %v", first, second)
-	}
-
-	// Fault-free: the first attempt succeeds, the sleeper never runs.
-	var slept []time.Duration
-	patternRetrySleep = func(_ context.Context, d time.Duration) error {
-		slept = append(slept, d)
-		return nil
-	}
-	defer func() { patternRetrySleep = nil }()
-	faultinject.Clear()
-	ResetCache()
-	if _, err := Compile(b, false); err != nil {
-		t.Fatal(err)
-	}
-	if len(slept) != 0 {
-		t.Errorf("fault-free compile slept %v; the hot path must not back off", slept)
-	}
-}
-
 func TestPatternExhaustionDegradesToUnknown(t *testing.T) {
 	b := ByName("181.mcf")
 	p := faultinject.NewPlan(1)
 	p.Arm(faultinject.PatternBudget, b.Name)
 	withPlan(t, p)
 
-	bd, err := Compile(b, false)
+	bd, err := CompileISACtx(context.Background(), b, false, "")
 	if err != nil {
 		t.Fatalf("compile must degrade, not fail: %v", err)
 	}
@@ -147,23 +89,24 @@ func TestCorruptImageFailsAssembleStage(t *testing.T) {
 	p.Arm(faultinject.CorruptImage, b.Name)
 	withPlan(t, p)
 
-	_, err := Compile(b, false)
+	_, err := CompileISACtx(context.Background(), b, false, "")
 	if !errors.Is(err, &core.StageError{Benchmark: b.Name, Stage: core.StageAssemble}) {
 		t.Fatalf("err = %v, want assemble-stage StageError for %s", err, b.Name)
 	}
 }
 
 func TestSimBudgetFailsSimulateStage(t *testing.T) {
+	ctx := context.Background()
 	b := ByName("181.mcf")
 	p := faultinject.NewPlan(1)
 	p.Arm(faultinject.SimBudget, b.Name)
 	withPlan(t, p)
 
-	bd, err := Compile(b, false)
+	bd, err := CompileISACtx(ctx, b, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Simulate(bd, b.Input1, []cache.Config{cache.Baseline})
+	_, err = SimulateCtx(ctx, bd, b.Input1, []cache.Config{cache.Baseline})
 	if !errors.Is(err, &core.StageError{Stage: core.StageSimulate}) {
 		t.Fatalf("err = %v, want simulate-stage StageError", err)
 	}
@@ -173,20 +116,21 @@ func TestSimBudgetFailsSimulateStage(t *testing.T) {
 }
 
 func TestWorkerPanicFailsWorkerStage(t *testing.T) {
+	ctx := context.Background()
 	b := ByName("181.mcf")
 	p := faultinject.NewPlan(1)
 	p.Arm(faultinject.WorkerPanic, b.Name)
 	withPlan(t, p)
 
-	bd, err := Compile(b, false)
+	bd, err := CompileISACtx(ctx, b, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Simulate(bd, b.Input1, []cache.Config{cache.Baseline})
+	_, err = SimulateCtx(ctx, bd, b.Input1, []cache.Config{cache.Baseline})
 	if !errors.Is(err, &core.StageError{Stage: core.StageWorker}) {
 		t.Fatalf("err = %v, want worker-stage StageError", err)
 	}
-	var pe *memo.PanicError
+	var pe *rescache.PanicError
 	if !errors.As(err, &pe) {
 		t.Errorf("recovered panic not surfaced as PanicError: %v", err)
 	}
@@ -197,7 +141,7 @@ func TestWorkerPanicFailsWorkerStage(t *testing.T) {
 	// The error is not memoised: with the plan cleared the same request
 	// succeeds.
 	faultinject.Clear()
-	if _, err := Simulate(bd, b.Input1, []cache.Config{cache.Baseline}); err != nil {
+	if _, err := SimulateCtx(ctx, bd, b.Input1, []cache.Config{cache.Baseline}); err != nil {
 		t.Errorf("simulate after disarming: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -19,7 +20,11 @@ func analyzeLoads(t *testing.T, src string) []*pattern.Load {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pattern.AnalyzeProgram(p, pattern.DefaultConfig())
+	loads, err := pattern.AnalyzeProgramCtx(context.Background(), p, pattern.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loads
 }
 
 type fixedProfile map[uint32]int64

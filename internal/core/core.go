@@ -5,8 +5,8 @@
 //
 // Typical use:
 //
-//	res, err := core.IdentifySource(src, core.Options{})
-//	for _, d := range res.Delinquent() { fmt.Println(d) }
+//	res, err := core.IdentifySourceCtx(ctx, src, core.Options{})
+//	for _, d := range res.Delinquent() { fmt.Println(core.Describe(d)) }
 //
 // With an execution profile (simulate first, or bring your own), the
 // frequency classes AG8/AG9 sharpen the result; without one the purely
@@ -34,9 +34,9 @@ import (
 
 // Options configures identification.
 type Options struct {
-	// Optimize selects the compiler's -O mode for IdentifySource.
+	// Optimize selects the compiler's -O mode for IdentifySourceCtx.
 	Optimize bool
-	// ISA names the machine description IdentifySource builds for
+	// ISA names the machine description IdentifySourceCtx builds for
 	// ("mips", "arm"); empty means mips. See BuildSourceISA.
 	ISA string
 	// Classify configures the heuristic; zero value means the trained
@@ -90,13 +90,9 @@ func (r *Result) DeltaSet() map[uint32]bool {
 	return out
 }
 
-// IdentifyImage runs the post-compilation analysis on a linked image.
-func IdentifyImage(img *obj.Image, opts Options) (*Result, error) {
-	return IdentifyImageCtx(context.Background(), img, opts)
-}
-
-// IdentifyImageCtx is IdentifyImage under a context: a deadline or
-// cancellation stops pattern analysis at the next function boundary.
+// IdentifyImageCtx runs the post-compilation analysis on a linked
+// image. A deadline or cancellation stops pattern analysis at the next
+// function boundary.
 func IdentifyImageCtx(ctx context.Context, img *obj.Image, opts Options) (*Result, error) {
 	prog, err := disasm.Disassemble(img)
 	if err != nil {
@@ -125,27 +121,16 @@ func IdentifyImageCtx(ctx context.Context, img *obj.Image, opts Options) (*Resul
 	}, nil
 }
 
-// IdentifySource compiles mini-C source and identifies its delinquent
-// loads.
-func IdentifySource(src string, opts Options) (*Result, error) {
-	return IdentifySourceCtx(context.Background(), src, opts)
-}
-
-// IdentifySourceCtx is IdentifySource under a context: a deadline or
-// cancellation stops pattern analysis at the next function boundary
-// (compilation itself is quick and runs to completion).
+// IdentifySourceCtx compiles mini-C source and identifies its
+// delinquent loads. A deadline or cancellation stops pattern analysis
+// at the next function boundary (compilation itself is quick and runs
+// to completion).
 func IdentifySourceCtx(ctx context.Context, src string, opts Options) (*Result, error) {
 	img, err := BuildSourceISA(src, opts.Optimize, opts.ISA)
 	if err != nil {
 		return nil, err
 	}
 	return IdentifyImageCtx(ctx, img, opts)
-}
-
-// BuildSource compiles and assembles mini-C source to a linked MIPS
-// image.
-func BuildSource(src string, optimize bool) (*obj.Image, error) {
-	return BuildSourceISA(src, optimize, "")
 }
 
 // BuildSourceISA compiles and assembles mini-C source, then lowers the
@@ -193,9 +178,6 @@ func LowerImage(img *obj.Image, isaName string) (*obj.Image, error) {
 	}
 }
 
-// BuildAsm assembles assembly text to a linked image.
-func BuildAsm(src string) (*obj.Image, error) { return asm.Assemble(src) }
-
 // Simulation couples a run's profile with its cache statistics.
 type Simulation struct {
 	Result *vm.Result
@@ -218,14 +200,9 @@ func (s *Simulation) LoadStats(loads []*pattern.Load, ci int) []metrics.LoadStat
 	return out
 }
 
-// Simulate executes the image with the given inputs against one or more
-// cache geometries (defaulting to the 8 KB baseline).
-func Simulate(img *obj.Image, args []int32, geoms ...cache.Config) (*Simulation, error) {
-	return SimulateCtx(context.Background(), img, args, geoms...)
-}
-
-// SimulateCtx is Simulate under a context: a deadline or cancellation
-// stops the VM within a few thousand instructions.
+// SimulateCtx executes the image with the given inputs against one or
+// more cache geometries (defaulting to the 8 KB baseline). A deadline or
+// cancellation stops the VM within a few thousand instructions.
 func SimulateCtx(ctx context.Context, img *obj.Image, args []int32, geoms ...cache.Config) (*Simulation, error) {
 	if len(geoms) == 0 {
 		geoms = []cache.Config{cache.Baseline}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ int main() {
 `
 
 func TestIdentifySourcePipeline(t *testing.T) {
-	res, err := IdentifySource(chaseSrc, Options{})
+	res, err := IdentifySourceCtx(context.Background(), chaseSrc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,18 +58,19 @@ func TestIdentifySourcePipeline(t *testing.T) {
 }
 
 func TestSimulateAndEvaluate(t *testing.T) {
-	img, err := BuildSource(chaseSrc, false)
+	ctx := context.Background()
+	img, err := BuildSourceISA(chaseSrc, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := Simulate(img, nil)
+	sim, err := SimulateCtx(ctx, img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sim.Result.Insts == 0 || sim.Caches[0].Stats().Misses == 0 {
 		t.Fatal("simulation produced no activity")
 	}
-	res, err := IdentifyImage(img, Options{Profile: sim})
+	res, err := IdentifyImageCtx(ctx, img, Options{Profile: sim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +91,11 @@ func TestSimulateAndEvaluate(t *testing.T) {
 }
 
 func TestSimulateMultipleGeometries(t *testing.T) {
-	img, err := BuildSource(chaseSrc, false)
+	img, err := BuildSourceISA(chaseSrc, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := Simulate(img, nil,
+	sim, err := SimulateCtx(context.Background(), img, nil,
 		cache.Config{SizeBytes: 1 * 1024, Assoc: 1, BlockBytes: 32},
 		cache.Config{SizeBytes: 256 * 1024, Assoc: 8, BlockBytes: 32},
 	)
@@ -108,11 +110,11 @@ func TestSimulateMultipleGeometries(t *testing.T) {
 }
 
 func TestSimulateBadGeometry(t *testing.T) {
-	img, err := BuildSource(`int main() { return 0; }`, false)
+	img, err := BuildSourceISA(`int main() { return 0; }`, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Simulate(img, nil, cache.Config{SizeBytes: 7}); err == nil {
+	if _, err := SimulateCtx(context.Background(), img, nil, cache.Config{SizeBytes: 7}); err == nil {
 		t.Error("invalid geometry accepted")
 	}
 }
@@ -120,7 +122,7 @@ func TestSimulateBadGeometry(t *testing.T) {
 func TestCustomClassifyConfig(t *testing.T) {
 	w := classify.PaperWeights()
 	cfg := classify.Config{Weights: &w, Delta: 99} // impossible threshold
-	res, err := IdentifySource(chaseSrc, Options{Classify: &cfg})
+	res, err := IdentifySourceCtx(context.Background(), chaseSrc, Options{Classify: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestCustomClassifyConfig(t *testing.T) {
 }
 
 func TestDescribe(t *testing.T) {
-	res, err := IdentifySource(chaseSrc, Options{})
+	res, err := IdentifySourceCtx(context.Background(), chaseSrc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,16 +149,13 @@ func TestDescribe(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	if _, err := BuildSource("int main( {", false); err == nil {
+	if _, err := BuildSourceISA("int main( {", false, ""); err == nil {
 		t.Error("bad source compiled")
-	}
-	if _, err := BuildAsm("bogus $t0"); err == nil {
-		t.Error("bad assembly assembled")
 	}
 }
 
 func TestOptimizedIdentification(t *testing.T) {
-	res, err := IdentifySource(chaseSrc, Options{Optimize: true})
+	res, err := IdentifySourceCtx(context.Background(), chaseSrc, Options{Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

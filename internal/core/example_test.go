@@ -1,15 +1,16 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"delinq/internal/core"
 )
 
-// ExampleIdentifySource shows the one-call static identification: a
+// ExampleIdentifySourceCtx shows the one-call static identification: a
 // pointer-chasing loop is flagged, plain scalar loads are not.
-func ExampleIdentifySource() {
+func ExampleIdentifySourceCtx() {
 	src := `
 struct Node { int key; struct Node *next; };
 int main() {
@@ -27,7 +28,7 @@ int main() {
 	return sum & 255;
 }
 `
-	res, err := core.IdentifySource(src, core.Options{})
+	res, err := core.IdentifySourceCtx(context.Background(), src, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,15 +54,15 @@ int main() {
 	return s & 255;
 }
 `
-	img, err := core.BuildSource(src, false)
+	img, err := core.BuildSourceISA(src, false, "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim, err := core.Simulate(img, nil)
+	sim, err := core.SimulateCtx(context.Background(), img, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := core.IdentifyImage(img, core.Options{Profile: sim})
+	res, err := core.IdentifyImageCtx(context.Background(), img, core.Options{Profile: sim})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,7 +31,7 @@ int main() {
 // with a StageError. No input may panic the lowerer, and no failure
 // may escape the pipeline's error taxonomy.
 func FuzzLowerImageBytes(f *testing.F) {
-	img, err := BuildSource(fuzzLowerProg, false)
+	img, err := BuildSourceISA(fuzzLowerProg, false, "")
 	if err != nil {
 		f.Fatal(err)
 	}

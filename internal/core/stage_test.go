@@ -33,7 +33,7 @@ int main() {
 	}
 	return 0;
 }`
-	img, err := BuildSource(src, false)
+	img, err := BuildSourceISA(src, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestSimulateCtxRejectsBadGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Simulate(img, nil, cache.Config{SizeBytes: -3})
+	_, err = SimulateCtx(context.Background(), img, nil, cache.Config{SizeBytes: -3})
 	if !errors.Is(err, &StageError{Stage: StageSimulate}) {
 		t.Errorf("err = %v, want simulate-stage StageError", err)
 	}
@@ -194,7 +194,7 @@ func TestIdentifyImageRejectsCorruptText(t *testing.T) {
 		t.Fatal(err)
 	}
 	img.Text = append(img.Text, 0xFFFFFFFF) // not a valid encoding
-	_, err = IdentifyImage(img, Options{})
+	_, err = IdentifyImageCtx(context.Background(), img, Options{})
 	if !errors.Is(err, &StageError{Stage: StageDisasm}) {
 		t.Errorf("err = %v, want disasm-stage StageError", err)
 	}

@@ -89,7 +89,7 @@ func runCompiled(src string, optimize bool, args []int32, maxInsts int64, isaNam
 	if err != nil {
 		return outcome{err: fmt.Errorf("lower: %w", err)}
 	}
-	res, err := vm.Run(img, vm.Options{
+	res, err := vm.RunContext(context.Background(), img, vm.Options{
 		Args:          args,
 		CaptureOutput: true,
 		MaxInsts:      maxInsts,

@@ -1,6 +1,7 @@
 package arm_test
 
 import (
+	"context"
 	"testing"
 
 	"delinq/internal/core"
@@ -33,6 +34,7 @@ int main() {
 }`
 
 func TestSmokeManual(t *testing.T) {
+	ctx := context.Background()
 	for _, opt := range []bool{false, true} {
 		var exits [2]int32
 		var outs [2]string
@@ -41,7 +43,7 @@ func TestSmokeManual(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build %s opt=%v: %v", name, opt, err)
 			}
-			res, err := vm.Run(img, vm.Options{CaptureOutput: true})
+			res, err := vm.RunContext(ctx, img, vm.Options{CaptureOutput: true})
 			if err != nil {
 				t.Fatalf("run %s opt=%v: %v", name, opt, err)
 			}
@@ -55,7 +57,7 @@ func TestSmokeManual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.IdentifyImage(img, core.Options{})
+	res, err := core.IdentifyImageCtx(ctx, img, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package minic
 
 import (
+	"context"
 	"testing"
 
 	"delinq/internal/asm"
@@ -26,7 +27,7 @@ func runProgram(t *testing.T, src string, optimize bool) (int32, string) {
 	if err != nil {
 		t.Fatalf("assemble(opt=%v): %v\n--- source ---\n%s", optimize, err, src)
 	}
-	res, err := vm.Run(img, vm.Options{CaptureOutput: true, MaxInsts: 20e6})
+	res, err := vm.RunContext(context.Background(), img, vm.Options{CaptureOutput: true, MaxInsts: 20e6})
 	if err != nil {
 		t.Fatalf("run(opt=%v): %v\n--- source ---\n%s", optimize, err, src)
 	}
@@ -80,7 +81,11 @@ func TestDifferentialAnalysis(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d disasm: %v", seed, err)
 			}
-			for _, ld := range pattern.AnalyzeProgram(prog, pattern.DefaultConfig()) {
+			loads, err := pattern.AnalyzeProgramCtx(context.Background(), prog, pattern.DefaultConfig())
+			if err != nil {
+				t.Fatalf("seed %d pattern: %v", seed, err)
+			}
+			for _, ld := range loads {
 				if len(ld.Patterns) == 0 {
 					t.Fatalf("seed %d opt=%v: load %#x has no patterns", seed, opt, ld.PC)
 				}

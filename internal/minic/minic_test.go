@@ -1,6 +1,7 @@
 package minic
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func compileRun(t *testing.T, src string, opts Options, args ...int32) (int32, s
 	if err != nil {
 		t.Fatalf("assemble: %v\n--- assembly ---\n%s", err, asmText)
 	}
-	res, err := vm.Run(img, vm.Options{Args: args, CaptureOutput: true, MaxInsts: 5e7})
+	res, err := vm.RunContext(context.Background(), img, vm.Options{Args: args, CaptureOutput: true, MaxInsts: 5e7})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -447,7 +448,7 @@ int main() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := vm.Run(img, vm.Options{})
+		res, err := vm.RunContext(context.Background(), img, vm.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

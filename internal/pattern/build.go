@@ -58,17 +58,11 @@ type Load struct {
 	Truncated bool
 }
 
-// AnalyzeProgram builds address patterns for every load in the program.
-// With conf.Interprocedural set it first computes per-function summaries
-// over the call graph (see ComputeSummaries) and resolves Ret and Param
-// leaves through them; the returned loads appear in the same order as
-// the intraprocedural analysis either way.
-func AnalyzeProgram(p *disasm.Program, conf Config) []*Load {
-	loads, _ := AnalyzeProgramCtx(context.Background(), p, conf)
-	return loads
-}
-
-// AnalyzeProgramCtx is AnalyzeProgram under a context: cancellation is
+// AnalyzeProgramCtx builds address patterns for every load in the
+// program. With conf.Interprocedural set it first computes per-function
+// summaries over the call graph (see ComputeSummaries) and resolves Ret
+// and Param leaves through them; the returned loads appear in the same
+// order as the intraprocedural analysis either way. Cancellation is
 // checked between functions (and between the two interprocedural
 // phases), so a deadline stops a pathological analysis at the next
 // function boundary rather than after the whole program.

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"context"
 	"testing"
 
 	"delinq/internal/asm"
@@ -28,7 +29,17 @@ func programLoads(t *testing.T, src string, inter bool) []*Load {
 	t.Helper()
 	conf := DefaultConfig()
 	conf.Interprocedural = inter
-	return AnalyzeProgram(assembleProg(t, src), conf)
+	return analyze(t, assembleProg(t, src), conf)
+}
+
+// analyze runs AnalyzeProgramCtx, failing the test on error.
+func analyze(t testing.TB, p *disasm.Program, conf Config) []*Load {
+	t.Helper()
+	loads, err := AnalyzeProgramCtx(context.Background(), p, conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loads
 }
 
 // fnLoad returns the single load in function fn writing rt.
@@ -249,7 +260,7 @@ main:
 // default pipeline is byte-identical to the flat per-function loop.
 func TestIntraModeUnchanged(t *testing.T) {
 	p := assembleProg(t, retChainSrc)
-	flat := AnalyzeProgram(p, DefaultConfig())
+	flat := analyze(t, p, DefaultConfig())
 	var manual []*Load
 	for _, fn := range p.Funcs {
 		manual = append(manual, AnalyzeFunc(fn, DefaultConfig())...)
@@ -279,7 +290,7 @@ func compileProgramLoads(t *testing.T, src string, optimize, inter bool) []*Load
 	}
 	conf := DefaultConfig()
 	conf.Interprocedural = inter
-	return AnalyzeProgram(assembleProg(t, asmText), conf)
+	return analyze(t, assembleProg(t, asmText), conf)
 }
 
 // A linked-list walk where the pointer chase crosses a helper call:

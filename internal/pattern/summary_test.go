@@ -134,9 +134,9 @@ int main() {
 		}
 		return out
 	}
-	want := key(AnalyzeProgram(p, conf))
+	want := key(analyze(t, p, conf))
 	for i := 0; i < 10; i++ {
-		if got := key(AnalyzeProgram(p, conf)); got != want {
+		if got := key(analyze(t, p, conf)); got != want {
 			t.Fatalf("run %d diverged:\n%s\nvs\n%s", i, got, want)
 		}
 	}
@@ -205,7 +205,7 @@ func BenchmarkAnalyzeProgram(b *testing.B) {
 			conf.Interprocedural = mode.inter
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if loads := AnalyzeProgram(p, conf); len(loads) == 0 {
+				if loads := analyze(b, p, conf); len(loads) == 0 {
 					b.Fatal("no loads")
 				}
 			}

@@ -1,35 +1,61 @@
-// Package rescache is the serve layer's content-addressed result
-// cache: a bounded LRU keyed by canonical request digests, carrying the
-// fully rendered response for each key, with singleflight request
-// coalescing lifted from internal/memo. It differs from memo in three
-// ways that matter at fleet scale:
+// Package rescache is the toolkit's one keyed, singleflight result
+// cache. Concurrent callers of Do with the same key share one in-flight
+// fill — the first caller runs it, later callers wait for it — so an
+// expensive computation is never duplicated and never serialised behind
+// an unrelated one. Two layers use it:
 //
-//   - retention is bounded: an entry-count cap and a byte-size cap evict
-//     from the LRU tail, and an optional TTL expires stale entries
-//     lazily on access, so the cache cannot grow without bound under
-//     millions of distinct requests;
-//   - the filler decides cacheability per result: a degraded render or
-//     a breaker short-circuit is delivered to its waiters but never
-//     retained, so a transient failure cannot poison future requests;
-//   - waiting is context-aware: a caller joined to another caller's
-//     in-flight fill abandons the wait when its own context is
-//     cancelled (client disconnect, per-request deadline, drain abort)
-//     while the fill itself keeps running for the remaining waiters.
+//   - the experiment engine (internal/bench, internal/pattern) memoises
+//     builds, simulations and interprocedural summaries in the zero
+//     Config: unbounded, no expiry, every successful fill retained;
+//   - the serve layer keys fully rendered responses by canonical request
+//     digests, bounded by an entry cap, a byte cap and an optional TTL,
+//     so the cache cannot grow without bound under millions of distinct
+//     requests.
 //
-// A panicking fill is recovered into a *memo.PanicError and delivered
-// to every joined waiter — exactly the memo contract — and, like any
-// error, is not retained: the next Do for the key recomputes.
+// The filler decides cacheability per result: a degraded render or a
+// breaker short-circuit is delivered to its waiters but never retained,
+// so a transient failure cannot poison future requests. Waiting is
+// context-aware: a caller joined to another caller's in-flight fill
+// abandons the wait when its own context is cancelled (client
+// disconnect, per-request deadline, drain abort) while the fill itself
+// keeps running for the remaining waiters.
+//
+// A panicking fill is recovered into a *PanicError and delivered to
+// every joined waiter and, like any error, is not retained: the next Do
+// for the key recomputes.
 package rescache
 
 import (
 	"container/list"
 	"context"
+	"fmt"
 	"runtime/debug"
 	"sync"
 	"time"
-
-	"delinq/internal/memo"
 )
+
+// PanicError is delivered to every caller of a fill that panicked: the
+// cache recovers the panic so joined waiters are released instead of
+// deadlocking on a done channel that would never close, and so one
+// crashed computation degrades gracefully rather than killing the
+// worker pool above it.
+type PanicError struct {
+	Value any    // the recovered panic value
+	Stack []byte // stack of the panicking goroutine, for diagnostics
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("rescache: computation panicked: %v", e.Value)
+}
+
+// Unwrap exposes the panic value to errors.Is/As when it was itself an
+// error (e.g. a deliberate fault-injection crash).
+func (e *PanicError) Unwrap() error {
+	if err, ok := e.Value.(error); ok {
+		return err
+	}
+	return nil
+}
 
 // Outcome reports how one Do call was answered.
 type Outcome int
@@ -77,23 +103,24 @@ type Config struct {
 }
 
 // Stats is a snapshot of the cache's activity counters. Hits, Misses,
-// Coalesced, Errors, Uncacheable, EvictedSize and EvictedTTL are
-// monotonic; Entries and Bytes are the current retention.
+// Joined, Errors, Uncacheable, EvictedSize and EvictedTTL are
+// monotonic; Entries, Bytes and Inflight describe the cache now.
 type Stats struct {
 	Hits        uint64 // answered from a retained entry (warm hits included)
 	WarmHits    uint64 // the subset of Hits answered from seeded (replayed) entries
 	Misses      uint64 // fills executed (exactly-once per key when keys are distinct)
-	Coalesced   uint64 // callers that joined an in-flight fill
+	Joined      uint64 // callers that joined an in-flight fill
 	Errors      uint64 // fills that finished with an error (not retained)
 	Uncacheable uint64 // fills that succeeded but declined retention
 	EvictedSize uint64 // entries evicted by the entry or byte cap
 	EvictedTTL  uint64 // entries dropped because their TTL had expired
 	Entries     int    // retained entries now
 	Bytes       int64  // summed Size of retained values now
+	Inflight    int    // fills registered and still running now
 }
 
-// Cache is a bounded, content-addressed, request-coalescing result
-// cache. The zero value is not usable; construct with New.
+// Cache is a keyed, request-coalescing result cache, bounded as its
+// Config says. The zero value is not usable; construct with New.
 type Cache[V any] struct {
 	cfg  Config
 	size func(V) int
@@ -139,13 +166,13 @@ func New[V any](cfg Config, size func(V) int) *Cache[V] {
 	}
 }
 
-// protect runs fill, converting a panic into a *memo.PanicError so
-// joined waiters are released instead of deadlocking.
+// protect runs fill, converting a panic into a *PanicError so joined
+// waiters are released instead of deadlocking.
 func protect[V any](fill func() (V, bool, error)) (v V, cacheable bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			var zero V
-			v, cacheable, err = zero, false, &memo.PanicError{Value: r, Stack: debug.Stack()}
+			v, cacheable, err = zero, false, &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
 	return fill()
@@ -165,7 +192,7 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fill func() (V, bool, err
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		if !e.complete {
-			c.stats.Coalesced++
+			c.stats.Joined++
 			c.mu.Unlock()
 			select {
 			case <-e.done:
@@ -228,26 +255,6 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fill func() (V, bool, err
 	return e.val, OutcomeMiss, e.err
 }
 
-// Get returns the retained, unexpired value for key without filling.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || !e.complete {
-		var zero V
-		return zero, false
-	}
-	if !e.expires.IsZero() && !c.cfg.Now().Before(e.expires) {
-		c.stats.EvictedTTL++
-		c.dropLocked(e)
-		var zero V
-		return zero, false
-	}
-	c.lru.MoveToFront(e.elem)
-	c.stats.Hits++
-	return e.val, true
-}
-
 // dropLocked removes a retained entry from the map, the LRU and the
 // byte budget, notifying the eviction hook. Caller holds c.mu.
 func (c *Cache[V]) dropLocked(e *entry[V]) {
@@ -279,20 +286,6 @@ func (c *Cache[V]) evictLocked() {
 	}
 }
 
-// Len returns the number of retained entries.
-func (c *Cache[V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
-// Bytes returns the summed size of retained values.
-func (c *Cache[V]) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
 // Stats returns a snapshot of the activity counters.
 func (c *Cache[V]) Stats() Stats {
 	c.mu.Lock()
@@ -300,13 +293,17 @@ func (c *Cache[V]) Stats() Stats {
 	st := c.stats
 	st.Entries = c.lru.Len()
 	st.Bytes = c.bytes
+	// Every registered entry is either retained (on the LRU) or a fill
+	// still running: completed fills that are not retained unregister
+	// before their waiters are released.
+	st.Inflight = len(c.entries) - c.lru.Len()
 	return st
 }
 
 // Reset drops every retained entry and zeroes the counters. In-flight
-// fills are detached, exactly as in memo: they complete and answer
-// their waiters, but their results are not retained, and a Do issued
-// after the Reset starts a fresh fill even for the same key. The
+// fills are detached: they complete and answer their waiters, but their
+// results are not retained, and a Do issued after the Reset starts a
+// fresh fill even for the same key. The
 // eviction hook is NOT called: Reset is an administrative wipe, not an
 // eviction, and durable state keyed off the hook must not mistake it
 // for one.

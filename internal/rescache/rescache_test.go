@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"delinq/internal/memo"
 )
 
 // fakeClock is the injectable clock: tests advance it explicitly so TTL
@@ -39,6 +37,17 @@ func fillOK(v string) func() (string, bool, error) {
 	return func() (string, bool, error) { return v, true, nil }
 }
 
+// retained reports the value the cache holds for key. It reads Items,
+// so the check moves no LRU position and bumps no counter.
+func retained(c *Cache[string], key string) (string, bool) {
+	for _, it := range c.Items() {
+		if it.Key == key {
+			return it.Val, true
+		}
+	}
+	return "", false
+}
+
 func TestHitMissBasics(t *testing.T) {
 	c := New[string](Config{}, func(s string) int { return len(s) })
 	ctx := context.Background()
@@ -54,19 +63,19 @@ func TestHitMissBasics(t *testing.T) {
 	if v != "value" || o != OutcomeHit || err != nil {
 		t.Fatalf("second Do = (%q, %v, %v), want (value, hit, nil)", v, o, err)
 	}
-	if got, ok := c.Get("k"); !ok || got != "value" {
-		t.Errorf("Get = (%q, %v), want (value, true)", got, ok)
+	if got, ok := retained(c, "k"); !ok || got != "value" {
+		t.Errorf("retained = (%q, %v), want (value, true)", got, ok)
 	}
-	if _, ok := c.Get("absent"); ok {
-		t.Error("Get invented a value for an absent key")
+	if _, ok := retained(c, "absent"); ok {
+		t.Error("cache invented a value for an absent key")
 	}
 	st := c.Stats()
-	if st.Misses != 1 || st.Hits != 2 || st.Entries != 1 || st.Bytes != 5 {
-		t.Errorf("stats = %+v, want 1 miss, 2 hits, 1 entry, 5 bytes", st)
+	if st.Misses != 1 || st.Hits != 1 || st.Entries != 1 || st.Bytes != 5 || st.Inflight != 0 {
+		t.Errorf("stats = %+v, want 1 miss, 1 hit, 1 entry, 5 bytes, none in flight", st)
 	}
 }
 
-// TestExactlyOnce is the memo-style concurrency battery: N goroutines
+// TestExactlyOnce is the singleflight concurrency battery: N goroutines
 // racing on one key must execute the fill exactly once; every caller
 // gets the same value; exactly one caller reports OutcomeMiss.
 func TestExactlyOnce(t *testing.T) {
@@ -114,7 +123,7 @@ func TestExactlyOnce(t *testing.T) {
 			misses.Load(), coalesced.Load(), hits.Load())
 	}
 	st := c.Stats()
-	if st.Misses != 1 || st.Coalesced != uint64(coalesced.Load()) {
+	if st.Misses != 1 || st.Joined != uint64(coalesced.Load()) {
 		t.Errorf("stats disagree with observed outcomes: %+v", st)
 	}
 }
@@ -156,10 +165,10 @@ func TestEvictionLRU(t *testing.T) {
 	c.Do(ctx, "b", fillOK("B"))
 	c.Do(ctx, "a", fillOK("A")) // touch a: b is now the LRU tail
 	c.Do(ctx, "c", fillOK("C")) // evicts b
-	if _, ok := c.Get("b"); ok {
+	if _, ok := retained(c, "b"); ok {
 		t.Error("LRU-tail entry b survived eviction")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := retained(c, "a"); !ok {
 		t.Error("recently-used entry a was evicted")
 	}
 	if st := c.Stats(); st.EvictedSize != 1 || st.Entries != 2 {
@@ -175,22 +184,22 @@ func TestEvictionBytes(t *testing.T) {
 	c.Do(ctx, "a", fillOK("aaaa")) // 4 bytes
 	c.Do(ctx, "b", fillOK("bbbb")) // 8 bytes total
 	c.Do(ctx, "c", fillOK("cccc")) // 12 -> evicts a
-	if _, ok := c.Get("a"); ok {
+	if _, ok := retained(c, "a"); ok {
 		t.Error("byte cap did not evict the tail")
 	}
-	if c.Bytes() != 8 {
-		t.Errorf("Bytes = %d, want 8", c.Bytes())
+	if st := c.Stats(); st.Bytes != 8 {
+		t.Errorf("Bytes = %d, want 8", st.Bytes)
 	}
 
 	v, o, err := c.Do(ctx, "big", fillOK("0123456789ABCDEF"))
 	if v != "0123456789ABCDEF" || o != OutcomeMiss || err != nil {
 		t.Fatalf("oversized Do = (%q, %v, %v)", v, o, err)
 	}
-	if _, ok := c.Get("big"); ok {
+	if _, ok := retained(c, "big"); ok {
 		t.Error("a value larger than MaxBytes was retained")
 	}
-	if c.Bytes() > 10 {
-		t.Errorf("Bytes = %d exceeds the cap", c.Bytes())
+	if st := c.Stats(); st.Bytes > 10 {
+		t.Errorf("Bytes = %d exceeds the cap", st.Bytes)
 	}
 }
 
@@ -225,12 +234,12 @@ func TestEvictionUnderConcurrentInsert(t *testing.T) {
 	}
 	var wantBytes int64
 	for i := 0; i < inserts; i++ {
-		if _, ok := c.Get(fmt.Sprintf("k%03d", i)); ok {
+		if _, ok := retained(c, fmt.Sprintf("k%03d", i)); ok {
 			wantBytes += 4
 		}
 	}
-	if c.Bytes() != wantBytes {
-		t.Errorf("Bytes = %d, retained entries sum to %d", c.Bytes(), wantBytes)
+	if st := c.Stats(); st.Bytes != wantBytes {
+		t.Errorf("Bytes = %d, retained entries sum to %d", st.Bytes, wantBytes)
 	}
 }
 
@@ -258,15 +267,6 @@ func TestTTLExpiry(t *testing.T) {
 	}
 	if st := c.Stats(); st.EvictedTTL != 1 {
 		t.Errorf("EvictedTTL = %d, want 1", st.EvictedTTL)
-	}
-
-	// Get also observes expiry.
-	clock.Advance(2 * time.Minute)
-	if _, ok := c.Get("k"); ok {
-		t.Error("Get returned an expired entry")
-	}
-	if st := c.Stats(); st.EvictedTTL != 2 || st.Entries != 0 {
-		t.Errorf("stats after Get-expiry = %+v", st)
 	}
 }
 
@@ -297,7 +297,7 @@ func TestUncacheableNotRetained(t *testing.T) {
 	if v != "degraded" || o != OutcomeMiss || err != nil {
 		t.Fatalf("uncacheable Do = (%q, %v, %v)", v, o, err)
 	}
-	if _, ok := c.Get("k"); ok {
+	if _, ok := retained(c, "k"); ok {
 		t.Error("uncacheable result was retained")
 	}
 	var refills atomic.Int64
@@ -311,7 +311,7 @@ func TestUncacheableNotRetained(t *testing.T) {
 }
 
 // TestPanicPropagatesToAllWaiters: a panicking fill delivers a
-// *memo.PanicError to the executor AND every coalesced waiter, and
+// *PanicError to the executor AND every coalesced waiter, and
 // poisons nothing — the next Do succeeds.
 func TestPanicPropagatesToAllWaiters(t *testing.T) {
 	const waiters = 16
@@ -346,17 +346,17 @@ func TestPanicPropagatesToAllWaiters(t *testing.T) {
 			errs <- err
 		}()
 	}
-	// Waiters enqueue before the panic fires. Coalesced counts under mu,
+	// Waiters enqueue before the panic fires. Joined counts under mu,
 	// so once Stats sees them all they are all joined.
-	waitUntil(t, func() bool { return c.Stats().Coalesced == waiters })
+	waitUntil(t, func() bool { return c.Stats().Joined == waiters })
 	close(release)
 	wg.Wait()
 	close(errs)
 
 	check := func(err error) {
-		var pe *memo.PanicError
+		var pe *PanicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("waiter got %v, want *memo.PanicError", err)
+			t.Fatalf("waiter got %v, want *PanicError", err)
 		}
 		if pe.Value != "deliberate fill panic" {
 			t.Errorf("panic value = %v", pe.Value)
@@ -375,8 +375,23 @@ func TestPanicPropagatesToAllWaiters(t *testing.T) {
 	if v != "recovered" || o != OutcomeMiss || err != nil {
 		t.Fatalf("Do after panic = (%q, %v, %v), want fresh success", v, o, err)
 	}
-	if st := c.Stats(); st.Errors != 1 || st.Entries != 1 {
+	if st := c.Stats(); st.Errors != 1 || st.Entries != 1 || st.Inflight != 0 {
 		t.Errorf("stats after recovery = %+v", st)
+	}
+}
+
+// TestPanicErrorUnwrap: an error panic value is reachable through
+// errors.Is/As; a non-error value unwraps to nil.
+func TestPanicErrorUnwrap(t *testing.T) {
+	cause := errors.New("cause")
+	c := New[int](Config{}, nil)
+	_, _, err := c.Do(context.Background(), "k", func() (int, bool, error) { panic(cause) })
+	if !errors.Is(err, cause) {
+		t.Errorf("error panic value not reachable: %v", err)
+	}
+	pe := &PanicError{Value: 7}
+	if pe.Unwrap() != nil {
+		t.Error("non-error panic value unwrapped to non-nil")
 	}
 }
 
@@ -406,15 +421,15 @@ func TestWaiterContextCancellation(t *testing.T) {
 		}
 		waiterDone <- err
 	}()
-	waitUntil(t, func() bool { return c.Stats().Coalesced == 1 })
+	waitUntil(t, func() bool { return c.Stats().Joined == 1 })
 	cancel()
 	if err := <-waiterDone; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled waiter got %v, want context.Canceled", err)
 	}
 
 	close(release)
-	waitUntil(t, func() bool { _, ok := c.Get("k"); return ok })
-	if v, ok := c.Get("k"); !ok || v != "slow" {
+	waitUntil(t, func() bool { _, ok := retained(c, "k"); return ok })
+	if v, ok := retained(c, "k"); !ok || v != "slow" {
 		t.Errorf("fill result lost after waiter cancellation: (%q, %v)", v, ok)
 	}
 }
@@ -440,7 +455,7 @@ func TestResetDetachesInflight(t *testing.T) {
 	if v := <-got; v != "detached" {
 		t.Fatalf("detached fill answered %q", v)
 	}
-	if _, ok := c.Get("k"); ok {
+	if _, ok := retained(c, "k"); ok {
 		t.Error("detached result was retained after Reset")
 	}
 	var fills atomic.Int64
@@ -501,13 +516,17 @@ func TestSeedAndWarmHit(t *testing.T) {
 func TestSeedRespectsTTL(t *testing.T) {
 	clk := newFakeClock()
 	c := New[string](Config{TTL: time.Minute, Now: clk.Now}, nil)
+	ctx := context.Background()
 	c.Seed("k", "v")
-	if _, ok := c.Get("k"); !ok {
-		t.Fatal("seeded entry not visible")
+	if v, o, _ := c.Do(ctx, "k", fillOK("refilled")); v != "v" || o != OutcomeWarm {
+		t.Fatalf("seeded entry = (%q, %v), want (v, warm)", v, o)
 	}
 	clk.Advance(2 * time.Minute)
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("seeded entry survived its TTL")
+	if v, o, _ := c.Do(ctx, "k", fillOK("refilled")); v != "refilled" || o != OutcomeMiss {
+		t.Fatalf("seeded entry survived its TTL: (%q, %v)", v, o)
+	}
+	if st := c.Stats(); st.EvictedTTL != 1 {
+		t.Errorf("EvictedTTL = %d, want 1", st.EvictedTTL)
 	}
 }
 
@@ -523,8 +542,8 @@ func TestEvictionDuringSeed(t *testing.T) {
 			t.Fatalf("Seed k%d failed", i)
 		}
 	}
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", c.Len())
+	if st := c.Stats(); st.Entries != 3 {
+		t.Fatalf("Entries = %d, want 3", st.Entries)
 	}
 	if len(evicted) != 7 || evicted[0] != "k0" || evicted[6] != "k6" {
 		t.Fatalf("evicted = %v, want k0..k6 in order", evicted)

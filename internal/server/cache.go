@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"delinq/internal/core"
-	"delinq/internal/memo"
 	"delinq/internal/rescache"
 )
 
@@ -196,7 +195,7 @@ func (s *Server) asAPIError(err error) *apiError {
 	if errors.As(err, &ae) {
 		return ae
 	}
-	var pe *memo.PanicError
+	var pe *rescache.PanicError
 	if errors.As(err, &pe) {
 		s.reg.Counter("delinq_panics_recovered_total").Inc()
 		se := core.NewStageError("", core.StageServe, fmt.Errorf("recovered panic: %v", pe.Value))

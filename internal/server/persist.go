@@ -8,7 +8,7 @@
 //   - replay on boot: OpenState replays the log and seeds the cache
 //     before the daemon accepts traffic; seeded entries answer with
 //     `Delinq-Cache: warm` and byte-identical bodies;
-//   - never persist poison: errors, recovered panics (memo.PanicError)
+//   - never persist poison: errors, recovered panics (rescache.PanicError)
 //     and degraded renders are not cacheable, so the append wrapper
 //     never sees them — a poisoned fill cannot cross a restart;
 //   - eviction compacts: the cache's eviction hook counts dead log

@@ -101,7 +101,7 @@ func TestWarmRestartMetrics(t *testing.T) {
 }
 
 func TestPoisonedFillNotPersisted(t *testing.T) {
-	// A fill that panics (recovered into memo.PanicError) answers 500
+	// A fill that panics (recovered into rescache.PanicError) answers 500
 	// and must leave no trace in the durable log: the restarted daemon
 	// recomputes instead of replaying poison.
 	dir := t.TempDir()
@@ -218,7 +218,7 @@ func TestEvictionDuringReplayCompacts(t *testing.T) {
 	s1.Shutdown(ctx)
 
 	s2, _ := newStatefulDaemon(t, Config{StateDir: dir, CacheEntries: 2})
-	if got := s2.cache.Len(); got != 2 {
+	if got := s2.cache.Stats().Entries; got != 2 {
 		t.Fatalf("cache entries after capped replay = %d, want 2", got)
 	}
 	if n := s2.state.seedEvicted.Load(); n != 4 {

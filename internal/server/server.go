@@ -225,7 +225,7 @@ func New(cfg Config) *Server {
 		s.reg.Gauge("delinq_cache_hits_total", stat(func(st rescache.Stats) int64 { return int64(st.Hits) }))
 		s.reg.Gauge("delinq_cache_warm_hits_total", stat(func(st rescache.Stats) int64 { return int64(st.WarmHits) }))
 		s.reg.Gauge("delinq_cache_misses_total", stat(func(st rescache.Stats) int64 { return int64(st.Misses) }))
-		s.reg.Gauge("delinq_cache_coalesced_total", stat(func(st rescache.Stats) int64 { return int64(st.Coalesced) }))
+		s.reg.Gauge("delinq_cache_coalesced_total", stat(func(st rescache.Stats) int64 { return int64(st.Joined) }))
 		s.reg.Gauge("delinq_cache_errors_total", stat(func(st rescache.Stats) int64 { return int64(st.Errors) }))
 		s.reg.Gauge("delinq_cache_uncacheable_total", stat(func(st rescache.Stats) int64 { return int64(st.Uncacheable) }))
 		s.reg.Gauge("delinq_cache_evicted_size_total", stat(func(st rescache.Stats) int64 { return int64(st.EvictedSize) }))

@@ -25,18 +25,18 @@ func TableS1() (*Table, error) {
 		Notes: "unoptimised binaries, Input 1, 8KB baseline cache; estimator: " +
 			"loops iterate 1000x, call counts propagate from the entry",
 	}
-	cfgNone, err := HeuristicConfig(false)
+	cfgNone, err := HeuristicConfigISA(false, "")
 	if err != nil {
 		return nil, err
 	}
-	cfgFreq, err := HeuristicConfig(true)
+	cfgFreq, err := HeuristicConfigISA(true, "")
 	if err != nil {
 		return nil, err
 	}
 	pis := make([][]float64, 3)
 	rhos := make([][]float64, 3)
 	for _, b := range bench.All() {
-		ctx, deg := LoadSafe(b, false, false)
+		ctx, deg := LoadSafeISA(b, false, false, "")
 		if deg != nil {
 			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
 			continue
@@ -88,14 +88,14 @@ func TableS2() (*Table, error) {
 		Notes: "delta* chosen on Input 1 (min pi with rho >= 95%), evaluated on Input 2; " +
 			"unoptimised binaries, 8KB baseline cache",
 	}
-	base, err := HeuristicConfig(true)
+	base, err := HeuristicConfigISA(true, "")
 	if err != nil {
 		return nil, err
 	}
 	grid := []float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.40, 0.50, 0.65, 0.80, 1.00, 1.25}
 	var fixedPi, fixedRho, calPi, calRho []float64
 	for _, b := range bench.Training() {
-		ctx1, deg := LoadSafe(b, false, false)
+		ctx1, deg := LoadSafeISA(b, false, false, "")
 		if deg != nil {
 			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
 			continue
@@ -111,7 +111,7 @@ func TableS2() (*Table, error) {
 				best, bestPi = d, ev.Pi
 			}
 		}
-		ctx2, deg := LoadSafe(b, false, true)
+		ctx2, deg := LoadSafeISA(b, false, true, "")
 		if deg != nil {
 			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
 			continue
@@ -159,17 +159,17 @@ func TableS4() (*Table, error) {
 		Notes: "Input 1, 8KB baseline cache; inter = Ret/Param leaves resolved " +
 			"through call-graph summaries, same weights and delta",
 	}
-	cfg, err := HeuristicConfig(true)
+	cfg, err := HeuristicConfigISA(true, "")
 	if err != nil {
 		return nil, err
 	}
 	pis := make([][]float64, 4)
 	rhos := make([][]float64, 4)
 	for _, b := range bench.All() {
-		ctxO0, deg := LoadSafe(b, false, false)
+		ctxO0, deg := LoadSafeISA(b, false, false, "")
 		var ctxO1 *Ctx
 		if deg == nil {
-			ctxO1, deg = LoadSafe(b, true, false)
+			ctxO1, deg = LoadSafeISA(b, true, false, "")
 		}
 		if deg != nil {
 			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
@@ -290,20 +290,20 @@ func TableS3() (*Table, error) {
 		Header: []string{"Benchmark", "pi", "16B rho", "32B rho", "64B rho"},
 		Notes:  "unoptimised binaries, Input 1, 8KB/4-way caches",
 	}
-	cfg, err := HeuristicConfig(true)
+	cfg, err := HeuristicConfigISA(true, "")
 	if err != nil {
 		return nil, err
 	}
 	var pis []float64
 	rhos := make([][]float64, len(blockGeoms))
 	for _, b := range bench.Training() {
-		bd, run, deg := loadGeomsSafe(b, false, b.Input1, blockGeoms)
+		run, deg := Combo{Bench: b, Geoms: blockGeoms}.runQuarantined()
 		if deg != nil {
 			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
 			continue
 		}
 		delta := map[uint32]bool{}
-		for _, s := range classify.Score(bd.Loads, run, cfg) {
+		for _, s := range classify.Score(run.Build.Loads, run, cfg) {
 			if s.Delinquent {
 				delta[s.Load.PC] = true
 			}

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"delinq/internal/bench"
-	"delinq/internal/cache"
 	"delinq/internal/core"
 )
 
@@ -121,78 +120,36 @@ func DegradedRow(d *Degradation, width int) []string {
 	return row
 }
 
-// LoadSafe is Load with quarantine semantics: an already-degraded
-// benchmark short-circuits, a failure (error, recovered panic, timeout,
-// or a build that itself degraded during pattern analysis) is recorded
-// and returned as a Degradation, and a healthy benchmark returns its
-// Ctx. Exactly one of the results is non-nil.
-func LoadSafe(b *bench.Benchmark, optimize, input2 bool) (*Ctx, *Degradation) {
-	return LoadSafeISA(b, optimize, input2, "")
-}
-
-// LoadSafeISA is LoadSafe with the build lowered to the named machine
-// description. A failure quarantines the benchmark as a whole (the
-// registry is keyed by name, not ISA), which keeps every table's view
-// of a sick benchmark consistent.
+// LoadSafeISA is LoadISACtx with quarantine semantics under the
+// per-benchmark deadline: see Combo.runQuarantined. Exactly one of the
+// results is non-nil.
 func LoadSafeISA(b *bench.Benchmark, optimize, input2 bool, isaName string) (*Ctx, *Degradation) {
-	if d := degradationFor(b.Name); d != nil {
+	run, d := Combo{Bench: b, Optimize: optimize, Input2: input2, Geoms: StdGeoms, ISA: isaName}.runQuarantined()
+	if d != nil {
 		return nil, d
 	}
-	c, err := loadRecover(b, optimize, input2, isaName)
+	return &Ctx{Bench: b, Build: run.Build, Run: run}, nil
+}
+
+// runQuarantined is runSafe with quarantine semantics: an
+// already-degraded benchmark short-circuits, and a failure (error,
+// recovered panic, timeout, or a build that itself degraded during
+// pattern analysis) is recorded and returned as a Degradation. A
+// failure quarantines the benchmark as a whole (the registry is keyed
+// by name, not ISA or geometry), which keeps every table's view of a
+// sick benchmark consistent. Exactly one of the results is non-nil.
+func (cb Combo) runQuarantined() (*bench.Run, *Degradation) {
+	if d := degradationFor(cb.Bench.Name); d != nil {
+		return nil, d
+	}
+	run, err := cb.runSafe(context.Background())
 	if err != nil {
-		return nil, record(b.Name, err)
+		return nil, record(cb.Bench.Name, err)
 	}
-	if c.Build.Degraded != nil {
-		return nil, record(b.Name, c.Build.Degraded)
+	if run.Build.Degraded != nil {
+		return nil, record(cb.Bench.Name, run.Build.Degraded)
 	}
-	return c, nil
-}
-
-// loadRecover runs Load under the per-benchmark deadline, converting a
-// panic into a StageWorker error.
-func loadRecover(b *bench.Benchmark, optimize, input2 bool, isaName string) (c *Ctx, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			c, err = nil, core.WrapStage(b.Name, core.StageWorker, fmt.Errorf("panic: %v", r))
-		}
-	}()
-	ctx, cancel := benchCtx(context.Background())
-	defer cancel()
-	return LoadISACtx(ctx, b, optimize, input2, isaName)
-}
-
-// loadGeomsSafe is LoadSafe for experiments on non-standard geometry
-// bundles (the block-size sweep): same quarantine semantics, returning
-// the build and run directly.
-func loadGeomsSafe(b *bench.Benchmark, optimize bool, input []int32, geoms []cache.Config) (*bench.Build, *bench.Run, *Degradation) {
-	if d := degradationFor(b.Name); d != nil {
-		return nil, nil, d
-	}
-	bd, run, err := loadGeomsRecover(b, optimize, input, geoms)
-	if err != nil {
-		return nil, nil, record(b.Name, err)
-	}
-	if bd.Degraded != nil {
-		return nil, nil, record(b.Name, bd.Degraded)
-	}
-	return bd, run, nil
-}
-
-func loadGeomsRecover(b *bench.Benchmark, optimize bool, input []int32, geoms []cache.Config) (bd *bench.Build, run *bench.Run, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			bd, run, err = nil, nil, core.WrapStage(b.Name, core.StageWorker, fmt.Errorf("panic: %v", r))
-		}
-	}()
-	ctx, cancel := benchCtx(context.Background())
-	defer cancel()
-	if bd, err = bench.CompileISACtx(ctx, b, optimize, isaOrDefault("")); err != nil {
-		return nil, nil, err
-	}
-	if run, err = bench.SimulateCtx(ctx, bd, input, geoms); err != nil {
-		return nil, nil, err
-	}
-	return bd, run, nil
+	return run, nil
 }
 
 // Report summarises one RenderAll pass.

@@ -48,9 +48,9 @@ func TestLoadSafeQuarantines(t *testing.T) {
 	withPlan(t, p)
 
 	b := bench.ByName(name)
-	c, deg := LoadSafe(b, false, false)
+	c, deg := LoadSafeISA(b, false, false, "")
 	if c != nil || deg == nil {
-		t.Fatalf("LoadSafe = %v, %v; want quarantine", c, deg)
+		t.Fatalf("LoadSafeISA = %v, %v; want quarantine", c, deg)
 	}
 	if deg.Benchmark != name || deg.Stage != core.StageSimulate {
 		t.Errorf("degradation = %+v", deg)
@@ -62,7 +62,7 @@ func TestLoadSafeQuarantines(t *testing.T) {
 	// Second call short-circuits on the registry — even with the fault
 	// cleared, the quarantine holds for the rest of the pass.
 	faultinject.Clear()
-	c2, deg2 := LoadSafe(b, false, false)
+	c2, deg2 := LoadSafeISA(b, false, false, "")
 	if c2 != nil || deg2 != deg {
 		t.Errorf("short-circuit returned %v, %v; want the original entry", c2, deg2)
 	}
@@ -74,9 +74,9 @@ func TestLoadSafeQuarantines(t *testing.T) {
 	// healthy again.
 	ResetDegradations()
 	bench.ResetCache()
-	c3, deg3 := LoadSafe(b, false, false)
+	c3, deg3 := LoadSafeISA(b, false, false, "")
 	if c3 == nil || deg3 != nil {
-		t.Errorf("post-reset LoadSafe = %v, %v", c3, deg3)
+		t.Errorf("post-reset LoadSafeISA = %v, %v", c3, deg3)
 	}
 }
 
@@ -108,9 +108,9 @@ func TestTimeoutDegrades(t *testing.T) {
 	})
 
 	b := bench.ByName("126.gcc")
-	c, deg := LoadSafe(b, false, false)
+	c, deg := LoadSafeISA(b, false, false, "")
 	if c != nil || deg == nil {
-		t.Fatalf("LoadSafe under 1ns deadline = %v, %v", c, deg)
+		t.Fatalf("LoadSafeISA under 1ns deadline = %v, %v", c, deg)
 	}
 	if !errors.Is(deg.Err, context.DeadlineExceeded) {
 		t.Errorf("degradation cause = %v, want deadline exceeded", deg.Err)

@@ -21,7 +21,7 @@ func Table1() (*Table, error) {
 	}
 	var idealPis, profPis, rhos []float64
 	for _, b := range bench.All() {
-		ctx, deg := LoadSafe(b, false, false)
+		ctx, deg := LoadSafeISA(b, false, false, "")
 		if deg != nil {
 			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
 			continue
@@ -58,7 +58,7 @@ func Table2() (*Table, error) {
 		Notes:  "unoptimised binaries, Input 1, 8KB/4-way/32B D-cache; misses include stores (write-allocate)",
 	}
 	for _, b := range bench.All() {
-		ctx, deg := LoadSafe(b, false, false)
+		ctx, deg := LoadSafeISA(b, false, false, "")
 		if deg != nil {
 			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
 			continue

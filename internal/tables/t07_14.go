@@ -10,7 +10,7 @@ import (
 
 // piRho evaluates the heuristic's Δ on one geometry.
 func piRho(ctx *Ctx, gi int, useFreq bool) (metrics.SetEval, error) {
-	cfg, err := HeuristicConfig(useFreq)
+	cfg, err := HeuristicConfigISA(useFreq, "")
 	if err != nil {
 		return metrics.SetEval{}, err
 	}
@@ -28,10 +28,10 @@ func Table7() (*Table, error) {
 	}
 	var pi1, rho1, pi2, rho2 []float64
 	for _, b := range bench.Training() {
-		c1, deg := LoadSafe(b, false, false)
+		c1, deg := LoadSafeISA(b, false, false, "")
 		var c2 *Ctx
 		if deg == nil {
-			c2, deg = LoadSafe(b, false, true)
+			c2, deg = LoadSafeISA(b, false, true, "")
 		}
 		if deg != nil {
 			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
@@ -77,7 +77,7 @@ func Table8() (*Table, error) {
 	var pis []float64
 	rhos := make([][]float64, len(gis))
 	for _, b := range bench.Training() {
-		ctx, deg := LoadSafe(b, true, false)
+		ctx, deg := LoadSafeISA(b, true, false, "")
 		if deg != nil {
 			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
 			continue
@@ -119,7 +119,7 @@ func Table9() (*Table, error) {
 	var pis []float64
 	rhos := make([][]float64, len(gis))
 	for _, b := range bench.Training() {
-		ctx, deg := LoadSafe(b, true, false)
+		ctx, deg := LoadSafeISA(b, true, false, "")
 		if deg != nil {
 			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
 			continue
@@ -160,7 +160,7 @@ func Table10() (*Table, error) {
 	}
 	var pis, rhos []float64
 	for _, b := range bench.Test() {
-		ctx, deg := LoadSafe(b, false, false)
+		ctx, deg := LoadSafeISA(b, false, false, "")
 		if deg != nil {
 			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
 			continue
@@ -194,14 +194,14 @@ func Table11() (*Table, error) {
 	}
 	var pi1, rho1, xis, pi2, rho2 []float64
 	for _, b := range bench.All() {
-		ctx, deg := LoadSafe(b, false, false)
+		ctx, deg := LoadSafeISA(b, false, false, "")
 		if deg != nil {
 			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
 			continue
 		}
 		stats := ctx.Stats(GeomBaseline)
 
-		cfgF, err := HeuristicConfig(true)
+		cfgF, err := HeuristicConfigISA(true, "")
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +210,7 @@ func Table11() (*Table, error) {
 		ideal := metrics.IdealSet(stats, evF.Rho)
 		xi := metrics.Xi(deltaF, ideal, stats)
 
-		cfgN, err := HeuristicConfig(false)
+		cfgN, err := HeuristicConfigISA(false, "")
 		if err != nil {
 			return nil, err
 		}
@@ -242,7 +242,7 @@ func Table12() (*Table, error) {
 	}
 	var oPi, oRho, bPi, bRho []float64
 	for _, b := range bench.All() {
-		ctx, deg := LoadSafe(b, false, false)
+		ctx, deg := LoadSafeISA(b, false, false, "")
 		if deg != nil {
 			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
 			continue
@@ -277,7 +277,7 @@ func Table13() (*Table, error) {
 	pis := make([][]float64, len(deltas))
 	rhos := make([][]float64, len(deltas))
 	for _, b := range bench.Training() {
-		ctx, deg := LoadSafe(b, true, false)
+		ctx, deg := LoadSafeISA(b, true, false, "")
 		if deg != nil {
 			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
 			continue
@@ -285,7 +285,7 @@ func Table13() (*Table, error) {
 		stats := ctx.Stats(Geom16K)
 		row := []string{b.Name}
 		for k, d := range deltas {
-			cfg, err := HeuristicConfig(true)
+			cfg, err := HeuristicConfigISA(true, "")
 			if err != nil {
 				return nil, err
 			}
@@ -319,12 +319,12 @@ func Table14() (*Table, error) {
 	pis := make([][]float64, len(eps))
 	rhos := make([][]float64, len(eps))
 	var rhoStars []float64
-	cfg, err := HeuristicConfig(true)
+	cfg, err := HeuristicConfigISA(true, "")
 	if err != nil {
 		return nil, err
 	}
 	for _, b := range bench.All() {
-		ctx, deg := LoadSafe(b, false, false)
+		ctx, deg := LoadSafeISA(b, false, false, "")
 		if deg != nil {
 			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
 			continue

@@ -110,35 +110,16 @@ type Ctx struct {
 	Run   *bench.Run
 }
 
-// Load compiles and simulates one benchmark with the standard geometry
-// bundle (memoised end to end).
-func Load(b *bench.Benchmark, optimize, input2 bool) (*Ctx, error) {
-	return LoadCtx(context.Background(), b, optimize, input2)
-}
-
-// LoadCtx is Load under a context: a deadline or cancellation stops the
-// compile and the simulation promptly.
-func LoadCtx(ctx context.Context, b *bench.Benchmark, optimize, input2 bool) (*Ctx, error) {
-	return LoadISACtx(ctx, b, optimize, input2, "")
-}
-
-// LoadISACtx is LoadCtx with the build lowered to the named machine
-// description before analysis and simulation; "" resolves through
-// SetISA (mips by default).
+// LoadISACtx compiles and simulates one benchmark with the standard
+// geometry bundle (memoised end to end), lowered to the named machine
+// description; "" resolves through SetISA (mips by default). A deadline
+// or cancellation stops the compile and the simulation promptly.
 func LoadISACtx(ctx context.Context, b *bench.Benchmark, optimize, input2 bool, isaName string) (*Ctx, error) {
-	bd, err := bench.CompileISACtx(ctx, b, optimize, isaOrDefault(isaName))
+	run, err := Combo{Bench: b, Optimize: optimize, Input2: input2, Geoms: StdGeoms, ISA: isaName}.runCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
-	input := b.Input1
-	if input2 {
-		input = b.Input2
-	}
-	run, err := bench.SimulateCtx(ctx, bd, input, StdGeoms)
-	if err != nil {
-		return nil, err
-	}
-	return &Ctx{Bench: b, Build: bd, Run: run}, nil
+	return &Ctx{Bench: b, Build: run.Build, Run: run}, nil
 }
 
 // Stats returns the per-load statistics under geometry gi.
@@ -157,11 +138,8 @@ type Combo struct {
 	ISA string
 }
 
-// run compiles and simulates the combo (memoised end to end).
-func (cb Combo) run() (*bench.Run, error) {
-	return cb.runCtx(context.Background())
-}
-
+// runCtx compiles and simulates the combo (memoised end to end). The
+// returned Run carries the combo's Build.
 func (cb Combo) runCtx(ctx context.Context) (*bench.Run, error) {
 	bd, err := bench.CompileISACtx(ctx, cb.Bench, cb.Optimize, isaOrDefault(cb.ISA))
 	if err != nil {
@@ -210,15 +188,9 @@ func AllCombos() []Combo {
 	return out
 }
 
-// TrainingCombos lists the combinations the learning phase needs:
-// unoptimised training benchmarks on Input 1 with the standard geometry
-// bundle.
-func TrainingCombos() []Combo {
-	return TrainingCombosISA("")
-}
-
-// TrainingCombosISA is TrainingCombos targeting the named machine
-// description.
+// TrainingCombosISA lists the combinations the learning phase needs on
+// the named machine description: unoptimised training benchmarks on
+// Input 1 with the standard geometry bundle.
 func TrainingCombosISA(isaName string) []Combo {
 	var out []Combo
 	for _, b := range bench.Training() {
@@ -407,19 +379,14 @@ func ResetTraining() {
 	trainMu.Unlock()
 }
 
-// TrainingSamples builds the per-benchmark training data (Section 6's
-// learning phase: unoptimised binaries, Input1, training cache). The
+// TrainingSamplesISA builds the per-benchmark training data (Section
+// 6's learning phase: unoptimised binaries, Input1, training cache)
+// over binaries lowered to the named machine description. The
 // simulations are warmed by a concurrent Preload; the sample assembly
 // that follows is serial and deterministic. A degraded training
 // benchmark is skipped (quarantined in the registry) rather than
 // failing the whole learning phase: the weights train on the healthy
 // remainder.
-func TrainingSamples() ([]train.Sample, error) {
-	return TrainingSamplesISA("")
-}
-
-// TrainingSamplesISA is TrainingSamples over binaries lowered to the
-// named machine description.
 func TrainingSamplesISA(isaName string) ([]train.Sample, error) {
 	if err := Preload(context.Background(), 0, TrainingCombosISA(isaName)); err != nil {
 		return nil, err
@@ -464,14 +431,9 @@ func TrainingSamplesISA(isaName string) ([]train.Sample, error) {
 	return samples, nil
 }
 
-// HeuristicConfig returns the evaluation configuration: trained weights,
-// δ = 0.10, frequency classes per useFreq.
-func HeuristicConfig(useFreq bool) (classify.Config, error) {
-	return HeuristicConfigISA(useFreq, "")
-}
-
-// HeuristicConfigISA is HeuristicConfig with weights retrained for the
-// named machine description.
+// HeuristicConfigISA returns the evaluation configuration: weights
+// trained for the named machine description ("" resolves through
+// SetISA), δ = 0.10, frequency classes per useFreq.
 func HeuristicConfigISA(useFreq bool, isaName string) (classify.Config, error) {
 	rep, err := TrainedReportISA(isaName)
 	if err != nil {

@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -140,14 +141,14 @@ func TestHeadlineShape(t *testing.T) {
 	}
 	// The paper's headline: ~10% of loads cover >90% of misses, and the
 	// baselines need far more loads for the same coverage.
-	cfg, err := HeuristicConfig(true)
+	cfg, err := HeuristicConfigISA(true, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pi, rho float64
 	n := 0
 	for _, b := range bench.All() {
-		ctx, err := Load(b, false, false)
+		ctx, err := LoadISACtx(context.Background(), b, false, false, "")
 		if err != nil {
 			t.Fatal(err)
 		}

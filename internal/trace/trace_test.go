@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math/rand"
 	"testing"
@@ -139,7 +140,7 @@ func TestReplayMatchesLiveCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := vm.Run(img, vm.Options{
+	res, err := vm.RunContext(context.Background(), img, vm.Options{
 		Caches: []*cache.Cache{live},
 		OnAccess: func(pc, addr uint32, store bool) {
 			if err := tw.Add(pc, addr, store); err != nil {
@@ -194,7 +195,7 @@ func TestReplayMultipleGeometries(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	tw := NewWriter(&buf)
-	if _, err := vm.Run(img, vm.Options{
+	if _, err := vm.RunContext(context.Background(), img, vm.Options{
 		OnAccess: func(pc, addr uint32, store bool) { tw.Add(pc, addr, store) },
 	}); err != nil {
 		t.Fatal(err)

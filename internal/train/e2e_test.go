@@ -1,6 +1,7 @@
 package train_test
 
 import (
+	"context"
 	"testing"
 
 	"delinq/internal/asm"
@@ -82,6 +83,7 @@ type simulated struct {
 func (s *simulated) ExecCount(pc uint32) int64 { return s.res.ExecAt(pc) }
 
 func simulate(t *testing.T, src string) *simulated {
+	ctx := context.Background()
 	t.Helper()
 	asmText, err := minic.Compile(src, minic.Options{})
 	if err != nil {
@@ -99,18 +101,19 @@ func simulate(t *testing.T, src string) *simulated {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := vm.Run(img, vm.Options{Caches: []*cache.Cache{c}, MaxInsts: 1e8})
+	res, err := vm.RunContext(ctx, img, vm.Options{Caches: []*cache.Cache{c}, MaxInsts: 1e8})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return &simulated{
-		loads: pattern.AnalyzeProgram(prog, pattern.DefaultConfig()),
-		res:   res,
+	loads, err := pattern.AnalyzeProgramCtx(ctx, prog, pattern.DefaultConfig())
+	if err != nil {
+		t.Fatalf("pattern: %v", err)
 	}
+	return &simulated{loads: loads, res: res}
 }
 
 // sampleOf converts a simulation into a train.Sample the same way
-// tables.TrainingSamples does.
+// tables.TrainingSamplesISA does.
 func sampleOf(name string, sim *simulated) train.Sample {
 	s := train.Sample{Name: name}
 	for _, ld := range sim.loads {

@@ -24,7 +24,7 @@ func TestBudgetExhaustionIsErrBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(img, Options{MaxInsts: 5000})
+	_, err = RunContext(context.Background(), img, Options{MaxInsts: 5000})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget through the chain", err)
 	}
@@ -84,7 +84,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(img, Options{MaxMemBytes: 1 << 20})
+	_, err = RunContext(context.Background(), img, Options{MaxMemBytes: 1 << 20})
 	if !errors.Is(err, ErrMemBudget) {
 		t.Fatalf("err = %v, want ErrMemBudget through the chain", err)
 	}
@@ -98,6 +98,7 @@ int main() {
 // touched (pages are lazy), but striding across it must trip the
 // budget.
 func TestMemBudgetGiantSpace(t *testing.T) {
+	ctx := context.Background()
 	const giant = `
 	.data
 buf:	.space 33554432
@@ -117,11 +118,11 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(img, Options{MaxMemBytes: 1 << 20}); !errors.Is(err, ErrMemBudget) {
+	if _, err := RunContext(ctx, img, Options{MaxMemBytes: 1 << 20}); !errors.Is(err, ErrMemBudget) {
 		t.Fatalf("err = %v, want ErrMemBudget", err)
 	}
 	// Unlimited budget: the same program runs to completion.
-	if _, err := Run(img, Options{MaxMemBytes: -1}); err != nil {
+	if _, err := RunContext(ctx, img, Options{MaxMemBytes: -1}); err != nil {
 		t.Fatalf("unlimited budget failed: %v", err)
 	}
 }
@@ -134,7 +135,7 @@ func TestMemBudgetDefaultAppliesAndAllowsNormalRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(img, Options{}); err != nil {
+	if _, err := RunContext(context.Background(), img, Options{}); err != nil {
 		t.Fatalf("default budget rejected a trivial program: %v", err)
 	}
 }
@@ -150,7 +151,7 @@ func TestRunRejectsInvalidImage(t *testing.T) {
 			t.Fatalf("Run panicked on invalid image: %v", r)
 		}
 	}()
-	if _, err := Run(img, Options{}); err == nil {
+	if _, err := RunContext(context.Background(), img, Options{}); err == nil {
 		t.Error("out-of-range entry accepted")
 	}
 }

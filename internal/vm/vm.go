@@ -153,11 +153,6 @@ type machine struct {
 	ctx context.Context
 }
 
-// Run executes the image to completion.
-func Run(img *obj.Image, opts Options) (*Result, error) {
-	return RunContext(context.Background(), img, opts)
-}
-
 // RunContext executes the image to completion, checking ctx
 // periodically in the step loop so a deadline or cancellation stops a
 // runaway simulation within a few thousand instructions. A context

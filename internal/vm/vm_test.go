@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func run(t *testing.T, src string, opts Options) *Result {
 		t.Fatalf("assemble: %v", err)
 	}
 	opts.CaptureOutput = true
-	res, err := Run(img, opts)
+	res, err := RunContext(context.Background(), img, opts)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -337,7 +338,7 @@ func TestRuntimeFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = Run(img, Options{})
+			_, err = RunContext(context.Background(), img, Options{})
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("err = %v, want containing %q", err, c.want)
 			}
@@ -350,7 +351,7 @@ func TestInstructionBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(img, Options{MaxInsts: 1000})
+	_, err = RunContext(context.Background(), img, Options{MaxInsts: 1000})
 	if err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Errorf("err = %v, want budget exhaustion", err)
 	}

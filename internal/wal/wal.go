@@ -2,7 +2,7 @@
 // append-only record log with atomic snapshot compaction, built so that
 // process death or torn disk writes at any byte never corrupt the
 // state a consumer reads back. The rescache persistence of the serve
-// daemon and the checkpointed table sweeps both sit on it.
+// daemon (`serve -state-dir`) sits on it.
 //
 // The invariants, in decreasing order of importance:
 //
