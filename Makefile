@@ -35,7 +35,9 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzCompile$$' -fuzztime 5s -run '^$$' ./internal/minic
 	$(GO) test -fuzz '^FuzzAssemble$$' -fuzztime 5s -run '^$$' ./internal/asm
 	$(GO) test -fuzz '^FuzzAsmRoundTrip$$' -fuzztime 5s -run '^$$' ./internal/disasm
+	$(GO) test -fuzz '^FuzzArmLowerRoundTrip$$' -fuzztime 5s -run '^$$' ./internal/disasm
 	$(GO) test -fuzz '^FuzzDecodeImage$$' -fuzztime 5s -run '^$$' ./internal/obj
+	$(GO) test -fuzz '^FuzzLowerImageBytes$$' -fuzztime 5s -run '^$$' ./internal/core
 
 # loadtest drives five seconds of skewed closed-loop load at an
 # in-process daemon and refreshes the committed BENCH_serve.json, then

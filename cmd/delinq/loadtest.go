@@ -32,7 +32,7 @@ import (
 type ltSample struct {
 	latency time.Duration
 	status  int
-	outcome string // Delinq-Cache header: hit|warm|miss|coalesced|off|""
+	outcome string // Delinq-Cache header: hit|warm|miss|coalesced|""
 }
 
 // ltSummary is the percentile digest for one latency bucket.
@@ -53,7 +53,6 @@ type ltReport struct {
 	Keys          int                  `json:"keys"`
 	Skew          float64              `json:"skew"`
 	Seed          int64                `json:"seed"`
-	CacheOff      bool                 `json:"cache_off,omitempty"`
 	Isolate       bool                 `json:"isolate,omitempty"`
 	Requests      int                  `json:"requests"`
 	ThroughputRPS float64              `json:"throughput_rps"`
@@ -75,7 +74,6 @@ func cmdLoadtest(args []string) error {
 	endpoint := fs.String("endpoint", "analyze", "API to drive: analyze or run")
 	seed := fs.Int64("seed", 1, "base RNG seed; worker w uses seed+w")
 	out := fs.String("o", "BENCH_serve.json", "write the JSON report here ('' = stdout only)")
-	noCache := fs.Bool("no-cache", false, "disable the in-process daemon's result cache (baseline)")
 	stateDir := fs.String("state-dir", "", "durable-state directory for the in-process daemon (measures warm restarts)")
 	isolate := fs.Bool("isolate", false, "run the in-process daemon with sandboxed subprocess workers (measures isolation overhead)")
 	if err := fs.Parse(args); err != nil {
@@ -102,14 +100,8 @@ func cmdLoadtest(args []string) error {
 	if *endpoint != "analyze" && *endpoint != "run" {
 		return usagef("loadtest -endpoint wants analyze or run, got %q", *endpoint)
 	}
-	if *noCache && *addr != "" {
-		return usagef("loadtest -no-cache only applies to the in-process daemon")
-	}
 	if *stateDir != "" && *addr != "" {
 		return usagef("loadtest -state-dir only applies to the in-process daemon")
-	}
-	if *stateDir != "" && *noCache {
-		return usagef("loadtest -state-dir needs the cache enabled")
 	}
 	if *isolate && *addr != "" {
 		return usagef("loadtest -isolate only applies to the in-process daemon")
@@ -121,7 +113,7 @@ func cmdLoadtest(args []string) error {
 		// then measures the full HTTP stack, not a handler shortcut.
 		// With -state-dir pointing at a previous run's state, replayed
 		// entries answer as `warm` hits — the warm-vs-cold comparison.
-		s := server.New(server.Config{Addr: "127.0.0.1:0", CacheOff: *noCache, StateDir: *stateDir, Isolate: *isolate})
+		s := server.New(server.Config{Addr: "127.0.0.1:0", StateDir: *stateDir, Isolate: *isolate})
 		if err := s.OpenState(); err != nil {
 			return fmt.Errorf("loadtest: durable state: %w", err)
 		}
@@ -221,7 +213,6 @@ int main() {
 	rep.Keys = *keys
 	rep.Skew = *skew
 	rep.Seed = *seed
-	rep.CacheOff = *noCache
 	rep.Isolate = *isolate
 	rep.ServerMetrics = scrapeCacheMetrics(client, base)
 
@@ -281,8 +272,6 @@ func summarize(all []ltSample, elapsed time.Duration) *ltReport {
 			if s.outcome == "hit" || s.outcome == "warm" {
 				hits++
 			}
-		case "off":
-			buckets["uncached"] = append(buckets["uncached"], s.latency)
 		}
 	}
 	if classified > 0 {

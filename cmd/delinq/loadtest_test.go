@@ -24,7 +24,6 @@ func TestCLILoadtestUsage(t *testing.T) {
 		{"loadtest", "-keys", "0"},
 		{"loadtest", "-skew", "0.5"}, // Zipf wants s > 1 (or 0 = uniform)
 		{"loadtest", "-endpoint", "tables"},
-		{"loadtest", "-addr", "http://127.0.0.1:1", "-no-cache"},
 	} {
 		err := exec.Command(bin, args...).Run()
 		ee, ok := err.(*exec.ExitError)
@@ -108,38 +107,5 @@ func TestCLILoadtestSmoke(t *testing.T) {
 	}
 	if sm["delinq_cache_entries"] != 3 {
 		t.Errorf("delinq_cache_entries = %d, want 3", sm["delinq_cache_entries"])
-	}
-}
-
-// TestCLILoadtestNoCache: the baseline mode really runs uncached —
-// every response is Delinq-Cache: off and no cache telemetry exists.
-func TestCLILoadtestNoCache(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the binary")
-	}
-	bin := buildCLI(t)
-	out := filepath.Join(t.TempDir(), "bench.json")
-	cmdOut, err := exec.Command(bin, "loadtest",
-		"-workers", "2", "-duration", "300ms", "-keys", "2", "-no-cache",
-		"-o", out).CombinedOutput()
-	if err != nil {
-		t.Fatalf("loadtest -no-cache: %v\n%s", err, cmdOut)
-	}
-	var rep ltReport
-	blob, _ := os.ReadFile(out)
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if !rep.CacheOff {
-		t.Error("report does not record cache_off")
-	}
-	if rep.HitRatio != 0 || rep.Latency["hit"].Count != 0 {
-		t.Errorf("uncached run reports hits: ratio=%g", rep.HitRatio)
-	}
-	if got := rep.Latency["uncached"].Count; got != rep.Requests {
-		t.Errorf("uncached bucket = %d, want all %d requests", got, rep.Requests)
-	}
-	if _, ok := rep.ServerMetrics["delinq_cache_hits_total"]; ok {
-		t.Error("cache metrics present with the cache disabled")
 	}
 }

@@ -172,7 +172,7 @@ func usage() {
   table [-j N] [-v] [-timeout d] [-strict] [-isa name] <1-14|S1|all>  regenerate a table
   bench                             list the benchmark suite
   difftest [-n N] [-seed S] [-v] [-timeout d] [-isa name]  random programs: interp vs -O0 vs -O
-  serve [-addr :8080] [-max-inflight N] [-queue N] [-req-timeout d] [-cache-entries N] [-cache-ttl d] [-no-cache] [-isolate [-workers N] [-worker-mem B]]  run the analysis daemon
+  serve [-addr :8080] [-max-inflight N] [-queue N] [-req-timeout d] [-drain-timeout d] [-cache-entries N] [-cache-bytes B] [-state-dir dir] [-isolate [-workers N] [-worker-mem B]]  run the analysis daemon
   loadtest [-addr URL] [-workers N] [-duration d] [-rps R] [-keys N] [-skew S] [-endpoint analyze|run] [-isolate] [-o f.json]  drive load, report latency percentiles`)
 	os.Exit(2)
 }

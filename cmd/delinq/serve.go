@@ -26,8 +26,6 @@ func cmdServe(args []string) error {
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "grace period for in-flight requests on shutdown")
 	cacheEntries := fs.Int("cache-entries", 0, "result-cache entry cap (0 = default)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "result-cache byte cap (0 = default)")
-	cacheTTL := fs.Duration("cache-ttl", 0, "result-cache entry lifetime (0 = never expire)")
-	noCache := fs.Bool("no-cache", false, "disable the result cache entirely")
 	stateDir := fs.String("state-dir", "", "persist the result cache in this directory (crash-safe; empty = volatile)")
 	isolate := fs.Bool("isolate", false, "execute analyze/run fills in sandboxed subprocess workers")
 	workers := fs.Int("workers", 0, "sandbox worker count (0 = max-inflight; needs -isolate)")
@@ -58,9 +56,6 @@ func cmdServe(args []string) error {
 	if *cacheBytes < 0 {
 		return usagef("serve -cache-bytes wants a non-negative size, got %d", *cacheBytes)
 	}
-	if *cacheTTL < 0 {
-		return usagef("serve -cache-ttl wants a non-negative duration, got %v", *cacheTTL)
-	}
 	if !*isolate {
 		if *workers != 0 {
 			return usagef("serve -workers needs -isolate")
@@ -87,8 +82,6 @@ func cmdServe(args []string) error {
 		ReqTimeout:   *reqTimeout,
 		CacheEntries: *cacheEntries,
 		CacheBytes:   *cacheBytes,
-		CacheTTL:     *cacheTTL,
-		CacheOff:     *noCache,
 		StateDir:     *stateDir,
 		Isolate:      *isolate,
 		Workers:      *workers,

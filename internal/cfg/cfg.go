@@ -29,14 +29,6 @@ type Graph struct {
 	BlockOf []*Block
 }
 
-// terminatesBlock reports whether an instruction ends a basic block for
-// CFG purposes. Unlike isa.Inst.EndsBlock, calls and syscalls do end
-// blocks here — the dataflow layer models call clobbering at block
-// granularity — but control continues to the fall-through block.
-func terminatesBlock(in isa.Inst) bool {
-	return in.IsBranch() || in.IsJump() || in.IsSyscall()
-}
-
 // Build constructs the CFG of a disassembled function.
 func Build(fn *disasm.Func) *Graph {
 	n := len(fn.Insts)
@@ -45,7 +37,10 @@ func Build(fn *disasm.Func) *Graph {
 		return g
 	}
 
-	// Identify leaders.
+	// Identify leaders. Unlike isa.Inst.EndsBlock, calls and syscalls
+	// end blocks here — the dataflow layer models call clobbering at
+	// block granularity — but control continues to the fall-through
+	// block.
 	leader := make([]bool, n)
 	leader[0] = true
 	for i, in := range fn.Insts {

@@ -76,13 +76,6 @@ func ByName(name string) (Machine, error) {
 	return m, nil
 }
 
-// Names lists the registered backends in sorted order.
-func Names() []string {
-	machinesMu.RLock()
-	defer machinesMu.RUnlock()
-	return namesLocked()
-}
-
 func namesLocked() []string {
 	out := make([]string, 0, len(machines))
 	for n := range machines {

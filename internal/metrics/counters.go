@@ -1,8 +1,8 @@
 // Operational counters: a tiny registry of named monotonically
 // increasing counters and callback gauges, rendered in a flat
 // "name value" text exposition. The analysis daemon publishes its
-// admission, breaker, and request statistics through one Registry on
-// GET /metrics; the package stays dependency-free so any component can
+// request, admission, cache and worker statistics through one Registry
+// on GET /metrics; the package stays dependency-free so any component can
 // count without pulling in the server.
 package metrics
 

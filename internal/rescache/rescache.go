@@ -8,17 +8,17 @@
 //     builds, simulations and interprocedural summaries in the zero
 //     Config: unbounded, no expiry, every successful fill retained;
 //   - the serve layer keys fully rendered responses by canonical request
-//     digests, bounded by an entry cap, a byte cap and an optional TTL,
-//     so the cache cannot grow without bound under millions of distinct
-//     requests.
+//     digests, bounded by an entry cap and a byte cap, so the cache
+//     cannot grow without bound under millions of distinct requests.
 //
-// The filler decides cacheability per result: a degraded render or a
-// breaker short-circuit is delivered to its waiters but never retained,
-// so a transient failure cannot poison future requests. Waiting is
-// context-aware: a caller joined to another caller's in-flight fill
-// abandons the wait when its own context is cancelled (client
-// disconnect, per-request deadline, drain abort) while the fill itself
-// keeps running for the remaining waiters.
+// Entries never expire: every filler is deterministic, so a retained
+// answer stays correct until eviction or Reset. The filler decides
+// cacheability per result: a degraded render is delivered to its
+// waiters but never retained, so a transient failure cannot poison
+// future requests. Waiting is context-aware: a caller joined to another
+// caller's in-flight fill abandons the wait when its own context is
+// cancelled (client disconnect, per-request deadline, drain abort)
+// while the fill itself keeps running for the remaining waiters.
 //
 // A panicking fill is recovered into a *PanicError and delivered to
 // every joined waiter and, like any error, is not retained: the next Do
@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
-	"time"
 )
 
 // PanicError is delivered to every caller of a fill that panicked: the
@@ -86,25 +85,18 @@ func (o Outcome) String() string {
 }
 
 // Config bounds one cache. Zero values mean "unbounded" (no entry cap,
-// no byte cap, no expiry); callers wanting limits must set them.
+// no byte cap); callers wanting limits must set them.
 type Config struct {
 	// MaxEntries caps retained entries; <= 0 means no entry cap.
 	MaxEntries int
 	// MaxBytes caps the summed Size of retained values; <= 0 means no
 	// byte cap.
 	MaxBytes int64
-	// TTL expires entries this long after insertion; <= 0 means never.
-	// Expiry is lazy: an expired entry is dropped by the next access
-	// (which then refills it) rather than by a background sweeper.
-	TTL time.Duration
-	// Now is the clock; nil means time.Now. Tests inject a fake clock
-	// here so TTL expiry is asserted without sleeping.
-	Now func() time.Time
 }
 
 // Stats is a snapshot of the cache's activity counters. Hits, Misses,
-// Joined, Errors, Uncacheable, EvictedSize and EvictedTTL are
-// monotonic; Entries, Bytes and Inflight describe the cache now.
+// Joined, Errors, Uncacheable and EvictedSize are monotonic; Entries,
+// Bytes and Inflight describe the cache now.
 type Stats struct {
 	Hits        uint64 // answered from a retained entry (warm hits included)
 	WarmHits    uint64 // the subset of Hits answered from seeded (replayed) entries
@@ -113,7 +105,6 @@ type Stats struct {
 	Errors      uint64 // fills that finished with an error (not retained)
 	Uncacheable uint64 // fills that succeeded but declined retention
 	EvictedSize uint64 // entries evicted by the entry or byte cap
-	EvictedTTL  uint64 // entries dropped because their TTL had expired
 	Entries     int    // retained entries now
 	Bytes       int64  // summed Size of retained values now
 	Inflight    int    // fills registered and still running now
@@ -138,23 +129,19 @@ type entry[V any] struct {
 	done chan struct{} // closed when the fill finishes
 	val  V
 	err  error
-	// complete, size, expires, elem and warm are guarded by Cache.mu;
+	// complete, size, elem and warm are guarded by Cache.mu;
 	// val and err are written by the filling goroutine before done is
 	// closed, so both the hit path and joined waiters observe them.
 	complete bool
 	warm     bool // seeded from durable-state replay, not filled here
 	size     int
-	expires  time.Time     // zero = never
-	elem     *list.Element // nil while in flight or once dropped
+	elem     *list.Element // nil while in flight
 }
 
 // New builds a cache bounded by cfg. size reports the retention cost of
 // one value (the byte cap sums it); nil charges every entry one unit,
 // making MaxBytes an entry cap too.
 func New[V any](cfg Config, size func(V) int) *Cache[V] {
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	if size == nil {
 		size = func(V) int { return 1 }
 	}
@@ -204,21 +191,16 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fill func() (V, bool, err
 		}
 		// A complete entry in the map is always retained (errors and
 		// uncacheable results are removed before done closes).
-		if e.expires.IsZero() || c.cfg.Now().Before(e.expires) {
-			c.lru.MoveToFront(e.elem)
-			c.stats.Hits++
-			out := OutcomeHit
-			if e.warm {
-				c.stats.WarmHits++
-				out = OutcomeWarm
-			}
-			val := e.val
-			c.mu.Unlock()
-			return val, out, nil
+		c.lru.MoveToFront(e.elem)
+		c.stats.Hits++
+		out := OutcomeHit
+		if e.warm {
+			c.stats.WarmHits++
+			out = OutcomeWarm
 		}
-		c.stats.EvictedTTL++
-		c.dropLocked(e)
-		// fall through: this caller refills the expired key.
+		val := e.val
+		c.mu.Unlock()
+		return val, out, nil
 	}
 	e := &entry[V]{key: key, done: make(chan struct{})}
 	c.entries[key] = e
@@ -238,9 +220,6 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fill func() (V, bool, err
 	}
 	if e.err == nil && cacheable && c.entries[key] == e {
 		e.size = c.size(e.val)
-		if c.cfg.TTL > 0 {
-			e.expires = c.cfg.Now().Add(c.cfg.TTL)
-		}
 		e.elem = c.lru.PushFront(e)
 		c.bytes += int64(e.size)
 		c.evictLocked()
@@ -255,25 +234,10 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fill func() (V, bool, err
 	return e.val, OutcomeMiss, e.err
 }
 
-// dropLocked removes a retained entry from the map, the LRU and the
-// byte budget, notifying the eviction hook. Caller holds c.mu.
-func (c *Cache[V]) dropLocked(e *entry[V]) {
-	if e.elem != nil {
-		c.lru.Remove(e.elem)
-		e.elem = nil
-		c.bytes -= int64(e.size)
-		if c.onEvict != nil {
-			c.onEvict(e.key, e.val)
-		}
-	}
-	if c.entries[e.key] == e {
-		delete(c.entries, e.key)
-	}
-}
-
 // evictLocked enforces the entry and byte caps by evicting from the LRU
-// tail. A single value larger than MaxBytes is evicted immediately: it
-// was still delivered to its waiters, it just is not retained.
+// tail, notifying the eviction hook. A single value larger than MaxBytes
+// is evicted immediately: it was still delivered to its waiters, it just
+// is not retained. Caller holds c.mu.
 func (c *Cache[V]) evictLocked() {
 	for c.lru.Len() > 0 {
 		over := (c.cfg.MaxEntries > 0 && c.lru.Len() > c.cfg.MaxEntries) ||
@@ -281,8 +245,15 @@ func (c *Cache[V]) evictLocked() {
 		if !over {
 			return
 		}
+		// Every entry on the LRU is the registered entry for its key: a
+		// key is only re-registered after Reset, which drops the LRU too.
+		e := c.lru.Remove(c.lru.Back()).(*entry[V])
+		c.bytes -= int64(e.size)
+		delete(c.entries, e.key)
 		c.stats.EvictedSize++
-		c.dropLocked(c.lru.Back().Value.(*entry[V]))
+		if c.onEvict != nil {
+			c.onEvict(e.key, e.val)
+		}
 	}
 }
 
@@ -317,10 +288,10 @@ func (c *Cache[V]) Reset() {
 }
 
 // SetOnEvict installs a hook called once per entry evicted by the entry
-// cap, the byte cap, or TTL expiry (not by Reset). The hook runs with
-// the cache's mutex held: it must be fast and must not call back into
-// the cache. The durability layer uses it to count dead log records so
-// it knows when a compaction pays for itself.
+// cap or the byte cap (not by Reset). The hook runs with the cache's
+// mutex held: it must be fast and must not call back into the cache.
+// The durability layer uses it to count dead log records so it knows
+// when a compaction pays for itself.
 func (c *Cache[V]) SetOnEvict(fn func(key string, v V)) {
 	c.mu.Lock()
 	c.onEvict = fn
@@ -344,9 +315,6 @@ func (c *Cache[V]) Seed(key string, v V) bool {
 	e := &entry[V]{key: key, done: make(chan struct{}), val: v, complete: true, warm: true}
 	close(e.done)
 	e.size = c.size(v)
-	if c.cfg.TTL > 0 {
-		e.expires = c.cfg.Now().Add(c.cfg.TTL)
-	}
 	c.entries[key] = e
 	e.elem = c.lru.PushFront(e)
 	c.bytes += int64(e.size)

@@ -10,29 +10,6 @@ import (
 	"time"
 )
 
-// fakeClock is the injectable clock: tests advance it explicitly so TTL
-// expiry is asserted without time.Sleep polling.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
-}
-
-func (f *fakeClock) Now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.t
-}
-
-func (f *fakeClock) Advance(d time.Duration) {
-	f.mu.Lock()
-	f.t = f.t.Add(d)
-	f.mu.Unlock()
-}
-
 func fillOK(v string) func() (string, bool, error) {
 	return func() (string, bool, error) { return v, true, nil }
 }
@@ -240,33 +217,6 @@ func TestEvictionUnderConcurrentInsert(t *testing.T) {
 	}
 	if st := c.Stats(); st.Bytes != wantBytes {
 		t.Errorf("Bytes = %d, retained entries sum to %d", st.Bytes, wantBytes)
-	}
-}
-
-// TestTTLExpiry drives expiry entirely through the injectable clock: no
-// sleeping, no polling.
-func TestTTLExpiry(t *testing.T) {
-	clock := newFakeClock()
-	c := New[string](Config{TTL: time.Minute, Now: clock.Now}, nil)
-	ctx := context.Background()
-
-	c.Do(ctx, "k", fillOK("v1"))
-	clock.Advance(59 * time.Second)
-	if v, o, _ := c.Do(ctx, "k", fillOK("nope")); v != "v1" || o != OutcomeHit {
-		t.Fatalf("fresh entry = (%q, %v), want (v1, hit)", v, o)
-	}
-
-	clock.Advance(2 * time.Second) // 61s since insert: expired
-	var refilled bool
-	v, o, err := c.Do(ctx, "k", func() (string, bool, error) {
-		refilled = true
-		return "v2", true, nil
-	})
-	if !refilled || v != "v2" || o != OutcomeMiss || err != nil {
-		t.Fatalf("expired entry: refilled=%v (%q, %v, %v), want refill as miss", refilled, v, o, err)
-	}
-	if st := c.Stats(); st.EvictedTTL != 1 {
-		t.Errorf("EvictedTTL = %d, want 1", st.EvictedTTL)
 	}
 }
 
@@ -513,23 +463,6 @@ func TestSeedAndWarmHit(t *testing.T) {
 	}
 }
 
-func TestSeedRespectsTTL(t *testing.T) {
-	clk := newFakeClock()
-	c := New[string](Config{TTL: time.Minute, Now: clk.Now}, nil)
-	ctx := context.Background()
-	c.Seed("k", "v")
-	if v, o, _ := c.Do(ctx, "k", fillOK("refilled")); v != "v" || o != OutcomeWarm {
-		t.Fatalf("seeded entry = (%q, %v), want (v, warm)", v, o)
-	}
-	clk.Advance(2 * time.Minute)
-	if v, o, _ := c.Do(ctx, "k", fillOK("refilled")); v != "refilled" || o != OutcomeMiss {
-		t.Fatalf("seeded entry survived its TTL: (%q, %v)", v, o)
-	}
-	if st := c.Stats(); st.EvictedTTL != 1 {
-		t.Errorf("EvictedTTL = %d, want 1", st.EvictedTTL)
-	}
-}
-
 func TestEvictionDuringSeed(t *testing.T) {
 	// Replay of a durable log larger than the configured caps must
 	// behave exactly like ordinary eviction: oldest seeds fall off the
@@ -560,23 +493,21 @@ func TestEvictionDuringSeed(t *testing.T) {
 	}
 }
 
-func TestOnEvictFiresForTTLAndCaps(t *testing.T) {
-	clk := newFakeClock()
+func TestOnEvictFiresForCaps(t *testing.T) {
 	var evicted []string
-	c := New[string](Config{MaxEntries: 2, TTL: time.Minute, Now: clk.Now}, nil)
+	c := New[string](Config{MaxEntries: 2, MaxBytes: 3}, func(v string) int { return len(v) })
 	c.SetOnEvict(func(key string, v string) { evicted = append(evicted, key) })
 	ctx := context.Background()
 	c.Do(ctx, "a", fillOK("1"))
 	c.Do(ctx, "b", fillOK("2"))
-	c.Do(ctx, "c", fillOK("3")) // evicts a (cap)
-	clk.Advance(2 * time.Minute)
-	c.Do(ctx, "b", fillOK("2'")) // TTL-drops b, refills
-	if len(evicted) != 2 || evicted[0] != "a" || evicted[1] != "b" {
-		t.Fatalf("evicted = %v, want [a b]", evicted)
+	c.Do(ctx, "c", fillOK("3"))   // evicts a (entry cap)
+	c.Do(ctx, "d", fillOK("333")) // evicts b and c (byte cap)
+	if len(evicted) != 3 || evicted[0] != "a" || evicted[1] != "b" || evicted[2] != "c" {
+		t.Fatalf("evicted = %v, want [a b c]", evicted)
 	}
 	// Reset is not an eviction: the hook must stay silent.
 	c.Reset()
-	if len(evicted) != 2 {
+	if len(evicted) != 3 {
 		t.Fatalf("Reset fired the eviction hook: %v", evicted)
 	}
 }

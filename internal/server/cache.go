@@ -3,24 +3,23 @@
 // the interaction rules between the cache and the rest of the
 // machinery. The rules, in one place:
 //
-//   - a cache HIT bypasses admission control and the circuit breaker
-//     entirely: no pipeline runs, so there is nothing to guard;
-//   - a MISS goes through the semaphore/queue and the unit's breaker
-//     inside the singleflight fill, so a thundering herd of identical
-//     requests costs one admission slot and one pipeline run;
+//   - a cache HIT bypasses admission control entirely: no pipeline
+//     runs, so there is nothing to guard;
+//   - a MISS goes through the semaphore/queue inside the singleflight
+//     fill, so a thundering herd of identical requests costs one
+//     admission slot and one pipeline run;
 //   - COALESCED callers wait on the executing fill without consuming
 //     admission slots, and abandon the wait when their own context is
 //     cancelled (client disconnect, deadline, drain abort);
-//   - never cached: errors of any status (shed 429s, breaker-open and
-//     drain 503s, pipeline 500s, client 400s), recovered panics, and
-//     DEGRADED results (a table render with quarantined rows answers
-//     200 but declines retention, so the next request retries the
-//     degraded benchmarks).
+//   - never cached: errors of any status (shed 429s, drain 503s,
+//     pipeline 500s, client 400s), recovered panics, and DEGRADED
+//     results (a table render with quarantined rows answers 200 but
+//     declines retention, so the next request retries the degraded
+//     benchmarks).
 //
 // Every response that went through this layer carries a
-// `Delinq-Cache: hit|miss|coalesced` header (`off` when the cache is
-// disabled), so clients and the loadtest harness can audit the cache's
-// behaviour per request.
+// `Delinq-Cache: hit|warm|miss|coalesced` header, so clients and the
+// loadtest harness can audit the cache's behaviour per request.
 package server
 
 import (
@@ -28,7 +27,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -130,16 +128,11 @@ func tableCacheKey(id string) string {
 // be retained, and an error (*apiError for request-shaped failures).
 type fillFunc func() (*cachedResponse, bool, error)
 
-// doCached answers one request through the result cache, or runs the
-// fill directly when the cache is disabled. With durable state
-// attached, a successful cacheable fill is journaled before the entry
-// is inserted (errors, panics and degraded results never reach the
-// log), and a completed miss gives the log a chance to compact.
+// doCached answers one request through the result cache. With durable
+// state attached, a successful cacheable fill is journaled before the
+// entry is inserted (errors, panics and degraded results never reach
+// the log), and a completed miss gives the log a chance to compact.
 func (s *Server) doCached(ctx context.Context, key string, fill fillFunc) (*cachedResponse, rescache.Outcome, error) {
-	if s.cache == nil {
-		cr, _, err := fill()
-		return cr, rescache.OutcomeMiss, err
-	}
 	st := s.state
 	pf := fill
 	if st != nil {
@@ -158,14 +151,6 @@ func (s *Server) doCached(ctx context.Context, key string, fill fillFunc) (*cach
 		st.maybeCompact(s.cache)
 	}
 	return cr, outcome, err
-}
-
-// cacheHeader renders the Delinq-Cache header value for an outcome.
-func (s *Server) cacheHeader(o rescache.Outcome) string {
-	if s.cache == nil {
-		return "off"
-	}
-	return o.String()
 }
 
 // admit acquires an execution slot, blocking in the bounded queue when
@@ -216,7 +201,7 @@ func (s *Server) asAPIError(err error) *apiError {
 // write the success body or return the error envelope.
 func (s *Server) serveCached(ctx context.Context, w http.ResponseWriter, key string, fill fillFunc) *apiError {
 	cr, outcome, err := s.doCached(ctx, key, fill)
-	w.Header().Set("Delinq-Cache", s.cacheHeader(outcome))
+	w.Header().Set("Delinq-Cache", outcome.String())
 	if err != nil {
 		return s.asAPIError(err)
 	}
@@ -233,17 +218,4 @@ func (s *Server) writeCached(w http.ResponseWriter, cr *cachedResponse) {
 	w.WriteHeader(http.StatusOK)
 	w.Write(cr.body)
 	s.reg.Counter("delinq_responses_200_total").Inc()
-}
-
-// jsonBody renders v exactly as writeJSON would (stable encoding plus
-// trailing newline), as a cacheable response.
-func jsonBody(v any) (*cachedResponse, bool, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, false, errorf(http.StatusInternalServerError, "response encoding failed")
-	}
-	return &cachedResponse{
-		contentType: "application/json",
-		body:        append(b, '\n'),
-	}, true, nil
 }

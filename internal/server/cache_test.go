@@ -1,8 +1,8 @@
 // The serve-cache test battery: the Delinq-Cache header contract,
 // byte-identity between hits and misses, the never-cache rules
-// (failures, degraded renders, breaker short-circuits), thundering-herd
-// coalescing against a minimal admission budget, drain-abort of
-// coalesced waiters, and the batch endpoint's amortization semantics.
+// (failures and degraded renders), thundering-herd coalescing against a
+// minimal admission budget, drain-abort of coalesced waiters, and the
+// batch endpoint's amortization semantics.
 package server
 
 import (
@@ -127,27 +127,6 @@ func TestCacheISAIsolation(t *testing.T) {
 	}
 	if misses := cacheMetric(t, s, "delinq_cache_misses_total"); misses != 4 {
 		t.Errorf("delinq_cache_misses_total = %d, want 4 (mips + arm per endpoint)", misses)
-	}
-}
-
-// TestCacheOff: with the cache disabled every request recomputes and
-// answers Delinq-Cache: off, byte-identically.
-func TestCacheOff(t *testing.T) {
-	s, ts := newTestDaemon(t, Config{CacheOff: true})
-	body := fmt.Sprintf(`{"source": %q}`, srcLoop)
-	_, hdr, first := postJSON(t, ts.URL+"/v1/analyze", body)
-	if got := hdr.Get("Delinq-Cache"); got != "off" {
-		t.Errorf("Delinq-Cache = %q with cache disabled, want off", got)
-	}
-	_, hdr, second := postJSON(t, ts.URL+"/v1/analyze", body)
-	if got := hdr.Get("Delinq-Cache"); got != "off" {
-		t.Errorf("repeat Delinq-Cache = %q, want off", got)
-	}
-	if first != second {
-		t.Error("uncached responses diverged")
-	}
-	if _, ok := s.Metrics().Value("delinq_cache_hits_total"); ok {
-		t.Error("cache metrics registered with the cache disabled")
 	}
 }
 
@@ -292,54 +271,54 @@ func TestCachePipelineFailureNotCached(t *testing.T) {
 	}
 }
 
-// TestCacheBreakerShortCircuitBeforeFill: with a tripped breaker, a
-// cache miss answers 503 from the breaker guard without running the
-// pipeline, and the short-circuit is never cached. A later cache HIT
-// for an already-cached key bypasses the open breaker entirely.
-func TestCacheBreakerShortCircuitBeforeFill(t *testing.T) {
+// TestCacheHitWhileUnitFails: while every fresh simulation of one
+// benchmark fails, its misses answer 500 and are never cached, and a
+// key of that benchmark cached before the fault still hits
+// byte-identically.
+func TestCacheHitWhileUnitFails(t *testing.T) {
 	bench.ResetCache()
 	t.Cleanup(func() {
 		faultinject.Clear()
 		bench.ResetCache()
 	})
-	s, ts := newTestDaemon(t, Config{BreakerFailures: 1, BreakerCooldown: time.Minute})
+	s, ts := newTestDaemon(t, Config{})
 
-	// Cache a healthy 181.mcf result BEFORE the unit gets sick.
+	// Cache a healthy 181.mcf result BEFORE the benchmark gets sick.
 	healthyBody := `{"benchmark": "181.mcf"}`
 	_, _, healthy := postJSON(t, ts.URL+"/v1/analyze", healthyBody)
 
-	// One injected failure on a DIFFERENT cache key of the same unit
-	// (optimize flips the key) trips the unit's breaker (K=1).
 	p := faultinject.NewPlan(1)
 	p.Arm(faultinject.SimBudget, "181.mcf")
 	faultinject.Install(p)
-	if code, _, body := postJSON(t, ts.URL+"/v1/analyze", `{"benchmark": "181.mcf", "optimize": true}`); code != http.StatusInternalServerError {
-		t.Fatalf("tripping failure = %d (%s), want 500", code, body)
-	}
 
-	// Miss path: the open breaker short-circuits before the fill runs
-	// the pipeline — 503, not another 500 from the armed fault.
-	code, hdr, body := postJSON(t, ts.URL+"/v1/analyze", `{"benchmark": "181.mcf", "inter": true}`)
-	if code != http.StatusServiceUnavailable || !strings.Contains(body, "circuit open") {
-		t.Fatalf("breaker-open miss = %d (%s), want 503 circuit open", code, body)
+	// Two keys that each need a fresh simulation, the first asked twice:
+	// every request runs the pipeline and fails the same way.
+	for i, body := range []string{
+		`{"benchmark": "181.mcf", "optimize": true}`,
+		`{"benchmark": "181.mcf", "optimize": true, "input2": true}`,
+		`{"benchmark": "181.mcf", "optimize": true}`,
+	} {
+		code, hdr, got := postJSON(t, ts.URL+"/v1/analyze", body)
+		if code != http.StatusInternalServerError || !strings.Contains(got, `"stage":"simulate"`) {
+			t.Fatalf("failing request %d = %d (%s), want 500 at the simulate stage", i, code, got)
+		}
+		if h := hdr.Get("Delinq-Cache"); h != "miss" {
+			t.Errorf("failing request %d Delinq-Cache = %q, want miss", i, h)
+		}
 	}
-	if h := hdr.Get("Delinq-Cache"); h != "miss" {
-		t.Errorf("short-circuit Delinq-Cache = %q, want miss", h)
+	if v := cacheMetric(t, s, "delinq_cache_errors_total"); v != 3 {
+		t.Errorf("delinq_cache_errors_total = %d, want 3", v)
 	}
-	if v, _ := s.Metrics().Value("delinq_breaker_short_circuit_total"); v != 1 {
-		t.Errorf("delinq_breaker_short_circuit_total = %d, want 1", v)
-	}
-	// Neither the 500 nor the 503 was cached: only the healthy entry.
+	// No failure was cached: only the healthy entry.
 	if v := cacheMetric(t, s, "delinq_cache_entries"); v != 1 {
 		t.Errorf("delinq_cache_entries = %d, want 1 (the healthy entry)", v)
 	}
 
-	// The already-cached key bypasses the open breaker OF ITS OWN UNIT:
-	// still 200 hit, byte-identical — a sick unit never blocks answers
-	// the daemon already computed.
+	// The already-cached key still answers 200 hit, byte-identical: a
+	// failing benchmark never blocks answers the daemon already computed.
 	code, hdr, got := postJSON(t, ts.URL+"/v1/analyze", healthyBody)
 	if code != http.StatusOK || hdr.Get("Delinq-Cache") != "hit" || got != healthy {
-		t.Errorf("cached hit during breaker storm = %d %q (bytes equal: %v)",
+		t.Errorf("cached hit while the benchmark fails = %d %q (bytes equal: %v)",
 			code, hdr.Get("Delinq-Cache"), got == healthy)
 	}
 }

@@ -10,8 +10,8 @@
 // and run handlers build a workerpool.Job and hand it to execJob,
 // which runs it in-process or — with Config.Isolate — inside a
 // sandboxed subprocess from the supervised pool. Everything above that
-// seam (validation, admission, breakers, cache, WAL) is identical in
-// both modes, and so are the response bytes.
+// seam (validation, admission, cache, WAL) is identical in both modes,
+// and so are the response bytes.
 package server
 
 import (
@@ -22,7 +22,6 @@ import (
 	"net/http"
 	"time"
 
-	"delinq/internal/core"
 	"delinq/internal/faultinject"
 	"delinq/internal/tables"
 	"delinq/internal/workerpool"
@@ -59,21 +58,6 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, into any) *apiError {
 	return nil
 }
 
-// finish settles a guarded unit's breaker from the request outcome:
-// success closes/heals, a 5xx is a failure at the error's stage, and a
-// 4xx never exercised the pipeline so it counts as neither.
-func (s *Server) finish(unit string, ae *apiError) *apiError {
-	switch {
-	case ae == nil:
-		s.brk.report(unit, "", true)
-	case ae.Status >= http.StatusInternalServerError:
-		s.brk.report(unit, core.Stage(ae.Stage), false)
-	default:
-		s.brk.cancel(unit)
-	}
-	return ae
-}
-
 // --- POST /v1/analyze ----------------------------------------------------------
 
 type analyzeRequest struct {
@@ -108,34 +92,29 @@ func (s *Server) handleAnalyze(ctx context.Context, w http.ResponseWriter, r *ht
 	if ae := decodeJSON(w, r, &req); ae != nil {
 		return ae
 	}
-	unit, ae := validateTarget(req.Source, req.Benchmark, req.ISA, req.Args)
-	if ae != nil {
+	if ae := validateTarget(req.Source, req.Benchmark, req.ISA, req.Args); ae != nil {
 		return ae
 	}
-	fill := s.jobFill(ctx, req.job(), unit, "serve:analyze",
+	fill := s.jobFill(ctx, req.job(), "serve:analyze",
 		func() (func(), *apiError) { return s.admit(ctx) })
 	return s.serveCached(ctx, w, analyzeCacheKey(req), fill)
 }
 
 // jobFill builds the singleflight fill for one pipeline job: it admits
 // (through acquire — per-request normally, a shared lazy slot for
-// batches), consults the unit's breaker, executes the job (in-process
-// or in a sandboxed worker), and settles the breaker from the outcome.
+// batches) and executes the job (in-process or in a sandboxed worker).
 // Only a clean success is cacheable.
-func (s *Server) jobFill(ctx context.Context, job workerpool.Job, unit, crashSeam string, acquire func() (func(), *apiError)) fillFunc {
+func (s *Server) jobFill(ctx context.Context, job workerpool.Job, crashSeam string, acquire func() (func(), *apiError)) fillFunc {
 	return func() (*cachedResponse, bool, error) {
 		release, ae := acquire()
 		if ae != nil {
 			return nil, false, ae
 		}
 		defer release()
-		if ae := s.guard(unit); ae != nil {
-			return nil, false, ae
-		}
 		faultinject.Crash(faultinject.WorkerPanic, crashSeam)
 
 		res, ae := s.execJob(ctx, job)
-		if s.finish(unit, ae); ae != nil {
+		if ae != nil {
 			return nil, false, ae
 		}
 		return &cachedResponse{contentType: res.ContentType, body: res.Body}, true, nil
@@ -164,13 +143,12 @@ func (s *Server) execJob(ctx context.Context, job workerpool.Job) (*workerpool.J
 }
 
 // validateTarget checks the source/benchmark request shape shared by
-// analyze and run, returning the breaker unit guarding the work.
-func validateTarget(source, benchmark, isaName string, args []int32) (string, *apiError) {
-	unit, status, msg := workerpool.ValidateTarget(source, benchmark, isaName, args)
-	if status != 0 {
-		return "", errorf(status, "%s", msg)
+// analyze and run.
+func validateTarget(source, benchmark, isaName string, args []int32) *apiError {
+	if status, msg := workerpool.ValidateTarget(source, benchmark, isaName, args); status != 0 {
+		return errorf(status, "%s", msg)
 	}
-	return unit, nil
+	return nil
 }
 
 // --- POST /v1/run ----------------------------------------------------------
@@ -203,11 +181,10 @@ func (s *Server) handleRun(ctx context.Context, w http.ResponseWriter, r *http.R
 	if ae := decodeJSON(w, r, &req); ae != nil {
 		return ae
 	}
-	unit, ae := validateTarget(req.Source, req.Benchmark, req.ISA, req.Args)
-	if ae != nil {
+	if ae := validateTarget(req.Source, req.Benchmark, req.ISA, req.Args); ae != nil {
 		return ae
 	}
-	fill := s.jobFill(ctx, req.job(), unit, "serve:run",
+	fill := s.jobFill(ctx, req.job(), "serve:run",
 		func() (func(), *apiError) { return s.admit(ctx) })
 	return s.serveCached(ctx, w, runCacheKey(req), fill)
 }
@@ -216,20 +193,16 @@ func (s *Server) handleRun(ctx context.Context, w http.ResponseWriter, r *http.R
 
 func (s *Server) handleTable(ctx context.Context, w http.ResponseWriter, r *http.Request) *apiError {
 	id := r.PathValue("id")
-	unit := "table:" + id
 	fill := func() (*cachedResponse, bool, error) {
 		release, ae := s.admit(ctx)
 		if ae != nil {
 			return nil, false, ae
 		}
 		defer release()
-		if ae := s.guard(unit); ae != nil {
-			return nil, false, ae
-		}
 		faultinject.Crash(faultinject.WorkerPanic, "serve:table")
 
 		body, degraded, ae := s.renderTable(ctx, id)
-		if s.finish(unit, ae); ae != nil {
+		if ae != nil {
 			return nil, false, ae
 		}
 		// A degraded render is still an answer but never a cached one:
@@ -318,12 +291,12 @@ func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, r *http
 // batchOne answers one batch item through the same validate → cache →
 // fill path a single analyze request takes.
 func (s *Server) batchOne(ctx context.Context, req analyzeRequest, acquire func() (func(), *apiError)) batchItem {
-	unit, ae := validateTarget(req.Source, req.Benchmark, req.ISA, req.Args)
+	ae := validateTarget(req.Source, req.Benchmark, req.ISA, req.Args)
 	var outcome string
 	if ae == nil {
-		fill := s.jobFill(ctx, req.job(), unit, "serve:analyze", acquire)
+		fill := s.jobFill(ctx, req.job(), "serve:analyze", acquire)
 		cr, o, err := s.doCached(ctx, analyzeCacheKey(req), fill)
-		outcome = s.cacheHeader(o)
+		outcome = o.String()
 		if err == nil {
 			return batchItem{
 				Cache:    outcome,

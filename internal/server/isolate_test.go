@@ -88,10 +88,7 @@ func TestWorkerChaosStorm(t *testing.T) {
 		healthy = "181.mcf"
 		storms  = 6
 	)
-	// The breaker threshold is pushed out of the way: this test is about
-	// the worker pool's isolation, and exact counts need every victim
-	// request to reach a worker rather than short-circuit at 503.
-	s, ts := newTestDaemon(t, isolateConfig(t, Config{BreakerFailures: 100}, 0))
+	s, ts := newTestDaemon(t, isolateConfig(t, Config{}, 0))
 
 	// The in-process reference daemon: isolate mode must answer with the
 	// exact same bytes.

@@ -62,12 +62,12 @@ type stateStore struct {
 // OpenState attaches durable state under cfg.StateDir: it replays the
 // log, seeds the result cache, and arranges for fills to be journaled
 // from here on. Call it after New and before serving traffic; it is a
-// no-op when StateDir is empty or the cache is off. Damaged state never
+// no-op when StateDir is empty. Damaged state never
 // fails the open — recovery drops or quarantines what it cannot trust
 // and those entries recompute — so an error here is a real I/O problem
 // (permissions, disk) that the operator must see.
 func (s *Server) OpenState() error {
-	if s.cfg.StateDir == "" || s.cache == nil {
+	if s.cfg.StateDir == "" {
 		return nil
 	}
 	if err := os.MkdirAll(s.cfg.StateDir, 0o755); err != nil {

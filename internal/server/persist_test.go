@@ -274,10 +274,6 @@ func TestOpenStateNoopWithoutDir(t *testing.T) {
 	if s.state != nil {
 		t.Fatal("state attached without a StateDir")
 	}
-	s2 := New(Config{CacheOff: true, StateDir: t.TempDir()})
-	if err := s2.OpenState(); err != nil || s2.state != nil {
-		t.Fatalf("OpenState with CacheOff: err=%v state=%v", err, s2.state)
-	}
 }
 
 func TestEncodeDecodeCachedResponse(t *testing.T) {

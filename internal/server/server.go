@@ -8,11 +8,15 @@
 //     plumbing down to the VM's instruction-budget sentinel;
 //   - per-request panic isolation: a recovered handler panic answers
 //     500 with serve-stage provenance, the process never dies;
-//   - per-unit circuit breakers trip after K consecutive failures,
-//     short-circuit with 503 while open, and half-open on a timer;
 //   - graceful drain: BeginDrain flips /readyz to 503 and refuses new
 //     API work, Drain waits for in-flight requests up to a deadline,
 //     then aborts stragglers via context cancellation.
+//
+// The pipeline is deterministic, so a failed request fails the same way
+// when retried and a computed answer never goes stale: the daemon keeps
+// no failure state between requests and cached results never expire. A
+// failing request costs what any miss costs, bounded by admission and
+// its deadline, and touches no other request.
 //
 // Every counter the controller maintains is published on GET /metrics
 // through internal/metrics.
@@ -49,22 +53,11 @@ type Config struct {
 	// ReqTimeout is the per-request deadline propagated through the
 	// pipeline; zero means no deadline.
 	ReqTimeout time.Duration
-	// BreakerFailures is the consecutive-failure count that trips a
-	// unit's circuit breaker (default 5).
-	BreakerFailures int
-	// BreakerCooldown is the open → half-open timer (default 5s).
-	BreakerCooldown time.Duration
 	// CacheEntries caps the result cache's retained entries
 	// (default 1024).
 	CacheEntries int
 	// CacheBytes caps the result cache's retained bytes (default 64 MiB).
 	CacheBytes int64
-	// CacheTTL expires cached results this long after insertion; zero
-	// means results never expire (the pipeline is deterministic).
-	CacheTTL time.Duration
-	// CacheOff disables the result cache entirely: every request runs
-	// the pipeline and responses carry `Delinq-Cache: off`.
-	CacheOff bool
 	// StateDir, when set, persists the result cache through a crash-safe
 	// write-ahead log in this directory: fills are journaled, boot
 	// replays them (OpenState must be called before serving), and a
@@ -73,8 +66,8 @@ type Config struct {
 	// Isolate executes analyze/run fills in sandboxed subprocess
 	// workers from a supervised pool, so a request that OOMs or crashes
 	// kills one worker, never the daemon. Everything above the fill —
-	// cache, coalescing, admission, breakers, WAL — is unchanged, and
-	// response bytes are identical to in-process mode.
+	// cache, coalescing, admission, WAL — is unchanged, and response
+	// bytes are identical to in-process mode.
 	Isolate bool
 	// Workers bounds concurrently executing sandbox workers
 	// (default MaxInflight). Only meaningful with Isolate.
@@ -101,12 +94,6 @@ func (c Config) withDefaults() Config {
 	} else if c.Queue == 0 {
 		c.Queue = 32
 	}
-	if c.BreakerFailures <= 0 {
-		c.BreakerFailures = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 1024
 	}
@@ -130,12 +117,11 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg   Config
 	adm   *admission
-	brk   *breakerSet
 	reg   *metrics.Registry
 	mux   *http.ServeMux
-	cache *rescache.Cache[*cachedResponse] // nil when Config.CacheOff
-	state *stateStore                      // nil unless OpenState attached a StateDir
-	pool  *workerpool.Pool                 // nil unless Config.Isolate
+	cache *rescache.Cache[*cachedResponse]
+	state *stateStore      // nil unless OpenState attached a StateDir
+	pool  *workerpool.Pool // nil unless Config.Isolate
 
 	baseCtx    context.Context // cancelled to abort straggling requests
 	baseCancel context.CancelFunc
@@ -161,19 +147,12 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		adm:        newAdmission(cfg.MaxInflight, cfg.Queue),
-		brk:        newBreakerSet(cfg.BreakerFailures, cfg.BreakerCooldown),
 		reg:        metrics.NewRegistry(),
 		mux:        http.NewServeMux(),
+		cache:      rescache.New(rescache.Config{MaxEntries: cfg.CacheEntries, MaxBytes: cfg.CacheBytes}, respSize),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		drainDone:  make(chan struct{}),
-	}
-	if !cfg.CacheOff {
-		s.cache = rescache.New(rescache.Config{
-			MaxEntries: cfg.CacheEntries,
-			MaxBytes:   cfg.CacheBytes,
-			TTL:        cfg.CacheTTL,
-		}, respSize)
 	}
 	if cfg.Isolate {
 		s.pool = workerpool.New(workerpool.Config{
@@ -183,17 +162,6 @@ func New(cfg Config) *Server {
 			Env:      cfg.WorkerEnv,
 		})
 	}
-	s.brk.onTransition = func(unit string, to breakerState, stage core.Stage) {
-		switch to {
-		case stateOpen:
-			s.reg.Counter("delinq_breaker_open_total").Inc()
-			s.reg.Counter("delinq_breaker_open_" + sanitizeStage(stage) + "_total").Inc()
-		case stateHalfOpen:
-			s.reg.Counter("delinq_breaker_half_open_total").Inc()
-		case stateClosed:
-			s.reg.Counter("delinq_breaker_closed_total").Inc()
-		}
-	}
 	// Pre-register the headline counters so a fresh daemon exposes them
 	// at zero instead of omitting them until first increment.
 	for _, name := range []string{
@@ -201,38 +169,32 @@ func New(cfg Config) *Server {
 		"delinq_requests_shed_total",
 		"delinq_errors_total",
 		"delinq_panics_recovered_total",
-		"delinq_breaker_open_total",
-		"delinq_breaker_short_circuit_total",
 	} {
 		s.reg.Counter(name)
 	}
 	s.reg.Gauge("delinq_requests_inflight", s.adm.Inflight)
 	s.reg.Gauge("delinq_requests_queued", s.adm.Queued)
-	s.reg.Gauge("delinq_breaker_open_units", s.brk.openUnits)
 	s.reg.Gauge("delinq_draining", func() int64 {
 		if s.draining.Load() {
 			return 1
 		}
 		return 0
 	})
-	if s.cache != nil {
-		// Cache telemetry reads the cache's own counters, so /metrics can
-		// never drift from what the cache actually did — the loadtest
-		// harness cross-checks these against client-observed outcomes.
-		stat := func(f func(rescache.Stats) int64) func() int64 {
-			return func() int64 { return f(s.cache.Stats()) }
-		}
-		s.reg.Gauge("delinq_cache_hits_total", stat(func(st rescache.Stats) int64 { return int64(st.Hits) }))
-		s.reg.Gauge("delinq_cache_warm_hits_total", stat(func(st rescache.Stats) int64 { return int64(st.WarmHits) }))
-		s.reg.Gauge("delinq_cache_misses_total", stat(func(st rescache.Stats) int64 { return int64(st.Misses) }))
-		s.reg.Gauge("delinq_cache_coalesced_total", stat(func(st rescache.Stats) int64 { return int64(st.Joined) }))
-		s.reg.Gauge("delinq_cache_errors_total", stat(func(st rescache.Stats) int64 { return int64(st.Errors) }))
-		s.reg.Gauge("delinq_cache_uncacheable_total", stat(func(st rescache.Stats) int64 { return int64(st.Uncacheable) }))
-		s.reg.Gauge("delinq_cache_evicted_size_total", stat(func(st rescache.Stats) int64 { return int64(st.EvictedSize) }))
-		s.reg.Gauge("delinq_cache_evicted_ttl_total", stat(func(st rescache.Stats) int64 { return int64(st.EvictedTTL) }))
-		s.reg.Gauge("delinq_cache_entries", stat(func(st rescache.Stats) int64 { return int64(st.Entries) }))
-		s.reg.Gauge("delinq_cache_bytes", stat(func(st rescache.Stats) int64 { return st.Bytes }))
+	// Cache telemetry reads the cache's own counters, so /metrics can
+	// never drift from what the cache actually did — the loadtest
+	// harness cross-checks these against client-observed outcomes.
+	stat := func(f func(rescache.Stats) int64) func() int64 {
+		return func() int64 { return f(s.cache.Stats()) }
 	}
+	s.reg.Gauge("delinq_cache_hits_total", stat(func(st rescache.Stats) int64 { return int64(st.Hits) }))
+	s.reg.Gauge("delinq_cache_warm_hits_total", stat(func(st rescache.Stats) int64 { return int64(st.WarmHits) }))
+	s.reg.Gauge("delinq_cache_misses_total", stat(func(st rescache.Stats) int64 { return int64(st.Misses) }))
+	s.reg.Gauge("delinq_cache_coalesced_total", stat(func(st rescache.Stats) int64 { return int64(st.Joined) }))
+	s.reg.Gauge("delinq_cache_errors_total", stat(func(st rescache.Stats) int64 { return int64(st.Errors) }))
+	s.reg.Gauge("delinq_cache_uncacheable_total", stat(func(st rescache.Stats) int64 { return int64(st.Uncacheable) }))
+	s.reg.Gauge("delinq_cache_evicted_size_total", stat(func(st rescache.Stats) int64 { return int64(st.EvictedSize) }))
+	s.reg.Gauge("delinq_cache_entries", stat(func(st rescache.Stats) int64 { return int64(st.Entries) }))
+	s.reg.Gauge("delinq_cache_bytes", stat(func(st rescache.Stats) int64 { return st.Bytes }))
 	if s.pool != nil {
 		// Like the cache gauges, worker telemetry reads the pool's own
 		// counters so /metrics cannot drift from what the pool did: the
@@ -255,14 +217,6 @@ func New(cfg Config) *Server {
 	}
 	s.routes()
 	return s
-}
-
-// sanitizeStage renders a stage as a metric-name fragment.
-func sanitizeStage(st core.Stage) string {
-	if st == "" {
-		return "unknown"
-	}
-	return string(st)
 }
 
 // Metrics exposes the daemon's registry (tests and embedders).
@@ -345,9 +299,6 @@ func (s *Server) BeginDrain() {
 	}
 	s.drainMu.Unlock()
 }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain gracefully quiesces the daemon: it begins draining, waits for
 // in-flight API requests to complete, and — if ctx expires first —
@@ -450,7 +401,7 @@ func (s *Server) api(name string, h handlerFunc) http.HandlerFunc {
 		s.reg.Counter("delinq_requests_total").Inc()
 		s.reg.Counter("delinq_requests_" + name + "_total").Inc()
 		if !s.enterRequest() {
-			s.writeError(w, &apiError{Status: http.StatusServiceUnavailable, Err: "draining"}, time.Second)
+			s.writeError(w, &apiError{Status: http.StatusServiceUnavailable, Err: "draining", retryAfter: time.Second})
 			return
 		}
 		defer s.leaveRequest()
@@ -477,7 +428,7 @@ func (s *Server) api(name string, h handlerFunc) http.HandlerFunc {
 					Status: http.StatusInternalServerError,
 					Err:    se.Error(),
 					Stage:  string(core.StageServe),
-				}, 0)
+				})
 			}
 		}()
 
@@ -488,32 +439,16 @@ func (s *Server) api(name string, h handlerFunc) http.HandlerFunc {
 					s.reg.Counter("delinq_errors_" + ae.Stage + "_total").Inc()
 				}
 			}
-			s.writeError(w, ae, 0)
+			s.writeError(w, ae)
 		}
 	}
 }
 
-// guard consults the unit's circuit breaker; a nil return admits the
-// request (the caller must report the outcome via s.brk.report).
-func (s *Server) guard(unit string) *apiError {
-	ok, retryAfter := s.brk.allow(unit)
-	if ok {
-		return nil
-	}
-	s.reg.Counter("delinq_breaker_short_circuit_total").Inc()
-	ae := errorf(http.StatusServiceUnavailable, "circuit open for %s", unit)
-	ae.retryAfter = retryAfter
-	return ae
-}
-
-// writeError renders the JSON error envelope. retryAfter > 0 (or set
-// on the error itself) adds a whole-seconds Retry-After header.
-func (s *Server) writeError(w http.ResponseWriter, ae *apiError, retryAfter time.Duration) {
-	if ae.retryAfter > retryAfter {
-		retryAfter = ae.retryAfter
-	}
-	if retryAfter > 0 {
-		secs := int64((retryAfter + time.Second - 1) / time.Second)
+// writeError renders the JSON error envelope, with a whole-seconds
+// Retry-After header when the error carries a retryAfter.
+func (s *Server) writeError(w http.ResponseWriter, ae *apiError) {
+	if ae.retryAfter > 0 {
+		secs := int64((ae.retryAfter + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
 	s.writeJSON(w, ae.Status, ae)

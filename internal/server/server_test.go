@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -286,7 +287,6 @@ func TestMetricsShape(t *testing.T) {
 		"delinq_requests_queued":        "0",
 		"delinq_requests_shed_total":    "0",
 		"delinq_draining":               "0",
-		"delinq_breaker_open_units":     "0",
 	}
 	for name, val := range want {
 		if !strings.Contains(body, name+" "+val+"\n") {
@@ -362,6 +362,47 @@ func TestShed(t *testing.T) {
 	waitFor(t, func() bool { return s.adm.Inflight() == 0 })
 	if code, _, _ := postJSON(t, ts.URL+"/v1/analyze", fmt.Sprintf(`{"source": %q}`, srcLoop)); code != http.StatusOK {
 		t.Errorf("service did not resume after shed: %d", code)
+	}
+}
+
+// TestFailingSourcesDoNotBlockOthers: requests that fail never stand in
+// the way of other work. Six distinct ad-hoc programs each run into the
+// per-request deadline, and the next, unrelated program still answers
+// 200: no failure count, cooldown or shared state carries over from one
+// request to the next. The deadline leaves srcLoop a wide margin even
+// under the race detector; the six spinners run concurrently so the
+// test waits it out once.
+func TestFailingSourcesDoNotBlockOthers(t *testing.T) {
+	s, ts := newTestDaemon(t, Config{ReqTimeout: 2 * time.Second})
+	var wg sync.WaitGroup
+	for i := 0; i < 6; i++ {
+		// A distinct constant per program: six cache keys, six fills.
+		src := strings.Replace(srcSpin, "s = 0", fmt.Sprintf("s = %d", i), 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/run", "application/json",
+				strings.NewReader(fmt.Sprintf(`{"source": %q}`, src)))
+			if err != nil {
+				t.Errorf("spin program %d: %v", i, err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusInternalServerError || resp.Header.Get("Delinq-Cache") != "miss" {
+				t.Errorf("spin program %d = %d %q, want 500 miss", i, resp.StatusCode, resp.Header.Get("Delinq-Cache"))
+			}
+		}()
+	}
+	wg.Wait()
+	code, hdr, body := postJSON(t, ts.URL+"/v1/analyze", fmt.Sprintf(`{"source": %q}`, srcLoop))
+	if code != http.StatusOK {
+		t.Fatalf("healthy program after six failures = %d (%s), want 200", code, body)
+	}
+	if ra := hdr.Get("Retry-After"); ra != "" {
+		t.Errorf("healthy program answered with Retry-After %q", ra)
+	}
+	if v := cacheMetric(t, s, "delinq_cache_errors_total"); v != 6 {
+		t.Errorf("delinq_cache_errors_total = %d, want 6", v)
 	}
 }
 

@@ -10,9 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 
-	"delinq/internal/baseline"
 	"delinq/internal/bench"
 	"delinq/internal/classify"
 	"delinq/internal/core"
@@ -58,48 +56,38 @@ type RunResponse struct {
 }
 
 // ValidateTarget checks the source/benchmark request shape shared by
-// analyze and run, returning the breaker unit that guards the work
-// ("adhoc" for source jobs, the benchmark name otherwise) or an HTTP
-// status and message for the client.
-func ValidateTarget(source, benchmark, isaName string, args []int32) (unit string, status int, msg string) {
+// analyze and run, returning zero or an HTTP status and message for the
+// client.
+func ValidateTarget(source, benchmark, isaName string, args []int32) (status int, msg string) {
 	if _, err := isa.ByName(isaName); err != nil {
-		return "", http.StatusBadRequest, err.Error()
+		return http.StatusBadRequest, err.Error()
 	}
 	switch {
 	case source == "" && benchmark == "":
-		return "", http.StatusBadRequest, "one of source or benchmark is required"
+		return http.StatusBadRequest, "one of source or benchmark is required"
 	case source != "" && benchmark != "":
-		return "", http.StatusBadRequest, "source and benchmark are mutually exclusive"
+		return http.StatusBadRequest, "source and benchmark are mutually exclusive"
 	case benchmark != "":
 		if bench.ByName(benchmark) == nil {
-			return "", http.StatusBadRequest, fmt.Sprintf("unknown benchmark %q", benchmark)
+			return http.StatusBadRequest, fmt.Sprintf("unknown benchmark %q", benchmark)
 		}
 		if len(args) > 0 {
-			return "", http.StatusBadRequest, "args are only valid with source (benchmarks carry their inputs)"
+			return http.StatusBadRequest, "args are only valid with source (benchmarks carry their inputs)"
 		}
-		return benchmark, 0, ""
-	default:
-		return "adhoc", 0, ""
 	}
+	return 0, ""
 }
 
 // Execute runs one job's pipeline in the calling process and renders
 // its outcome. It never returns nil.
 func Execute(ctx context.Context, job Job) *JobResult {
-	switch job.Kind {
-	case JobAnalyze:
-		if job.Benchmark != "" {
-			return analyzeBenchmark(ctx, job)
-		}
-		return analyzeSource(ctx, job)
-	case JobRun:
-		if job.Benchmark != "" {
-			return runBenchmark(ctx, job)
-		}
-		return runSource(ctx, job)
-	default:
+	if job.Kind != JobAnalyze && job.Kind != JobRun {
 		return errResult(http.StatusBadRequest, "unknown job kind %q", job.Kind)
 	}
+	if job.Benchmark != "" {
+		return executeBenchmark(ctx, job)
+	}
+	return executeSource(ctx, job)
 }
 
 // errResult renders a client-visible failure.
@@ -121,7 +109,7 @@ func pipelineResult(err error) *JobResult {
 }
 
 // okJSON renders a success payload with the daemon's canonical JSON
-// encoding (marshal + trailing newline, matching writeJSON/jsonBody).
+// encoding (marshal + trailing newline, matching writeJSON).
 func okJSON(v any) *JobResult {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -134,9 +122,10 @@ func okJSON(v any) *JobResult {
 	}
 }
 
-// analyzeSource runs the ad-hoc pipeline: compile, simulate, identify.
-// Compile failures are the client's (400); later stages are ours (500).
-func analyzeSource(ctx context.Context, job Job) *JobResult {
+// executeSource runs the ad-hoc pipeline: compile, simulate and, for an
+// analyze job, identify. Compile failures are the client's (400); later
+// stages are ours (500).
+func executeSource(ctx context.Context, job Job) *JobResult {
 	img, err := core.BuildSourceISA(job.Source, job.Optimize, job.ISA)
 	if err != nil {
 		return errResult(http.StatusBadRequest, "compile: %v", err)
@@ -144,28 +133,22 @@ func analyzeSource(ctx context.Context, job Job) *JobResult {
 	sim, err := core.SimulateCtx(ctx, img, job.Args)
 	if err != nil {
 		return pipelineResult(err)
+	}
+	if job.Kind == JobRun {
+		return runResponse(job, "", sim)
 	}
 	res, err := core.IdentifyImageCtx(ctx, img, core.Options{Profile: sim, Interprocedural: job.Inter})
 	if err != nil {
 		return pipelineResult(err)
 	}
-	ev := res.Evaluate(sim, 0)
-	okn, bdh := res.Baselines(sim, 0)
-	return okJSON(&AnalyzeResponse{
-		ISA:        job.ISA,
-		Optimize:   job.Optimize,
-		Inter:      job.Inter,
-		Heuristic:  evalJSON(ev),
-		OKN:        evalJSON(okn),
-		BDH:        evalJSON(bdh),
-		Delinquent: describeAll(res.Delinquent()),
-	})
+	return analyzeResponse(job, "", res, sim)
 }
 
-// analyzeBenchmark analyses a registered benchmark through the
-// memoised bench stack (and its fault seams). Failures here are
+// executeBenchmark runs a registered benchmark through the memoised
+// bench stack (and its fault seams), scoring the build's loads against
+// the run's profile as core.IdentifyImageCtx would. Failures here are
 // server-side: the corpus is ours, so nothing maps to 400.
-func analyzeBenchmark(ctx context.Context, job Job) *JobResult {
+func executeBenchmark(ctx context.Context, job Job) *JobResult {
 	b := bench.ByName(job.Benchmark)
 	if b == nil {
 		return errResult(http.StatusBadRequest, "unknown benchmark %q", job.Benchmark)
@@ -184,106 +167,54 @@ func analyzeBenchmark(ctx context.Context, job Job) *JobResult {
 	run, err := bench.SimulateCtx(ctx, bd, input, tables.StdGeoms)
 	if err != nil {
 		return pipelineResult(err)
+	}
+	sim := &core.Simulation{Result: run.Result, Caches: run.Caches}
+	if job.Kind == JobRun {
+		return runResponse(job, b.Name, sim)
 	}
 	loads := bd.Loads
 	if job.Inter {
 		loads = bench.LoadsInter(bd)
 	}
-	scored := classify.Score(loads, run, classify.DefaultConfig())
-	delta := map[uint32]bool{}
-	for _, sc := range classify.Delinquent(scored) {
-		delta[sc.Load.PC] = true
-	}
-	stats := make([]metrics.LoadStat, 0, len(loads))
-	for _, ld := range loads {
-		stats = append(stats, metrics.LoadStat{
-			PC:     ld.PC,
-			Exec:   run.Result.ExecAt(ld.PC),
-			Misses: run.Result.MissesAt(tables.GeomBaseline, ld.PC),
-		})
+	cfg := classify.DefaultConfig()
+	res := &core.Result{Image: bd.Image, Prog: bd.Prog, Loads: loads, Scored: classify.Score(loads, sim, cfg), Config: cfg}
+	return analyzeResponse(job, b.Name, res, sim)
+}
+
+// analyzeResponse evaluates an identification and the OKN/BDH baselines
+// on the baseline cache, which both pipelines simulate at index
+// tables.GeomBaseline: the ad-hoc one simulates only the baseline, the
+// benchmark one all of tables.StdGeoms.
+func analyzeResponse(job Job, name string, res *core.Result, sim *core.Simulation) *JobResult {
+	okn, bdh := res.Baselines(sim, tables.GeomBaseline)
+	delinquent := res.Delinquent()
+	desc := make([]string, 0, len(delinquent))
+	for _, sc := range delinquent {
+		desc = append(desc, core.Describe(sc))
 	}
 	return okJSON(&AnalyzeResponse{
-		Benchmark:  b.Name,
+		Benchmark:  name,
 		ISA:        job.ISA,
 		Optimize:   job.Optimize,
 		Inter:      job.Inter,
-		Heuristic:  evalJSON(metrics.Evaluate(delta, stats)),
-		OKN:        evalJSON(metrics.Evaluate(baseline.OKN(loads), stats)),
-		BDH:        evalJSON(metrics.Evaluate(baseline.BDH(bd.Prog, loads), stats)),
-		Delinquent: describeAll(sortScored(classify.Delinquent(scored))),
+		Heuristic:  evalJSON(res.Evaluate(sim, tables.GeomBaseline)),
+		OKN:        evalJSON(okn),
+		BDH:        evalJSON(bdh),
+		Delinquent: desc,
 	})
 }
 
-func runSource(ctx context.Context, job Job) *JobResult {
-	img, err := core.BuildSourceISA(job.Source, job.Optimize, job.ISA)
-	if err != nil {
-		return errResult(http.StatusBadRequest, "compile: %v", err)
-	}
-	sim, err := core.SimulateCtx(ctx, img, job.Args)
-	if err != nil {
-		return pipelineResult(err)
-	}
-	st := sim.Caches[0].Stats()
+// runResponse renders a run's outcome and its baseline-cache statistics.
+func runResponse(job Job, name string, sim *core.Simulation) *JobResult {
+	st := sim.Caches[tables.GeomBaseline].Stats()
 	return okJSON(&RunResponse{
-		ISA:      job.ISA,
-		Exit:     sim.Result.Exit,
-		Insts:    sim.Result.Insts,
-		Accesses: st.Accesses,
-		Misses:   st.Misses,
-		MissRate: st.MissRate(),
-		Output:   sim.Result.Output,
-	})
-}
-
-func runBenchmark(ctx context.Context, job Job) *JobResult {
-	b := bench.ByName(job.Benchmark)
-	if b == nil {
-		return errResult(http.StatusBadRequest, "unknown benchmark %q", job.Benchmark)
-	}
-	bd, err := bench.CompileISACtx(ctx, b, job.Optimize, job.ISA)
-	if err != nil {
-		return pipelineResult(err)
-	}
-	if bd.Degraded != nil {
-		return pipelineResult(bd.Degraded)
-	}
-	input := b.Input1
-	if job.Input2 {
-		input = b.Input2
-	}
-	run, err := bench.SimulateCtx(ctx, bd, input, tables.StdGeoms)
-	if err != nil {
-		return pipelineResult(err)
-	}
-	st := run.Caches[tables.GeomBaseline].Stats()
-	return okJSON(&RunResponse{
-		Benchmark: b.Name,
+		Benchmark: name,
 		ISA:       job.ISA,
-		Exit:      run.Result.Exit,
-		Insts:     run.Result.Insts,
+		Exit:      sim.Result.Exit,
+		Insts:     sim.Result.Insts,
 		Accesses:  st.Accesses,
 		Misses:    st.Misses,
 		MissRate:  st.MissRate(),
-		Output:    run.Result.Output,
+		Output:    sim.Result.Output,
 	})
-}
-
-// sortScored orders delinquent loads as core.Result.Delinquent does:
-// highest φ first, then pc, so responses are deterministic.
-func sortScored(scored []*classify.Scored) []*classify.Scored {
-	sort.Slice(scored, func(i, j int) bool {
-		if scored[i].Phi != scored[j].Phi {
-			return scored[i].Phi > scored[j].Phi
-		}
-		return scored[i].Load.PC < scored[j].Load.PC
-	})
-	return scored
-}
-
-func describeAll(scored []*classify.Scored) []string {
-	out := make([]string, 0, len(scored))
-	for _, sc := range scored {
-		out = append(out, core.Describe(sc))
-	}
-	return out
 }

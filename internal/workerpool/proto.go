@@ -17,8 +17,8 @@
 //     deadlines, health-pings idle workers, recycles them after N
 //     requests or a memory high-water mark, and respawns crash-looping
 //     workers under capped exponential backoff. Every worker death
-//     surfaces as a core.StageError at the worker stage — an ordinary
-//     failure to the breaker and retry layers above.
+//     surfaces as a core.StageError at the worker stage, which the
+//     daemon answers as an ordinary 500.
 package workerpool
 
 import (

@@ -167,11 +167,11 @@ func TestExecuteUnknownKind(t *testing.T) {
 }
 
 func TestValidateTarget(t *testing.T) {
-	if unit, st, _ := ValidateTarget(addSource, "", "", nil); unit != "adhoc" || st != 0 {
-		t.Errorf("source: unit=%q status=%d", unit, st)
+	if st, msg := ValidateTarget(addSource, "", "", nil); st != 0 {
+		t.Errorf("source: status=%d %q", st, msg)
 	}
-	if unit, st, _ := ValidateTarget("", "181.mcf", "", nil); unit != "181.mcf" || st != 0 {
-		t.Errorf("benchmark: unit=%q status=%d", unit, st)
+	if st, msg := ValidateTarget("", "181.mcf", "", nil); st != 0 {
+		t.Errorf("benchmark: status=%d %q", st, msg)
 	}
 	for _, c := range []struct {
 		src, bm, isa string
@@ -183,7 +183,7 @@ func TestValidateTarget(t *testing.T) {
 		{"", "181.mcf", "", []int32{1}}, // args with benchmark
 		{addSource, "", "quantum", nil}, // unknown ISA
 	} {
-		if _, st, msg := ValidateTarget(c.src, c.bm, c.isa, c.args); st != http.StatusBadRequest || msg == "" {
+		if st, msg := ValidateTarget(c.src, c.bm, c.isa, c.args); st != http.StatusBadRequest || msg == "" {
 			t.Errorf("ValidateTarget(%q,%q,%q,%v) = %d %q, want 400", c.src, c.bm, c.isa, c.args, st, msg)
 		}
 	}

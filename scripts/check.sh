@@ -39,11 +39,11 @@ go test -race -run 'TestChaos' ./...
 
 echo "== serve chaos (race)"
 # The daemon's storm gate: a live listening server under injected
-# faults must keep the 400/429/500/503 partition, trip and recover its
-# breakers, and serve byte-identical healthy responses throughout —
-# with the result cache live, so failures never poison cached answers
-# and coalesced waiters survive drain.
-go test -race -run 'TestServeChaosStorm|TestGracefulDrain|TestDrainAbortsStragglers|TestCacheCoalescesThunderingHerd|TestCacheFailureNotCached|TestCacheBreakerShortCircuitBeforeFill|TestCacheDrainAbortsCoalescedWaiters' ./internal/server
+# faults must keep the 400/429/500/503 partition, never let failing
+# requests block others, and serve byte-identical healthy responses
+# throughout — with the result cache live, so failures never poison
+# cached answers and coalesced waiters survive drain.
+go test -race -run 'TestServeChaosStorm|TestGracefulDrain|TestDrainAbortsStragglers|TestCacheCoalescesThunderingHerd|TestCacheFailureNotCached|TestCacheHitWhileUnitFails|TestFailingSourcesDoNotBlockOthers|TestCacheDrainAbortsCoalescedWaiters' ./internal/server
 
 echo "== worker chaos (race)"
 # The process-isolation gate: sandboxed workers SIGKILLed and OOMed
