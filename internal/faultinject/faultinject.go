@@ -64,12 +64,15 @@ const (
 	// mid-replay, before any state was handed to the consumer.
 	WALReplay
 	// WorkerSpawn fires in the worker pool's supervisor as it is about
-	// to start a sandbox subprocess: the spawn fails before fork/exec,
-	// exercising the respawn-backoff path without burning a process.
+	// to start a sandbox subprocess: the spawn fails before fork/exec
+	// and the request fails at the worker stage without burning a
+	// process.
 	WorkerSpawn
 	// WorkerSend fires as the supervisor writes a request frame to a
-	// worker's stdin, simulating a broken pipe: the worker is destroyed
-	// and the request fails at the worker stage.
+	// worker's stdin, simulating a broken pipe: the worker is destroyed.
+	// A worker taken from the idle list is replaced by one fresh worker
+	// that gets the same job; on a fresh worker the request fails at the
+	// worker stage.
 	WorkerSend
 	// WorkerRecv fires after the supervisor read a worker's response
 	// frame: the response is discarded as torn, the worker destroyed.

@@ -183,20 +183,18 @@ func TestWorkerChaosStorm(t *testing.T) {
 
 	// Every number is deterministic: 9 fills crossed workers (healthy
 	// golden, 6 victims, the mid-storm source, the recovery), the 6
-	// victim kills are the only failures and deaths, each death backed
-	// off the next spawn, and the conservation invariant balances —
-	// every spawned worker is accounted dead, recycled, or idle.
+	// victim kills are the only failures and deaths, and the
+	// conservation invariant balances — every spawned worker is
+	// accounted dead, recycled, or idle.
 	for name, want := range map[string]int64{
 		"requests_total":       9,
 		"failures_total":       storms,
 		"kills_total":          storms,
 		"deaths_total":         storms,
 		"spawns_total":         storms + 1, // golden reuses none; victims 2..6 + mid-storm each respawn
-		"backoffs_total":       storms,
-		"recycles_total":       1, // the close retires the one surviving idle worker
+		"recycles_total":       1,          // the close retires the one surviving idle worker
 		"ooms_total":           0,
 		"spawn_failures_total": 0,
-		"ping_failures_total":  0,
 		"active":               0,
 		"idle":                 0,
 	} {

@@ -208,8 +208,6 @@ func New(cfg Config) *Server {
 		s.reg.Gauge("delinq_worker_kills_total", wstat(func(st workerpool.Stats) int64 { return st.Kills }))
 		s.reg.Gauge("delinq_worker_recycles_total", wstat(func(st workerpool.Stats) int64 { return st.Recycles }))
 		s.reg.Gauge("delinq_worker_ooms_total", wstat(func(st workerpool.Stats) int64 { return st.OOMs }))
-		s.reg.Gauge("delinq_worker_backoffs_total", wstat(func(st workerpool.Stats) int64 { return st.Backoffs }))
-		s.reg.Gauge("delinq_worker_ping_failures_total", wstat(func(st workerpool.Stats) int64 { return st.PingFailures }))
 		s.reg.Gauge("delinq_worker_requests_total", wstat(func(st workerpool.Stats) int64 { return st.Requests }))
 		s.reg.Gauge("delinq_worker_failures_total", wstat(func(st workerpool.Stats) int64 { return st.Failures }))
 		s.reg.Gauge("delinq_worker_active", wstat(func(st workerpool.Stats) int64 { return st.Active }))

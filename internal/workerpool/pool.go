@@ -27,29 +27,12 @@ type Config struct {
 	// Do calls queue on the pool's semaphore.
 	Workers int
 	// MemLimit is the per-worker memory ceiling in bytes, enforced by
-	// the worker's own watchdog (0 = no ceiling).
+	// the worker's own watchdog (0 = no ceiling). A worker whose
+	// post-request RSS reaches 80% of it is recycled.
 	MemLimit int64
 	// MaxRequests recycles a worker after it has served this many
 	// requests (default 128; negative = never).
 	MaxRequests int
-	// HighWater recycles a worker whose post-request RSS reaches this
-	// many bytes (0 = 80% of MemLimit when a ceiling is set; negative =
-	// never).
-	HighWater int64
-	// KillGrace is how long past a request deadline the supervisor
-	// waits for the worker's own in-band deadline error before the
-	// SIGKILL backstop (default 2s).
-	KillGrace time.Duration
-	// PingInterval is the idle-worker health-ping cadence (default 30s;
-	// negative = disabled).
-	PingInterval time.Duration
-	// PingTimeout is how long a pinged worker has to pong before it is
-	// killed (default 1s).
-	PingTimeout time.Duration
-	// BackoffBase and BackoffCap shape the capped exponential respawn
-	// backoff after consecutive worker deaths (defaults 25ms, 2s).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// Command is the worker argv; empty means the running executable's
 	// hidden `worker` subcommand. Tests override it to re-exec the test
 	// binary.
@@ -57,10 +40,12 @@ type Config struct {
 	// Env is extra environment appended to the inherited one for each
 	// worker (tests route self-exec markers through it).
 	Env []string
-	// Sleep performs the respawn backoff; tests inject a recorder. The
-	// default honours ctx cancellation.
-	Sleep func(ctx context.Context, d time.Duration) error
 }
+
+// killGrace is how long the supervisor waits for a worker to answer on
+// its own before the SIGKILL backstop: for the in-band error past a
+// request deadline, and for the exit after a graceful retire.
+const killGrace = 2 * time.Second
 
 // Stats is a snapshot of the pool's lifecycle counters. The
 // conservation invariant Spawns == Deaths + Recycles + Active + Idle
@@ -79,10 +64,6 @@ type Stats struct {
 	// Recycles counts graceful retirements: the request-count and
 	// memory high-water policies, plus pool shutdown.
 	Recycles int64
-	// Backoffs counts respawn-backoff sleeps; PingFailures counts
-	// idle workers killed for failing a health ping.
-	Backoffs     int64
-	PingFailures int64
 	// Requests counts jobs submitted; Failures the subset that failed
 	// at the worker stage (not pipeline errors the worker reported).
 	Requests int64
@@ -97,18 +78,13 @@ type Pool struct {
 	cfg Config
 	sem chan struct{}
 
-	mu           sync.Mutex
-	idle         []*worker
-	closed       bool
-	consecDeaths int
-
-	closeCh  chan struct{}
-	pingOnce sync.Once
+	mu     sync.Mutex
+	idle   []*worker
+	closed bool
 
 	spawns, spawnFailures       atomic.Int64
 	deaths, ooms, kills         atomic.Int64
-	recycles, backoffs          atomic.Int64
-	pingFailures                atomic.Int64
+	recycles                    atomic.Int64
 	requests, failures, activeN atomic.Int64
 }
 
@@ -118,7 +94,6 @@ type worker struct {
 	stdin    io.WriteCloser
 	br       *bufio.Reader
 	reqs     int
-	nextID   uint64
 	waitOnce sync.Once
 	waitErr  error
 }
@@ -145,41 +120,7 @@ func New(cfg Config) *Pool {
 	if cfg.MaxRequests == 0 {
 		cfg.MaxRequests = 128
 	}
-	if cfg.HighWater == 0 && cfg.MemLimit > 0 {
-		cfg.HighWater = cfg.MemLimit - cfg.MemLimit/5
-	}
-	if cfg.KillGrace <= 0 {
-		cfg.KillGrace = 2 * time.Second
-	}
-	if cfg.PingInterval == 0 {
-		cfg.PingInterval = 30 * time.Second
-	}
-	if cfg.PingTimeout <= 0 {
-		cfg.PingTimeout = time.Second
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 25 * time.Millisecond
-	}
-	if cfg.BackoffCap <= 0 {
-		cfg.BackoffCap = 2 * time.Second
-	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = func(ctx context.Context, d time.Duration) error {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-t.C:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-	}
-	return &Pool{
-		cfg:     cfg,
-		sem:     make(chan struct{}, cfg.Workers),
-		closeCh: make(chan struct{}),
-	}
+	return &Pool{cfg: cfg, sem: make(chan struct{}, cfg.Workers)}
 }
 
 // Stats snapshots the pool's counters.
@@ -194,8 +135,6 @@ func (p *Pool) Stats() Stats {
 		OOMs:          p.ooms.Load(),
 		Kills:         p.kills.Load(),
 		Recycles:      p.recycles.Load(),
-		Backoffs:      p.backoffs.Load(),
-		PingFailures:  p.pingFailures.Load(),
 		Requests:      p.requests.Load(),
 		Failures:      p.failures.Load(),
 		Active:        p.activeN.Load(),
@@ -209,9 +148,9 @@ func (p *Pool) workerErr(job Job, err error) error {
 	return core.WrapStage(job.Benchmark, core.StageWorker, err)
 }
 
-// Do round-trips one job through a worker: wait for a slot, check out
-// an idle worker or spawn one, send the frame, await the response under
-// the job's deadline. Any worker death comes back as a worker-stage
+// Do round-trips one job through a worker: wait for a slot, send the
+// job's frame to an idle or fresh worker, await the response under the
+// job's deadline. Any worker death comes back as a worker-stage
 // StageError; a non-nil JobResult may still describe a pipeline failure
 // the worker reported in-band (status ≥ 400).
 func (p *Pool) Do(ctx context.Context, job Job) (*JobResult, error) {
@@ -224,25 +163,28 @@ func (p *Pool) Do(ctx context.Context, job Job) (*JobResult, error) {
 	defer func() { <-p.sem }()
 	p.requests.Add(1)
 
-	w, err := p.checkout(ctx, job, target)
+	w, err := p.dispatch(ctx, job, target)
 	if err != nil {
 		p.failures.Add(1)
 		return nil, err
 	}
 	p.activeN.Add(1)
-	res, rss, err := p.roundTrip(ctx, w, job, target)
+	res, rss, err := p.await(ctx, w, job, target)
 	p.activeN.Add(-1)
 	if err != nil {
 		p.failures.Add(1)
 		return nil, err
 	}
-	p.noteSuccess()
 	p.checkin(w, rss)
 	return res, nil
 }
 
-// checkout pops an idle worker or spawns a fresh one.
-func (p *Pool) checkout(ctx context.Context, job Job, target string) (*worker, error) {
+// dispatch sends the job's frame to the most recently idled worker, or
+// to a fresh one when none is idle. An idle worker can die between
+// requests (an outside kill, its own OOM watchdog); the send then fails,
+// and since the frame never reached the corpse the pool destroys it and
+// sends the job to one fresh worker instead, so no job runs twice.
+func (p *Pool) dispatch(ctx context.Context, job Job, target string) (*worker, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -255,23 +197,26 @@ func (p *Pool) checkout(ctx context.Context, job Job, target string) (*worker, e
 	}
 	p.mu.Unlock()
 	if w != nil {
-		return w, nil
+		if err := w.send(ctx, job, target); err == nil {
+			return w, nil
+		}
+		p.destroy(w)
 	}
-	return p.spawn(ctx, job, target)
+	w, err := p.spawn(job, target)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.send(ctx, job, target); err != nil {
+		p.destroy(w)
+		return nil, p.workerErr(job, fmt.Errorf("worker send: %w", err))
+	}
+	return w, nil
 }
 
-// spawn starts one worker subprocess, backing off first when recent
-// spawns or workers have been dying (the crash-loop brake).
-func (p *Pool) spawn(ctx context.Context, job Job, target string) (*worker, error) {
-	if d := p.backoffDelay(); d > 0 {
-		p.backoffs.Add(1)
-		if err := p.cfg.Sleep(ctx, d); err != nil {
-			return nil, p.workerErr(job, fmt.Errorf("cancelled in respawn backoff: %w", err))
-		}
-	}
+// spawn starts one worker subprocess.
+func (p *Pool) spawn(job Job, target string) (*worker, error) {
 	fail := func(err error) (*worker, error) {
 		p.spawnFailures.Add(1)
-		p.noteDeath()
 		return nil, p.workerErr(job, fmt.Errorf("worker spawn: %w", err))
 	}
 	if err := faultinject.Error(faultinject.WorkerSpawn, target); err != nil {
@@ -300,40 +245,7 @@ func (p *Pool) spawn(ctx context.Context, job Job, target string) (*worker, erro
 		return fail(err)
 	}
 	p.spawns.Add(1)
-	p.startPinger()
 	return &worker{cmd: cmd, stdin: stdin, br: bufio.NewReaderSize(stdout, 64<<10)}, nil
-}
-
-// backoffDelay maps the consecutive-death count to a capped exponential
-// delay; a healthy pool spawns instantly.
-func (p *Pool) backoffDelay() time.Duration {
-	p.mu.Lock()
-	n := p.consecDeaths
-	p.mu.Unlock()
-	if n <= 0 {
-		return 0
-	}
-	shift := n - 1
-	if shift > 16 {
-		shift = 16
-	}
-	d := p.cfg.BackoffBase << shift
-	if d <= 0 || d > p.cfg.BackoffCap {
-		d = p.cfg.BackoffCap
-	}
-	return d
-}
-
-func (p *Pool) noteDeath() {
-	p.mu.Lock()
-	p.consecDeaths++
-	p.mu.Unlock()
-}
-
-func (p *Pool) noteSuccess() {
-	p.mu.Lock()
-	p.consecDeaths = 0
-	p.mu.Unlock()
 }
 
 // destroy kills (if still alive) and reaps one worker, classifying its
@@ -350,13 +262,11 @@ func (p *Pool) destroy(w *worker) (oom bool) {
 	return false
 }
 
-// roundTrip sends one job and awaits its response. On success the
-// worker survives for check-in; on any failure it is destroyed and the
-// error explains the death.
-func (p *Pool) roundTrip(ctx context.Context, w *worker, job Job, target string) (*JobResult, int64, error) {
+// send writes the worker's next job frame, carrying the job's remaining
+// deadline. The frame id is the worker's request count.
+func (w *worker) send(ctx context.Context, job Job, target string) error {
 	w.reqs++
-	w.nextID++
-	req := request{ID: w.nextID, Job: &job}
+	req := request{ID: uint64(w.reqs), Job: &job}
 	if dl, ok := ctx.Deadline(); ok {
 		ms := int64(time.Until(dl) / time.Millisecond)
 		if ms < 1 {
@@ -364,16 +274,16 @@ func (p *Pool) roundTrip(ctx context.Context, w *worker, job Job, target string)
 		}
 		req.DeadlineMS = ms
 	}
+	if err := faultinject.Error(faultinject.WorkerSend, target); err != nil {
+		return err
+	}
+	return writeFrame(w.stdin, &req)
+}
 
-	sendErr := faultinject.Error(faultinject.WorkerSend, target)
-	if sendErr == nil {
-		sendErr = writeFrame(w.stdin, &req)
-	}
-	if sendErr != nil {
-		p.destroy(w)
-		p.noteDeath()
-		return nil, 0, p.workerErr(job, fmt.Errorf("worker send: %w", sendErr))
-	}
+// await reads the response to the worker's last frame. On success the
+// worker survives for check-in; on any failure it is destroyed and the
+// error explains the death.
+func (p *Pool) await(ctx context.Context, w *worker, job Job, target string) (*JobResult, int64, error) {
 	if faultinject.Fires(faultinject.WorkerKill, target) {
 		// The chaos seam: SIGKILL mid-request, after the frame landed.
 		// The read below observes the same EOF a real crash produces.
@@ -401,7 +311,7 @@ func (p *Pool) roundTrip(ctx context.Context, w *worker, job Job, target string)
 			// pipeline, so the in-band error matches the in-process
 			// path; the SIGKILL is only the backstop for a worker too
 			// wedged to answer.
-			t := time.NewTimer(p.cfg.KillGrace)
+			t := time.NewTimer(killGrace)
 			select {
 			case rr = <-ch:
 				t.Stop()
@@ -410,9 +320,8 @@ func (p *Pool) roundTrip(ctx context.Context, w *worker, job Job, target string)
 				w.kill()
 				<-ch // the killed pipe unblocks the reader
 				p.destroy(w)
-				p.noteDeath()
 				return nil, 0, p.workerErr(job,
-					fmt.Errorf("worker killed: unresponsive %v past its deadline", p.cfg.KillGrace))
+					fmt.Errorf("worker killed: unresponsive %v past its deadline", killGrace))
 			}
 		} else {
 			// Pure cancellation (client gone, drain abort): no grace,
@@ -422,7 +331,6 @@ func (p *Pool) roundTrip(ctx context.Context, w *worker, job Job, target string)
 			w.kill()
 			<-ch
 			p.destroy(w)
-			p.noteDeath()
 			return nil, 0, p.workerErr(job, fmt.Errorf("worker killed: %w", ctx.Err()))
 		}
 	}
@@ -435,23 +343,24 @@ func (p *Pool) roundTrip(ctx context.Context, w *worker, job Job, target string)
 		if p.destroy(w) {
 			cause = fmt.Errorf("worker exceeded its %d-byte memory ceiling: %w", p.cfg.MemLimit, rr.err)
 		}
-		p.noteDeath()
 		return nil, 0, p.workerErr(job, cause)
 	}
-	if rr.resp.ID != req.ID || rr.resp.Result == nil {
+	if id := uint64(w.reqs); rr.resp.ID != id || rr.resp.Result == nil {
 		p.destroy(w)
-		p.noteDeath()
 		return nil, 0, p.workerErr(job,
-			fmt.Errorf("torn worker response: frame id %d, want %d", rr.resp.ID, req.ID))
+			fmt.Errorf("torn worker response: frame id %d, want %d", rr.resp.ID, id))
 	}
 	return rr.resp.Result, rr.resp.RSS, nil
 }
 
 // checkin returns a healthy worker to the idle list, or retires it when
-// a recycle policy says it has served enough.
+// a recycle policy says it has served enough: MaxRequests, or an RSS at
+// 80% of the memory ceiling, a hedge against slow leaks that never trip
+// the watchdog.
 func (p *Pool) checkin(w *worker, rss int64) {
+	mem := p.cfg.MemLimit
 	if (p.cfg.MaxRequests > 0 && w.reqs >= p.cfg.MaxRequests) ||
-		(p.cfg.HighWater > 0 && rss >= p.cfg.HighWater) {
+		(mem > 0 && rss >= mem-mem/5) {
 		p.recycles.Add(1)
 		go retireWait(w)
 		return
@@ -477,7 +386,7 @@ func retireWait(w *worker) {
 		w.waitExit()
 		close(done)
 	}()
-	t := time.NewTimer(2 * time.Second)
+	t := time.NewTimer(killGrace)
 	defer t.Stop()
 	select {
 	case <-done:
@@ -487,88 +396,9 @@ func retireWait(w *worker) {
 	}
 }
 
-// startPinger lazily starts the idle-worker health loop on first spawn.
-func (p *Pool) startPinger() {
-	if p.cfg.PingInterval <= 0 {
-		return
-	}
-	p.pingOnce.Do(func() {
-		go func() {
-			t := time.NewTicker(p.cfg.PingInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-p.closeCh:
-					return
-				case <-t.C:
-					p.pingIdle()
-				}
-			}
-		}()
-	})
-}
-
-// pingIdle health-checks every currently idle worker, killing the ones
-// that fail to pong in time.
-func (p *Pool) pingIdle() {
-	p.mu.Lock()
-	ws := p.idle
-	p.idle = nil
-	p.mu.Unlock()
-	for _, w := range ws {
-		if !p.ping(w) {
-			p.pingFailures.Add(1)
-			p.kills.Add(1)
-			p.destroy(w)
-			p.noteDeath()
-			continue
-		}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			p.recycles.Add(1)
-			go retireWait(w)
-			continue
-		}
-		p.idle = append(p.idle, w)
-		p.mu.Unlock()
-	}
-}
-
-// ping round-trips one health frame under PingTimeout. On timeout the
-// worker is killed first so the abandoned read unblocks before the
-// caller reaps it.
-func (p *Pool) ping(w *worker) bool {
-	w.nextID++
-	req := request{ID: w.nextID, Ping: true}
-	if err := writeFrame(w.stdin, &req); err != nil {
-		return false
-	}
-	type readResult struct {
-		resp response
-		err  error
-	}
-	ch := make(chan readResult, 1)
-	go func() {
-		var resp response
-		err := readFrame(w.br, &resp)
-		ch <- readResult{resp, err}
-	}()
-	t := time.NewTimer(p.cfg.PingTimeout)
-	defer t.Stop()
-	select {
-	case rr := <-ch:
-		return rr.err == nil && rr.resp.ID == req.ID && rr.resp.Pong
-	case <-t.C:
-		w.kill()
-		<-ch
-		return false
-	}
-}
-
-// Close retires every idle worker and stops the pinger. Safe to call
-// once in-flight requests have drained (the daemon drains before
-// closing); a straggling check-in after Close retires its worker too.
+// Close retires every idle worker. Safe to call once in-flight requests
+// have drained (the daemon drains before closing); a straggling check-in
+// after Close retires its worker too.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -579,7 +409,6 @@ func (p *Pool) Close() {
 	idle := p.idle
 	p.idle = nil
 	p.mu.Unlock()
-	close(p.closeCh)
 	var wg sync.WaitGroup
 	for _, w := range idle {
 		p.recycles.Add(1)

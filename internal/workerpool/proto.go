@@ -14,11 +14,14 @@
 //     over stdin/stdout under a GOMEMLIMIT and an RSS self-watchdog.
 //   - Pool is the supervisor: it spawns workers on demand, round-trips
 //     jobs over length-prefixed JSON frames, enforces wall-clock kill
-//     deadlines, health-pings idle workers, recycles them after N
-//     requests or a memory high-water mark, and respawns crash-looping
-//     workers under capped exponential backoff. Every worker death
-//     surfaces as a core.StageError at the worker stage, which the
-//     daemon answers as an ordinary 500.
+//     deadlines, recycles workers after N requests or a memory
+//     high-water mark, and replaces an idle worker found dead when a
+//     job is sent to it. Every worker death surfaces as a
+//     core.StageError at the worker stage, which the daemon answers as
+//     an ordinary 500. The pipeline is deterministic, so a job that
+//     kills its worker kills any replacement the same way: the pool
+//     keeps no failure state across requests and never waits before a
+//     spawn.
 package workerpool
 
 import (
@@ -72,14 +75,13 @@ type JobResult struct {
 	Benchmark   string `json:"benchmark,omitempty"`
 }
 
-// request is one supervisor→worker frame: a job or a health ping.
-// DeadlineMS, when positive, is the job's remaining wall-clock budget;
-// the worker aborts its own pipeline at the deadline so the error it
-// reports matches the in-process path byte for byte, with the
-// supervisor's SIGKILL only as a backstop for a hung worker.
+// request is one supervisor→worker frame carrying a job. DeadlineMS,
+// when positive, is the job's remaining wall-clock budget; the worker
+// aborts its own pipeline at the deadline so the error it reports
+// matches the in-process path byte for byte, with the supervisor's
+// SIGKILL only as a backstop for a hung worker.
 type request struct {
 	ID         uint64 `json:"id"`
-	Ping       bool   `json:"ping,omitempty"`
 	Job        *Job   `json:"job,omitempty"`
 	DeadlineMS int64  `json:"deadlineMs,omitempty"`
 }
@@ -89,7 +91,6 @@ type request struct {
 // policy.
 type response struct {
 	ID     uint64     `json:"id"`
-	Pong   bool       `json:"pong,omitempty"`
 	Result *JobResult `json:"result,omitempty"`
 	RSS    int64      `json:"rss,omitempty"`
 }

@@ -31,7 +31,7 @@ const OOMExitCode = 7
 // /proc/self/statm.
 const watchdogInterval = 50 * time.Millisecond
 
-// ServeWorker runs the worker protocol: read a frame, execute or pong,
+// ServeWorker runs the worker protocol: read a frame, execute its job,
 // answer, repeat until stdin closes (the supervisor's graceful retire).
 // memLimit > 0 installs a Go soft memory limit at the ceiling and an
 // RSS watchdog that exits with OOMExitCode when the process outgrows
@@ -53,15 +53,12 @@ func ServeWorker(r io.Reader, w io.Writer, memLimit int64) error {
 			return err
 		}
 		resp := response{ID: req.ID}
-		switch {
-		case req.Ping:
-			resp.Pong = true
-		case req.Job != nil:
+		if req.Job != nil {
 			resp.Result = executeRecover(&req)
-		default:
+		} else {
 			resp.Result = &JobResult{
 				Status: http.StatusBadRequest,
-				Err:    "malformed worker frame: neither ping nor job",
+				Err:    "malformed worker frame: no job",
 			}
 		}
 		resp.RSS = CurrentRSS()

@@ -109,7 +109,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestReadFrameRejectsTornAndGarbage(t *testing.T) {
 	var buf bytes.Buffer
-	writeFrame(&buf, &request{ID: 1, Ping: true})
+	writeFrame(&buf, &request{ID: 1, Job: &Job{Kind: JobRun, Source: addSource}})
 	full := buf.Bytes()
 
 	var out request
@@ -206,33 +206,22 @@ func workerPipes(t *testing.T) (io.WriteCloser, io.Reader, chan error) {
 	return inW, outR, done
 }
 
-func TestServeWorkerPingAndJob(t *testing.T) {
+func TestServeWorkerJob(t *testing.T) {
 	in, out, done := workerPipes(t)
 
-	if err := writeFrame(in, &request{ID: 1, Ping: true}); err != nil {
-		t.Fatal(err)
-	}
-	var pong response
-	if err := readFrame(out, &pong); err != nil {
-		t.Fatal(err)
-	}
-	if pong.ID != 1 || !pong.Pong {
-		t.Fatalf("pong = %+v", pong)
-	}
-	if pong.RSS <= 0 {
-		t.Errorf("RSS not reported: %d", pong.RSS)
-	}
-
 	job := Job{Kind: JobRun, Source: addSource}
-	if err := writeFrame(in, &request{ID: 2, Job: &job}); err != nil {
+	if err := writeFrame(in, &request{ID: 1, Job: &job}); err != nil {
 		t.Fatal(err)
 	}
 	var resp response
 	if err := readFrame(out, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.ID != 2 || resp.Result == nil || resp.Result.Status != http.StatusOK {
+	if resp.ID != 1 || resp.Result == nil || resp.Result.Status != http.StatusOK {
 		t.Fatalf("resp = %+v", resp)
+	}
+	if resp.RSS <= 0 {
+		t.Errorf("RSS not reported: %d", resp.RSS)
 	}
 	var rr RunResponse
 	if err := json.Unmarshal(resp.Result.Body, &rr); err != nil {
@@ -248,8 +237,8 @@ func TestServeWorkerPingAndJob(t *testing.T) {
 		t.Error("worker-side and in-process bodies differ")
 	}
 
-	// A malformed frame (neither ping nor job) answers 400 in-band.
-	if err := writeFrame(in, &request{ID: 3}); err != nil {
+	// A malformed frame (no job) answers 400 in-band.
+	if err := writeFrame(in, &request{ID: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := readFrame(out, &resp); err != nil {
@@ -336,64 +325,71 @@ func TestPoolRecyclesAfterMaxRequests(t *testing.T) {
 }
 
 func TestPoolSeamsSurfaceWorkerStageErrors(t *testing.T) {
+	addJob := Job{Kind: JobRun, Source: addSource}
 	cases := []struct {
+		name  string
 		point faultinject.Point
-		want  string
+		fires int
+		// job is the faulted request. The kill case sends spinSource,
+		// which cannot answer before the SIGKILL lands.
+		job Job
+		// want is the error substring; "" means the pool absorbs the
+		// fault and the job succeeds.
+		want                            string
+		deaths, spawns, failures, kills int64
 	}{
-		{faultinject.WorkerSend, "worker send"},
-		{faultinject.WorkerRecv, "worker died mid-request"},
-		{faultinject.WorkerKill, "worker died mid-request"},
+		// A failed send on a reused worker never reached it: one fresh
+		// worker takes the job. A second failure in a row is an error.
+		{"worker:send", faultinject.WorkerSend, 1, addJob, "", 1, 2, 0, 0},
+		{"worker:send_twice", faultinject.WorkerSend, 2, addJob, "worker send", 2, 2, 1, 0},
+		{"worker:recv", faultinject.WorkerRecv, 1, addJob, "worker died mid-request", 1, 1, 1, 0},
+		{"worker:kill", faultinject.WorkerKill, 1, Job{Kind: JobRun, Source: spinSource},
+			"worker died mid-request", 1, 1, 1, 1},
 	}
 	for _, c := range cases {
-		t.Run(c.point.String(), func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			p := testPool(t, Config{Workers: 1})
-			job := Job{Kind: JobRun, Source: addSource}
-			runJob(t, p, job) // a healthy request first: the fault hits a live worker
+			runJob(t, p, addJob) // a healthy request first: the fault hits a reused worker
 
 			plan := faultinject.NewPlan(1)
-			plan.ArmN(c.point, "adhoc", 1)
+			plan.ArmN(c.point, "adhoc", c.fires)
 			faultinject.Install(plan)
 			defer faultinject.Clear()
 
-			_, err := p.Do(context.Background(), job)
-			if err == nil {
+			// The deadline only guards against a hang: the seams fire
+			// long before it.
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			res, err := p.Do(ctx, c.job)
+			switch {
+			case c.want == "":
+				if err != nil || res.Status != http.StatusOK {
+					t.Fatalf("Do = %+v, %v; want the fault absorbed", res, err)
+				}
+			case err == nil:
 				t.Fatal("armed seam produced no error")
-			}
-			if !errors.Is(err, &core.StageError{Stage: core.StageWorker}) {
+			case !errors.Is(err, &core.StageError{Stage: core.StageWorker}):
 				t.Fatalf("err = %v, want worker-stage StageError", err)
-			}
-			if !strings.Contains(err.Error(), c.want) {
+			case !strings.Contains(err.Error(), c.want):
 				t.Errorf("err = %q, want substring %q", err, c.want)
 			}
-
-			// The pool healed: the next request spawns a fresh worker and
-			// succeeds.
-			if res := runJob(t, p, job); res.Status != http.StatusOK {
-				t.Fatalf("post-fault request = %+v", res)
-			}
 			st := p.Stats()
-			if st.Deaths != 1 || st.Failures != 1 || st.Spawns != 2 {
-				t.Errorf("stats = %+v, want exactly one death/failure and a respawn", st)
+			if st.Deaths != c.deaths || st.Spawns != c.spawns || st.Failures != c.failures ||
+				st.Kills != c.kills || st.Requests != 2 {
+				t.Errorf("stats = %+v, want deaths %d, spawns %d, failures %d, kills %d, requests 2",
+					st, c.deaths, c.spawns, c.failures, c.kills)
 			}
-			if c.point == faultinject.WorkerKill && st.Kills != 1 {
-				t.Errorf("stats = %+v, want the kill counted", st)
+
+			// The pool healed: the next request succeeds.
+			if res := runJob(t, p, addJob); res.Status != http.StatusOK {
+				t.Fatalf("post-fault request = %+v", res)
 			}
 		})
 	}
 }
 
-func TestPoolSpawnFailureBacksOff(t *testing.T) {
-	var slept []time.Duration
-	cfg := Config{
-		Workers:     1,
-		BackoffBase: 10 * time.Millisecond,
-		BackoffCap:  40 * time.Millisecond,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			slept = append(slept, d)
-			return nil
-		},
-	}
-	p := testPool(t, cfg)
+func TestPoolSpawnFailure(t *testing.T) {
+	p := testPool(t, Config{Workers: 1})
 	plan := faultinject.NewPlan(1)
 	plan.ArmN(faultinject.WorkerSpawn, "*", 4)
 	faultinject.Install(plan)
@@ -401,37 +397,45 @@ func TestPoolSpawnFailureBacksOff(t *testing.T) {
 
 	job := Job{Kind: JobRun, Source: addSource}
 	for i := 0; i < 4; i++ {
-		if _, err := p.Do(context.Background(), job); err == nil {
-			t.Fatalf("spawn %d: armed seam produced no error", i)
+		_, err := p.Do(context.Background(), job)
+		if !errors.Is(err, &core.StageError{Stage: core.StageWorker}) {
+			t.Fatalf("spawn %d: err = %v, want worker-stage StageError", i, err)
 		}
 	}
-	// Seam exhausted: the next spawn works, after one more (capped)
-	// backoff, and success resets the crash-loop counter.
+	// Seam exhausted: the next spawn works, at once.
 	if res := runJob(t, p, job); res.Status != http.StatusOK {
 		t.Fatalf("post-fault request = %+v", res)
 	}
-	want := []time.Duration{
-		10 * time.Millisecond, // after 1 death
-		20 * time.Millisecond, // after 2
-		40 * time.Millisecond, // after 3
-		40 * time.Millisecond, // capped after 4
-	}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %v, want %v", slept, want)
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("slept %v, want %v", slept, want)
-		}
-	}
 	st := p.Stats()
-	if st.SpawnFailures != 4 || st.Backoffs != 4 || st.Spawns != 1 {
+	if st.SpawnFailures != 4 || st.Spawns != 1 || st.Failures != 4 {
 		t.Errorf("stats = %+v", st)
 	}
-	// Healthy again: another request must not back off.
-	runJob(t, p, job)
-	if len(slept) != len(want) {
-		t.Errorf("healthy pool slept again: %v", slept)
+}
+
+// TestPoolDeathsDoNotDelayOthers: worker deaths leave no state behind
+// that slows the next spawn — one job that kills its worker kills every
+// replacement the same way, so waiting would only tax other clients.
+func TestPoolDeathsDoNotDelayOthers(t *testing.T) {
+	p := testPool(t, Config{Workers: 1})
+	plan := faultinject.NewPlan(1)
+	plan.Arm(faultinject.WorkerKill, "022.li")
+	faultinject.Install(plan)
+	defer faultinject.Clear()
+
+	for i := 0; i < 8; i++ {
+		if _, err := p.Do(context.Background(), Job{Kind: JobAnalyze, Benchmark: "022.li"}); err == nil {
+			t.Fatalf("fill %d: armed kill produced no error", i)
+		}
+	}
+	start := time.Now()
+	if res := runJob(t, p, Job{Kind: JobRun, Source: addSource}); res.Status != http.StatusOK {
+		t.Fatalf("source job after the deaths = %+v", res)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("source job after 8 deaths took %v, want under 1s", elapsed)
+	}
+	if st := p.Stats(); st.Deaths != 8 || st.Kills != 8 || st.Spawns != 9 {
+		t.Errorf("stats = %+v, want 8 killed workers and 9 spawns", st)
 	}
 }
 
@@ -477,11 +481,7 @@ func TestPoolDeadlineErrorMatchesInProcess(t *testing.T) {
 func TestPoolKillsWedgedWorkerPastGrace(t *testing.T) {
 	// /bin/sleep accepts the request frame on stdin and never answers:
 	// the deadline passes, the grace passes, the backstop SIGKILLs.
-	p := New(Config{
-		Workers:   1,
-		KillGrace: 100 * time.Millisecond,
-		Command:   []string{"/bin/sleep", "3600"},
-	})
+	p := New(Config{Workers: 1, Command: []string{"/bin/sleep", "3600"}})
 	t.Cleanup(p.Close)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
@@ -521,58 +521,30 @@ func TestPoolCancellationKillsPromptly(t *testing.T) {
 	}
 }
 
-func TestPoolPing(t *testing.T) {
-	p := testPool(t, Config{Workers: 1, PingInterval: -1})
-	w, err := p.spawn(context.Background(), Job{}, "adhoc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.ping(w) {
-		t.Error("healthy worker failed its ping")
-	}
-	// The pinged worker still works.
-	p.mu.Lock()
-	p.idle = append(p.idle, w)
-	p.mu.Unlock()
-	if res := runJob(t, p, Job{Kind: JobRun, Source: addSource}); res.Status != http.StatusOK {
-		t.Fatalf("post-ping request = %+v", res)
-	}
-
-	// A mute worker fails the ping and is killed by the caller's path.
-	mute := New(Config{Workers: 1, PingTimeout: 100 * time.Millisecond, PingInterval: -1,
-		Command: []string{"/bin/sleep", "3600"}})
-	t.Cleanup(mute.Close)
-	mw, err := mute.spawn(context.Background(), Job{}, "adhoc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mute.ping(mw) {
-		t.Error("mute worker passed its ping")
-	}
-	mute.destroy(mw)
-}
-
-func TestPoolPingLoopCullsDeadIdleWorkers(t *testing.T) {
-	p := testPool(t, Config{Workers: 1, PingInterval: 30 * time.Millisecond, PingTimeout: 200 * time.Millisecond})
-	runJob(t, p, Job{Kind: JobRun, Source: addSource})
-	// Murder the idle worker behind the pool's back; the ping loop must
-	// notice and cull it.
+// TestPoolReplacesDeadIdleWorker: a worker that dies while idle is found
+// by the next send to it, and that job runs on a fresh worker instead.
+func TestPoolReplacesDeadIdleWorker(t *testing.T) {
+	p := testPool(t, Config{Workers: 1})
+	job := Job{Kind: JobRun, Source: addSource}
+	runJob(t, p, job)
+	// Murder the idle worker behind the pool's back and reap it.
 	p.mu.Lock()
 	if len(p.idle) != 1 {
 		p.mu.Unlock()
 		t.Fatalf("idle = %d, want 1", len(p.idle))
 	}
-	p.idle[0].kill()
+	w := p.idle[0]
 	p.mu.Unlock()
+	w.kill()
+	w.waitExit()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if st := p.Stats(); st.PingFailures >= 1 && st.Idle == 0 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	if res := runJob(t, p, job); res.Status != http.StatusOK {
+		t.Fatalf("request after the idle death = %+v", res)
 	}
-	t.Fatalf("ping loop never culled the corpse: %+v", p.Stats())
+	st := p.Stats()
+	if st.Deaths != 1 || st.Spawns != 2 || st.Failures != 0 || st.Requests != 2 || st.Idle != 1 {
+		t.Errorf("stats = %+v, want the corpse replaced by one fresh worker", st)
+	}
 }
 
 func TestPoolCloseRetiresIdle(t *testing.T) {

@@ -53,6 +53,9 @@ echo "== worker chaos (race)"
 # contract (warm replay, never-persist-poison) holds across the process
 # boundary.
 go test -race -run 'TestWorkerChaosStorm|TestIsolateWorkerOOM|TestIsolateWarmRestartAndPoison' ./internal/server
+# The pool's own supervision tests, on their own: inside the whole-tree
+# -race stage above they share a loaded host and can time out with it.
+go test -race -run 'TestPool|TestServeWorker' ./internal/workerpool
 
 echo "== crash recovery matrix (race)"
 # The durability gate: the WAL must survive truncation at every byte
