@@ -311,8 +311,9 @@ func BenchmarkVMInstsPerSec(b *testing.B) {
 }
 
 // BenchmarkCacheAccess measures the cache model's raw access rate on a
-// mixed hot/cold address stream, for the set-associative path and the
-// direct-mapped fast path.
+// mixed hot/cold address stream: one set-associative and one
+// direct-mapped cache through Access, and the six standard geometries
+// through one cache.Group, where an access counts once per geometry.
 func BenchmarkCacheAccess(b *testing.B) {
 	addrs := make([]uint32, 1<<16)
 	rng := rand.New(rand.NewSource(1))
@@ -336,6 +337,21 @@ func BenchmarkCacheAccess(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "accesses/sec")
 		})
 	}
+	b.Run("group/StdGeoms", func(b *testing.B) {
+		caches := make([]*cache.Cache, len(tables.StdGeoms))
+		for k, g := range tables.StdGeoms {
+			caches[k] = mustCache(g)
+		}
+		group, err := cache.NewGroup(caches)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			group.Access(addrs[i&(len(addrs)-1)], i&7 == 7)
+		}
+		b.ReportMetric(float64(b.N*len(caches))/b.Elapsed().Seconds(), "accesses/sec")
+	})
 }
 
 // BenchmarkTableAllParallel regenerates every table from cold caches

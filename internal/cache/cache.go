@@ -34,9 +34,14 @@ type Config struct {
 	Repl Policy
 }
 
-// String renders the geometry, e.g. "8KB/4-way/32B".
+// String renders the geometry, e.g. "8KB/4-way/32B", or "128B/1-way/32B"
+// for a size that is not a whole number of kilobytes.
 func (c Config) String() string {
-	s := fmt.Sprintf("%dKB/%d-way/%dB", c.SizeBytes/1024, c.Assoc, c.BlockBytes)
+	size := fmt.Sprintf("%dKB", c.SizeBytes/1024)
+	if c.SizeBytes%1024 != 0 {
+		size = fmt.Sprintf("%dB", c.SizeBytes)
+	}
+	s := fmt.Sprintf("%s/%d-way/%dB", size, c.Assoc, c.BlockBytes)
 	if c.Repl != LRU {
 		s += "/" + c.Repl.String()
 	}
@@ -47,7 +52,8 @@ func (c Config) String() string {
 func (c Config) Sets() int { return c.SizeBytes / (c.Assoc * c.BlockBytes) }
 
 // Validate checks that the geometry is realisable: positive power-of-two
-// block size and set count, and capacity divisible by assoc×block.
+// block size and set count, capacity divisible by assoc×block, and more
+// than one byte per way, so that a tag is narrower than an address.
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.Assoc <= 0 || c.BlockBytes <= 0 {
 		return fmt.Errorf("cache: non-positive geometry %+v", c)
@@ -62,6 +68,9 @@ func (c Config) Validate() error {
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
+	if sets*c.BlockBytes == 1 {
+		return fmt.Errorf("cache: one set of 1-byte blocks makes every address bit a tag bit")
+	}
 	return nil
 }
 
@@ -74,30 +83,29 @@ var (
 	Baseline = Config{SizeBytes: 8 * 1024, Assoc: 4, BlockBytes: 32}
 )
 
-// way is one cache line. tag1 holds the line's tag plus one, with zero
-// meaning invalid: folding the valid bit into the tag word makes the
-// hit scan a single compare per way. The +1 cannot overflow — a tag
-// occupies 32-tagShift bits, so tag+1 always fits in uint32.
-type way struct {
-	tag1  uint32
-	stamp uint64
-}
-
 // Cache is one simulated data cache. The ways of all sets live in one
-// contiguous slice (set s occupies ways[s*assoc : (s+1)*assoc]) so an
+// contiguous slice (set s occupies tags[s*assoc : (s+1)*assoc]) so an
 // access costs a single bounds-checked slice into flat memory rather
-// than a pointer chase through a per-set slice header — this is the
+// than a pointer chase through a per-set slice header: this is the
 // hottest data structure in the whole experiment pipeline.
+//
+// Each set is kept in recency order, most recent first (in fill order,
+// newest first, under FIFO), so the set is its own LRU stack and no
+// per-way stamps are needed: the victim is always the last way. A way
+// holds its line's tag plus one, with zero meaning invalid, which folds
+// the valid bit into the tag compare. The +1 cannot overflow because
+// Validate leaves at least one address bit to the set index or block
+// offset, so a tag never reaches 1<<32 - 1.
 type Cache struct {
 	cfg      Config
-	ways     []way
+	tags     []uint32
 	assoc    int
 	lru      bool
 	setShift uint
 	tagShift uint
 	setMask  uint32
-	// clock ticks once per access, so it doubles as the access counter.
-	clock     uint64
+
+	accesses  uint64
 	misses    uint64
 	loadMiss  uint64
 	storeMiss uint64
@@ -110,14 +118,12 @@ func New(cfg Config) (*Cache, error) {
 	}
 	nsets := cfg.Sets()
 	c := &Cache{
-		cfg:     cfg,
-		ways:    make([]way, nsets*cfg.Assoc),
-		assoc:   cfg.Assoc,
-		lru:     cfg.Repl == LRU,
-		setMask: uint32(nsets - 1),
-	}
-	for b := cfg.BlockBytes; b > 1; b >>= 1 {
-		c.setShift++
+		cfg:      cfg,
+		tags:     make([]uint32, nsets*cfg.Assoc),
+		assoc:    cfg.Assoc,
+		lru:      cfg.Repl == LRU,
+		setShift: uint(log2(cfg.BlockBytes)),
+		setMask:  uint32(nsets - 1),
 	}
 	c.tagShift = c.setShift + uint(log2(nsets))
 	return c, nil
@@ -129,66 +135,109 @@ func (c *Cache) Config() Config { return c.cfg }
 // Access simulates one data access and reports whether it hit.
 // Write misses allocate (write-allocate policy).
 func (c *Cache) Access(addr uint32, isStore bool) bool {
-	c.clock++
-	tag1 := (addr >> c.tagShift) + 1
-	si := int((addr >> c.setShift) & c.setMask)
-	if c.assoc == 1 {
-		// Direct-mapped fast path: one candidate way, no victim scan.
-		w := &c.ways[si]
-		if w.tag1 == tag1 {
-			if c.lru {
-				w.stamp = c.clock
-			}
-			return true
-		}
-		c.countMiss(isStore)
-		*w = way{tag1: tag1, stamp: c.clock}
-		return false
-	}
-	base := si * c.assoc
-	set := c.ways[base : base+c.assoc]
-	// Hit path first: a pure tag scan, no victim bookkeeping. Hits are
-	// the overwhelming majority of accesses, so the replacement logic
-	// below only runs when a line must actually be filled.
-	for i := range set {
-		w := &set[i]
-		if w.tag1 == tag1 {
-			if c.lru {
-				w.stamp = c.clock
-			}
-			return true
-		}
-	}
-	// Miss: prefer the last invalid way, else the smallest stamp (LRU
-	// victim under LRU stamping, oldest fill under FIFO).
-	victim := 0
-	for i := range set {
-		if set[i].tag1 == 0 {
-			victim = i
-		} else if set[victim].tag1 != 0 && set[i].stamp < set[victim].stamp {
-			victim = i
-		}
-	}
-	c.countMiss(isStore)
-	set[victim] = way{tag1: tag1, stamp: c.clock}
-	return false
+	c.accesses++
+	base, tag1 := c.locate(addr)
+	return c.tags[base] == tag1 || c.lookup(base, tag1, isStore)
 }
 
-func (c *Cache) countMiss(isStore bool) {
+// locate returns the index of way 0 of addr's set and addr's tag word.
+func (c *Cache) locate(addr uint32) (base int, tag1 uint32) {
+	return int((addr>>c.setShift)&c.setMask) * c.assoc, addr>>c.tagShift + 1
+}
+
+// lookup finishes an access whose tag is not in way 0 of its set. A hit
+// on way k moves the line to way 0 under LRU (FIFO leaves the set
+// alone); a miss shifts the set down one way, dropping the last way (the
+// LRU line, the oldest fill, or an invalid way while the set fills), and
+// inserts the new line at way 0. It stays out of line so that callers
+// inline only the way-0 probe.
+//
+//go:noinline
+func (c *Cache) lookup(base int, tag1 uint32, isStore bool) bool {
+	set := c.tags[base : base+c.assoc]
+	for k := 1; k < len(set); k++ {
+		if set[k] == tag1 {
+			if c.lru {
+				copy(set[1:k+1], set[:k])
+				set[0] = tag1
+			}
+			return true
+		}
+	}
+	copy(set[1:], set)
+	set[0] = tag1
 	c.misses++
 	if isStore {
 		c.storeMiss++
 	} else {
 		c.loadMiss++
 	}
+	return false
 }
 
 // Reset invalidates every line and clears counters.
 func (c *Cache) Reset() {
-	for i := range c.ways {
-		c.ways[i] = way{}
+	clear(c.tags)
+	c.accesses, c.misses, c.loadMiss, c.storeMiss = 0, 0, 0, 0
+}
+
+// MaxGroup is the most caches one Group can feed: Access reports the
+// caches that missed as bits of a uint64.
+const MaxGroup = 64
+
+// Group feeds one access stream to several caches, in order, as if each
+// access were passed to every cache's Access. It is built once per
+// stream and assumes nothing else accesses or resets its caches while
+// the stream runs; the caches may start warm.
+//
+// An access in the same block as the access before it (blocks taken at
+// the group's smallest block size) only counts an access in each cache.
+// That is exact: the previous access left the line holding that block
+// resident in every cache, since every miss allocates, and since every
+// block size is a power of two each cache's line covers the smaller
+// block. Under LRU the line is already at way 0, where a hit changes
+// nothing, and under FIFO a hit never changes the set.
+type Group struct {
+	caches []*Cache
+	shift  uint   // log2 of the group's smallest block size
+	last   uint64 // addr>>shift of the previous access, or noBlock
+}
+
+// noBlock is Group.last before the first access: addr>>shift is below
+// 1<<32 for every address, so it matches none.
+const noBlock = 1 << 32
+
+// NewGroup builds a group over caches, which Access feeds in slice
+// order; the same cache may appear more than once.
+func NewGroup(caches []*Cache) (*Group, error) {
+	if len(caches) > MaxGroup {
+		return nil, fmt.Errorf("cache: group of %d caches exceeds %d", len(caches), MaxGroup)
 	}
-	c.clock, c.misses, c.loadMiss, c.storeMiss = 0, 0, 0, 0
+	g := &Group{caches: caches, shift: 31, last: noBlock}
+	for _, c := range caches {
+		g.shift = min(g.shift, c.setShift)
+	}
+	return g, nil
+}
+
+// Access feeds one access to every cache of the group and returns a
+// mask with bit i set when caches[i] missed.
+func (g *Group) Access(addr uint32, isStore bool) (missed uint64) {
+	if b := uint64(addr >> g.shift); b != g.last {
+		g.last = b
+		for i, c := range g.caches {
+			c.accesses++
+			base, tag1 := c.locate(addr)
+			if c.tags[base] != tag1 && !c.lookup(base, tag1, isStore) {
+				missed |= 1 << i
+			}
+		}
+		return missed
+	}
+	for _, c := range g.caches {
+		c.accesses++
+	}
+	return 0
 }
 
 // Stats summarises activity since the last Reset.
@@ -201,7 +250,7 @@ type Stats struct {
 
 // Stats returns the activity counters.
 func (c *Cache) Stats() Stats {
-	return Stats{Accesses: c.clock, Misses: c.misses, LoadMisses: c.loadMiss, StoreMisses: c.storeMiss}
+	return Stats{Accesses: c.accesses, Misses: c.misses, LoadMisses: c.loadMiss, StoreMisses: c.storeMiss}
 }
 
 // MissRate returns misses/accesses, or 0 for an idle cache.

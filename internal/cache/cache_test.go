@@ -33,6 +33,7 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 8192, Assoc: 3, BlockBytes: 32}, // 85.33 sets
 		{SizeBytes: -1, Assoc: 1, BlockBytes: 32},
 		{SizeBytes: 8192 + 32, Assoc: 1, BlockBytes: 32},
+		{SizeBytes: 4, Assoc: 4, BlockBytes: 1}, // tag+1 would overflow
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -51,6 +52,7 @@ func TestNewRejectsInvalidGeometry(t *testing.T) {
 		{SizeBytes: 8192, Assoc: 4, BlockBytes: 24},
 		{SizeBytes: 8192, Assoc: 3, BlockBytes: 32},
 		{SizeBytes: 8192 + 32, Assoc: 1, BlockBytes: 32},
+		{SizeBytes: 1, Assoc: 1, BlockBytes: 1},
 	}
 	for _, cfg := range bad {
 		c, err := New(cfg)
@@ -72,6 +74,24 @@ func TestConfigDerived(t *testing.T) {
 	}
 	if s := Baseline.String(); s != "8KB/4-way/32B" {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// TestConfigStringSubKB: a size that is not a whole number of kilobytes
+// prints in bytes, so no geometry is named "0KB".
+func TestConfigStringSubKB(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{SizeBytes: 128, Assoc: 1, BlockBytes: 32}, "128B/1-way/32B"},
+		{Config{SizeBytes: 1536, Assoc: 3, BlockBytes: 16}, "1536B/3-way/16B"},
+		{Config{SizeBytes: 64 * 1024, Assoc: 8, BlockBytes: 64, Repl: FIFO}, "64KB/8-way/64B/FIFO"},
+		{Config{SizeBytes: 1024, Assoc: 1, BlockBytes: 16}, "1KB/1-way/16B"},
+	} {
+		if got := tc.cfg.String(); got != tc.want {
+			t.Errorf("String(%+v) = %q, want %q", tc.cfg, got, tc.want)
+		}
 	}
 }
 
@@ -225,7 +245,7 @@ func TestFIFOReplacement(t *testing.T) {
 	if c.Access(a, false) {
 		t.Error("FIFO retained the oldest line")
 	}
-	if cfg.String() != "0KB/2-way/16B/FIFO" {
+	if cfg.String() != "32B/2-way/16B/FIFO" {
 		t.Errorf("String = %q", cfg.String())
 	}
 }
@@ -236,54 +256,10 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-// refCache is an obviously-correct model: one map per set from tag to
-// last-touch stamp (fill stamp under FIFO), evicting the smallest stamp
-// when full. Stamps are unique (the clock is strictly increasing), so
-// the victim is unambiguous and must match the flattened
-// implementation's choice exactly.
-type refCache struct {
-	cfg   Config
-	sets  []map[uint32]uint64
-	clock uint64
-}
-
-func newRef(cfg Config) *refCache {
-	r := &refCache{cfg: cfg, sets: make([]map[uint32]uint64, cfg.Sets())}
-	for i := range r.sets {
-		r.sets[i] = map[uint32]uint64{}
-	}
-	return r
-}
-
-func (r *refCache) access(addr uint32) bool {
-	r.clock++
-	block := addr / uint32(r.cfg.BlockBytes)
-	set := r.sets[block%uint32(r.cfg.Sets())]
-	tag := block / uint32(r.cfg.Sets())
-	if _, ok := set[tag]; ok {
-		if r.cfg.Repl == LRU {
-			set[tag] = r.clock
-		}
-		return true
-	}
-	if len(set) == r.cfg.Assoc {
-		var victim uint32
-		first := true
-		for tg, st := range set {
-			if first || st < set[victim] {
-				victim, first = tg, false
-			}
-		}
-		delete(set, victim)
-	}
-	set[tag] = r.clock
-	return false
-}
-
 // TestAgainstReferenceModel drives the production cache and the
 // reference model with the same pseudo-random access stream across
-// geometries (including direct-mapped, which takes the fast path) and
-// both policies, demanding an identical hit/miss sequence.
+// geometries (including direct-mapped) and both policies, demanding an
+// identical hit/miss sequence and identical counters.
 func TestAgainstReferenceModel(t *testing.T) {
 	geoms := []Config{
 		{SizeBytes: 1024, Assoc: 1, BlockBytes: 32},
@@ -296,8 +272,7 @@ func TestAgainstReferenceModel(t *testing.T) {
 	for _, cfg := range geoms {
 		rng := rand.New(rand.NewSource(7))
 		c := mustNew(cfg)
-		r := newRef(cfg)
-		var misses uint64
+		r := NewRef(cfg)
 		for i := 0; i < 20000; i++ {
 			// A mix of hot working set and cold sweeps.
 			var addr uint32
@@ -311,18 +286,15 @@ func TestAgainstReferenceModel(t *testing.T) {
 			}
 			store := rng.Intn(4) == 0
 			got := c.Access(addr, store)
-			want := r.access(addr)
+			want := r.Access(addr, store)
 			if got != want {
 				t.Fatalf("%v: access %d addr %#x: got hit=%v, reference %v",
 					cfg, i, addr, got, want)
 			}
-			if !want {
-				misses++
-			}
 		}
 		st := c.Stats()
-		if st.Misses != misses || st.Accesses != 20000 {
-			t.Errorf("%v: stats %+v, want misses=%d accesses=20000", cfg, st, misses)
+		if st != r.Stats() || st.Accesses != 20000 {
+			t.Errorf("%v: stats %+v, reference %+v", cfg, st, r.Stats())
 		}
 		if st.LoadMisses+st.StoreMisses != st.Misses {
 			t.Errorf("%v: load+store misses != misses: %+v", cfg, st)
@@ -330,8 +302,8 @@ func TestAgainstReferenceModel(t *testing.T) {
 	}
 }
 
-// TestDirectMappedFastPath pins the assoc=1 specialisation against the
-// general path semantics: conflict eviction and write-allocate.
+// TestDirectMappedFastPath pins direct-mapped semantics, where way 0 is
+// the whole set: conflict eviction and write-allocate.
 func TestDirectMappedFastPath(t *testing.T) {
 	c := mustNew(Config{SizeBytes: 1024, Assoc: 1, BlockBytes: 32})
 	sets := uint32(32)
@@ -353,6 +325,29 @@ func TestDirectMappedFastPath(t *testing.T) {
 	}
 	st := c.Stats()
 	if st.Accesses != 5 || st.Misses != 3 || st.StoreMisses != 1 {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestNewGroupLimit: a group reports misses as bits of a uint64, so it
+// takes at most MaxGroup caches, and one cache may appear repeatedly.
+func TestNewGroupLimit(t *testing.T) {
+	c := mustNew(Baseline)
+	caches := make([]*Cache, MaxGroup+1)
+	for i := range caches {
+		caches[i] = c
+	}
+	if _, err := NewGroup(caches); err == nil {
+		t.Errorf("NewGroup accepted %d caches", len(caches))
+	}
+	g, err := NewGroup(caches[:MaxGroup])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if missed := g.Access(0x1000, false); missed != 1 {
+		t.Errorf("missed = %#x, want only the first feed of the one cache", missed)
+	}
+	if st := c.Stats(); st.Accesses != MaxGroup || st.Misses != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 }

@@ -271,8 +271,9 @@ func TableS5() (*Table, error) {
 	return t, nil
 }
 
-// blockGeoms are the geometries of the block-size stability sweep.
-var blockGeoms = []cache.Config{
+// BlockGeoms are the geometries of the block-size stability sweep
+// (Table S3).
+var BlockGeoms = []cache.Config{
 	{SizeBytes: 8 * 1024, Assoc: 4, BlockBytes: 16},
 	{SizeBytes: 8 * 1024, Assoc: 4, BlockBytes: 32},
 	{SizeBytes: 8 * 1024, Assoc: 4, BlockBytes: 64},
@@ -295,9 +296,9 @@ func TableS3() (*Table, error) {
 		return nil, err
 	}
 	var pis []float64
-	rhos := make([][]float64, len(blockGeoms))
+	rhos := make([][]float64, len(BlockGeoms))
 	for _, b := range bench.Training() {
-		run, deg := Combo{Bench: b, Geoms: blockGeoms}.runQuarantined()
+		run, deg := Combo{Bench: b, Geoms: BlockGeoms}.runQuarantined()
 		if deg != nil {
 			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
 			continue
@@ -309,7 +310,7 @@ func TableS3() (*Table, error) {
 			}
 		}
 		row := []string{b.Name}
-		for k := range blockGeoms {
+		for k := range BlockGeoms {
 			ev := metrics.Evaluate(delta, run.LoadStats(k))
 			if k == 0 {
 				pis = append(pis, ev.Pi)
@@ -321,7 +322,7 @@ func TableS3() (*Table, error) {
 		t.Rows = append(t.Rows, row)
 	}
 	avgRow := []string{"AVERAGE", pct(avg(pis))}
-	for k := range blockGeoms {
+	for k := range BlockGeoms {
 		avgRow = append(avgRow, pct(avg(rhos[k])))
 	}
 	t.Rows = append(t.Rows, avgRow)

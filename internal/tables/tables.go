@@ -183,7 +183,7 @@ func AllCombos() []Combo {
 		out = append(out, Combo{Bench: b, Optimize: true, Geoms: StdGeoms})
 	}
 	for _, b := range bench.Training() {
-		out = append(out, Combo{Bench: b, Geoms: blockGeoms})
+		out = append(out, Combo{Bench: b, Geoms: BlockGeoms})
 	}
 	return out
 }

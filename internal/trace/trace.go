@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"delinq/internal/cache"
 	"delinq/internal/faultinject"
@@ -120,6 +121,10 @@ func Replay(r io.Reader, geoms ...cache.Config) ([]ReplayStats, error) {
 		caches[i] = c
 		stats[i].LoadMisses = map[uint32]int64{}
 	}
+	group, err := cache.NewGroup(caches)
+	if err != nil {
+		return nil, err
+	}
 	tr := NewReader(r)
 	var n int64
 	for {
@@ -131,9 +136,10 @@ func Replay(r io.Reader, geoms ...cache.Config) ([]ReplayStats, error) {
 			return nil, err
 		}
 		n++
-		for i, c := range caches {
-			if !c.Access(rec.Addr, rec.Store) && !rec.Store {
-				stats[i].LoadMisses[rec.PC]++
+		missed := group.Access(rec.Addr, rec.Store)
+		if !rec.Store {
+			for ; missed != 0; missed &= missed - 1 {
+				stats[bits.TrailingZeros64(missed)].LoadMisses[rec.PC]++
 			}
 		}
 	}

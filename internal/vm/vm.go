@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"delinq/internal/cache"
@@ -22,7 +23,15 @@ import (
 	_ "delinq/internal/isa/mips"
 )
 
-const pageSize = 1 << 12
+const (
+	pageSize = 1 << 12
+	// dirPages is the number of pages one page directory maps (4 MB);
+	// 1024 directories cover the 32-bit address space.
+	dirPages = 1 << 10
+)
+
+// page is one page of VM memory.
+type page [pageSize]byte
 
 // Options configures one execution.
 type Options struct {
@@ -38,7 +47,7 @@ type Options struct {
 	// default of DefaultMaxMem; negative means unlimited.
 	MaxMemBytes int64
 	// Caches are data-cache models fed by every load and store. Multiple
-	// geometries can be evaluated in a single run.
+	// geometries, up to cache.MaxGroup, can be evaluated in a single run.
 	Caches []*cache.Cache
 	// CaptureOutput keeps syscall output in Result.Output.
 	CaptureOutput bool
@@ -124,13 +133,16 @@ type machine struct {
 	// from them rather than from materialised condition flags.
 	cmpA, cmpB int32
 	pc         uint32
-	pages      map[uint32][]byte
+	// pages is a two-level page table: address bits 31-22 pick a
+	// directory and bits 21-12 a page in it. Directories and pages are
+	// allocated on first touch and never freed.
+	pages [1024]*[dirPages]*page
 	// One-entry page translation cache: the vast majority of data
 	// accesses land on the page of the previous access, so this skips
-	// the map lookup on the hot path. Pages are never unmapped, so the
-	// cached slice can never go stale.
+	// the table walk on the hot path. Pages are never unmapped, so the
+	// cached page can never go stale.
 	lastBase uint32
-	lastPage []byte
+	lastPage *page
 	// memBytes counts allocated page bytes against maxMem; the loop
 	// polls it every 8K instructions (with the context check), so a run
 	// can overshoot by at most the pages touched in one poll interval —
@@ -141,12 +153,9 @@ type machine struct {
 	out      strings.Builder
 	opts     Options
 	res      *Result
-	// Hot-path copies of Options fields, hoisted out of the step loop:
-	// caches is the attached cache list, miss0 is LoadMisses[0] when
-	// exactly one cache is attached (the single-cache fast path), and
-	// onAccess is the observation hook (nil when unused).
-	caches   []*cache.Cache
-	miss0    []int64
+	// caches feeds every data access to the attached caches; onAccess
+	// is the observation hook (nil when unused).
+	caches   *cache.Group
 	onAccess func(pc, addr uint32, store bool)
 	// ctx is non-nil only for cancellable contexts; the step loop then
 	// polls it every few thousand instructions.
@@ -168,11 +177,15 @@ func RunContext(ctx context.Context, img *obj.Image, opts Options) (*Result, err
 	if err := img.Validate(); err != nil {
 		return nil, fmt.Errorf("vm: %w", err)
 	}
+	caches, err := cache.NewGroup(opts.Caches)
+	if err != nil {
+		return nil, fmt.Errorf("vm: %w", err)
+	}
 	m := &machine{
-		img:   img,
-		pages: map[uint32][]byte{},
-		brk:   (img.DataEnd() + 7) &^ 7,
-		opts:  opts,
+		img:    img,
+		caches: caches,
+		brk:    (img.DataEnd() + 7) &^ 7,
+		opts:   opts,
 		res: &Result{
 			Exec:         make([]int64, len(img.Text)),
 			LoadAccesses: make([]int64, len(img.Text)),
@@ -193,17 +206,13 @@ func RunContext(ctx context.Context, img *obj.Image, opts Options) (*Result, err
 	for range opts.Caches {
 		m.res.LoadMisses = append(m.res.LoadMisses, make([]int64, len(img.Text)))
 	}
-	m.caches = opts.Caches
 	m.onAccess = opts.OnAccess
-	if len(opts.Caches) == 1 {
-		m.miss0 = m.res.LoadMisses[0]
-	}
 	m.maxMem = opts.MaxMemBytes
 	// Initialise static data a page at a time (DataBase is page-aligned),
 	// checking the memory budget as pages materialise so a giant data
 	// segment fails fast instead of after allocating it all.
 	for off := 0; off < len(img.Data); off += pageSize {
-		copy(m.pageFor(obj.DataBase+uint32(off)), img.Data[off:])
+		copy(m.pageFor(obj.DataBase + uint32(off))[:], img.Data[off:])
 		if m.maxMem > 0 && m.memBytes > m.maxMem {
 			return nil, &Error{
 				PC:  img.Entry,
@@ -235,37 +244,43 @@ func (m *machine) fault(format string, args ...any) error {
 	return &Error{PC: m.pc, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (m *machine) pageFor(addr uint32) []byte {
-	base := addr &^ (pageSize - 1)
-	if m.lastPage != nil && base == m.lastBase {
+func (m *machine) pageFor(addr uint32) *page {
+	if addr&^(pageSize-1) == m.lastBase && m.lastPage != nil {
 		return m.lastPage
 	}
-	p, ok := m.pages[base]
-	if !ok {
-		p = make([]byte, pageSize)
-		m.pages[base] = p
+	return m.walk(addr)
+}
+
+// walk translates addr through the page table, allocating its directory
+// and page on first touch, and refills the translation cache. It stays
+// out of line so that pageFor inlines.
+//
+//go:noinline
+func (m *machine) walk(addr uint32) *page {
+	dir := m.pages[addr>>22]
+	if dir == nil {
+		dir = new([dirPages]*page)
+		m.pages[addr>>22] = dir
+	}
+	pi := addr >> 12 & (dirPages - 1)
+	p := dir[pi]
+	if p == nil {
+		p = new(page)
+		dir[pi] = p
 		m.memBytes += pageSize
 	}
-	m.lastBase, m.lastPage = base, p
+	m.lastBase, m.lastPage = addr&^(pageSize-1), p
 	return p
 }
 
 func (m *machine) access(pc uint32, addr uint32, isStore bool) {
 	m.res.DataAccesses++
 	idx := int(pc-obj.TextBase) / 4
+	missed := m.caches.Access(addr, isStore)
 	if !isStore {
 		m.res.LoadAccesses[idx]++
-	}
-	if m.miss0 != nil {
-		// Single attached cache: no slice-of-slices indexing per access.
-		if !m.caches[0].Access(addr, isStore) && !isStore {
-			m.miss0[idx]++
-		}
-	} else {
-		for c, ch := range m.caches {
-			if !ch.Access(addr, isStore) && !isStore {
-				m.res.LoadMisses[c][idx]++
-			}
+		for ; missed != 0; missed &= missed - 1 {
+			m.res.LoadMisses[bits.TrailingZeros64(missed)][idx]++
 		}
 	}
 	if m.onAccess != nil {

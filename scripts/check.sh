@@ -131,5 +131,6 @@ go test -fuzz '^FuzzAsmRoundTrip$' -fuzztime 5s -run '^$' ./internal/disasm
 go test -fuzz '^FuzzArmLowerRoundTrip$' -fuzztime 5s -run '^$' ./internal/disasm
 go test -fuzz '^FuzzDecodeImage$' -fuzztime 5s -run '^$' ./internal/obj
 go test -fuzz '^FuzzLowerImageBytes$' -fuzztime 5s -run '^$' ./internal/core
+go test -fuzz '^FuzzCacheAgainstReference$' -fuzztime 5s -run '^$' ./internal/cache
 
 echo "OK"
