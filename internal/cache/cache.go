@@ -188,23 +188,43 @@ const MaxGroup = 64
 // Group feeds one access stream to several caches, in order, as if each
 // access were passed to every cache's Access. It is built once per
 // stream and assumes nothing else accesses or resets its caches while
-// the stream runs; the caches may start warm.
+// the stream runs; the caches may start warm. Call Flush when the
+// stream ends, before reading any cache's Stats.
 //
-// An access in the same block as the access before it (blocks taken at
-// the group's smallest block size) only counts an access in each cache.
-// That is exact: the previous access left the line holding that block
-// resident in every cache, since every miss allocates, and since every
-// block size is a power of two each cache's line covers the smaller
-// block. Under LRU the line is already at way 0, where a hit changes
-// nothing, and under FIFO a hit never changes the set.
+// The group skips an access that repeats the previous block of its
+// filter set. Blocks are taken at the group's smallest block size. The
+// filter set is address bits [lo, hi): lo is the largest log2(block) in
+// the group and hi the smallest log2(block)+log2(sets), capped at
+// lo+maxFilterBits. When lo >= hi there is one filter set, and the rule
+// is "repeats the previous access's block".
+//
+// A skip is exact. The filter bits are set-index bits of every cache,
+// so every access since the previous one to this filter set went to
+// another set in every cache, and the set holding this block is
+// untouched since then. That access left the line holding the block
+// resident in every cache, because every miss allocates, and since
+// every block size is a power of two each cache's line covers the
+// smaller block. Under LRU it left the line at way 0, where a hit
+// changes nothing, and under FIFO a hit never changes the set. So the
+// access hits everywhere and changes nothing but the access counts.
+//
+// A skip touches no cache: the group counts it, and Flush adds the
+// count to each cache's accesses.
 type Group struct {
-	caches []*Cache
-	shift  uint   // log2 of the group's smallest block size
-	last   uint64 // addr>>shift of the previous access, or noBlock
+	caches  []*Cache
+	shift   uint     // log2 of the group's smallest block size
+	lo      uint     // lowest filter-set bit
+	mask    uint32   // filter sets - 1
+	last    []uint64 // per filter set, addr>>shift of its previous access, or noBlock
+	skipped uint64
 }
 
-// noBlock is Group.last before the first access: addr>>shift is below
-// 1<<32 for every address, so it matches none.
+// maxFilterBits caps a group's filter at 4096 sets. Any subset of the
+// bits every cache indexes its sets by keeps the skip exact.
+const maxFilterBits = 12
+
+// noBlock marks a filter set with no previous access: addr>>shift is
+// below 1<<32 for every address, so it matches none.
 const noBlock = 1 << 32
 
 // NewGroup builds a group over caches, which Access feeds in slice
@@ -213,9 +233,21 @@ func NewGroup(caches []*Cache) (*Group, error) {
 	if len(caches) > MaxGroup {
 		return nil, fmt.Errorf("cache: group of %d caches exceeds %d", len(caches), MaxGroup)
 	}
-	g := &Group{caches: caches, shift: 31, last: noBlock}
+	g := &Group{caches: caches, shift: 31}
+	hi := uint(32)
 	for _, c := range caches {
 		g.shift = min(g.shift, c.setShift)
+		g.lo = max(g.lo, c.setShift)
+		hi = min(hi, c.tagShift)
+	}
+	hi = min(hi, g.lo+maxFilterBits)
+	if len(caches) == 0 || hi < g.lo {
+		hi = g.lo
+	}
+	g.mask = 1<<(hi-g.lo) - 1
+	g.last = make([]uint64, 1<<(hi-g.lo))
+	for i := range g.last {
+		g.last[i] = noBlock
 	}
 	return g, nil
 }
@@ -223,21 +255,29 @@ func NewGroup(caches []*Cache) (*Group, error) {
 // Access feeds one access to every cache of the group and returns a
 // mask with bit i set when caches[i] missed.
 func (g *Group) Access(addr uint32, isStore bool) (missed uint64) {
-	if b := uint64(addr >> g.shift); b != g.last {
-		g.last = b
-		for i, c := range g.caches {
-			c.accesses++
-			base, tag1 := c.locate(addr)
-			if c.tags[base] != tag1 && !c.lookup(base, tag1, isStore) {
-				missed |= 1 << i
-			}
-		}
-		return missed
+	b, last := uint64(addr>>g.shift), &g.last[addr>>g.lo&g.mask]
+	if *last == b {
+		g.skipped++
+		return 0
 	}
-	for _, c := range g.caches {
+	*last = b
+	for i, c := range g.caches {
 		c.accesses++
+		base, tag1 := c.locate(addr)
+		if c.tags[base] != tag1 && !c.lookup(base, tag1, isStore) {
+			missed |= 1 << i
+		}
 	}
-	return 0
+	return missed
+}
+
+// Flush adds the accesses the group skipped to each cache's access
+// count, once per time the cache appears in the group.
+func (g *Group) Flush() {
+	for _, c := range g.caches {
+		c.accesses += g.skipped
+	}
+	g.skipped = 0
 }
 
 // Stats summarises activity since the last Reset.

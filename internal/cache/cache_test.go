@@ -347,7 +347,99 @@ func TestNewGroupLimit(t *testing.T) {
 	if missed := g.Access(0x1000, false); missed != 1 {
 		t.Errorf("missed = %#x, want only the first feed of the one cache", missed)
 	}
+	g.Flush()
 	if st := c.Stats(); st.Accesses != MaxGroup || st.Misses != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestEmptyGroup: a group of no caches allocates one filter entry,
+// reports no misses, and has nothing to flush.
+func TestEmptyGroup(t *testing.T) {
+	var g *Group
+	if allocs := testing.AllocsPerRun(10, func() { g, _ = NewGroup(nil) }); allocs > 2 {
+		t.Errorf("NewGroup(nil) made %v allocations", allocs)
+	}
+	if len(g.last) != 1 {
+		t.Errorf("empty group has %d filter entries, want 1", len(g.last))
+	}
+	for _, addr := range []uint32{0, 0x1000, 0x1000, 0xffffffff} {
+		if missed := g.Access(addr, false); missed != 0 {
+			t.Errorf("Access(%#x) = %#x", addr, missed)
+		}
+	}
+	g.Flush()
+	if g.skipped != 0 {
+		t.Errorf("Flush left %d skips", g.skipped)
+	}
+}
+
+// TestGroupFilterSets pins the filter-set rule: address bits [lo, hi),
+// lo the widest block offset and hi the narrowest offset plus set
+// index, capped at lo+12, and a single set when no bit is common.
+func TestGroupFilterSets(t *testing.T) {
+	cases := []struct {
+		geoms []Config
+		lo    uint
+		sets  int
+	}{
+		{[]Config{Baseline}, 5, 64}, // a lone cache filters on its own sets
+		{[]Config{Baseline, {SizeBytes: 16 * 1024, Assoc: 4, BlockBytes: 64}}, 6, 32},
+		{[]Config{{SizeBytes: 1 << 24, Assoc: 1, BlockBytes: 16}}, 4, 4096},
+		// Index bits [6, 8) and [2, 5) share none.
+		{[]Config{{SizeBytes: 512, Assoc: 2, BlockBytes: 64}, {SizeBytes: 64, Assoc: 2, BlockBytes: 4}}, 6, 1},
+		{[]Config{{SizeBytes: 64, Assoc: 2, BlockBytes: 32}}, 5, 1}, // one set
+	}
+	for _, tc := range cases {
+		var caches []*Cache
+		for _, cfg := range tc.geoms {
+			caches = append(caches, mustNew(cfg))
+		}
+		g, err := NewGroup(caches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.lo != tc.lo || len(g.last) != tc.sets || int(g.mask)+1 != tc.sets {
+			t.Errorf("%v: filter bits from %d, %d sets (mask %#x), want from %d, %d sets",
+				tc.geoms, g.lo, len(g.last), g.mask, tc.lo, tc.sets)
+		}
+	}
+}
+
+// TestGroupSkipsPerFilterSet: an access that repeats the previous block
+// of its filter set is skipped even when another filter set was touched
+// in between, and the flushed Stats still match the reference model.
+func TestGroupSkipsPerFilterSet(t *testing.T) {
+	cfgs := []Config{Baseline, {SizeBytes: 16 * 1024, Assoc: 4, BlockBytes: 64}}
+	var caches []*Cache
+	var refs []*Ref
+	for _, cfg := range cfgs {
+		caches, refs = append(caches, mustNew(cfg)), append(refs, NewRef(cfg))
+	}
+	g, err := NewGroup(caches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Filter bits [6, 11): x and y differ in bit 6, and x+0x800 is in
+	// x's filter set but another block.
+	x, y := uint32(0x1000), uint32(0x1040)
+	stream := []uint32{x, y, x + 4, y + 8, x + 0x800, y + 12, x, x + 16, y}
+	wantSkipped := []uint64{0, 0, 1, 2, 2, 3, 3, 4, 5}
+	for n, addr := range stream {
+		missed := g.Access(addr, false)
+		for i, ref := range refs {
+			if hit := ref.Access(addr, false); hit != (missed>>i&1 == 0) {
+				t.Fatalf("%v: access %d to %#x: group hit=%v, reference %v", cfgs[i], n, addr, !hit, hit)
+			}
+		}
+		if g.skipped != wantSkipped[n] {
+			t.Fatalf("after access %d to %#x: %d skipped, want %d", n, addr, g.skipped, wantSkipped[n])
+		}
+	}
+	g.Flush()
+	for i, ref := range refs {
+		if got := caches[i].Stats(); got != ref.Stats() {
+			t.Errorf("%v: Stats %+v, reference %+v", cfgs[i], got, ref.Stats())
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"delinq/internal/bench"
 	"delinq/internal/cache"
 	"delinq/internal/core"
+	"delinq/internal/isa"
 	"delinq/internal/obj"
 	"delinq/internal/tables"
 	"delinq/internal/vm"
@@ -34,7 +35,8 @@ type access struct {
 // with all oracle geometries attached must attribute exactly the
 // per-load misses, and count exactly the statistics, that the
 // reference model computes from the recorded access stream one
-// geometry at a time.
+// geometry at a time. The stream also checks the VM's execution counts
+// (checkExec).
 func TestGroupMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	geoms := oracleGeoms()
@@ -72,10 +74,11 @@ func TestGroupMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Insts != bare.Insts || res.DataAccesses != int64(len(stream)) {
+				if res.Insts != bare.Insts || res.DataAccesses != int64(len(stream)) || !slices.Equal(res.Exec, bare.Exec) {
 					t.Fatalf("caches changed the run: insts %d vs %d, accesses %d vs %d",
 						res.Insts, bare.Insts, res.DataAccesses, len(stream))
 				}
+				checkExec(t, img, res, stream)
 				for i, g := range geoms {
 					ref := cache.NewRef(g)
 					misses := make([]int64, len(img.Text))
@@ -97,6 +100,37 @@ func TestGroupMatchesReference(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// checkExec checks the VM's execution counts, which it derives from
+// block entries, against counts taken independently: every load and
+// store word's E(i) against the accesses the recorded stream shows for
+// its pc, since each execution issues exactly one, and Insts against
+// the sum of E(i).
+func checkExec(t *testing.T, img *obj.Image, res *vm.Result, stream []access) {
+	t.Helper()
+	mach, err := isa.ByName(img.ISAName())
+	if err != nil {
+		t.Fatal(err)
+	}
+	perWord := make([]int64, len(img.Text))
+	for _, a := range stream {
+		perWord[(a.pc-obj.TextBase)/4]++
+	}
+	var sum int64
+	for i, w := range img.Text {
+		sum += res.Exec[i]
+		in, err := mach.Decode(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (in.IsLoad() || in.IsStore()) && res.Exec[i] != perWord[i] {
+			t.Errorf("pc %#x (%v): Exec %d, recorded accesses %d", obj.TextBase+uint32(4*i), in.Op.Name(), res.Exec[i], perWord[i])
+		}
+	}
+	if sum != res.Insts {
+		t.Errorf("Insts %d, sum of Exec %d", res.Insts, sum)
 	}
 }
 
@@ -167,6 +201,7 @@ func FuzzCacheAgainstReference(f *testing.F) {
 				}
 			}
 		}
+		group.Flush()
 		for i, ref := range refs {
 			if got := single[i].Stats(); got != ref.Stats() {
 				t.Errorf("%v: Access Stats %+v, reference %+v", cfgs[i], got, ref.Stats())

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 
 	"delinq/internal/cache"
@@ -91,12 +92,18 @@ func (tr *Reader) Next() (Record, error) {
 		}
 		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
 	}
+	if addr > math.MaxUint32 {
+		return Record{}, fmt.Errorf("trace: address %#x exceeds 32 bits", addr)
+	}
 	store := head&1 == 1
 	zz := head >> 1
 	delta := int64(zz>>1) ^ -int64(zz&1)
-	pc := uint32(int64(tr.lastPC) + delta)
-	tr.lastPC = pc
-	return Record{PC: pc, Addr: uint32(addr), Store: store}, nil
+	pc := int64(tr.lastPC) + delta
+	if pc < 0 || pc > math.MaxUint32 {
+		return Record{}, fmt.Errorf("trace: pc delta %d leaves the 32-bit range", delta)
+	}
+	tr.lastPC = uint32(pc)
+	return Record{PC: uint32(pc), Addr: uint32(addr), Store: store}, nil
 }
 
 // ReplayStats is the outcome of replaying a trace through one cache.
@@ -143,6 +150,7 @@ func Replay(r io.Reader, geoms ...cache.Config) ([]ReplayStats, error) {
 			}
 		}
 	}
+	group.Flush()
 	for i, c := range caches {
 		stats[i].Records = n
 		stats[i].Cache = c.Stats()

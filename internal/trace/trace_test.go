@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"testing"
@@ -166,9 +167,8 @@ func TestReplayMatchesLiveCache(t *testing.T) {
 	if st.Records != res.DataAccesses {
 		t.Errorf("replayed %d records", st.Records)
 	}
-	if st.Cache.LoadMisses != live.Stats().LoadMisses {
-		t.Errorf("replay load misses %d != live %d",
-			st.Cache.LoadMisses, live.Stats().LoadMisses)
+	if st.Cache != live.Stats() {
+		t.Errorf("replay Stats %+v != live %+v", st.Cache, live.Stats())
 	}
 	// Per-PC attribution must match exactly.
 	var totalReplay int64
@@ -258,6 +258,23 @@ func TestReaderArbitraryBytes(t *testing.T) {
 			}
 		}
 		_ = i
+	}
+	// Records the writer can never emit must fail to decode, not wrap
+	// into a valid-looking record. A record is a head varint (the pc
+	// delta zig-zagged, then shifted past the store bit) and an address
+	// varint.
+	record := func(head, addr uint64) []byte {
+		return binary.AppendUvarint(binary.AppendUvarint(nil, head), addr)
+	}
+	bad := map[string][]byte{
+		"address of 1<<32":  record(0, 1<<32),
+		"pc delta of 1<<40": record(1<<40<<2, 0),
+		"pc delta of -1":    record(1<<1, 0),
+	}
+	for name, b := range bad {
+		if rec, err := NewReader(bytes.NewReader(b)).Next(); err == nil || err == io.EOF {
+			t.Errorf("%s: decoded %+v, err %v; want a decode error", name, rec, err)
+		}
 	}
 }
 

@@ -62,10 +62,9 @@ type Result struct {
 	Insts  int64
 	Output string
 	// Exec[i] is how many times text word i executed: E(i) indexed by
-	// (pc-TextBase)/4.
+	// (pc-TextBase)/4. Each load or store issues one data access per
+	// execution.
 	Exec []int64
-	// LoadAccesses[i] counts data accesses issued by text word i.
-	LoadAccesses []int64
 	// LoadMisses[c][i] counts cache-c misses suffered by the load at
 	// text word i: M(i, C).
 	LoadMisses [][]int64
@@ -122,8 +121,13 @@ func (e *Error) Error() string { return fmt.Sprintf("vm: pc=%#x: %s", e.PC, e.Ms
 func (e *Error) Unwrap() error { return e.Err }
 
 type machine struct {
-	img    *obj.Image
-	code   []isa.Inst
+	img  *obj.Image
+	code []isa.Inst
+	// ends[i] is the text index of the last word of the block entered at
+	// word i: the first word at or after i that ends a basic block, or
+	// the last word of text, capped so that no block runs more than
+	// maxBlock instructions.
+	ends   []int32
 	reg    [32]int32
 	freg   [32]float32
 	hi, lo int32
@@ -132,7 +136,6 @@ type machine struct {
 	// conditional branches and set instructions derive their outcome
 	// from them rather than from materialised condition flags.
 	cmpA, cmpB int32
-	pc         uint32
 	// pages is a two-level page table: address bits 31-22 pick a
 	// directory and bits 21-12 a page in it. Directories and pages are
 	// allocated on first touch and never freed.
@@ -144,9 +147,9 @@ type machine struct {
 	lastBase uint32
 	lastPage *page
 	// memBytes counts allocated page bytes against maxMem; the loop
-	// polls it every 8K instructions (with the context check), so a run
-	// can overshoot by at most the pages touched in one poll interval —
-	// a few MB, never unbounded growth.
+	// polls it at least once per maxBlock instructions (with the context
+	// check), so a run can overshoot by at most the pages touched in one
+	// poll interval — a few MB, never unbounded growth.
 	memBytes int64
 	maxMem   int64
 	brk      uint32
@@ -157,16 +160,22 @@ type machine struct {
 	// is the observation hook (nil when unused).
 	caches   *cache.Group
 	onAccess func(pc, addr uint32, store bool)
-	// ctx is non-nil only for cancellable contexts; the step loop then
-	// polls it every few thousand instructions.
+	// ctx is non-nil only for cancellable contexts; the loop then polls
+	// it at least once per maxBlock instructions.
 	ctx context.Context
 }
 
+// maxBlock caps the instructions one block entry runs, so that the
+// memory-budget and context poll, made between blocks, still runs at
+// least once per maxBlock instructions.
+const maxBlock = 8192
+
 // RunContext executes the image to completion, checking ctx
-// periodically in the step loop so a deadline or cancellation stops a
+// periodically in the loop so a deadline or cancellation stops a
 // runaway simulation within a few thousand instructions. A context
 // without cancellation (context.Background()) costs nothing in the
-// loop.
+// loop. The attached caches are flushed (cache.Group.Flush) on every
+// return, so they stay consistent for a later run even after an error.
 func RunContext(ctx context.Context, img *obj.Image, opts Options) (*Result, error) {
 	if opts.MaxInsts == 0 {
 		opts.MaxInsts = 2e9
@@ -181,15 +190,13 @@ func RunContext(ctx context.Context, img *obj.Image, opts Options) (*Result, err
 	if err != nil {
 		return nil, fmt.Errorf("vm: %w", err)
 	}
+	defer caches.Flush()
 	m := &machine{
 		img:    img,
 		caches: caches,
 		brk:    (img.DataEnd() + 7) &^ 7,
 		opts:   opts,
-		res: &Result{
-			Exec:         make([]int64, len(img.Text)),
-			LoadAccesses: make([]int64, len(img.Text)),
-		},
+		res:    &Result{Exec: make([]int64, len(img.Text))},
 	}
 	mach, err := isa.ByName(img.ISAName())
 	if err != nil {
@@ -202,6 +209,13 @@ func RunContext(ctx context.Context, img *obj.Image, opts Options) (*Result, err
 			return nil, err
 		}
 		m.code[i] = in
+	}
+	m.ends = make([]int32, len(m.code))
+	for i := len(m.code) - 1; i >= 0; i-- {
+		m.ends[i] = int32(i)
+		if i+1 < len(m.code) && !m.code[i].EndsBlock() {
+			m.ends[i] = min(m.ends[i+1], int32(i+maxBlock-1))
+		}
 	}
 	for range opts.Caches {
 		m.res.LoadMisses = append(m.res.LoadMisses, make([]int64, len(img.Text)))
@@ -226,7 +240,6 @@ func RunContext(ctx context.Context, img *obj.Image, opts Options) (*Result, err
 	}
 	m.reg[mach.SP()] = int32(obj.StackTop)
 	m.reg[mach.RA()] = 0 // returning from the entry halts
-	m.pc = img.Entry
 	if ctx.Done() != nil {
 		m.ctx = ctx
 	}
@@ -234,14 +247,38 @@ func RunContext(ctx context.Context, img *obj.Image, opts Options) (*Result, err
 	if err := m.loop(); err != nil {
 		return nil, err
 	}
+	m.finish()
 	if opts.CaptureOutput {
 		m.res.Output = m.out.String()
 	}
 	return m.res, nil
 }
 
-func (m *machine) fault(format string, args ...any) error {
-	return &Error{PC: m.pc, Msg: fmt.Sprintf(format, args...)}
+// finish turns the block-entry counts the loop leaves in Exec into
+// per-word execution counts, and derives DataAccesses from them. A
+// completed run finishes every block it enters, so word j ran once per
+// entry at a word i <= j whose block ends at or after j: a difference
+// array adds each entry count over its block.
+func (m *machine) finish() {
+	exec := m.res.Exec
+	diff := make([]int64, len(exec)+1)
+	for i, n := range exec {
+		diff[i] += n
+		diff[m.ends[i]+1] -= n
+	}
+	var run int64
+	for i, in := range m.code {
+		run += diff[i]
+		exec[i] = run
+		if in.IsLoad() || in.IsStore() {
+			m.res.DataAccesses += run
+		}
+	}
+}
+
+// fault reports a runtime fault at text word i.
+func fault(i int, format string, args ...any) error {
+	return &Error{PC: pcOf(i), Msg: fmt.Sprintf(format, args...)}
 }
 
 func (m *machine) pageFor(addr uint32) *page {
@@ -273,50 +310,48 @@ func (m *machine) walk(addr uint32) *page {
 	return p
 }
 
-func (m *machine) access(pc uint32, addr uint32, isStore bool) {
-	m.res.DataAccesses++
-	idx := int(pc-obj.TextBase) / 4
-	missed := m.caches.Access(addr, isStore)
-	if !isStore {
-		m.res.LoadAccesses[idx]++
+// access feeds one data access by text word i to the caches,
+// attributes its load misses, and reports it to the OnAccess hook.
+func (m *machine) access(i int, addr uint32, isStore bool) {
+	if missed := m.caches.Access(addr, isStore); !isStore {
 		for ; missed != 0; missed &= missed - 1 {
-			m.res.LoadMisses[bits.TrailingZeros64(missed)][idx]++
+			m.res.LoadMisses[bits.TrailingZeros64(missed)][i]++
 		}
 	}
 	if m.onAccess != nil {
-		m.onAccess(pc, addr, isStore)
+		m.onAccess(pcOf(i), addr, isStore)
 	}
 }
 
-func (m *machine) loadWord(addr uint32) (uint32, error) {
+func (m *machine) loadWord(i int, addr uint32) (uint32, error) {
 	if addr%4 != 0 {
-		return 0, m.fault("unaligned word load at %#x", addr)
+		return 0, fault(i, "unaligned word load at %#x", addr)
 	}
 	p := m.pageFor(addr)
 	o := addr % pageSize
 	return binary.LittleEndian.Uint32(p[o:]), nil
 }
 
-func (m *machine) storeWord(addr uint32, v uint32) error {
+func (m *machine) storeWord(i int, addr uint32, v uint32) error {
 	if addr%4 != 0 {
-		return m.fault("unaligned word store at %#x", addr)
+		return fault(i, "unaligned word store at %#x", addr)
 	}
 	p := m.pageFor(addr)
 	binary.LittleEndian.PutUint32(p[addr%pageSize:], v)
 	return nil
 }
 
-func (m *machine) loadHalf(addr uint32) (uint16, error) {
+func (m *machine) loadHalf(i int, addr uint32) (uint16, error) {
 	if addr%2 != 0 {
-		return 0, m.fault("unaligned half load at %#x", addr)
+		return 0, fault(i, "unaligned half load at %#x", addr)
 	}
 	p := m.pageFor(addr)
 	return binary.LittleEndian.Uint16(p[addr%pageSize:]), nil
 }
 
-func (m *machine) storeHalf(addr uint32, v uint16) error {
+func (m *machine) storeHalf(i int, addr uint32, v uint16) error {
 	if addr%2 != 0 {
-		return m.fault("unaligned half store at %#x", addr)
+		return fault(i, "unaligned half store at %#x", addr)
 	}
 	p := m.pageFor(addr)
 	binary.LittleEndian.PutUint16(p[addr%pageSize:], v)
@@ -329,445 +364,500 @@ func (m *machine) setReg(r isa.Reg, v int32) {
 	}
 }
 
-func (m *machine) loop() error {
-	for {
-		if m.pc == 0 {
-			m.res.Exit = m.reg[isa.V0]
-			return nil
+// pcOf returns the address of text word i.
+func pcOf(i int) uint32 { return obj.TextBase + uint32(i)*4 }
+
+// poll checks the memory budget and the context at the block entered
+// at pc.
+func (m *machine) poll(pc uint32) error {
+	if m.maxMem > 0 && m.memBytes > m.maxMem {
+		return &Error{
+			PC:  pc,
+			Msg: fmt.Sprintf("memory budget of %d bytes exhausted", m.maxMem),
+			Err: ErrMemBudget,
 		}
-		idx := int(m.pc-obj.TextBase) / 4
-		if m.pc < obj.TextBase || idx >= len(m.code) || m.pc%4 != 0 {
-			return m.fault("control transfer outside text")
-		}
-		if m.res.Insts >= m.opts.MaxInsts {
-			return &Error{
-				PC:  m.pc,
-				Msg: fmt.Sprintf("instruction budget of %d exhausted", m.opts.MaxInsts),
-				Err: ErrBudget,
-			}
-		}
-		if m.res.Insts&8191 == 0 {
-			// The slow polls share one mask test so the hot loop pays a
-			// single branch: memory can only grow a few pages per
-			// instruction, so checking the budget every 8K instructions
-			// bounds the overshoot to a few MB past the configured limit.
-			if m.maxMem > 0 && m.memBytes > m.maxMem {
-				return &Error{
-					PC:  m.pc,
-					Msg: fmt.Sprintf("memory budget of %d bytes exhausted", m.maxMem),
-					Err: ErrMemBudget,
-				}
-			}
-			if m.ctx != nil {
-				if err := m.ctx.Err(); err != nil {
-					return &Error{PC: m.pc, Msg: "execution cancelled: " + err.Error(), Err: err}
-				}
-			}
-		}
-		m.res.Insts++
-		m.res.Exec[idx]++
-		in := m.code[idx]
-		next := m.pc + 4
-
-		switch in.Op {
-		case isa.NOP:
-		case isa.SLL:
-			m.setReg(in.Rd, m.reg[in.Rt]<<uint(in.Imm))
-		case isa.SRL:
-			m.setReg(in.Rd, int32(uint32(m.reg[in.Rt])>>uint(in.Imm)))
-		case isa.SRA:
-			m.setReg(in.Rd, m.reg[in.Rt]>>uint(in.Imm))
-		case isa.SLLV:
-			m.setReg(in.Rd, m.reg[in.Rt]<<uint(m.reg[in.Rs]&31))
-		case isa.SRLV:
-			m.setReg(in.Rd, int32(uint32(m.reg[in.Rt])>>uint(m.reg[in.Rs]&31)))
-		case isa.SRAV:
-			m.setReg(in.Rd, m.reg[in.Rt]>>uint(m.reg[in.Rs]&31))
-		case isa.ADD, isa.ADDU:
-			m.setReg(in.Rd, m.reg[in.Rs]+m.reg[in.Rt])
-		case isa.SUB, isa.SUBU:
-			m.setReg(in.Rd, m.reg[in.Rs]-m.reg[in.Rt])
-		case isa.AND:
-			m.setReg(in.Rd, m.reg[in.Rs]&m.reg[in.Rt])
-		case isa.OR:
-			m.setReg(in.Rd, m.reg[in.Rs]|m.reg[in.Rt])
-		case isa.XOR:
-			m.setReg(in.Rd, m.reg[in.Rs]^m.reg[in.Rt])
-		case isa.NOR:
-			m.setReg(in.Rd, ^(m.reg[in.Rs] | m.reg[in.Rt]))
-		case isa.SLT:
-			m.setReg(in.Rd, b2i(m.reg[in.Rs] < m.reg[in.Rt]))
-		case isa.SLTU:
-			m.setReg(in.Rd, b2i(uint32(m.reg[in.Rs]) < uint32(m.reg[in.Rt])))
-		case isa.MUL:
-			m.setReg(in.Rd, m.reg[in.Rs]*m.reg[in.Rt])
-		case isa.MULT:
-			p := int64(m.reg[in.Rs]) * int64(m.reg[in.Rt])
-			m.lo, m.hi = int32(p), int32(p>>32)
-		case isa.DIV:
-			if m.reg[in.Rt] == 0 {
-				return m.fault("integer division by zero")
-			}
-			m.lo = m.reg[in.Rs] / m.reg[in.Rt]
-			m.hi = m.reg[in.Rs] % m.reg[in.Rt]
-		case isa.DIVU:
-			if m.reg[in.Rt] == 0 {
-				return m.fault("integer division by zero")
-			}
-			m.lo = int32(uint32(m.reg[in.Rs]) / uint32(m.reg[in.Rt]))
-			m.hi = int32(uint32(m.reg[in.Rs]) % uint32(m.reg[in.Rt]))
-		case isa.MFHI:
-			m.setReg(in.Rd, m.hi)
-		case isa.MFLO:
-			m.setReg(in.Rd, m.lo)
-
-		case isa.JR:
-			next = uint32(m.reg[in.Rs])
-		case isa.JALR:
-			m.setReg(in.Rd, int32(m.pc+4))
-			next = uint32(m.reg[in.Rs])
-		case isa.J:
-			next = in.JumpTarget(m.pc)
-		case isa.JAL:
-			m.reg[isa.RA] = int32(m.pc + 4)
-			next = in.JumpTarget(m.pc)
-		case isa.BEQ:
-			if m.reg[in.Rs] == m.reg[in.Rt] {
-				next = in.BranchTarget(m.pc)
-			}
-		case isa.BNE:
-			if m.reg[in.Rs] != m.reg[in.Rt] {
-				next = in.BranchTarget(m.pc)
-			}
-		case isa.BLEZ:
-			if m.reg[in.Rs] <= 0 {
-				next = in.BranchTarget(m.pc)
-			}
-		case isa.BGTZ:
-			if m.reg[in.Rs] > 0 {
-				next = in.BranchTarget(m.pc)
-			}
-		case isa.BLTZ:
-			if m.reg[in.Rs] < 0 {
-				next = in.BranchTarget(m.pc)
-			}
-		case isa.BGEZ:
-			if m.reg[in.Rs] >= 0 {
-				next = in.BranchTarget(m.pc)
-			}
-		case isa.BC1T:
-			if m.cc {
-				next = in.BranchTarget(m.pc)
-			}
-		case isa.BC1F:
-			if !m.cc {
-				next = in.BranchTarget(m.pc)
-			}
-
-		case isa.SYSCALL, isa.ASVC:
-			halt, err := m.syscall()
-			if err != nil {
-				return err
-			}
-			if halt {
-				return nil
-			}
-
-		case isa.ADDI, isa.ADDIU:
-			m.setReg(in.Rt, m.reg[in.Rs]+in.Imm)
-		case isa.SLTI:
-			m.setReg(in.Rt, b2i(m.reg[in.Rs] < in.Imm))
-		case isa.SLTIU:
-			m.setReg(in.Rt, b2i(uint32(m.reg[in.Rs]) < uint32(in.Imm)))
-		case isa.ANDI:
-			m.setReg(in.Rt, m.reg[in.Rs]&in.Imm)
-		case isa.ORI:
-			m.setReg(in.Rt, m.reg[in.Rs]|in.Imm)
-		case isa.XORI:
-			m.setReg(in.Rt, m.reg[in.Rs]^in.Imm)
-		case isa.LUI:
-			m.setReg(in.Rt, in.Imm<<16)
-
-		case isa.LW:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, false)
-			v, err := m.loadWord(addr)
-			if err != nil {
-				return err
-			}
-			m.setReg(in.Rt, int32(v))
-		case isa.LH:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, false)
-			v, err := m.loadHalf(addr)
-			if err != nil {
-				return err
-			}
-			m.setReg(in.Rt, int32(int16(v)))
-		case isa.LHU:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, false)
-			v, err := m.loadHalf(addr)
-			if err != nil {
-				return err
-			}
-			m.setReg(in.Rt, int32(v))
-		case isa.LB:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, false)
-			m.setReg(in.Rt, int32(int8(m.pageFor(addr)[addr%pageSize])))
-		case isa.LBU:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, false)
-			m.setReg(in.Rt, int32(m.pageFor(addr)[addr%pageSize]))
-		case isa.SW:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, true)
-			if err := m.storeWord(addr, uint32(m.reg[in.Rt])); err != nil {
-				return err
-			}
-		case isa.SH:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, true)
-			if err := m.storeHalf(addr, uint16(m.reg[in.Rt])); err != nil {
-				return err
-			}
-		case isa.SB:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, true)
-			m.pageFor(addr)[addr%pageSize] = byte(m.reg[in.Rt])
-		case isa.LWC1:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, false)
-			v, err := m.loadWord(addr)
-			if err != nil {
-				return err
-			}
-			m.freg[in.Rt] = math.Float32frombits(v)
-		case isa.SWC1:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, true)
-			if err := m.storeWord(addr, math.Float32bits(m.freg[in.Rt])); err != nil {
-				return err
-			}
-
-		case isa.MFC1:
-			m.setReg(in.Rt, int32(math.Float32bits(m.freg[in.Rd])))
-		case isa.MTC1:
-			m.freg[in.Rd] = math.Float32frombits(uint32(m.reg[in.Rt]))
-		case isa.ADDS:
-			m.freg[in.Rd] = m.freg[in.Rs] + m.freg[in.Rt]
-		case isa.SUBS:
-			m.freg[in.Rd] = m.freg[in.Rs] - m.freg[in.Rt]
-		case isa.MULS:
-			m.freg[in.Rd] = m.freg[in.Rs] * m.freg[in.Rt]
-		case isa.DIVS:
-			m.freg[in.Rd] = m.freg[in.Rs] / m.freg[in.Rt]
-		case isa.MOVS:
-			m.freg[in.Rd] = m.freg[in.Rs]
-		case isa.NEGS:
-			m.freg[in.Rd] = -m.freg[in.Rs]
-		case isa.CVTSW:
-			m.freg[in.Rd] = float32(int32(math.Float32bits(m.freg[in.Rs])))
-		case isa.CVTWS:
-			m.freg[in.Rd] = math.Float32frombits(uint32(int32(m.freg[in.Rs])))
-		case isa.CEQS:
-			m.cc = m.freg[in.Rs] == m.freg[in.Rt]
-		case isa.CLTS:
-			m.cc = m.freg[in.Rs] < m.freg[in.Rt]
-		case isa.CLES:
-			m.cc = m.freg[in.Rs] <= m.freg[in.Rt]
-
-		// ARM backend: two-operand ALU (Rd is both destination and left
-		// source), compare-state branches, and pre/post-indexed memory.
-		case isa.AMOV:
-			m.setReg(in.Rd, m.reg[in.Rs])
-		case isa.AMVN:
-			m.setReg(in.Rd, ^m.reg[in.Rs])
-		case isa.AADD:
-			m.setReg(in.Rd, m.reg[in.Rd]+m.reg[in.Rt])
-		case isa.ASUB:
-			m.setReg(in.Rd, m.reg[in.Rd]-m.reg[in.Rt])
-		case isa.ARSB:
-			m.setReg(in.Rd, m.reg[in.Rt]-m.reg[in.Rd])
-		case isa.AMUL:
-			m.setReg(in.Rd, m.reg[in.Rd]*m.reg[in.Rt])
-		case isa.AAND:
-			m.setReg(in.Rd, m.reg[in.Rd]&m.reg[in.Rt])
-		case isa.AORR:
-			m.setReg(in.Rd, m.reg[in.Rd]|m.reg[in.Rt])
-		case isa.AEOR:
-			m.setReg(in.Rd, m.reg[in.Rd]^m.reg[in.Rt])
-		case isa.ALSL:
-			m.setReg(in.Rd, m.reg[in.Rd]<<uint(m.reg[in.Rt]&31))
-		case isa.ALSR:
-			m.setReg(in.Rd, int32(uint32(m.reg[in.Rd])>>uint(m.reg[in.Rt]&31)))
-		case isa.AASR:
-			m.setReg(in.Rd, m.reg[in.Rd]>>uint(m.reg[in.Rt]&31))
-		case isa.AADDI:
-			m.setReg(in.Rd, m.reg[in.Rd]+in.Imm)
-		case isa.AANDI:
-			m.setReg(in.Rd, m.reg[in.Rd]&in.Imm)
-		case isa.AORRI:
-			m.setReg(in.Rd, m.reg[in.Rd]|in.Imm)
-		case isa.AEORI:
-			m.setReg(in.Rd, m.reg[in.Rd]^in.Imm)
-		case isa.ALSLI:
-			m.setReg(in.Rd, m.reg[in.Rd]<<uint(in.Imm))
-		case isa.ALSRI:
-			m.setReg(in.Rd, int32(uint32(m.reg[in.Rd])>>uint(in.Imm)))
-		case isa.AASRI:
-			m.setReg(in.Rd, m.reg[in.Rd]>>uint(in.Imm))
-		case isa.AMOVI:
-			m.setReg(in.Rd, in.Imm)
-		case isa.AMOVW:
-			m.setReg(in.Rd, in.Imm&0xffff)
-		case isa.AMOVT:
-			m.setReg(in.Rd, m.reg[in.Rd]&0xffff|in.Imm<<16)
-
-		case isa.ACMP:
-			m.cmpA, m.cmpB = m.reg[in.Rs], m.reg[in.Rt]
-		case isa.ACMPI:
-			m.cmpA, m.cmpB = m.reg[in.Rs], in.Imm
-		case isa.ASETLT:
-			m.setReg(in.Rd, b2i(m.cmpA < m.cmpB))
-		case isa.ASETLO:
-			m.setReg(in.Rd, b2i(uint32(m.cmpA) < uint32(m.cmpB)))
-		case isa.ABEQ:
-			if m.cmpA == m.cmpB {
-				next = in.BranchTarget(m.pc)
-			}
-		case isa.ABNE:
-			if m.cmpA != m.cmpB {
-				next = in.BranchTarget(m.pc)
-			}
-		case isa.ABLT:
-			if m.cmpA < m.cmpB {
-				next = in.BranchTarget(m.pc)
-			}
-		case isa.ABGE:
-			if m.cmpA >= m.cmpB {
-				next = in.BranchTarget(m.pc)
-			}
-		case isa.ABGT:
-			if m.cmpA > m.cmpB {
-				next = in.BranchTarget(m.pc)
-			}
-		case isa.ABLE:
-			if m.cmpA <= m.cmpB {
-				next = in.BranchTarget(m.pc)
-			}
-		case isa.AB:
-			next = in.BranchTarget(m.pc)
-		case isa.ABL:
-			m.reg[isa.RA] = int32(m.pc + 4)
-			next = in.BranchTarget(m.pc)
-		case isa.ABX:
-			next = uint32(m.reg[in.Rs])
-		case isa.ABLX:
-			m.setReg(in.Rd, int32(m.pc+4))
-			next = uint32(m.reg[in.Rs])
-
-		case isa.ALDR:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, false)
-			v, err := m.loadWord(addr)
-			if err != nil {
-				return err
-			}
-			m.setReg(in.Rt, int32(v))
-		case isa.ALDRH:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, false)
-			v, err := m.loadHalf(addr)
-			if err != nil {
-				return err
-			}
-			m.setReg(in.Rt, int32(v))
-		case isa.ALDRSH:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, false)
-			v, err := m.loadHalf(addr)
-			if err != nil {
-				return err
-			}
-			m.setReg(in.Rt, int32(int16(v)))
-		case isa.ALDRB:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, false)
-			m.setReg(in.Rt, int32(m.pageFor(addr)[addr%pageSize]))
-		case isa.ALDRSB:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, false)
-			m.setReg(in.Rt, int32(int8(m.pageFor(addr)[addr%pageSize])))
-		case isa.ASTR:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, true)
-			if err := m.storeWord(addr, uint32(m.reg[in.Rt])); err != nil {
-				return err
-			}
-		case isa.ASTRH:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, true)
-			if err := m.storeHalf(addr, uint16(m.reg[in.Rt])); err != nil {
-				return err
-			}
-		case isa.ASTRB:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, true)
-			m.pageFor(addr)[addr%pageSize] = byte(m.reg[in.Rt])
-		case isa.ALDRPRE:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, false)
-			v, err := m.loadWord(addr)
-			if err != nil {
-				return err
-			}
-			m.setReg(in.Rs, int32(addr))
-			m.setReg(in.Rt, int32(v))
-		case isa.ALDRPOST:
-			addr := uint32(m.reg[in.Rs])
-			m.access(m.pc, addr, false)
-			v, err := m.loadWord(addr)
-			if err != nil {
-				return err
-			}
-			m.setReg(in.Rs, m.reg[in.Rs]+in.Imm)
-			m.setReg(in.Rt, int32(v))
-		case isa.ASTRPRE:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, true)
-			if err := m.storeWord(addr, uint32(m.reg[in.Rt])); err != nil {
-				return err
-			}
-			m.setReg(in.Rs, int32(addr))
-		case isa.ASTRPOST:
-			addr := uint32(m.reg[in.Rs])
-			m.access(m.pc, addr, true)
-			if err := m.storeWord(addr, uint32(m.reg[in.Rt])); err != nil {
-				return err
-			}
-			m.setReg(in.Rs, m.reg[in.Rs]+in.Imm)
-		case isa.AVLDR:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, false)
-			v, err := m.loadWord(addr)
-			if err != nil {
-				return err
-			}
-			m.freg[in.Rt] = math.Float32frombits(v)
-		case isa.AVSTR:
-			addr := uint32(m.reg[in.Rs] + in.Imm)
-			m.access(m.pc, addr, true)
-			if err := m.storeWord(addr, math.Float32bits(m.freg[in.Rt])); err != nil {
-				return err
-			}
-
-		default:
-			return m.fault("unimplemented op %v", in.Op)
-		}
-		m.pc = next
 	}
+	if m.ctx != nil {
+		if err := m.ctx.Err(); err != nil {
+			return &Error{PC: pc, Msg: "execution cancelled: " + err.Error(), Err: err}
+		}
+	}
+	return nil
+}
+
+// loop runs the program a basic block at a time. Each block entry pays
+// for the halt test, the text-bounds check, one budget comparison and
+// one count in Exec; inside the block only the opcode switch runs.
+// Conditional branches that fall through, and blocks cut by the cap or
+// the budget, continue at the word after the block's last.
+func (m *machine) loop() error {
+	code, ends, entries := m.code, m.ends, m.res.Exec
+	pc := m.img.Entry
+	var insts int64
+	// The next block that would run past pollAt polls memory and the
+	// context first, and one past MaxInsts is cut or fails; limit is
+	// the smaller of the two, so the common block pays one comparison.
+	var pollAt int64
+	limit := min(pollAt, m.opts.MaxInsts)
+blocks:
+	for {
+		if pc == 0 {
+			m.res.Exit = m.reg[isa.V0]
+			break
+		}
+		start := int(pc-obj.TextBase) / 4
+		if pc < obj.TextBase || start >= len(code) || pc%4 != 0 {
+			return &Error{PC: pc, Msg: "control transfer outside text"}
+		}
+		end := int(ends[start])
+		if n := int64(end - start + 1); insts+n > limit {
+			if insts >= m.opts.MaxInsts {
+				return &Error{
+					PC:  pc,
+					Msg: fmt.Sprintf("instruction budget of %d exhausted", m.opts.MaxInsts),
+					Err: ErrBudget,
+				}
+			}
+			if insts+n > pollAt {
+				if err := m.poll(pc); err != nil {
+					return err
+				}
+				pollAt = insts + maxBlock
+			}
+			// A block that would cross the budget runs only the
+			// instructions left, none of them a control transfer, and
+			// the next block entry fails at the following pc.
+			end = start + int(min(n, m.opts.MaxInsts-insts)) - 1
+			limit = min(pollAt, m.opts.MaxInsts)
+		}
+		insts += int64(end - start + 1)
+		entries[start]++
+		for i := start; i <= end; i++ {
+			in := code[i]
+			switch in.Op {
+			case isa.NOP:
+			case isa.SLL:
+				m.setReg(in.Rd, m.reg[in.Rt]<<uint(in.Imm))
+			case isa.SRL:
+				m.setReg(in.Rd, int32(uint32(m.reg[in.Rt])>>uint(in.Imm)))
+			case isa.SRA:
+				m.setReg(in.Rd, m.reg[in.Rt]>>uint(in.Imm))
+			case isa.SLLV:
+				m.setReg(in.Rd, m.reg[in.Rt]<<uint(m.reg[in.Rs]&31))
+			case isa.SRLV:
+				m.setReg(in.Rd, int32(uint32(m.reg[in.Rt])>>uint(m.reg[in.Rs]&31)))
+			case isa.SRAV:
+				m.setReg(in.Rd, m.reg[in.Rt]>>uint(m.reg[in.Rs]&31))
+			case isa.ADD, isa.ADDU:
+				m.setReg(in.Rd, m.reg[in.Rs]+m.reg[in.Rt])
+			case isa.SUB, isa.SUBU:
+				m.setReg(in.Rd, m.reg[in.Rs]-m.reg[in.Rt])
+			case isa.AND:
+				m.setReg(in.Rd, m.reg[in.Rs]&m.reg[in.Rt])
+			case isa.OR:
+				m.setReg(in.Rd, m.reg[in.Rs]|m.reg[in.Rt])
+			case isa.XOR:
+				m.setReg(in.Rd, m.reg[in.Rs]^m.reg[in.Rt])
+			case isa.NOR:
+				m.setReg(in.Rd, ^(m.reg[in.Rs] | m.reg[in.Rt]))
+			case isa.SLT:
+				m.setReg(in.Rd, b2i(m.reg[in.Rs] < m.reg[in.Rt]))
+			case isa.SLTU:
+				m.setReg(in.Rd, b2i(uint32(m.reg[in.Rs]) < uint32(m.reg[in.Rt])))
+			case isa.MUL:
+				m.setReg(in.Rd, m.reg[in.Rs]*m.reg[in.Rt])
+			case isa.MULT:
+				p := int64(m.reg[in.Rs]) * int64(m.reg[in.Rt])
+				m.lo, m.hi = int32(p), int32(p>>32)
+			case isa.DIV:
+				if m.reg[in.Rt] == 0 {
+					return fault(i, "integer division by zero")
+				}
+				m.lo = m.reg[in.Rs] / m.reg[in.Rt]
+				m.hi = m.reg[in.Rs] % m.reg[in.Rt]
+			case isa.DIVU:
+				if m.reg[in.Rt] == 0 {
+					return fault(i, "integer division by zero")
+				}
+				m.lo = int32(uint32(m.reg[in.Rs]) / uint32(m.reg[in.Rt]))
+				m.hi = int32(uint32(m.reg[in.Rs]) % uint32(m.reg[in.Rt]))
+			case isa.MFHI:
+				m.setReg(in.Rd, m.hi)
+			case isa.MFLO:
+				m.setReg(in.Rd, m.lo)
+
+			case isa.JR:
+				pc = uint32(m.reg[in.Rs])
+				continue blocks
+			case isa.JALR:
+				m.setReg(in.Rd, int32(pcOf(i)+4))
+				pc = uint32(m.reg[in.Rs])
+				continue blocks
+			case isa.J:
+				pc = in.JumpTarget(pcOf(i))
+				continue blocks
+			case isa.JAL:
+				m.reg[isa.RA] = int32(pcOf(i) + 4)
+				pc = in.JumpTarget(pcOf(i))
+				continue blocks
+			case isa.BEQ:
+				if m.reg[in.Rs] == m.reg[in.Rt] {
+					pc = in.BranchTarget(pcOf(i))
+					continue blocks
+				}
+			case isa.BNE:
+				if m.reg[in.Rs] != m.reg[in.Rt] {
+					pc = in.BranchTarget(pcOf(i))
+					continue blocks
+				}
+			case isa.BLEZ:
+				if m.reg[in.Rs] <= 0 {
+					pc = in.BranchTarget(pcOf(i))
+					continue blocks
+				}
+			case isa.BGTZ:
+				if m.reg[in.Rs] > 0 {
+					pc = in.BranchTarget(pcOf(i))
+					continue blocks
+				}
+			case isa.BLTZ:
+				if m.reg[in.Rs] < 0 {
+					pc = in.BranchTarget(pcOf(i))
+					continue blocks
+				}
+			case isa.BGEZ:
+				if m.reg[in.Rs] >= 0 {
+					pc = in.BranchTarget(pcOf(i))
+					continue blocks
+				}
+			case isa.BC1T:
+				if m.cc {
+					pc = in.BranchTarget(pcOf(i))
+					continue blocks
+				}
+			case isa.BC1F:
+				if !m.cc {
+					pc = in.BranchTarget(pcOf(i))
+					continue blocks
+				}
+
+			case isa.SYSCALL, isa.ASVC:
+				halt, err := m.syscall(i)
+				if err != nil {
+					return err
+				}
+				if halt {
+					break blocks
+				}
+
+			case isa.ADDI, isa.ADDIU:
+				m.setReg(in.Rt, m.reg[in.Rs]+in.Imm)
+			case isa.SLTI:
+				m.setReg(in.Rt, b2i(m.reg[in.Rs] < in.Imm))
+			case isa.SLTIU:
+				m.setReg(in.Rt, b2i(uint32(m.reg[in.Rs]) < uint32(in.Imm)))
+			case isa.ANDI:
+				m.setReg(in.Rt, m.reg[in.Rs]&in.Imm)
+			case isa.ORI:
+				m.setReg(in.Rt, m.reg[in.Rs]|in.Imm)
+			case isa.XORI:
+				m.setReg(in.Rt, m.reg[in.Rs]^in.Imm)
+			case isa.LUI:
+				m.setReg(in.Rt, in.Imm<<16)
+
+			case isa.LW:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, false)
+				v, err := m.loadWord(i, addr)
+				if err != nil {
+					return err
+				}
+				m.setReg(in.Rt, int32(v))
+			case isa.LH:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, false)
+				v, err := m.loadHalf(i, addr)
+				if err != nil {
+					return err
+				}
+				m.setReg(in.Rt, int32(int16(v)))
+			case isa.LHU:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, false)
+				v, err := m.loadHalf(i, addr)
+				if err != nil {
+					return err
+				}
+				m.setReg(in.Rt, int32(v))
+			case isa.LB:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, false)
+				m.setReg(in.Rt, int32(int8(m.pageFor(addr)[addr%pageSize])))
+			case isa.LBU:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, false)
+				m.setReg(in.Rt, int32(m.pageFor(addr)[addr%pageSize]))
+			case isa.SW:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, true)
+				if err := m.storeWord(i, addr, uint32(m.reg[in.Rt])); err != nil {
+					return err
+				}
+			case isa.SH:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, true)
+				if err := m.storeHalf(i, addr, uint16(m.reg[in.Rt])); err != nil {
+					return err
+				}
+			case isa.SB:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, true)
+				m.pageFor(addr)[addr%pageSize] = byte(m.reg[in.Rt])
+			case isa.LWC1:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, false)
+				v, err := m.loadWord(i, addr)
+				if err != nil {
+					return err
+				}
+				m.freg[in.Rt] = math.Float32frombits(v)
+			case isa.SWC1:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, true)
+				if err := m.storeWord(i, addr, math.Float32bits(m.freg[in.Rt])); err != nil {
+					return err
+				}
+
+			case isa.MFC1:
+				m.setReg(in.Rt, int32(math.Float32bits(m.freg[in.Rd])))
+			case isa.MTC1:
+				m.freg[in.Rd] = math.Float32frombits(uint32(m.reg[in.Rt]))
+			case isa.ADDS:
+				m.freg[in.Rd] = m.freg[in.Rs] + m.freg[in.Rt]
+			case isa.SUBS:
+				m.freg[in.Rd] = m.freg[in.Rs] - m.freg[in.Rt]
+			case isa.MULS:
+				m.freg[in.Rd] = m.freg[in.Rs] * m.freg[in.Rt]
+			case isa.DIVS:
+				m.freg[in.Rd] = m.freg[in.Rs] / m.freg[in.Rt]
+			case isa.MOVS:
+				m.freg[in.Rd] = m.freg[in.Rs]
+			case isa.NEGS:
+				m.freg[in.Rd] = -m.freg[in.Rs]
+			case isa.CVTSW:
+				m.freg[in.Rd] = float32(int32(math.Float32bits(m.freg[in.Rs])))
+			case isa.CVTWS:
+				m.freg[in.Rd] = math.Float32frombits(uint32(int32(m.freg[in.Rs])))
+			case isa.CEQS:
+				m.cc = m.freg[in.Rs] == m.freg[in.Rt]
+			case isa.CLTS:
+				m.cc = m.freg[in.Rs] < m.freg[in.Rt]
+			case isa.CLES:
+				m.cc = m.freg[in.Rs] <= m.freg[in.Rt]
+
+			// ARM backend: two-operand ALU (Rd is both destination and left
+			// source), compare-state branches, and pre/post-indexed memory.
+			case isa.AMOV:
+				m.setReg(in.Rd, m.reg[in.Rs])
+			case isa.AMVN:
+				m.setReg(in.Rd, ^m.reg[in.Rs])
+			case isa.AADD:
+				m.setReg(in.Rd, m.reg[in.Rd]+m.reg[in.Rt])
+			case isa.ASUB:
+				m.setReg(in.Rd, m.reg[in.Rd]-m.reg[in.Rt])
+			case isa.ARSB:
+				m.setReg(in.Rd, m.reg[in.Rt]-m.reg[in.Rd])
+			case isa.AMUL:
+				m.setReg(in.Rd, m.reg[in.Rd]*m.reg[in.Rt])
+			case isa.AAND:
+				m.setReg(in.Rd, m.reg[in.Rd]&m.reg[in.Rt])
+			case isa.AORR:
+				m.setReg(in.Rd, m.reg[in.Rd]|m.reg[in.Rt])
+			case isa.AEOR:
+				m.setReg(in.Rd, m.reg[in.Rd]^m.reg[in.Rt])
+			case isa.ALSL:
+				m.setReg(in.Rd, m.reg[in.Rd]<<uint(m.reg[in.Rt]&31))
+			case isa.ALSR:
+				m.setReg(in.Rd, int32(uint32(m.reg[in.Rd])>>uint(m.reg[in.Rt]&31)))
+			case isa.AASR:
+				m.setReg(in.Rd, m.reg[in.Rd]>>uint(m.reg[in.Rt]&31))
+			case isa.AADDI:
+				m.setReg(in.Rd, m.reg[in.Rd]+in.Imm)
+			case isa.AANDI:
+				m.setReg(in.Rd, m.reg[in.Rd]&in.Imm)
+			case isa.AORRI:
+				m.setReg(in.Rd, m.reg[in.Rd]|in.Imm)
+			case isa.AEORI:
+				m.setReg(in.Rd, m.reg[in.Rd]^in.Imm)
+			case isa.ALSLI:
+				m.setReg(in.Rd, m.reg[in.Rd]<<uint(in.Imm))
+			case isa.ALSRI:
+				m.setReg(in.Rd, int32(uint32(m.reg[in.Rd])>>uint(in.Imm)))
+			case isa.AASRI:
+				m.setReg(in.Rd, m.reg[in.Rd]>>uint(in.Imm))
+			case isa.AMOVI:
+				m.setReg(in.Rd, in.Imm)
+			case isa.AMOVW:
+				m.setReg(in.Rd, in.Imm&0xffff)
+			case isa.AMOVT:
+				m.setReg(in.Rd, m.reg[in.Rd]&0xffff|in.Imm<<16)
+
+			case isa.ACMP:
+				m.cmpA, m.cmpB = m.reg[in.Rs], m.reg[in.Rt]
+			case isa.ACMPI:
+				m.cmpA, m.cmpB = m.reg[in.Rs], in.Imm
+			case isa.ASETLT:
+				m.setReg(in.Rd, b2i(m.cmpA < m.cmpB))
+			case isa.ASETLO:
+				m.setReg(in.Rd, b2i(uint32(m.cmpA) < uint32(m.cmpB)))
+			case isa.ABEQ:
+				if m.cmpA == m.cmpB {
+					pc = in.BranchTarget(pcOf(i))
+					continue blocks
+				}
+			case isa.ABNE:
+				if m.cmpA != m.cmpB {
+					pc = in.BranchTarget(pcOf(i))
+					continue blocks
+				}
+			case isa.ABLT:
+				if m.cmpA < m.cmpB {
+					pc = in.BranchTarget(pcOf(i))
+					continue blocks
+				}
+			case isa.ABGE:
+				if m.cmpA >= m.cmpB {
+					pc = in.BranchTarget(pcOf(i))
+					continue blocks
+				}
+			case isa.ABGT:
+				if m.cmpA > m.cmpB {
+					pc = in.BranchTarget(pcOf(i))
+					continue blocks
+				}
+			case isa.ABLE:
+				if m.cmpA <= m.cmpB {
+					pc = in.BranchTarget(pcOf(i))
+					continue blocks
+				}
+			case isa.AB:
+				pc = in.BranchTarget(pcOf(i))
+				continue blocks
+			case isa.ABL:
+				m.reg[isa.RA] = int32(pcOf(i) + 4)
+				pc = in.BranchTarget(pcOf(i))
+				continue blocks
+			case isa.ABX:
+				pc = uint32(m.reg[in.Rs])
+				continue blocks
+			case isa.ABLX:
+				m.setReg(in.Rd, int32(pcOf(i)+4))
+				pc = uint32(m.reg[in.Rs])
+				continue blocks
+
+			case isa.ALDR:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, false)
+				v, err := m.loadWord(i, addr)
+				if err != nil {
+					return err
+				}
+				m.setReg(in.Rt, int32(v))
+			case isa.ALDRH:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, false)
+				v, err := m.loadHalf(i, addr)
+				if err != nil {
+					return err
+				}
+				m.setReg(in.Rt, int32(v))
+			case isa.ALDRSH:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, false)
+				v, err := m.loadHalf(i, addr)
+				if err != nil {
+					return err
+				}
+				m.setReg(in.Rt, int32(int16(v)))
+			case isa.ALDRB:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, false)
+				m.setReg(in.Rt, int32(m.pageFor(addr)[addr%pageSize]))
+			case isa.ALDRSB:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, false)
+				m.setReg(in.Rt, int32(int8(m.pageFor(addr)[addr%pageSize])))
+			case isa.ASTR:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, true)
+				if err := m.storeWord(i, addr, uint32(m.reg[in.Rt])); err != nil {
+					return err
+				}
+			case isa.ASTRH:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, true)
+				if err := m.storeHalf(i, addr, uint16(m.reg[in.Rt])); err != nil {
+					return err
+				}
+			case isa.ASTRB:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, true)
+				m.pageFor(addr)[addr%pageSize] = byte(m.reg[in.Rt])
+			case isa.ALDRPRE:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, false)
+				v, err := m.loadWord(i, addr)
+				if err != nil {
+					return err
+				}
+				m.setReg(in.Rs, int32(addr))
+				m.setReg(in.Rt, int32(v))
+			case isa.ALDRPOST:
+				addr := uint32(m.reg[in.Rs])
+				m.access(i, addr, false)
+				v, err := m.loadWord(i, addr)
+				if err != nil {
+					return err
+				}
+				m.setReg(in.Rs, m.reg[in.Rs]+in.Imm)
+				m.setReg(in.Rt, int32(v))
+			case isa.ASTRPRE:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, true)
+				if err := m.storeWord(i, addr, uint32(m.reg[in.Rt])); err != nil {
+					return err
+				}
+				m.setReg(in.Rs, int32(addr))
+			case isa.ASTRPOST:
+				addr := uint32(m.reg[in.Rs])
+				m.access(i, addr, true)
+				if err := m.storeWord(i, addr, uint32(m.reg[in.Rt])); err != nil {
+					return err
+				}
+				m.setReg(in.Rs, m.reg[in.Rs]+in.Imm)
+			case isa.AVLDR:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, false)
+				v, err := m.loadWord(i, addr)
+				if err != nil {
+					return err
+				}
+				m.freg[in.Rt] = math.Float32frombits(v)
+			case isa.AVSTR:
+				addr := uint32(m.reg[in.Rs] + in.Imm)
+				m.access(i, addr, true)
+				if err := m.storeWord(i, addr, math.Float32bits(m.freg[in.Rt])); err != nil {
+					return err
+				}
+
+			default:
+				return fault(i, "unimplemented op %v", in.Op)
+			}
+		}
+		pc = pcOf(end + 1)
+	}
+	m.res.Insts = insts
+	return nil
 }
 
 // Syscall service numbers (SPIM-compatible where applicable).
@@ -782,7 +872,8 @@ const (
 	SysNumArgs    = 41 // $v0 = len(Args)
 )
 
-func (m *machine) syscall() (halt bool, err error) {
+// syscall services the trap at text word i.
+func (m *machine) syscall(i int) (halt bool, err error) {
 	switch m.reg[isa.V0] {
 	case SysPrintInt:
 		fmt.Fprintf(&m.out, "%d", m.reg[isa.A0])
@@ -805,7 +896,7 @@ func (m *machine) syscall() (halt bool, err error) {
 		m.reg[isa.V0] = int32(m.brk)
 		m.brk = (m.brk + n + 7) &^ 7
 		if m.brk >= obj.StackTop-(1<<20) {
-			return false, m.fault("heap overflow into stack")
+			return false, fault(i, "heap overflow into stack")
 		}
 	case SysExit:
 		m.res.Exit = m.reg[isa.A0]
@@ -822,7 +913,7 @@ func (m *machine) syscall() (halt bool, err error) {
 	case SysNumArgs:
 		m.reg[isa.V0] = int32(len(m.opts.Args))
 	default:
-		return false, m.fault("unknown syscall %d", m.reg[isa.V0])
+		return false, fault(i, "unknown syscall %d", m.reg[isa.V0])
 	}
 	return false, nil
 }

@@ -272,11 +272,13 @@ loop:
 `, Options{Caches: []*cache.Cache{c}})
 	// The lw runs 256 times; every other access opens a new 32-byte
 	// block, and the 4 KB working set thrashes the 128-byte cache.
+	// The lw is the first of the loop's four words.
 	var loadPC uint32
 	for i := range res.Exec {
 		pc := obj.TextBase + uint32(i)*4
-		if res.ExecAt(pc) == 256 && res.LoadAccesses[i] == 256 {
+		if res.ExecAt(pc) == 256 {
 			loadPC = pc
+			break
 		}
 	}
 	if loadPC == 0 {

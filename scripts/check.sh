@@ -71,7 +71,7 @@ go test -run 'TestCLIServeWarmRestart' ./cmd/delinq
 echo "== bench smoke"
 # One iteration of the cheap benchmarks: enough to catch a broken
 # benchmark without paying for a full measurement run.
-go test -run '^$' -bench 'BenchmarkCacheAccess' -benchtime 1x ./...
+go test -run '^$' -bench 'BenchmarkCacheAccess|BenchmarkVMInstsPerSec' -benchtime 1x ./...
 
 echo "== coverage floor"
 # Packages with dedicated correctness harnesses must stay above 75%
