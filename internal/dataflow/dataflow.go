@@ -10,9 +10,10 @@
 package dataflow
 
 import (
+	"math/bits"
+
 	"delinq/internal/cfg"
 	"delinq/internal/isa"
-	"delinq/internal/isa/mips"
 )
 
 // DefKind discriminates definition sites.
@@ -35,24 +36,10 @@ type Def struct {
 	Reg  isa.Reg
 }
 
-// clobberedFor returns the caller-saved registers redefined by a call
-// under the machine's convention. A nil machine means the original
-// MIPS o32 set, preserving the historical Analyze behaviour.
-func clobberedFor(m isa.Machine) []isa.Reg {
-	if m == nil {
-		m = mips.M
-	}
-	return m.CallClobbered()
-}
-
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 func (b bitset) set(i int)   { b[i/64] |= 1 << (i % 64) }
-func (b bitset) clear(i int) { b[i/64] &^= 1 << (i % 64) }
-func (b bitset) has(i int) bool {
-	return b[i/64]&(1<<(i%64)) != 0
-}
 func (b bitset) orWith(o bitset) bool {
 	changed := false
 	for i := range b {
@@ -64,47 +51,47 @@ func (b bitset) orWith(o bitset) bool {
 	}
 	return changed
 }
-func (b bitset) copyFrom(o bitset) { copy(b, o) }
 
 // Result holds the reaching-definition sets of one function.
 type Result struct {
 	Graph *cfg.Graph
 	Defs  []Def
-	// defsOf[reg] lists the IDs of all definitions of reg.
-	defsOf [32][]int
-	// instDefs[i] lists definition IDs made by instruction i.
-	instDefs [][]int
+	// regDefs[reg] is the set of all definitions of reg.
+	regDefs [32]bitset
+	// The definitions made by instruction i are Defs[firstDef[i]:
+	// firstDef[i+1]]: IDs are assigned in instruction order.
+	firstDef []int
 	// in[b] is the set of definition IDs reaching the entry of block b.
 	in []bitset
 }
 
-// Analyze runs reaching definitions to a fixed point under the MIPS
-// calling convention (the historical default).
-func Analyze(g *cfg.Graph) *Result { return AnalyzeMachine(g, nil) }
-
 // AnalyzeMachine runs reaching definitions to a fixed point, taking
-// the call-clobbered register set from m. A nil machine means MIPS.
+// the call-clobbered register set from m.
 func AnalyzeMachine(g *cfg.Graph, m isa.Machine) *Result {
-	callClobbered := clobberedFor(m)
-	r := &Result{Graph: g, instDefs: make([][]int, len(g.Fn.Insts))}
-
-	addDef := func(kind DefKind, inst int, reg isa.Reg) int {
-		id := len(r.Defs)
-		r.Defs = append(r.Defs, Def{ID: id, Kind: kind, Inst: inst, Reg: reg})
-		r.defsOf[reg] = append(r.defsOf[reg], id)
-		if inst >= 0 {
-			r.instDefs[inst] = append(r.instDefs[inst], id)
+	callClobbered := m.CallClobbered()
+	insts := g.Fn.Insts
+	calls := 0
+	for _, in := range insts {
+		if in.IsCall() || in.IsSyscall() {
+			calls++
 		}
-		return id
+	}
+	r := &Result{
+		Graph:    g,
+		Defs:     make([]Def, 0, 31+len(insts)+calls*len(callClobbered)),
+		firstDef: make([]int, len(insts)+1),
+	}
+	addDef := func(kind DefKind, inst int, reg isa.Reg) {
+		r.Defs = append(r.Defs, Def{ID: len(r.Defs), Kind: kind, Inst: inst, Reg: reg})
 	}
 
-	// Entry definitions for every register except $zero.
-	entryIDs := make([]int, 32)
+	// Entry definitions for every register except $zero: IDs 0–30.
 	for reg := isa.Reg(1); reg < 32; reg++ {
-		entryIDs[reg] = addDef(DefEntry, -1, reg)
+		addDef(DefEntry, -1, reg)
 	}
 	// Instruction and call-clobber definitions.
-	for i, in := range g.Fn.Insts {
+	for i, in := range insts {
+		r.firstDef[i] = len(r.Defs)
 		for _, reg := range in.Defs() {
 			if reg != isa.Zero {
 				addDef(DefInst, i, reg)
@@ -116,65 +103,76 @@ func AnalyzeMachine(g *cfg.Graph, m isa.Machine) *Result {
 			}
 		}
 	}
+	r.firstDef[len(insts)] = len(r.Defs)
 
 	n := len(r.Defs)
+	words := (n + 63) / 64
+	for _, d := range r.Defs {
+		if r.regDefs[d.Reg] == nil {
+			r.regDefs[d.Reg] = newBitset(n)
+		}
+		r.regDefs[d.Reg].set(d.ID)
+	}
+
+	// in outlives the analysis; out, gen and kill share one scratch
+	// backing array.
 	nb := len(g.Blocks)
 	r.in = make([]bitset, nb)
 	out := make([]bitset, nb)
 	gen := make([]bitset, nb)
-	killMask := make([]bitset, nb)
+	kill := make([]bitset, nb)
+	scratch := make([]uint64, 3*nb*words)
 	for b := 0; b < nb; b++ {
 		r.in[b] = newBitset(n)
-		out[b] = newBitset(n)
-		gen[b] = newBitset(n)
-		killMask[b] = newBitset(n)
-		for i := range killMask[b] {
-			killMask[b][i] = ^uint64(0)
-		}
+		out[b], scratch = scratch[:words:words], scratch[words:]
+		gen[b], scratch = scratch[:words:words], scratch[words:]
+		kill[b], scratch = scratch[:words:words], scratch[words:]
 	}
 
-	// Per-block gen/kill: walk forward; a def kills all other defs of
-	// the same register.
+	// Per-block gen/kill. A definition kills every other definition of
+	// its register, so a block kills all definitions of each register
+	// it defines and generates only the last definition of each.
+	var last [32]int
 	for _, b := range g.Blocks {
-		for i := b.Start; i < b.End; i++ {
-			for _, id := range r.instDefs[i] {
-				reg := r.Defs[id].Reg
-				for _, other := range r.defsOf[reg] {
-					gen[b.Index].clear(other)
-					killMask[b.Index].clear(other)
-				}
-				gen[b.Index].set(id)
-				killMask[b.Index].set(id)
-			}
+		var defined uint32
+		for id := r.firstDef[b.Start]; id < r.firstDef[b.End]; id++ {
+			reg := r.Defs[id].Reg
+			last[reg] = id
+			defined |= 1 << reg
+		}
+		for regs := defined; regs != 0; regs &= regs - 1 {
+			reg := bits.TrailingZeros32(regs)
+			gen[b.Index].set(last[reg])
+			kill[b.Index].orWith(r.regDefs[reg])
 		}
 	}
 
 	// Entry block starts with all entry defs.
 	if nb > 0 {
-		for reg := isa.Reg(1); reg < 32; reg++ {
-			r.in[0].set(entryIDs[reg])
+		for id := 0; id < 31; id++ {
+			r.in[0].set(id)
 		}
 	}
 
 	// Iterate to fixed point over reverse postorder.
 	order := g.ReversePostorder()
-	tmp := newBitset(n)
 	for changed := true; changed; {
 		changed = false
 		for _, b := range order {
 			bi := b.Index
+			in := r.in[bi]
 			for _, p := range b.Preds {
-				if r.in[bi].orWith(out[p.Index]) {
+				if in.orWith(out[p.Index]) {
 					changed = true
 				}
 			}
-			// out = gen | (in & kept)
-			tmp.copyFrom(r.in[bi])
-			for i := range tmp {
-				tmp[i] = gen[bi][i] | (tmp[i] & killMask[bi][i])
-			}
-			if out[bi].orWith(tmp) {
-				changed = true
+			// out = gen | (in &^ kill). in only grows, so out does too.
+			o, gb, kb := out[bi], gen[bi], kill[bi]
+			for i := range o {
+				if v := gb[i] | in[i]&^kb[i]; v != o[i] {
+					o[i] = v
+					changed = true
+				}
 			}
 		}
 	}
@@ -183,7 +181,7 @@ func AnalyzeMachine(g *cfg.Graph, m isa.Machine) *Result {
 
 // ReachingAt returns the definitions of reg that may reach instruction
 // index inst (i.e. the values reg may hold immediately before inst
-// executes).
+// executes), in ID order.
 func (r *Result) ReachingAt(inst int, reg isa.Reg) []Def {
 	if reg == isa.Zero {
 		return nil
@@ -192,9 +190,9 @@ func (r *Result) ReachingAt(inst int, reg isa.Reg) []Def {
 	// Scan backwards within the block for a local definition.
 	for i := inst - 1; i >= b.Start; i-- {
 		var local []Def
-		for _, id := range r.instDefs[i] {
-			if r.Defs[id].Reg == reg {
-				local = append(local, r.Defs[id])
+		for _, d := range r.Defs[r.firstDef[i]:r.firstDef[i+1]] {
+			if d.Reg == reg {
+				local = append(local, d)
 			}
 		}
 		if len(local) > 0 {
@@ -203,9 +201,10 @@ func (r *Result) ReachingAt(inst int, reg isa.Reg) []Def {
 	}
 	// Fall back to the block-entry set.
 	var defs []Def
-	for _, id := range r.defsOf[reg] {
-		if r.in[b.Index].has(id) {
-			defs = append(defs, r.Defs[id])
+	of := r.regDefs[reg]
+	for w, word := range r.in[b.Index] {
+		for m := word & of[w]; m != 0; m &= m - 1 {
+			defs = append(defs, r.Defs[w*64+bits.TrailingZeros64(m)])
 		}
 	}
 	return defs

@@ -7,6 +7,7 @@ import (
 	"delinq/internal/cfg"
 	"delinq/internal/disasm"
 	"delinq/internal/isa"
+	"delinq/internal/isa/mips"
 )
 
 func analyze(t *testing.T, src, fn string) *Result {
@@ -23,7 +24,7 @@ func analyze(t *testing.T, src, fn string) *Result {
 	if f == nil {
 		t.Fatalf("no function %q", fn)
 	}
-	return Analyze(cfg.Build(f))
+	return AnalyzeMachine(cfg.Build(f), mips.M)
 }
 
 func kinds(defs []Def) (inst, entry, call int) {

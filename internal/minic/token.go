@@ -115,6 +115,22 @@ var keywords = map[string]TokKind{
 	"continue": KwContinue, "sizeof": KwSizeof,
 }
 
+// twoCharOps and oneCharOps map operator spellings to token kinds; the
+// lexer tries the two-character form first (longest match).
+var twoCharOps = map[string]TokKind{
+	"->": Arrow, "+=": AddAssign, "-=": SubAssign, "*=": MulAssign,
+	"/=": DivAssign, "&&": AndAnd, "||": OrOr, "==": Eq, "!=": Ne,
+	"<=": Le, ">=": Ge, "<<": Shl, ">>": Shr, "++": Inc, "--": Dec,
+}
+
+var oneCharOps = map[byte]TokKind{
+	'(': LParen, ')': RParen, '{': LBrace, '}': RBrace,
+	'[': LBrack, ']': RBrack, ';': Semi, ',': Comma, '.': Dot,
+	'=': Assign, '+': Plus, '-': Minus, '*': Star, '/': Slash,
+	'%': Percent, '&': Amp, '|': Pipe, '^': Caret, '~': Tilde,
+	'!': Not, '<': Lt, '>': Gt,
+}
+
 // Token is one lexical token.
 type Token struct {
 	Kind TokKind
@@ -332,24 +348,12 @@ func (l *lexer) next() (Token, error) {
 	if l.pos+1 < len(l.src) {
 		two = l.src[l.pos : l.pos+2]
 	}
-	twoMap := map[string]TokKind{
-		"->": Arrow, "+=": AddAssign, "-=": SubAssign, "*=": MulAssign,
-		"/=": DivAssign, "&&": AndAnd, "||": OrOr, "==": Eq, "!=": Ne,
-		"<=": Le, ">=": Ge, "<<": Shl, ">>": Shr, "++": Inc, "--": Dec,
-	}
-	if k, ok := twoMap[two]; ok {
+	if k, ok := twoCharOps[two]; ok {
 		l.pos += 2
 		t.Kind, t.Text = k, two
 		return t, nil
 	}
-	oneMap := map[byte]TokKind{
-		'(': LParen, ')': RParen, '{': LBrace, '}': RBrace,
-		'[': LBrack, ']': RBrack, ';': Semi, ',': Comma, '.': Dot,
-		'=': Assign, '+': Plus, '-': Minus, '*': Star, '/': Slash,
-		'%': Percent, '&': Amp, '|': Pipe, '^': Caret, '~': Tilde,
-		'!': Not, '<': Lt, '>': Gt,
-	}
-	if k, ok := oneMap[c]; ok {
+	if k, ok := oneCharOps[c]; ok {
 		l.pos++
 		t.Kind, t.Text = k, string(c)
 		return t, nil

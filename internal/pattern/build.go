@@ -123,19 +123,18 @@ func AnalyzeFunc(fn *disasm.Func, conf Config) []*Load {
 
 func analyzeFuncMachine(fn *disasm.Func, conf Config, m isa.Machine) []*Load {
 	conf = conf.withDefaults()
-	b := newBuilder(fn, conf, m)
+	b := newBuilder(fn, conf, m, dataflow.AnalyzeMachine(cfg.Build(fn), m))
 	return b.analyzeLoads()
 }
 
-// newBuilder constructs a pattern builder over fn's dataflow facts,
+// newBuilder constructs a pattern builder over fn's dataflow facts df,
 // with register roles and the calling convention taken from m.
-func newBuilder(fn *disasm.Func, conf Config, m isa.Machine) *builder {
-	g := cfg.Build(fn)
+func newBuilder(fn *disasm.Func, conf Config, m isa.Machine, df *dataflow.Result) *builder {
 	b := &builder{
 		fn:    fn,
 		conf:  conf,
 		m:     m,
-		df:    dataflow.AnalyzeMachine(g, m),
+		df:    df,
 		slots: map[int32]int8{},
 		zero:  m.Zero(),
 		sp:    m.SP(),
@@ -161,14 +160,8 @@ func (b *builder) analyzeLoads() []*Load {
 		}
 		ld := &Load{Func: b.fn, Index: i, PC: b.fn.PC(i), Inst: in}
 		b.truncated = false
-		bases := b.expandReg(in.Rs, i, 0, map[int]bool{})
-		seen := map[string]bool{}
-		for _, base := range bases {
-			p := binary(Add, base, NewConst(in.MemOffset()))
-			if k := p.Key(); !seen[k] {
-				seen[k] = true
-				ld.Patterns = append(ld.Patterns, p)
-			}
+		for _, base := range b.expandReg(in.Rs, i, 0, map[int]bool{}) {
+			ld.Patterns = appendNew(ld.Patterns, binary(Add, base, NewConst(in.MemOffset())))
 		}
 		ld.Truncated = b.truncated
 		out = append(out, ld)
@@ -263,16 +256,12 @@ func (b *builder) expandReg(reg isa.Reg, at, depth int, visiting map[int]bool) [
 		return []*Expr{unknownLeaf}
 	}
 	var out []*Expr
-	seen := map[string]bool{}
 	add := func(e *Expr) {
 		if e.Size() > b.conf.MaxNodes {
 			b.truncated = true
 			e = unknownLeaf
 		}
-		if k := e.Key(); !seen[k] {
-			seen[k] = true
-			out = append(out, e)
-		}
+		out = appendNew(out, e)
 	}
 	for _, d := range defs {
 		if len(out) >= b.conf.MaxPatterns {

@@ -273,7 +273,7 @@ func TestIntraModeUnchanged(t *testing.T) {
 			t.Fatalf("load %d: pattern counts differ", i)
 		}
 		for j := range flat[i].Patterns {
-			if flat[i].Patterns[j].Key() != manual[i].Patterns[j].Key() {
+			if !flat[i].Patterns[j].Equal(manual[i].Patterns[j]) {
 				t.Errorf("load %d pattern %d: %q != %q",
 					i, j, flat[i].Patterns[j], manual[i].Patterns[j])
 			}

@@ -16,7 +16,6 @@ package pattern
 
 import (
 	"fmt"
-	"strings"
 
 	"delinq/internal/isa"
 )
@@ -263,22 +262,13 @@ func (e *Expr) Equal(o *Expr) bool {
 	return true
 }
 
-// Key returns a canonical string key for deduplication.
-func (e *Expr) Key() string {
-	var sb strings.Builder
-	e.key(&sb)
-	return sb.String()
-}
-
-func (e *Expr) key(sb *strings.Builder) {
-	fmt.Fprintf(sb, "%d:%d:%d", e.Kind, e.Val, e.Reg)
-	if e.L != nil {
-		sb.WriteByte('(')
-		e.L.key(sb)
-		if e.R != nil {
-			sb.WriteByte(',')
-			e.R.key(sb)
+// appendNew appends e to list unless an Equal pattern is already there,
+// so lists keep first-seen order without duplicates.
+func appendNew(list []*Expr, e *Expr) []*Expr {
+	for _, have := range list {
+		if have.Equal(e) {
+			return list
 		}
-		sb.WriteByte(')')
 	}
+	return append(list, e)
 }

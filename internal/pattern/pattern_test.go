@@ -332,8 +332,8 @@ func TestExprHelpers(t *testing.T) {
 	if e.Equal(binary(Add, spLeaf, NewConst(12))) {
 		t.Error("Equal matched different constants")
 	}
-	if e.Key() == binary(Add, gpLeaf, NewConst(8)).Key() {
-		t.Error("Key collision between sp and gp trees")
+	if e.Equal(binary(Add, gpLeaf, NewConst(8))) {
+		t.Error("Equal matched sp and gp trees")
 	}
 	if e.Size() != 3 {
 		t.Errorf("Size = %d", e.Size())

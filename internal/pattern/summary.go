@@ -3,14 +3,16 @@
 // callee-first order (functions computed in parallel, memoised through
 // internal/rescache) and records, per function, the address pattern of
 // its return value and how deeply its loads dereference each argument
-// register. Phase 2 walks callers-first, propagating the argument
-// patterns that arrive at every direct call site, and rebuilds each
-// function's load patterns with both directions resolved: a Ret leaf
-// becomes the callee's return summary instantiated at the call site,
-// and a Param leaf becomes the union of the caller-side argument
-// patterns. Recursion terminates because calls within one component
-// collapse to the Rec marker, and all expansion shares the existing
-// MaxPatterns/MaxNodes/MaxDepth budgets.
+// register. It keeps each function's reaching definitions for phase 2,
+// so one analysis computes them once per function. Phase 2 walks
+// callers-first, propagating the argument patterns that arrive at every
+// direct call site, and rebuilds each function's load patterns with
+// both directions resolved: a Ret leaf becomes the callee's return
+// summary instantiated at the call site, and a Param leaf becomes the
+// union of the caller-side argument patterns. Recursion terminates
+// because calls within one component collapse to the Rec marker, and
+// all expansion shares the existing MaxPatterns/MaxNodes/MaxDepth
+// budgets.
 package pattern
 
 import (
@@ -19,6 +21,7 @@ import (
 	"sync"
 
 	"delinq/internal/callgraph"
+	"delinq/internal/cfg"
 	"delinq/internal/dataflow"
 	"delinq/internal/disasm"
 	"delinq/internal/isa"
@@ -50,7 +53,9 @@ type Summaries struct {
 	conf Config
 	m    isa.Machine
 
-	cache *rescache.Cache[*Summary]
+	// cache holds each function's phase-1 result: its summary and the
+	// reaching definitions phase 2 reuses.
+	cache *rescache.Cache[*funcFacts]
 
 	// incoming maps a function to the deduplicated argument patterns
 	// arriving at its direct call sites, per argument register. It is
@@ -58,6 +63,12 @@ type Summaries struct {
 	// function's own parameters) and populated serially during the
 	// top-down phase 2 pass, so no lock is needed.
 	incoming map[*disasm.Func]*[4][]*Expr
+}
+
+// funcFacts is what phase 1 computes once per function.
+type funcFacts struct {
+	sum *Summary
+	df  *dataflow.Result
 }
 
 // ComputeSummaries builds the call graph of p and computes every
@@ -75,7 +86,7 @@ func ComputeSummaries(p *disasm.Program, conf Config) *Summaries {
 		cg:    callgraph.Build(p),
 		conf:  conf,
 		m:     m,
-		cache: rescache.New[*Summary](rescache.Config{}, nil),
+		cache: rescache.New[*funcFacts](rescache.Config{}, nil),
 	}
 	var wg sync.WaitGroup
 	for _, comp := range s.cg.SCCs() {
@@ -100,33 +111,42 @@ func (s *Summaries) Of(fn *disasm.Func) *Summary { return s.summaryOf(fn) }
 func summaryKey(fn *disasm.Func) string { return strconv.FormatUint(uint64(fn.Entry), 16) }
 
 func (s *Summaries) summaryOf(fn *disasm.Func) *Summary {
+	if f := s.factsOf(fn); f != nil {
+		return f.sum
+	}
+	return nil
+}
+
+// factsOf returns fn's phase-1 result, computing it if needed.
+func (s *Summaries) factsOf(fn *disasm.Func) *funcFacts {
 	if s.cg.NodeOf(fn) == nil {
 		return nil
 	}
-	sum, _, _ := s.cache.Do(context.Background(), summaryKey(fn), func() (*Summary, bool, error) {
+	f, _, _ := s.cache.Do(context.Background(), summaryKey(fn), func() (*funcFacts, bool, error) {
 		return s.compute(fn), true, nil
 	})
-	return sum
+	return f
 }
 
-// compute builds one function's summary. Callee summaries outside fn's
-// component are demanded recursively (they are in earlier components,
-// so the recursion follows the condensation DAG and terminates); calls
-// within the component resolve to the Rec marker.
-func (s *Summaries) compute(fn *disasm.Func) *Summary {
+// compute builds one function's reaching definitions and summary.
+// Callee summaries outside fn's component are demanded recursively
+// (they are in earlier components, so the recursion follows the
+// condensation DAG and terminates); calls within the component resolve
+// to the Rec marker.
+func (s *Summaries) compute(fn *disasm.Func) *funcFacts {
 	node := s.cg.NodeOf(fn)
 	mates := map[*disasm.Func]bool{fn: true}
 	for _, m := range s.cg.SCCs()[node.SCC] {
 		mates[m.Fn] = true
 	}
-	b := newBuilder(fn, s.conf, s.m)
+	df := dataflow.AnalyzeMachine(cfg.Build(fn), s.m)
+	b := newBuilder(fn, s.conf, s.m, df)
 	b.ipc = s
 	b.sccMates = mates
 
 	sum := &Summary{Fn: fn}
 
 	// Return-value patterns of $v0 at each return site (jr $ra).
-	seen := map[string]bool{}
 	informative := false
 	for i, in := range fn.Insts {
 		if !in.IsReturn() {
@@ -138,12 +158,9 @@ func (s *Summaries) compute(fn *disasm.Func) *Summary {
 				sum.Truncated = true
 				break
 			}
-			if k := e.Key(); !seen[k] {
-				seen[k] = true
-				sum.Ret = append(sum.Ret, e)
-				if e.Kind != Unknown && e.Kind != Ret {
-					informative = true
-				}
+			sum.Ret = appendNew(sum.Ret, e)
+			if e.Kind != Unknown && e.Kind != Ret {
+				informative = true
 			}
 		}
 		sum.Truncated = sum.Truncated || b.truncated
@@ -196,7 +213,7 @@ func (s *Summaries) compute(fn *disasm.Func) *Summary {
 			}
 		}
 	}
-	return sum
+	return &funcFacts{sum: sum, df: df}
 }
 
 // derefOverParam returns the maximum number of dereferences on a path
@@ -256,7 +273,7 @@ func (s *Summaries) analyzeProgram(p *disasm.Program) []*Load {
 			}
 		}
 		for _, n := range sccs[ci] {
-			b := newBuilder(n.Fn, s.conf, s.m)
+			b := newBuilder(n.Fn, s.conf, s.m, s.factsOf(n.Fn).df)
 			b.ipc = s
 			byFn[n.Fn] = b.analyzeLoads()
 			if !propagate {
@@ -295,16 +312,7 @@ func (s *Summaries) addIncoming(fn *disasm.Func, args [4][]*Expr) {
 			if len(inc[k]) >= s.conf.MaxPatterns {
 				break
 			}
-			dup := false
-			for _, have := range inc[k] {
-				if have.Equal(e) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				inc[k] = append(inc[k], e)
-			}
+			inc[k] = appendNew(inc[k], e)
 		}
 	}
 }

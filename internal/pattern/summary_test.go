@@ -124,20 +124,21 @@ int main() {
 	}
 	conf := DefaultConfig()
 	conf.Interprocedural = true
-	key := func(loads []*Load) string {
-		out := ""
-		for _, l := range loads {
-			for _, pat := range l.Patterns {
-				out += pat.Key() + ";"
-			}
-			out += "|"
-		}
-		return out
-	}
-	want := key(analyze(t, p, conf))
+	want := analyze(t, p, conf)
 	for i := 0; i < 10; i++ {
-		if got := key(analyze(t, p, conf)); got != want {
-			t.Fatalf("run %d diverged:\n%s\nvs\n%s", i, got, want)
+		got := analyze(t, p, conf)
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d loads, want %d", i, len(got), len(want))
+		}
+		for j := range got {
+			if len(got[j].Patterns) != len(want[j].Patterns) {
+				t.Fatalf("run %d load %d diverged: %v vs %v", i, j, got[j].Patterns, want[j].Patterns)
+			}
+			for k := range got[j].Patterns {
+				if !got[j].Patterns[k].Equal(want[j].Patterns[k]) {
+					t.Fatalf("run %d load %d diverged: %v vs %v", i, j, got[j].Patterns, want[j].Patterns)
+				}
+			}
 		}
 	}
 }

@@ -70,8 +70,10 @@ go test -run 'TestCLIServeWarmRestart' ./cmd/delinq
 
 echo "== bench smoke"
 # One iteration of the cheap benchmarks: enough to catch a broken
-# benchmark without paying for a full measurement run.
-go test -run '^$' -bench 'BenchmarkCacheAccess|BenchmarkVMInstsPerSec' -benchtime 1x ./...
+# benchmark without paying for a full measurement run. The simulator
+# benchmarks cover the dynamic path, BenchmarkPatternAnalysis and
+# BenchmarkExecuteProgen the static path of a cold analyze.
+go test -run '^$' -bench 'BenchmarkCacheAccess|BenchmarkVMInstsPerSec|BenchmarkPatternAnalysis|BenchmarkExecuteProgen' -benchtime 1x ./...
 
 echo "== coverage floor"
 # Packages with dedicated correctness harnesses must stay above 75%
