@@ -151,13 +151,14 @@ func BenchmarkAblationExpansionBounds(b *testing.B) {
 			var truncated, total int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				truncated, total = 0, 0
-				for _, fn := range bd.Prog.Funcs {
-					for _, ld := range pattern.AnalyzeFunc(fn, conf) {
-						total++
-						if ld.Truncated {
-							truncated++
-						}
+				loads, err := pattern.AnalyzeProgramCtx(context.Background(), bd.Prog, conf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				truncated, total = 0, len(loads)
+				for _, ld := range loads {
+					if ld.Truncated {
+						truncated++
 					}
 				}
 			}
@@ -424,14 +425,9 @@ func BenchmarkAblationReplacementPolicy(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			delta := map[uint32]bool{}
-			for _, s := range classify.Score(bd.Loads, run, cfg) {
-				if s.Delinquent {
-					delta[s.Load.PC] = true
-				}
-			}
-			rhoLRU += metrics.Evaluate(delta, run.LoadStats(0)).Rho
-			rhoFIFO += metrics.Evaluate(delta, run.LoadStats(1)).Rho
+			delta := classify.DeltaSet(classify.Score(bd.Loads, run, cfg))
+			rhoLRU += metrics.Evaluate(delta, run.LoadStats(bd.Loads, 0)).Rho
+			rhoFIFO += metrics.Evaluate(delta, run.LoadStats(bd.Loads, 1)).Rho
 		}
 		rhoLRU /= float64(len(names))
 		rhoFIFO /= float64(len(names))

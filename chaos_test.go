@@ -29,7 +29,7 @@ import (
 // are exactly the golden ones.
 var chaosVictims = map[string]string{
 	"022.li":      "DEGRADED(assemble)", // image corrupted before validation
-	"072.sc":      "DEGRADED(pattern)",  // analysis budget exhausted, Unknown fallback
+	"072.sc":      "DEGRADED(pattern)",  // pattern analysis fails
 	"101.tomcatv": "DEGRADED(simulate)", // instruction budget collapsed
 	"126.gcc":     "DEGRADED(worker)",   // panic inside the memoised computation
 }

@@ -38,6 +38,7 @@ import (
 	"delinq/internal/classify"
 	"delinq/internal/core"
 	"delinq/internal/difftest"
+	"delinq/internal/disasm"
 	"delinq/internal/faultinject"
 	"delinq/internal/isa"
 	_ "delinq/internal/isa/arm"
@@ -265,11 +266,11 @@ func cmdDisasm(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := core.IdentifyImageCtx(context.Background(), img, core.Options{})
+	prog, err := disasm.Disassemble(img)
 	if err != nil {
-		return err
+		return core.WrapStage("", core.StageDisasm, err)
 	}
-	return res.Prog.Print(os.Stdout)
+	return prog.Print(os.Stdout)
 }
 
 func cmdRun(args []string) error {

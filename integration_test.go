@@ -260,7 +260,7 @@ func TestCacheModelAgainstDirectSimulation(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sum int64
-		for _, s := range run.LoadStats(0) {
+		for _, s := range run.LoadStats(bd.Loads, 0) {
 			sum += s.Misses
 		}
 		if uint64(sum) != run.Caches[0].Stats().LoadMisses {

@@ -2,7 +2,8 @@
 // mini-C programs, one per SPEC benchmark used in the paper, each
 // modelling its namesake's characteristic memory behaviour, plus the
 // harness that compiles, simulates and analyses them with result
-// caching.
+// caching. Only successful results are cached; a failure reaches its
+// callers as a *core.StageError and the next call recomputes.
 //
 // The substitution (real SPEC binaries are unavailable here) preserves
 // what the heuristic depends on: the mix of scalar stack traffic, strided
@@ -13,7 +14,6 @@ package bench
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -22,7 +22,6 @@ import (
 	"delinq/internal/core"
 	"delinq/internal/disasm"
 	"delinq/internal/faultinject"
-	"delinq/internal/metrics"
 	"delinq/internal/minic"
 	"delinq/internal/obj"
 	"delinq/internal/pattern"
@@ -91,27 +90,18 @@ type Build struct {
 	Image *obj.Image
 	Prog  *disasm.Program
 	Loads []*pattern.Load
-	// Degraded is non-nil when a recoverable stage failed and the build
-	// fell back to a lower-fidelity result (currently: pattern analysis
-	// failing even at halved budgets, leaving every load Unknown). The
-	// build is still usable; tables render the benchmark as DEGRADED.
-	Degraded *core.StageError
 }
 
 // NumLoads returns |Λ|.
 func (b *Build) NumLoads() int { return len(b.Loads) }
 
-// Run is one completed simulation: the VM profile plus a cache model per
-// requested geometry.
+// Run is one completed simulation of a build on one input: the VM
+// profile plus a cache model per requested geometry.
 type Run struct {
-	Build  *Build
-	Input  []int32
-	Result *vm.Result
-	Caches []*cache.Cache
+	core.Simulation
+	Build *Build
+	Input []int32
 }
-
-// ExecCount implements classify.ExecProfile.
-func (r *Run) ExecCount(pc uint32) int64 { return r.Result.ExecAt(pc) }
 
 // builds memoises compiled binaries and runs completed simulations;
 // experiments across tables share them. Both are singleflight caches:
@@ -210,8 +200,7 @@ func runKey(bd *Build, input []int32, geoms []cache.Config) string {
 //
 // Cancelling ctx stops pattern analysis at the next function boundary.
 // Every failure is reported as a *core.StageError naming the stage that
-// failed; a pattern-analysis failure degrades (see Build.Degraded)
-// instead of failing the build.
+// failed, and none is memoised: the next call for the key recomputes.
 func CompileISACtx(ctx context.Context, b *Benchmark, optimize bool, isaName string) (*Build, error) {
 	bd, _, err := builds.Do(ctx, buildKey(b.Name, optimize, isaName), func() (*Build, bool, error) {
 		asmText, err := minic.Compile(b.Source, minic.Options{Optimize: optimize})
@@ -234,7 +223,10 @@ func CompileISACtx(ctx context.Context, b *Benchmark, optimize bool, isaName str
 		if err != nil {
 			return nil, false, core.WrapStage(b.Name, core.StageDisasm, err)
 		}
-		loads, degraded, err := analyzePatterns(ctx, b.Name, prog)
+		if err := faultinject.Error(faultinject.PatternBudget, b.Name); err != nil {
+			return nil, false, core.WrapStage(b.Name, core.StagePattern, err)
+		}
+		loads, err := pattern.AnalyzeProgramCtx(ctx, prog, pattern.DefaultConfig())
 		if err != nil {
 			return nil, false, core.WrapStage(b.Name, core.StagePattern, err)
 		}
@@ -245,7 +237,6 @@ func CompileISACtx(ctx context.Context, b *Benchmark, optimize bool, isaName str
 			Image:    img,
 			Prog:     prog,
 			Loads:    loads,
-			Degraded: degraded,
 		}, true, nil
 	})
 	if err != nil {
@@ -254,11 +245,11 @@ func CompileISACtx(ctx context.Context, b *Benchmark, optimize bool, isaName str
 	return bd, nil
 }
 
-// cacheError attributes an error from the build or run cache to a
-// stage. A fill's own *core.StageError passes through; a panic the
-// cache recovered is a StageWorker failure; anything else is this
-// caller's context ending while it waited on another caller's fill,
-// charged to stage, the fill's cancellable stage.
+// cacheError attributes an error from a bench cache to a stage. A
+// fill's own *core.StageError passes through; a panic the cache
+// recovered is a StageWorker failure; anything else (a fill's bare
+// error, or this caller's context ending while it waited on another
+// caller's fill) is charged to stage, the fill's cancellable stage.
 func cacheError(name string, stage core.Stage, err error) error {
 	var pe *rescache.PanicError
 	if errors.As(err, &pe) {
@@ -281,57 +272,25 @@ func corruptImage(name string, img *obj.Image) {
 	}
 }
 
-// analyzePatterns runs pattern analysis with graceful degradation: a
-// failure (or recovered panic) is retried once with halved MaxPatterns
-// and MaxNodes budgets; if that fails too, every load degrades to the
-// Unknown pattern and the returned *core.StageError records why. The
-// analysis is deterministic, so the retry runs at once: only the
-// smaller budgets can change its outcome. Context cancellation is never
-// degraded — it propagates as the error.
-func analyzePatterns(ctx context.Context, name string, prog *disasm.Program) ([]*pattern.Load, *core.StageError, error) {
-	run := func(conf pattern.Config) (loads []*pattern.Load, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				loads, err = nil, fmt.Errorf("pattern analysis panicked: %v", r)
-			}
-		}()
-		if ferr := faultinject.Error(faultinject.PatternBudget, name); ferr != nil {
-			return nil, ferr
-		}
-		return pattern.AnalyzeProgramCtx(ctx, prog, conf)
-	}
-	conf := pattern.DefaultConfig()
-	var err error
-	for attempt := 0; attempt < 2; attempt++ {
-		var loads []*pattern.Load
-		if loads, err = run(conf); err == nil {
-			return loads, nil, nil
-		}
-		if ctx.Err() != nil {
-			return nil, nil, err
-		}
-		conf.MaxPatterns /= 2
-		conf.MaxNodes /= 2
-	}
-	return pattern.UnknownLoads(prog),
-		core.NewStageError(name, core.StagePattern, fmt.Errorf("degraded to unknown patterns: %w", err)),
-		nil
-}
-
 // LoadsInter returns the build's loads re-analysed with interprocedural
 // summaries (pattern.Config.Interprocedural). Build.Loads keeps the
 // paper's flat per-function analysis; this alternate view is memoised
 // alongside it so the comparison tables can render both without
-// recomputing either.
-func LoadsInter(bd *Build) []*pattern.Load {
-	ctx := context.Background()
-	out, _, _ := interLoads.Do(ctx, buildKey(bd.Bench.Name, bd.Optimize, bd.ISA)+"|inter", func() ([]*pattern.Load, bool, error) {
+// recomputing either. Cancelling ctx stops the analysis at the next
+// function boundary; a failure is a pattern-stage *core.StageError
+// naming the benchmark, and is not memoised.
+func LoadsInter(ctx context.Context, bd *Build) ([]*pattern.Load, error) {
+	name := bd.Bench.Name
+	loads, _, err := interLoads.Do(ctx, buildKey(name, bd.Optimize, bd.ISA)+"|inter", func() ([]*pattern.Load, bool, error) {
 		conf := pattern.DefaultConfig()
 		conf.Interprocedural = true
 		loads, err := pattern.AnalyzeProgramCtx(ctx, bd.Prog, conf)
 		return loads, true, err
 	})
-	return out
+	if err != nil {
+		return nil, cacheError(name, core.StagePattern, err)
+	}
+	return loads, nil
 }
 
 // SimulateCtx runs the binary on the given input, attaching one D-cache
@@ -365,23 +324,10 @@ func SimulateCtx(ctx context.Context, bd *Build, input []int32, geoms []cache.Co
 		if err != nil {
 			return nil, false, core.WrapStage(name, core.StageSimulate, err)
 		}
-		return &Run{Build: bd, Input: input, Result: res, Caches: caches}, true, nil
+		return &Run{Simulation: core.Simulation{Result: res, Caches: caches}, Build: bd, Input: input}, true, nil
 	})
 	if err != nil {
 		return nil, cacheError(name, core.StageSimulate, err)
 	}
 	return r, nil
-}
-
-// LoadStats extracts per-load (E(i), M(i,C)) pairs for cache index ci.
-func (r *Run) LoadStats(ci int) []metrics.LoadStat {
-	out := make([]metrics.LoadStat, 0, len(r.Build.Loads))
-	for _, ld := range r.Build.Loads {
-		out = append(out, metrics.LoadStat{
-			PC:     ld.PC,
-			Exec:   r.Result.ExecAt(ld.PC),
-			Misses: r.Result.MissesAt(ci, ld.PC),
-		})
-	}
-	return out
 }

@@ -132,7 +132,7 @@ func TestLoadStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := run.LoadStats(0)
+	stats := run.LoadStats(bd.Loads, 0)
 	if len(stats) != bd.NumLoads() {
 		t.Fatalf("stats = %d, loads = %d", len(stats), bd.NumLoads())
 	}

@@ -37,7 +37,10 @@ func TestInterRaisesCrossCallDeref(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inter := LoadsInter(bd)
+		inter, err := LoadsInter(context.Background(), bd)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(inter) != len(bd.Loads) {
 			t.Fatalf("%s: load sets differ: %d vs %d", name, len(inter), len(bd.Loads))
 		}

@@ -8,7 +8,6 @@ import (
 	"delinq/internal/cache"
 	"delinq/internal/core"
 	"delinq/internal/faultinject"
-	"delinq/internal/pattern"
 	"delinq/internal/rescache"
 	"delinq/internal/vm"
 )
@@ -26,60 +25,31 @@ func withPlan(t *testing.T, p *faultinject.Plan) {
 	})
 }
 
-func TestPatternRetryRecovers(t *testing.T) {
+// TestPatternFaultFailsPatternStage: an armed pattern seam fails the
+// build at the pattern stage with provenance the caller can match, and
+// the failure is not memoised: once the one-shot fault is spent, the
+// same request compiles.
+func TestPatternFaultFailsPatternStage(t *testing.T) {
+	ctx := context.Background()
 	b := ByName("181.mcf")
 	p := faultinject.NewPlan(1)
 	p.ArmN(faultinject.PatternBudget, b.Name, 1)
 	withPlan(t, p)
 
-	bd, err := CompileISACtx(context.Background(), b, false, "")
-	if err != nil {
-		t.Fatalf("compile with one-shot pattern fault: %v", err)
+	_, err := CompileISACtx(ctx, b, false, "")
+	if !errors.Is(err, &core.StageError{Benchmark: b.Name, Stage: core.StagePattern}) {
+		t.Fatalf("err = %v, want pattern-stage StageError for %s", err, b.Name)
 	}
-	if bd.Degraded != nil {
-		t.Fatalf("retry path degraded anyway: %v", bd.Degraded)
+	if !faultinject.Injected(err) {
+		t.Errorf("injected fault not recognisable through the error: %v", err)
 	}
-	// The halved-budget retry ran real analysis: loads are not all
-	// Unknown.
-	structured := false
-	for _, ld := range bd.Loads {
-		for _, e := range ld.Patterns {
-			if e.Kind != pattern.Unknown {
-				structured = true
-			}
-		}
-	}
-	if !structured {
-		t.Error("retry produced only Unknown patterns")
-	}
-}
 
-func TestPatternExhaustionDegradesToUnknown(t *testing.T) {
-	b := ByName("181.mcf")
-	p := faultinject.NewPlan(1)
-	p.Arm(faultinject.PatternBudget, b.Name)
-	withPlan(t, p)
-
-	bd, err := CompileISACtx(context.Background(), b, false, "")
+	bd, err := CompileISACtx(ctx, b, false, "")
 	if err != nil {
-		t.Fatalf("compile must degrade, not fail: %v", err)
-	}
-	if bd.Degraded == nil {
-		t.Fatal("Build.Degraded not set")
-	}
-	if bd.Degraded.Stage != core.StagePattern || bd.Degraded.Benchmark != b.Name {
-		t.Errorf("degradation provenance = %+v", bd.Degraded)
-	}
-	if !faultinject.Injected(bd.Degraded) {
-		t.Error("injected fault not recognisable through the degradation error")
+		t.Fatalf("compile after the fault was spent: %v", err)
 	}
 	if len(bd.Loads) == 0 {
-		t.Fatal("degraded build lost its loads")
-	}
-	for _, ld := range bd.Loads {
-		if len(ld.Patterns) != 1 || ld.Patterns[0].Kind != pattern.Unknown || !ld.Truncated {
-			t.Fatalf("degraded load %#x not Unknown: %+v", ld.PC, ld)
-		}
+		t.Error("recovered build has no loads")
 	}
 }
 

@@ -250,3 +250,15 @@ func Delinquent(scored []*Scored) []*Scored {
 	}
 	return out
 }
+
+// DeltaSet returns the reported set Δ as a PC set, ready for
+// metrics.Evaluate.
+func DeltaSet(scored []*Scored) map[uint32]bool {
+	out := map[uint32]bool{}
+	for _, s := range scored {
+		if s.Delinquent {
+			out[s.Load.PC] = true
+		}
+	}
+	return out
+}

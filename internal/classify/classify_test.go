@@ -247,6 +247,19 @@ func TestDelinquentFilter(t *testing.T) {
 	}
 }
 
+func TestDeltaSet(t *testing.T) {
+	ld := func(pc uint32) *pattern.Load { return &pattern.Load{PC: pc} }
+	s := []*Scored{
+		{Load: ld(0x10), Delinquent: true},
+		{Load: ld(0x14), Delinquent: false},
+		{Load: ld(0x18), Delinquent: true},
+	}
+	got := DeltaSet(s)
+	if len(got) != 2 || !got[0x10] || !got[0x18] || got[0x14] {
+		t.Errorf("DeltaSet = %v, want {0x10, 0x18}", got)
+	}
+}
+
 func TestH1Classes(t *testing.T) {
 	cases := []struct {
 		f    Features

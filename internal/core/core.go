@@ -82,13 +82,7 @@ func (r *Result) Pi() float64 {
 }
 
 // DeltaSet returns Δ as a PC set, ready for metrics.Evaluate.
-func (r *Result) DeltaSet() map[uint32]bool {
-	out := map[uint32]bool{}
-	for _, s := range classify.Delinquent(r.Scored) {
-		out[s.Load.PC] = true
-	}
-	return out
-}
+func (r *Result) DeltaSet() map[uint32]bool { return classify.DeltaSet(r.Scored) }
 
 // IdentifyImageCtx runs the post-compilation analysis on a linked
 // image. A deadline or cancellation stops pattern analysis at the next

@@ -114,17 +114,13 @@ func runInterp(src string, args []int32, maxInsts int64) outcome {
 	return outcome{exit: res.Exit, output: res.Output}
 }
 
-// CheckProgram runs one program through all three engines and returns a
-// description of any disagreement (empty string when they agree).
-// Programs on which every engine faults — e.g. a division by zero —
-// count as agreement; a fault in some engines but not others does not.
-func CheckProgram(src string, args []int32, maxInsts int64) string {
-	return CheckProgramISA(src, args, maxInsts, "")
-}
-
-// CheckProgramISA is CheckProgram with the compiled pipelines targeting
-// the named machine description.
-func CheckProgramISA(src string, args []int32, maxInsts int64, isaName string) string {
+// CheckProgram runs one program through all three engines, the compiled
+// pipelines targeting the named machine description ("" means mips),
+// and returns a description of any disagreement (empty string when
+// they agree). Programs on which every engine faults — e.g. a division
+// by zero — count as agreement; a fault in some engines but not others
+// does not.
+func CheckProgram(src string, args []int32, maxInsts int64, isaName string) string {
 	if maxInsts == 0 {
 		maxInsts = 20e6
 	}
@@ -164,16 +160,11 @@ func argsFor(seed int64) []int32 {
 	return args
 }
 
-// Run generates opts.N programs and checks each one three ways.
-func Run(opts Options) *Summary {
-	sum, _ := RunCtx(context.Background(), opts)
-	return sum
-}
-
-// RunCtx is Run under a context: the batch stops at the next program
-// boundary once ctx is done, returning the programs checked so far
-// together with a difftest-stage *core.StageError recording the abort.
-// A nil error means every requested program ran.
+// RunCtx generates opts.N programs and checks each one three ways. The
+// batch stops at the next program boundary once ctx is done, returning
+// the programs checked so far together with a difftest-stage
+// *core.StageError recording the abort. A nil error means every
+// requested program ran.
 func RunCtx(ctx context.Context, opts Options) (*Summary, error) {
 	cfg := opts.Config
 	if cfg == (progen.Config{}) {
@@ -188,7 +179,7 @@ func RunCtx(ctx context.Context, opts Options) (*Summary, error) {
 		}
 		seed := opts.Seed + int64(k)
 		src := gen.Program(seed)
-		if reason := CheckProgramISA(src, argsFor(seed), opts.MaxInsts, opts.ISA); reason != "" {
+		if reason := CheckProgram(src, argsFor(seed), opts.MaxInsts, opts.ISA); reason != "" {
 			sum.Failures = append(sum.Failures, Failure{Seed: seed, Reason: reason, Src: src})
 		}
 		sum.Programs++

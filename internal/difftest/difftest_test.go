@@ -43,7 +43,10 @@ func TestThreeWayAgreement(t *testing.T) {
 	if testing.Short() {
 		n = 30
 	}
-	sum := Run(Options{N: n, Seed: 1})
+	sum, err := RunCtx(context.Background(), Options{N: n, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sum.Programs != n {
 		t.Fatalf("ran %d programs, want %d", sum.Programs, n)
 	}
@@ -66,7 +69,10 @@ func TestThreeWayAgreementARM(t *testing.T) {
 	if testing.Short() {
 		n = 30
 	}
-	sum := Run(Options{N: n, Seed: 1, ISA: "arm"})
+	sum, err := RunCtx(context.Background(), Options{N: n, Seed: 1, ISA: "arm"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sum.Programs != n {
 		t.Fatalf("ran %d programs, want %d", sum.Programs, n)
 	}
@@ -82,7 +88,7 @@ func TestThreeWayAgreementARM(t *testing.T) {
 // TestRunUnknownISA: an unknown machine description must surface as a
 // per-program failure naming the lowering, not silently fall back.
 func TestRunUnknownISA(t *testing.T) {
-	reason := CheckProgramISA("int main() { return 0; }", nil, 0, "sparc")
+	reason := CheckProgram("int main() { return 0; }", nil, 0, "sparc")
 	if !strings.Contains(reason, "disagree on failure") {
 		t.Errorf("unknown ISA not reported: %q", reason)
 	}
@@ -111,7 +117,7 @@ int main() {
 	print_int(s); print_char(32 + (c & 63)); print_int(fi);
 	return s & 255;
 }`
-	if reason := CheckProgram(src, []int32{1, 2}, 0); reason != "" {
+	if reason := CheckProgram(src, []int32{1, 2}, 0, ""); reason != "" {
 		t.Errorf("disagreement on handwritten program: %s", reason)
 	}
 }
@@ -121,7 +127,7 @@ int main() {
 // agreement.
 func TestCheckProgramAllFault(t *testing.T) {
 	src := `int main() { int z = 0; return 1 / z; }`
-	if reason := CheckProgram(src, nil, 0); reason != "" {
+	if reason := CheckProgram(src, nil, 0, ""); reason != "" {
 		t.Errorf("unanimous fault reported as disagreement: %s", reason)
 	}
 }
@@ -142,7 +148,7 @@ func TestCheckProgramMixedFailure(t *testing.T) {
 		sb.WriteString(")")
 	}
 	sb.WriteString("; }")
-	reason := CheckProgram(sb.String(), nil, 0)
+	reason := CheckProgram(sb.String(), nil, 0, "")
 	if reason == "" {
 		t.Fatal("compile-side failure not reported")
 	}

@@ -3,8 +3,8 @@
 // analysis, simulation, trace replay, worker pool) consults the
 // installed plan by a (Point, target) pair — the target is usually a
 // benchmark name — and, when armed, deliberately fails in a
-// stage-characteristic way: a corrupted image, an exhausted analysis
-// budget, a collapsed instruction budget, flipped trace bytes, or a
+// stage-characteristic way: a corrupted image, a failed pattern
+// analysis, a collapsed instruction budget, flipped trace bytes, or a
 // panic inside a worker. Degradation paths become testable instead of
 // theoretical: the chaos test arms every point and asserts the pipeline
 // survives with per-benchmark isolation.
@@ -34,9 +34,8 @@ const (
 	// CorruptImage corrupts the assembled obj.Image (out-of-range entry
 	// point plus seed-dependent text/data damage) before validation.
 	CorruptImage Point = iota
-	// PatternBudget makes address-pattern analysis fail with a budget-
-	// exhaustion error, exercising the halved-budget retry and the
-	// declare-Unknown fallback.
+	// PatternBudget makes address-pattern analysis fail before it runs,
+	// so the build fails at the pattern stage.
 	PatternBudget
 	// SimBudget collapses the VM instruction budget so simulation fails
 	// with the budget-exhausted fault almost immediately.
@@ -174,7 +173,8 @@ func (p *Plan) Arm(pt Point, target string) {
 }
 
 // ArmN makes the (point, target) seam fire on the first n queries only;
-// later queries pass through. Used to test retry paths.
+// later queries pass through. Used to test that a failure is not
+// memoised: the request after the last firing must succeed.
 func (p *Plan) ArmN(pt Point, target string, n int) {
 	p.mu.Lock()
 	p.arms[armKey(pt, target)] = n

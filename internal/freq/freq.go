@@ -5,10 +5,10 @@
 // infrequently executed load instructions", citing Wu-Larus and Wong).
 //
 // The estimator is deliberately simple, in the spirit of those papers:
-// every loop is assumed to iterate TripCount times, call counts
+// every loop is assumed to iterate tripCount times, call counts
 // propagate over the call graph from the entry function, and an
 // instruction's estimated count is its function's call count times
-// TripCount raised to its loop-nesting depth. The absolute numbers are
+// tripCount raised to its loop-nesting depth. The absolute numbers are
 // crude, but H5 only consumes them through the coarse rare/seldom/fair
 // buckets, which is exactly where static estimation is credible.
 package freq
@@ -19,23 +19,18 @@ import (
 	"delinq/internal/isa"
 )
 
-// Config tunes the estimator.
-type Config struct {
-	// TripCount is the assumed iteration count of every loop
-	// (default 1000: one nesting level is enough to leave the
-	// "seldom executed" bucket, as with real profiles).
-	TripCount int64
-	// MaxCount caps estimates to avoid overflow in deep nests.
-	MaxCount int64
-	// RecursionPasses bounds call-count propagation through cycles in
+// The estimator's constants.
+const (
+	// tripCount is the assumed iteration count of every loop: one
+	// nesting level is enough to leave the "seldom executed" bucket,
+	// as with real profiles.
+	tripCount = 1000
+	// maxCount caps estimates to avoid overflow in deep nests.
+	maxCount = 1 << 40
+	// recursionPasses bounds call-count propagation through cycles in
 	// the call graph.
-	RecursionPasses int
-}
-
-// DefaultConfig returns the estimator used by the experiments.
-func DefaultConfig() Config {
-	return Config{TripCount: 1000, MaxCount: 1 << 40, RecursionPasses: 8}
-}
+	recursionPasses = 8
+)
 
 // Profile holds estimated per-instruction execution counts and
 // implements classify.ExecProfile.
@@ -48,10 +43,7 @@ type Profile struct {
 func (p *Profile) ExecCount(pc uint32) int64 { return p.counts[pc] }
 
 // Estimate builds a static frequency profile for a program.
-func Estimate(prog *disasm.Program, conf Config) *Profile {
-	if conf.TripCount == 0 {
-		conf = DefaultConfig()
-	}
+func Estimate(prog *disasm.Program) *Profile {
 	p := &Profile{counts: map[uint32]int64{}}
 
 	type fnInfo struct {
@@ -70,8 +62,8 @@ func Estimate(prog *disasm.Program, conf Config) *Profile {
 		if a == 0 || b == 0 {
 			return 0
 		}
-		if a > conf.MaxCount/b {
-			return conf.MaxCount
+		if a > maxCount/b {
+			return maxCount
 		}
 		return a * b
 	}
@@ -92,7 +84,7 @@ func Estimate(prog *disasm.Program, conf Config) *Profile {
 		return p
 	}
 	infos[entry].calls = 1
-	for pass := 0; pass < conf.RecursionPasses; pass++ {
+	for pass := 0; pass < recursionPasses; pass++ {
 		next := map[*disasm.Func]int64{entry: 1}
 		for _, fi := range infos {
 			if fi.calls == 0 {
@@ -106,14 +98,14 @@ func Estimate(prog *disasm.Program, conf Config) *Profile {
 				if callee == nil {
 					continue
 				}
-				siteWeight := mulCap(fi.calls, pow(conf.TripCount, fi.depth[fi.graph.BlockOf[i].Index]))
+				siteWeight := mulCap(fi.calls, pow(tripCount, fi.depth[fi.graph.BlockOf[i].Index]))
 				if next[callee]+siteWeight < next[callee] { // overflow
-					next[callee] = conf.MaxCount
+					next[callee] = maxCount
 				} else {
 					next[callee] += siteWeight
 				}
-				if next[callee] > conf.MaxCount {
-					next[callee] = conf.MaxCount
+				if next[callee] > maxCount {
+					next[callee] = maxCount
 				}
 			}
 		}
@@ -132,7 +124,7 @@ func Estimate(prog *disasm.Program, conf Config) *Profile {
 	for _, fi := range infos {
 		for i := range fi.fn.Insts {
 			d := fi.depth[fi.graph.BlockOf[i].Index]
-			p.counts[fi.fn.PC(i)] = mulCap(fi.calls, pow(conf.TripCount, d))
+			p.counts[fi.fn.PC(i)] = mulCap(fi.calls, pow(tripCount, d))
 		}
 	}
 	return p

@@ -22,7 +22,7 @@ func estimate(t *testing.T, src string) (*disasm.Program, *Profile) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog, Estimate(prog, DefaultConfig())
+	return prog, Estimate(prog)
 }
 
 // firstLoadCount returns the estimated count of the first load of fn.
@@ -88,7 +88,7 @@ func TestLoopNestingDrivesEstimates(t *testing.T) {
 
 func TestCallPropagation(t *testing.T) {
 	prog, p := estimate(t, freqSrc)
-	// hot() is called from a loop: its loads inherit ~TripCount.
+	// hot() is called from a loop: its loads inherit ~tripCount.
 	if c := firstLoadCount(t, prog, p, "hot"); c < 1000 {
 		t.Errorf("hot() estimate = %d, want >= 1000", c)
 	}
@@ -115,8 +115,7 @@ int main() { return fact(10) & 255; }
 	if c < 1 {
 		t.Errorf("recursive function estimate = %d, want >= 1", c)
 	}
-	cfg := DefaultConfig()
-	if c > cfg.MaxCount {
+	if c > maxCount {
 		t.Errorf("estimate %d exceeds cap", c)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"delinq/internal/dataflow"
 	"delinq/internal/disasm"
 	"delinq/internal/isa"
-	"delinq/internal/isa/mips"
 )
 
 // Config bounds pattern expansion, keeping the analysis "largely local"
@@ -90,35 +89,6 @@ func AnalyzeProgramCtx(ctx context.Context, p *disasm.Program, conf Config) ([]*
 		out = append(out, analyzeFuncMachine(fn, conf, m)...)
 	}
 	return out, nil
-}
-
-// UnknownLoads is the analysis of last resort: every load in the
-// program with the single pattern "?" and Truncated set. The graceful-
-// degradation path uses it when pattern analysis fails even at reduced
-// budgets, so downstream classification still sees every load (and
-// classifies it Unknown) instead of the benchmark vanishing.
-func UnknownLoads(p *disasm.Program) []*Load {
-	var out []*Load
-	for _, fn := range p.Funcs {
-		for i, in := range fn.Insts {
-			if !in.IsLoad() {
-				continue
-			}
-			out = append(out, &Load{
-				Func: fn, Index: i, PC: fn.PC(i), Inst: in,
-				Patterns:  []*Expr{unknownLeaf},
-				Truncated: true,
-			})
-		}
-	}
-	return out
-}
-
-// AnalyzeFunc builds address patterns for every load in one function,
-// intraprocedurally (call boundaries stay opaque Param/Ret leaves),
-// under the MIPS machine description.
-func AnalyzeFunc(fn *disasm.Func, conf Config) []*Load {
-	return analyzeFuncMachine(fn, conf, mips.M)
 }
 
 func analyzeFuncMachine(fn *disasm.Func, conf Config, m isa.Machine) []*Load {

@@ -7,6 +7,7 @@ import (
 	"delinq/internal/asm"
 	"delinq/internal/disasm"
 	"delinq/internal/isa"
+	"delinq/internal/isa/mips"
 	"delinq/internal/minic"
 )
 
@@ -256,14 +257,14 @@ main:
 	}
 }
 
-// Interprocedural off must match AnalyzeFunc output exactly — the
+// Interprocedural off must match analyzeFuncMachine output exactly — the
 // default pipeline is byte-identical to the flat per-function loop.
 func TestIntraModeUnchanged(t *testing.T) {
 	p := assembleProg(t, retChainSrc)
 	flat := analyze(t, p, DefaultConfig())
 	var manual []*Load
 	for _, fn := range p.Funcs {
-		manual = append(manual, AnalyzeFunc(fn, DefaultConfig())...)
+		manual = append(manual, analyzeFuncMachine(fn, DefaultConfig(), mips.M)...)
 	}
 	if len(flat) != len(manual) {
 		t.Fatalf("load count %d != %d", len(flat), len(manual))

@@ -5,6 +5,7 @@ import (
 
 	"delinq/internal/asm"
 	"delinq/internal/disasm"
+	"delinq/internal/isa/mips"
 	"delinq/internal/minic"
 )
 
@@ -27,7 +28,7 @@ func compileLoads(t *testing.T, src string, optimize bool) []*Load {
 	if f == nil {
 		t.Fatal("no main")
 	}
-	return AnalyzeFunc(f, DefaultConfig())
+	return analyzeFuncMachine(f, DefaultConfig(), mips.M)
 }
 
 const arrayWalk = `
@@ -167,7 +168,7 @@ int main() {
 			t.Fatal(err)
 		}
 		f := prog.FuncByName("get")
-		loads := AnalyzeFunc(f, DefaultConfig())
+		loads := analyzeFuncMachine(f, DefaultConfig(), mips.M)
 		ok := false
 		for _, ld := range loads {
 			for _, p := range ld.Patterns {

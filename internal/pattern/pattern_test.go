@@ -6,6 +6,7 @@ import (
 	"delinq/internal/asm"
 	"delinq/internal/disasm"
 	"delinq/internal/isa"
+	"delinq/internal/isa/mips"
 )
 
 // loadsOf assembles src and returns the analysed loads of fn.
@@ -23,7 +24,7 @@ func loadsOf(t *testing.T, src, fn string) []*Load {
 	if f == nil {
 		t.Fatalf("no function %q", fn)
 	}
-	return AnalyzeFunc(f, DefaultConfig())
+	return analyzeFuncMachine(f, DefaultConfig(), mips.M)
 }
 
 // the single load matching op in the list.

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 
 	"delinq/internal/bench"
 	"delinq/internal/faultinject"
+	"delinq/internal/tables"
 )
 
 // cacheMetric reads one delinq_cache_* value from the daemon.
@@ -484,6 +486,91 @@ func TestTableDegradedNotCached(t *testing.T) {
 	if resp.body != healthy {
 		t.Error("cached table diverged from computed table")
 	}
+}
+
+// TestPatternFailureLeavesNoState: a pattern-analysis failure answers
+// 500 at the pattern stage and no memo keeps it. Once the fault clears,
+// with no bench.ResetCache in between, the same analyze recomputes and
+// a run of the same benchmark succeeds.
+func TestPatternFailureLeavesNoState(t *testing.T) {
+	bench.ResetCache()
+	t.Cleanup(func() {
+		faultinject.Clear()
+		bench.ResetCache()
+	})
+	_, ts := newTestDaemon(t, Config{})
+	p := faultinject.NewPlan(1)
+	p.Arm(faultinject.PatternBudget, "181.mcf")
+	faultinject.Install(p)
+
+	body := `{"benchmark": "181.mcf"}`
+	code, _, got := postJSON(t, ts.URL+"/v1/analyze", body)
+	if code != http.StatusInternalServerError || !strings.Contains(got, `"stage":"pattern"`) {
+		t.Fatalf("sabotaged analyze = %d (%s), want 500 at the pattern stage", code, got)
+	}
+
+	faultinject.Clear()
+	code, hdr, got := postJSON(t, ts.URL+"/v1/analyze", body)
+	if code != http.StatusOK || hdr.Get("Delinq-Cache") != "miss" {
+		t.Fatalf("analyze after the fault cleared = %d %q (%s), want 200 miss",
+			code, hdr.Get("Delinq-Cache"), got)
+	}
+	if code, _, got := postJSON(t, ts.URL+"/v1/run", body); code != http.StatusOK {
+		t.Fatalf("run after the fault cleared = %d (%s), want 200", code, got)
+	}
+}
+
+// TestTrainingFaultLeavesNoState: a training benchmark that fails during
+// a cold Table 5 render degrades that render only. The weights trained
+// on the healthy remainder are not memoised, so once the fault clears
+// the next render trains on the full set and matches the golden table.
+func TestTrainingFaultLeavesNoState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training simulates every training benchmark")
+	}
+	bench.ResetCache()
+	tables.ResetTraining()
+	t.Cleanup(func() {
+		faultinject.Clear()
+		bench.ResetCache()
+		tables.ResetTraining()
+	})
+	_, ts := newTestDaemon(t, Config{})
+	p := faultinject.NewPlan(1)
+	p.Arm(faultinject.SimBudget, "175.vpr")
+	faultinject.Install(p)
+
+	code, resp := getFull(t, ts.URL+"/v1/table/5")
+	if code != http.StatusOK || resp.Header.Get("Delinq-Degraded") != "1" {
+		t.Fatalf("sabotaged render = %d, Delinq-Degraded %q; want 200 and 1",
+			code, resp.Header.Get("Delinq-Degraded"))
+	}
+
+	faultinject.Clear()
+	code, resp = getFull(t, ts.URL+"/v1/table/5")
+	if code != http.StatusOK || resp.Header.Get("Delinq-Degraded") != "" {
+		t.Fatalf("render after the fault cleared = %d, Delinq-Degraded %q; want 200 and none",
+			code, resp.Header.Get("Delinq-Degraded"))
+	}
+	if want := goldenTable(t, "5"); resp.body != want {
+		t.Errorf("Table 5 after the fault cleared diverges from tables_output.txt:\ngot:\n%s\nwant:\n%s", resp.body, want)
+	}
+}
+
+// goldenTable returns table id's block of the committed
+// tables_output.txt: its title line through the blank line ending it.
+func goldenTable(t *testing.T, id string) string {
+	t.Helper()
+	b, err := os.ReadFile("../../tables_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := string(b)
+	start := strings.Index(s, "Table "+id+". ")
+	if start < 0 {
+		t.Fatalf("no Table %s in tables_output.txt", id)
+	}
+	return s[start : start+strings.Index(s[start:], "\n\n")+2]
 }
 
 // fullResp carries a response's headers and body for header-sensitive

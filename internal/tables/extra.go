@@ -42,16 +42,10 @@ func TableS1() (*Table, error) {
 			continue
 		}
 		stats := ctx.Stats(GeomBaseline)
-		est := freq.Estimate(ctx.Build.Prog, freq.DefaultConfig())
+		est := freq.Estimate(ctx.Build.Prog)
 
 		evalWith := func(prof classify.ExecProfile, cfg classify.Config) metrics.SetEval {
-			delta := map[uint32]bool{}
-			for _, s := range classify.Score(ctx.Build.Loads, prof, cfg) {
-				if s.Delinquent {
-					delta[s.Load.PC] = true
-				}
-			}
-			return metrics.Evaluate(delta, stats)
+			return metrics.Evaluate(classify.DeltaSet(classify.Score(ctx.Build.Loads, prof, cfg)), stats)
 		}
 		evals := []metrics.SetEval{
 			evalWith(nil, cfgNone),
@@ -166,32 +160,31 @@ func TableS4() (*Table, error) {
 	pis := make([][]float64, 4)
 	rhos := make([][]float64, 4)
 	for _, b := range bench.All() {
-		ctxO0, deg := LoadSafeISA(b, false, false, "")
-		var ctxO1 *Ctx
-		if deg == nil {
-			ctxO1, deg = LoadSafeISA(b, true, false, "")
+		var evs []metrics.SetEval
+		var deg *Degradation
+		for _, optimize := range []bool{false, true} {
+			var ctx *Ctx
+			if ctx, deg = LoadSafeISA(b, optimize, false, ""); deg != nil {
+				break
+			}
+			var inter []*pattern.Load
+			if inter, deg = loadsInterQuarantined(ctx.Build); deg != nil {
+				break
+			}
+			stats := ctx.Stats(GeomBaseline)
+			for _, loads := range [][]*pattern.Load{ctx.Build.Loads, inter} {
+				evs = append(evs, metrics.Evaluate(classify.DeltaSet(classify.Score(loads, ctx.Run, cfg)), stats))
+			}
 		}
 		if deg != nil {
 			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
 			continue
 		}
 		row := []string{b.Name}
-		col := 0
-		for _, ctx := range []*Ctx{ctxO0, ctxO1} {
-			stats := ctx.Stats(GeomBaseline)
-			for _, loads := range [][]*pattern.Load{ctx.Build.Loads, bench.LoadsInter(ctx.Build)} {
-				delta := map[uint32]bool{}
-				for _, s := range classify.Score(loads, ctx.Run, cfg) {
-					if s.Delinquent {
-						delta[s.Load.PC] = true
-					}
-				}
-				ev := metrics.Evaluate(delta, stats)
-				pis[col] = append(pis[col], ev.Pi)
-				rhos[col] = append(rhos[col], ev.Rho)
-				row = append(row, fmt.Sprintf("%.1f / %.0f", ev.Pi*100, ev.Rho*100))
-				col++
-			}
+		for col, ev := range evs {
+			pis[col] = append(pis[col], ev.Pi)
+			rhos[col] = append(rhos[col], ev.Rho)
+			row = append(row, fmt.Sprintf("%.1f / %.0f", ev.Pi*100, ev.Rho*100))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -242,14 +235,7 @@ func TableS5() (*Table, error) {
 			if deg != nil {
 				break
 			}
-			stats := ctx.Stats(GeomBaseline)
-			delta := map[uint32]bool{}
-			for _, s := range classify.Score(ctx.Build.Loads, ctx.Run, cfgs[k]) {
-				if s.Delinquent {
-					delta[s.Load.PC] = true
-				}
-			}
-			ev := metrics.Evaluate(delta, stats)
+			ev := metrics.Evaluate(ctx.Delta(cfgs[k]), ctx.Stats(GeomBaseline))
 			pis[k] = append(pis[k], ev.Pi)
 			rhos[k] = append(rhos[k], ev.Rho)
 			row = append(row,
@@ -303,15 +289,10 @@ func TableS3() (*Table, error) {
 			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
 			continue
 		}
-		delta := map[uint32]bool{}
-		for _, s := range classify.Score(run.Build.Loads, run, cfg) {
-			if s.Delinquent {
-				delta[s.Load.PC] = true
-			}
-		}
+		delta := classify.DeltaSet(classify.Score(run.Build.Loads, run, cfg))
 		row := []string{b.Name}
 		for k := range BlockGeoms {
-			ev := metrics.Evaluate(delta, run.LoadStats(k))
+			ev := metrics.Evaluate(delta, run.LoadStats(run.Build.Loads, k))
 			if k == 0 {
 				pis = append(pis, ev.Pi)
 				row = append(row, pct(ev.Pi))

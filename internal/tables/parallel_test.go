@@ -9,6 +9,7 @@ import (
 
 	"delinq/internal/bench"
 	"delinq/internal/cache"
+	"delinq/internal/train"
 )
 
 // TestPreloadExactlyOnce floods the engine with duplicate combos from
@@ -87,6 +88,43 @@ func TestParallelTablesExactlyOnce(t *testing.T) {
 	}
 	if rs.Misses != 29 || rs.Errors != 0 || rs.Entries != 29 {
 		t.Errorf("runs: %+v, want exactly 29 misses/entries", rs)
+	}
+}
+
+// TestTrainingOneFillPerISA: concurrent first callers for two machine
+// descriptions share one learning phase per ISA, and every caller of an
+// ISA receives that phase's report.
+func TestTrainingOneFillPerISA(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training simulates every training benchmark")
+	}
+	ResetTraining()
+	ResetDegradations()
+	t.Cleanup(ResetTraining)
+	isas := []string{"mips", "arm"}
+	reps := make([]*train.Report, 4*len(isas))
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rep, err := TrainedReportISA(isas[i%len(isas)])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			reps[i] = rep
+		}(i)
+	}
+	wg.Wait()
+	st := trained.Stats()
+	if st.Misses != uint64(len(isas)) || st.Entries != len(isas) || st.Hits+st.Joined != uint64(len(reps)-len(isas)) {
+		t.Errorf("training memo: %+v, want %d fills shared by %d callers", st, len(isas), len(reps))
+	}
+	for i, rep := range reps {
+		if rep == nil || rep != reps[i%len(isas)] {
+			t.Errorf("caller %d (%s) got a report of its own", i, isas[i%len(isas)])
+		}
 	}
 }
 

@@ -3,8 +3,10 @@
 // degradation registry instead of aborting the whole render. Every
 // table renders the quarantined benchmark as a DEGRADED(<stage>) row,
 // excludes it from averages, and the rest of the suite is unaffected.
-// On a fault-free run nothing here fires and the rendered output is
-// byte-identical to the pre-resilience engine.
+// A quarantined training benchmark is left out of the learning phase;
+// the weights trained on the healthy remainder serve that render only
+// (see TrainedReportISA). On a fault-free run nothing here fires and
+// the rendered output is byte-identical to the pre-resilience engine.
 package tables
 
 import (
@@ -17,6 +19,7 @@ import (
 
 	"delinq/internal/bench"
 	"delinq/internal/core"
+	"delinq/internal/pattern"
 )
 
 // Degradation records one quarantined benchmark: the stage that failed
@@ -133,11 +136,11 @@ func LoadSafeISA(b *bench.Benchmark, optimize, input2 bool, isaName string) (*Ct
 
 // runQuarantined is runSafe with quarantine semantics: an
 // already-degraded benchmark short-circuits, and a failure (error,
-// recovered panic, timeout, or a build that itself degraded during
-// pattern analysis) is recorded and returned as a Degradation. A
-// failure quarantines the benchmark as a whole (the registry is keyed
-// by name, not ISA or geometry), which keeps every table's view of a
-// sick benchmark consistent. Exactly one of the results is non-nil.
+// recovered panic or timeout) is recorded and returned as a
+// Degradation. A failure quarantines the benchmark as a whole (the
+// registry is keyed by name, not ISA or geometry), which keeps every
+// table's view of a sick benchmark consistent. Exactly one of the
+// results is non-nil.
 func (cb Combo) runQuarantined() (*bench.Run, *Degradation) {
 	if d := degradationFor(cb.Bench.Name); d != nil {
 		return nil, d
@@ -146,10 +149,20 @@ func (cb Combo) runQuarantined() (*bench.Run, *Degradation) {
 	if err != nil {
 		return nil, record(cb.Bench.Name, err)
 	}
-	if run.Build.Degraded != nil {
-		return nil, record(cb.Bench.Name, run.Build.Degraded)
-	}
 	return run, nil
+}
+
+// loadsInterQuarantined is bench.LoadsInter under the per-benchmark
+// deadline, quarantining the benchmark on failure like runQuarantined.
+// Exactly one of the results is non-nil.
+func loadsInterQuarantined(bd *bench.Build) ([]*pattern.Load, *Degradation) {
+	ctx, cancel := benchCtx(context.Background())
+	defer cancel()
+	loads, err := bench.LoadsInter(ctx, bd)
+	if err != nil {
+		return nil, record(bd.Bench.Name, err)
+	}
+	return loads, nil
 }
 
 // Report summarises one RenderAll pass.

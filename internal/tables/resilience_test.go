@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -115,6 +116,63 @@ func TestTimeoutDegrades(t *testing.T) {
 	if !errors.Is(deg.Err, context.DeadlineExceeded) {
 		t.Errorf("degradation cause = %v, want deadline exceeded", deg.Err)
 	}
+}
+
+// TestTrainingTimeoutNotMemoised: a learning phase whose every training
+// benchmark timed out trains on nothing, and those weights serve only
+// that call. With the deadline lifted, the next render trains on the
+// full set and Table 5 matches the golden table.
+func TestTrainingTimeoutNotMemoised(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training simulates every training benchmark")
+	}
+	bench.ResetCache()
+	ResetTraining()
+	ResetDegradations()
+	SetTimeout(1 * time.Nanosecond)
+	t.Cleanup(func() {
+		SetTimeout(0)
+		bench.ResetCache()
+		ResetTraining()
+		ResetDegradations()
+	})
+
+	if _, err := TrainedReport(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(Degradations()), len(bench.Training()); got != want {
+		t.Fatalf("%d training benchmarks quarantined under a 1ns deadline, want %d", got, want)
+	}
+
+	SetTimeout(0)
+	ResetDegradations()
+	tab, err := Table5()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tab.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := goldenTable(t, "5"); buf.String() != want {
+		t.Errorf("Table 5 after the deadline lifted diverges from tables_output.txt:\ngot:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}
+
+// goldenTable returns table id's block of the committed
+// tables_output.txt: its title line through the blank line ending it.
+func goldenTable(t *testing.T, id string) string {
+	t.Helper()
+	b, err := os.ReadFile("../../tables_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := string(b)
+	start := strings.Index(s, "Table "+id+". ")
+	if start < 0 {
+		t.Fatalf("no Table %s in tables_output.txt", id)
+	}
+	return s[start : start+strings.Index(s[start:], "\n\n")+2]
 }
 
 // TestDegradedTableRender renders Table 10 (held-out benchmarks) with

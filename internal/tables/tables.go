@@ -16,8 +16,8 @@ import (
 	"delinq/internal/bench"
 	"delinq/internal/cache"
 	"delinq/internal/classify"
-	"delinq/internal/core"
 	"delinq/internal/metrics"
+	"delinq/internal/rescache"
 	"delinq/internal/train"
 )
 
@@ -123,7 +123,7 @@ func LoadISACtx(ctx context.Context, b *bench.Benchmark, optimize, input2 bool, 
 }
 
 // Stats returns the per-load statistics under geometry gi.
-func (c *Ctx) Stats(gi int) []metrics.LoadStat { return c.Run.LoadStats(gi) }
+func (c *Ctx) Stats(gi int) []metrics.LoadStat { return c.Run.LoadStats(c.Build.Loads, gi) }
 
 // --- parallel experiment engine ----------------------------------------------------
 
@@ -152,15 +152,10 @@ func (cb Combo) runCtx(ctx context.Context) (*bench.Run, error) {
 	return bench.SimulateCtx(ctx, bd, input, cb.Geoms)
 }
 
-// runSafe runs the combo under the per-benchmark deadline, converting a
-// worker panic into a StageWorker error instead of letting it kill the
-// pool.
-func (cb Combo) runSafe(parent context.Context) (run *bench.Run, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			run, err = nil, core.WrapStage(cb.Bench.Name, core.StageWorker, fmt.Errorf("panic: %v", r))
-		}
-	}()
+// runSafe runs the combo under the per-benchmark deadline. A panic in
+// the compile or the simulation cannot escape to the pool: both run
+// inside a bench cache fill, which reports it as a StageWorker error.
+func (cb Combo) runSafe(parent context.Context) (*bench.Run, error) {
 	ctx, cancel := benchCtx(parent)
 	defer cancel()
 	return cb.runCtx(ctx)
@@ -277,13 +272,7 @@ func (c *Ctx) Heuristic(cfg classify.Config) []*classify.Scored {
 
 // Delta returns the possibly-delinquent set under cfg.
 func (c *Ctx) Delta(cfg classify.Config) map[uint32]bool {
-	out := map[uint32]bool{}
-	for _, s := range c.Heuristic(cfg) {
-		if s.Delinquent {
-			out[s.Load.PC] = true
-		}
-	}
-	return out
+	return classify.DeltaSet(c.Heuristic(cfg))
 }
 
 // Scores returns φ(i) keyed by pc.
@@ -297,16 +286,11 @@ func (c *Ctx) Scores(cfg classify.Config) map[uint32]float64 {
 
 // --- trained weights ----------------------------------------------------------
 
-// trainOutcome is one completed learning phase for one ISA.
-type trainOutcome struct {
-	report *train.Report
-	err    error
-}
-
-var (
-	trainMu   sync.Mutex
-	trainRuns = map[string]*trainOutcome{}
-)
+// trained memoises the learning phase per ISA. The zero rescache.Config
+// keeps a report until ResetTraining, but only one trained on every
+// training benchmark: weights from a healthy remainder serve the
+// render that trained them and are then dropped.
+var trained = rescache.New[*train.Report](rescache.Config{}, nil)
 
 var (
 	isaMu      sync.RWMutex
@@ -349,35 +333,27 @@ func TrainedReport() (*train.Report, error) {
 // the same learning phase, but over binaries lowered to that ISA, so
 // each backend gets weights fitted to its own pattern population. The
 // reports are memoised per ISA; "" resolves through SetISA (mips by
-// default).
+// default). Concurrent callers for one ISA share one training run. A
+// run that had to skip a quarantined training benchmark is returned to
+// its callers but not memoised, so the next call trains again.
 func TrainedReportISA(isaName string) (*train.Report, error) {
-	key := isaOrDefault(isaName)
-	trainMu.Lock()
-	defer trainMu.Unlock()
-	tr := trainRuns[key]
-	if tr == nil {
-		tr = &trainOutcome{}
+	isaName = isaOrDefault(isaName)
+	rep, _, err := trained.Do(context.Background(), isaName, func() (*train.Report, bool, error) {
 		samples, err := TrainingSamplesISA(isaName)
 		if err != nil {
-			tr.err = err
-		} else {
-			tr.report = train.Train(samples, train.DefaultConfig())
+			return nil, false, err
 		}
-		trainRuns[key] = tr
-	}
-	return tr.report, tr.err
+		return train.Train(samples), len(samples) == len(bench.Training()), nil
+	})
+	return rep, err
 }
 
 // ResetTraining drops the memoised training reports (every ISA) so the
 // learning phase reruns (testing and benchmark hook; pair with
-// bench.ResetCache for a fully cold pipeline). Safe to call
-// concurrently with TrainedReport: a training run already in progress
-// completes first (the reset blocks on it), then the memo is cleared.
-func ResetTraining() {
-	trainMu.Lock()
-	trainRuns = map[string]*trainOutcome{}
-	trainMu.Unlock()
-}
+// bench.ResetCache for a fully cold pipeline). A training run in
+// progress is detached, as under bench.ResetCache: its callers still
+// receive its report, but it is not retained.
+func ResetTraining() { trained.Reset() }
 
 // TrainingSamplesISA builds the per-benchmark training data (Section
 // 6's learning phase: unoptimised binaries, Input1, training cache)

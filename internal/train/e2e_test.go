@@ -163,7 +163,7 @@ func TestTrainThenClassifyEndToEnd(t *testing.T) {
 			samples[0].TotalMisses, samples[2].TotalMisses)
 	}
 
-	rep := train.Train(samples, train.DefaultConfig())
+	rep := train.Train(samples)
 
 	// The training phase must find at least one positive aggregate class
 	// and set the structural negative weights (Section 7.3).

@@ -28,28 +28,22 @@ type Sample struct {
 	TotalMisses int64 // M(P(I), C) over loads
 }
 
-// Config holds the training thresholds.
-type Config struct {
-	// RelevantM / RelevantN: a benchmark is irrelevant to a class when
-	// both m_j and n_j fall below these (defaults 1%).
-	RelevantM float64
-	RelevantN float64
-	// StrengthMin is the positive-class threshold on r = m/n (paper:
-	// 1/20).
-	StrengthMin float64
-	// NegativeN marks a class negative when n_j stays below this in
+// The training thresholds.
+const (
+	// relevantM / relevantN: a benchmark is irrelevant to a class when
+	// both m_j and n_j fall below these (1%).
+	relevantM = 0.01
+	relevantN = 0.01
+	// strengthMin is the positive-class threshold on r = m/n. It is
+	// 1/30 rather than the paper's 1/20: the synthetic workloads run on
+	// proportionally smaller inputs, so per-class miss probabilities sit
+	// slightly below SPEC'95 magnitudes; 1/30 preserves the paper's
+	// positive/neutral split (see EXPERIMENTS.md, calibration notes).
+	strengthMin = 1.0 / 30
+	// negativeN marks a class negative when n_j stays below this in
 	// every benchmark (paper: 0.50%).
-	NegativeN float64
-}
-
-// DefaultConfig returns the thresholds used in the reproduction. The
-// strength threshold is 1/30 rather than the paper's 1/20: the synthetic
-// workloads run on proportionally smaller inputs, so per-class miss
-// probabilities sit slightly below SPEC'95 magnitudes; 1/30 preserves the
-// paper's positive/neutral split (see EXPERIMENTS.md, calibration notes).
-func DefaultConfig() Config {
-	return Config{RelevantM: 0.01, RelevantN: 0.01, StrengthMin: 1.0 / 30, NegativeN: 0.005}
-}
+	negativeN = 0.005
+)
 
 // Nature classifies a class's evidentiary value (Section 7.1).
 type Nature int
@@ -102,7 +96,6 @@ type AggReport struct {
 
 // Report is the full training outcome.
 type Report struct {
-	Config  Config
 	Classes []ClassReport
 	Aggs    []AggReport
 	// Weights is ready to plug into classify.Config.
@@ -111,7 +104,7 @@ type Report struct {
 
 // classStats computes per-benchmark m/n for an arbitrary membership
 // predicate.
-func classStats(samples []Sample, cfg Config, member func(*LoadSample) bool) (stats []BenchStat, found, relevant int) {
+func classStats(samples []Sample, member func(*LoadSample) bool) (stats []BenchStat, found, relevant int) {
 	for i := range samples {
 		s := &samples[i]
 		var exec, miss int64
@@ -139,7 +132,7 @@ func classStats(samples []Sample, cfg Config, member func(*LoadSample) bool) (st
 			// with the conjunctive reading used here, which is also the
 			// one that keeps benchmarks with near-zero overall miss
 			// rates from rendering dominant classes neutral.
-			if st.M >= cfg.RelevantM && st.N >= cfg.RelevantN {
+			if st.M >= relevantM && st.N >= relevantN {
 				st.Relevant = true
 				relevant++
 			}
@@ -150,10 +143,10 @@ func classStats(samples []Sample, cfg Config, member func(*LoadSample) bool) (st
 }
 
 // natureAndWeight applies Section 7.1's rules.
-func natureAndWeight(stats []BenchStat, cfg Config) (Nature, float64) {
+func natureAndWeight(stats []BenchStat) (Nature, float64) {
 	negative := true
 	for _, st := range stats {
-		if st.Found && st.N >= cfg.NegativeN {
+		if st.Found && st.N >= negativeN {
 			negative = false
 			break
 		}
@@ -167,7 +160,7 @@ func natureAndWeight(stats []BenchStat, cfg Config) (Nature, float64) {
 		if !st.Relevant {
 			continue
 		}
-		if st.N == 0 || st.M/st.N < cfg.StrengthMin {
+		if st.N == 0 || st.M/st.N < strengthMin {
 			return Neutral, 0
 		}
 		sum += st.M / st.N
@@ -180,16 +173,13 @@ func natureAndWeight(stats []BenchStat, cfg Config) (Nature, float64) {
 }
 
 // Train runs the full training phase over the benchmark samples.
-func Train(samples []Sample, cfg Config) *Report {
-	if cfg.StrengthMin == 0 {
-		cfg = DefaultConfig()
-	}
-	rep := &Report{Config: cfg}
+func Train(samples []Sample) *Report {
+	rep := &Report{}
 
 	// Per-criterion classes (Tables 3 and 4).
 	for _, cid := range classify.AllClasses() {
 		cid := cid
-		stats, found, rel := classStats(samples, cfg, func(l *LoadSample) bool {
+		stats, found, rel := classStats(samples, func(l *LoadSample) bool {
 			for _, c := range l.Classes {
 				if c == cid {
 					return true
@@ -198,7 +188,7 @@ func Train(samples []Sample, cfg Config) *Report {
 			return false
 		})
 		cr := ClassReport{Class: cid, PerBench: stats, FoundIn: found, RelevantIn: rel}
-		cr.Nature, cr.Weight = natureAndWeight(stats, cfg)
+		cr.Nature, cr.Weight = natureAndWeight(stats)
 		rep.Classes = append(rep.Classes, cr)
 	}
 
@@ -206,7 +196,7 @@ func Train(samples []Sample, cfg Config) *Report {
 	var positives []float64
 	for agg := classify.AG1; agg <= classify.AG9; agg++ {
 		agg := agg
-		stats, found, rel := classStats(samples, cfg, func(l *LoadSample) bool {
+		stats, found, rel := classStats(samples, func(l *LoadSample) bool {
 			for _, a := range l.Aggs {
 				if a == agg {
 					return true
@@ -215,7 +205,7 @@ func Train(samples []Sample, cfg Config) *Report {
 			return false
 		})
 		ar := AggReport{Agg: agg, PerBench: stats, FoundIn: found, RelevantIn: rel}
-		ar.Nature, ar.Weight = natureAndWeight(stats, cfg)
+		ar.Nature, ar.Weight = natureAndWeight(stats)
 		if agg >= classify.AG8 {
 			// Frequency classes are negative by construction (Section
 			// 7.3): their weight comes from the positive weights below.

@@ -44,7 +44,7 @@ func TestTrainPositiveAndNegative(t *testing.T) {
 		mkSample("b1", hot, cold, classify.AG5, 0),
 		mkSample("b2", hot, cold, classify.AG5, 0),
 	}
-	rep := Train(samples, DefaultConfig())
+	rep := Train(samples)
 
 	hr, ok := rep.ClassByID(hot)
 	if !ok || hr.Nature != Positive {
@@ -77,7 +77,7 @@ func TestNegativeWeightRule(t *testing.T) {
 	hot := classify.ClassID{Crit: classify.H3, Idx: 2}
 	cold := classify.ClassID{Crit: classify.H1, Idx: 4}
 	samples := []Sample{mkSample("b1", hot, cold, classify.AG5, 0)}
-	rep := Train(samples, DefaultConfig())
+	rep := Train(samples)
 	ag9 := rep.Weights[classify.AG9]
 	ag8 := rep.Weights[classify.AG8]
 	if ag9 >= 0 || ag8 >= 0 {
@@ -111,7 +111,7 @@ func TestIrrelevantBenchmarkExcludedFromWeight(t *testing.T) {
 		PC: 4, Classes: []classify.ClassID{cold}, Exec: 1e6, Misses: 1e5,
 	})
 	s2.TotalMisses = 10 + 1e5
-	rep := Train([]Sample{s1, s2}, DefaultConfig())
+	rep := Train([]Sample{s1, s2})
 	hr, _ := rep.ClassByID(hot)
 	if hr.FoundIn != 2 || hr.RelevantIn != 1 {
 		t.Errorf("found/relevant = %d/%d, want 2/1", hr.FoundIn, hr.RelevantIn)
@@ -136,7 +136,7 @@ func TestNeutralClass(t *testing.T) {
 		{PC: 4, Classes: []classify.ClassID{{Crit: classify.H1, Idx: 4}}, Exec: 100, Misses: 100},
 	}
 	s.TotalMisses = 1000
-	rep := Train([]Sample{s}, DefaultConfig())
+	rep := Train([]Sample{s})
 	cr, _ := rep.ClassByID(weakHot)
 	if cr.Nature != Neutral {
 		t.Errorf("nature = %v (m=%v n=%v), want neutral",
@@ -173,7 +173,7 @@ func TestPaperNegativeWeightReproduced(t *testing.T) {
 func TestReportString(t *testing.T) {
 	hot := classify.ClassID{Crit: classify.H3, Idx: 2}
 	cold := classify.ClassID{Crit: classify.H1, Idx: 4}
-	rep := Train([]Sample{mkSample("b", hot, cold, classify.AG5, 0)}, DefaultConfig())
+	rep := Train([]Sample{mkSample("b", hot, cold, classify.AG5, 0)})
 	if rep.String() == "" {
 		t.Error("empty report string")
 	}
@@ -204,7 +204,7 @@ func TestPaperWeightExample(t *testing.T) {
 			Found: true, Relevant: row.relevant,
 		})
 	}
-	nature, w := natureAndWeight(stats, DefaultConfig())
+	nature, w := natureAndWeight(stats)
 	if nature != Positive {
 		t.Fatalf("nature = %v, want positive", nature)
 	}

@@ -157,9 +157,6 @@ func executeBenchmark(ctx context.Context, job Job) *JobResult {
 	if err != nil {
 		return pipelineResult(err)
 	}
-	if bd.Degraded != nil {
-		return pipelineResult(bd.Degraded)
-	}
 	input := b.Input1
 	if job.Input2 {
 		input = b.Input2
@@ -168,13 +165,15 @@ func executeBenchmark(ctx context.Context, job Job) *JobResult {
 	if err != nil {
 		return pipelineResult(err)
 	}
-	sim := &core.Simulation{Result: run.Result, Caches: run.Caches}
+	sim := &run.Simulation
 	if job.Kind == JobRun {
 		return runResponse(job, b.Name, sim)
 	}
 	loads := bd.Loads
 	if job.Inter {
-		loads = bench.LoadsInter(bd)
+		if loads, err = bench.LoadsInter(ctx, bd); err != nil {
+			return pipelineResult(err)
+		}
 	}
 	cfg := classify.DefaultConfig()
 	res := &core.Result{Image: bd.Image, Prog: bd.Prog, Loads: loads, Scored: classify.Score(loads, sim, cfg), Config: cfg}

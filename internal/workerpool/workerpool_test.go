@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"delinq/internal/bench"
 	"delinq/internal/core"
 	"delinq/internal/faultinject"
 )
@@ -163,6 +164,35 @@ func TestExecuteCompileErrorIs400(t *testing.T) {
 func TestExecuteUnknownKind(t *testing.T) {
 	if res := Execute(context.Background(), Job{Kind: "transmogrify"}); res.Status != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", res.Status)
+	}
+}
+
+// TestExecuteInterHonoursContext: a benchmark inter job runs its
+// interprocedural analysis under the caller's context, so a cancelled
+// request fails at the pattern stage even when the build and run are
+// memoised, and the failure is not memoised for the next caller.
+func TestExecuteInterHonoursContext(t *testing.T) {
+	bench.ResetCache()
+	t.Cleanup(bench.ResetCache)
+	plain := Job{Kind: JobAnalyze, Benchmark: "181.mcf"}
+	if res := Execute(context.Background(), plain); res.Status != http.StatusOK {
+		t.Fatalf("warm-up analyze = %d (err %q)", res.Status, res.Err)
+	}
+
+	inter := Job{Kind: JobAnalyze, Benchmark: "181.mcf", Inter: true}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := Execute(ctx, inter)
+	if res.Status != http.StatusInternalServerError || res.Stage != string(core.StagePattern) || res.Benchmark != "181.mcf" {
+		t.Fatalf("cancelled inter analyze = %d stage %q benchmark %q (err %q), want 500 pattern 181.mcf",
+			res.Status, res.Stage, res.Benchmark, res.Err)
+	}
+	if !strings.Contains(res.Err, context.Canceled.Error()) {
+		t.Errorf("err = %q, want the context cancellation", res.Err)
+	}
+
+	if res := Execute(context.Background(), inter); res.Status != http.StatusOK {
+		t.Fatalf("live inter analyze after the cancelled one = %d (err %q)", res.Status, res.Err)
 	}
 }
 

@@ -42,8 +42,9 @@ echo "== serve chaos (race)"
 # faults must keep the 400/429/500/503 partition, never let failing
 # requests block others, and serve byte-identical healthy responses
 # throughout — with the result cache live, so failures never poison
-# cached answers and coalesced waiters survive drain.
-go test -race -run 'TestServeChaosStorm|TestGracefulDrain|TestDrainAbortsStragglers|TestCacheCoalescesThunderingHerd|TestCacheFailureNotCached|TestCacheHitWhileUnitFails|TestFailingSourcesDoNotBlockOthers|TestCacheDrainAbortsCoalescedWaiters' ./internal/server
+# cached answers and coalesced waiters survive drain. Once a fault
+# clears, no in-process memo (builds, runs, trained weights) replays it.
+go test -race -run 'TestServeChaosStorm|TestGracefulDrain|TestDrainAbortsStragglers|TestCacheCoalescesThunderingHerd|TestCacheFailureNotCached|TestCacheHitWhileUnitFails|TestFailingSourcesDoNotBlockOthers|TestCacheDrainAbortsCoalescedWaiters|TestPatternFailureLeavesNoState|TestTrainingFaultLeavesNoState' ./internal/server
 
 echo "== worker chaos (race)"
 # The process-isolation gate: sandboxed workers SIGKILLed and OOMed
@@ -87,7 +88,9 @@ go test -cover \
     ./internal/faultinject ./internal/cache \
     ./internal/server ./internal/metrics \
     ./internal/rescache ./internal/isa/mips ./internal/isa/arm \
-    ./internal/wal ./internal/workerpool |
+    ./internal/wal ./internal/workerpool \
+    ./internal/bench ./internal/tables ./internal/pattern \
+    ./internal/core ./internal/classify ./internal/freq |
 awk '
 /coverage:/ {
     pct = $5; sub(/%.*/, "", pct)
