@@ -96,7 +96,7 @@ func BenchmarkTableS3(b *testing.B) { benchTable(b, "S3", 1, 3) }
 // a sum-over-patterns variant on the full 18-benchmark suite, reporting
 // both aggregations' precision.
 func BenchmarkAblationPhiMax(b *testing.B) {
-	cfg, err := tables.HeuristicConfigISA(true, "")
+	cfg, err := tables.Engine{}.HeuristicConfig(context.Background(), true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func BenchmarkAblationPhiMax(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		piMax, piSum = 0, 0
 		for _, bm := range bench.All() {
-			ctx, err := tables.LoadISACtx(context.Background(), bm, false, false, "")
+			ctx, err := tables.Engine{}.Load(context.Background(), bm, false, false)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -135,38 +135,6 @@ func BenchmarkAblationPhiMax(b *testing.B) {
 	b.ReportMetric(100*piSum, "pi_sum_%")
 }
 
-// BenchmarkAblationExpansionBounds varies the pattern-expansion depth
-// cap and reports how many loads get truncated, justifying the default
-// locality bound.
-func BenchmarkAblationExpansionBounds(b *testing.B) {
-	for _, depth := range []int{4, 8, 16, 32} {
-		depth := depth
-		b.Run("depth="+strconv.Itoa(depth), func(b *testing.B) {
-			bm := bench.ByName("126.gcc")
-			bd, err := bench.CompileISACtx(context.Background(), bm, false, "")
-			if err != nil {
-				b.Fatal(err)
-			}
-			conf := pattern.Config{MaxDepth: depth, MaxPatterns: 8, MaxNodes: 64}
-			var truncated, total int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				loads, err := pattern.AnalyzeProgramCtx(context.Background(), bd.Prog, conf)
-				if err != nil {
-					b.Fatal(err)
-				}
-				truncated, total = 0, len(loads)
-				for _, ld := range loads {
-					if ld.Truncated {
-						truncated++
-					}
-				}
-			}
-			b.ReportMetric(100*float64(truncated)/float64(total), "truncated_%")
-		})
-	}
-}
-
 // BenchmarkAblationNegativeClasses measures the heuristic with and
 // without the frequency classes — the Table 11 ablation as a single
 // number pair.
@@ -175,15 +143,15 @@ func BenchmarkAblationNegativeClasses(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		with, without = 0, 0
 		for _, bm := range bench.All() {
-			ctx, err := tables.LoadISACtx(context.Background(), bm, false, false, "")
+			ctx, err := tables.Engine{}.Load(context.Background(), bm, false, false)
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfgF, err := tables.HeuristicConfigISA(true, "")
+			cfgF, err := tables.Engine{}.HeuristicConfig(context.Background(), true)
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfgN, err := tables.HeuristicConfigISA(false, "")
+			cfgN, err := tables.Engine{}.HeuristicConfig(context.Background(), false)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -209,7 +177,7 @@ func BenchmarkPatternAnalysis(b *testing.B) {
 	b.ResetTimer()
 	var n int
 	for i := 0; i < b.N; i++ {
-		loads, err := pattern.AnalyzeProgramCtx(ctx, bd.Prog, pattern.DefaultConfig())
+		loads, err := pattern.AnalyzeProgramCtx(ctx, bd.Prog, pattern.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -366,7 +334,7 @@ func BenchmarkTableAllParallel(b *testing.B) {
 		bench.ResetCache()
 		tables.ResetTraining()
 		start := time.Now()
-		if _, err := tables.RenderAll(ctx, io.Discard, workers); err != nil {
+		if _, err := (tables.Engine{}).Render(ctx, io.Discard, workers, "all"); err != nil {
 			b.Fatal(err)
 		}
 		return time.Since(start)
@@ -404,7 +372,7 @@ func BenchmarkTableAllParallel(b *testing.B) {
 // ablation DESIGN.md lists for the cache substrate.
 func BenchmarkAblationReplacementPolicy(b *testing.B) {
 	ctx := context.Background()
-	cfg, err := tables.HeuristicConfigISA(true, "")
+	cfg, err := tables.Engine{}.HeuristicConfig(context.Background(), true)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -68,7 +68,6 @@ func TestChaos(t *testing.T) {
 		faultinject.Clear()
 		bench.ResetCache()
 		tables.ResetTraining()
-		tables.ResetDegradations()
 	})
 
 	sweep := func() string {
@@ -77,15 +76,15 @@ func TestChaos(t *testing.T) {
 		faultinject.Install(chaosPlan())
 		defer faultinject.Clear()
 		var buf bytes.Buffer
-		rep, err := tables.RenderAll(context.Background(), &buf, runtime.GOMAXPROCS(0))
+		degs, err := tables.Engine{}.Render(context.Background(), &buf, runtime.GOMAXPROCS(0), "all")
 		if err != nil {
-			t.Fatalf("RenderAll under chaos: %v", err)
+			t.Fatalf("render under chaos: %v", err)
 		}
-		if len(rep.Degraded) != len(chaosVictims) {
+		if len(degs) != len(chaosVictims) {
 			t.Fatalf("degraded %d benchmarks, want %d: %v",
-				len(rep.Degraded), len(chaosVictims), rep.Degraded)
+				len(degs), len(chaosVictims), degs)
 		}
-		for _, d := range rep.Degraded {
+		for _, d := range degs {
 			if _, ok := chaosVictims[d.Benchmark]; !ok {
 				t.Errorf("unexpected degradation: %v", d)
 			}

@@ -493,7 +493,7 @@ func cmdProfile(args []string) error {
 }
 
 func cmdTrain() error {
-	rep, err := tables.TrainedReport()
+	rep, err := tables.Engine{}.TrainedReport(context.Background())
 	if err != nil {
 		return err
 	}
@@ -530,24 +530,12 @@ func cmdTable(args []string) error {
 	if fs.NArg() != 1 {
 		return usagef("table wants a table number or 'all'")
 	}
-	tables.SetTimeout(*timeout)
-	tables.SetISA(*isaName)
-	var err error
-	if id := fs.Arg(0); id == "all" {
-		// The full sweep preloads every simulation through the parallel
-		// experiment engine before rendering.
-		var rep *tables.Report
-		if rep, err = tables.RenderAll(context.Background(), os.Stdout, *workers); err == nil {
-			err = reportDegradations(rep.Degraded, *strict)
-		}
-	} else {
-		tables.ResetDegradations()
-		var t *tables.Table
-		if t, err = tables.ByID(id); err == nil {
-			if err = t.Render(os.Stdout); err == nil {
-				err = reportDegradations(tables.Degradations(), *strict)
-			}
-		}
+	// "all" preloads every simulation through the parallel experiment
+	// engine before rendering.
+	eng := tables.Engine{ISA: *isaName, Timeout: *timeout}
+	degs, err := eng.Render(context.Background(), os.Stdout, *workers, fs.Arg(0))
+	if err == nil {
+		err = reportDegradations(degs, *strict)
 	}
 	if *verbose {
 		bs, rs := bench.CacheStats()

@@ -18,7 +18,9 @@ import (
 )
 
 func main() {
-	rep, err := tables.TrainedReport()
+	ctx := context.Background()
+	eng := tables.Engine{}
+	rep, err := eng.TrainedReport(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,18 +54,18 @@ func main() {
 	}
 
 	// Hold-out evaluation: the litmus test of Section 8.4.
-	cfg, err := tables.HeuristicConfigISA(true, "")
+	cfg, err := eng.HeuristicConfig(ctx, true)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nheld-out benchmarks (weights trained on the other 11):")
 	var pis, rhos []float64
 	for _, b := range bench.Test() {
-		ctx, err := tables.LoadISACtx(context.Background(), b, false, false, "")
+		c, err := eng.Load(ctx, b, false, false)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ev := metrics.Evaluate(ctx.Delta(cfg), ctx.Stats(tables.GeomBaseline))
+		ev := metrics.Evaluate(c.Delta(cfg), c.Stats(tables.GeomBaseline))
 		pis = append(pis, ev.Pi)
 		rhos = append(rhos, ev.Rho)
 		fmt.Printf("  %-14s pi=%5.1f%%  rho=%5.1f%%\n", b.Name, 100*ev.Pi, 100*ev.Rho)

@@ -47,12 +47,12 @@ func TestTableAllGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	rep, err := tables.RenderAll(context.Background(), &got, runtime.GOMAXPROCS(0))
+	degs, err := tables.Engine{}.Render(context.Background(), &got, runtime.GOMAXPROCS(0), "all")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Degraded) != 0 {
-		t.Fatalf("fault-free sweep reported degradations: %v", rep.Degraded)
+	if len(degs) != 0 {
+		t.Fatalf("fault-free sweep reported degradations: %v", degs)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		// Locate the first divergent line for a readable failure.

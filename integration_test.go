@@ -19,7 +19,7 @@ import (
 
 func loadCtx(t *testing.T, name string) *tables.Ctx {
 	t.Helper()
-	ctx, err := tables.LoadISACtx(context.Background(), bench.ByName(name), false, false, "")
+	ctx, err := tables.Engine{}.Load(context.Background(), bench.ByName(name), false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestHeuristicSubsetOfOKN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in short mode")
 	}
-	cfg, err := tables.HeuristicConfigISA(false, "")
+	cfg, err := tables.Engine{}.HeuristicConfig(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestEveryLoadHasAPattern(t *testing.T) {
 				t.Errorf("%s: load at %#x has no patterns", b.Name, ld.PC)
 			}
 			for _, p := range ld.Patterns {
-				if p.Size() > pattern.DefaultConfig().MaxNodes+8 {
+				if p.Size() > pattern.MaxSize+8 {
 					t.Errorf("%s: pattern at %#x exceeds node bound: %d",
 						b.Name, ld.PC, p.Size())
 				}
@@ -184,11 +184,11 @@ func TestFrequencyClassesOnlyShrinkDelta(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in short mode")
 	}
-	cfgN, err := tables.HeuristicConfigISA(false, "")
+	cfgN, err := tables.Engine{}.HeuristicConfig(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgF, err := tables.HeuristicConfigISA(true, "")
+	cfgF, err := tables.Engine{}.HeuristicConfig(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestClassifyScoreMatchesManualPhi(t *testing.T) {
 		t.Skip("simulation in short mode")
 	}
 	ctx := loadCtx(t, "181.mcf")
-	cfg, err := tables.HeuristicConfigISA(true, "")
+	cfg, err := tables.Engine{}.HeuristicConfig(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

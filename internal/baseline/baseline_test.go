@@ -19,7 +19,7 @@ func analyze(t *testing.T, src string) (*disasm.Program, []*pattern.Load) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loads, err := pattern.AnalyzeProgramCtx(context.Background(), p, pattern.DefaultConfig())
+	loads, err := pattern.AnalyzeProgramCtx(context.Background(), p, pattern.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

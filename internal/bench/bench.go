@@ -226,7 +226,7 @@ func CompileISACtx(ctx context.Context, b *Benchmark, optimize bool, isaName str
 		if err := faultinject.Error(faultinject.PatternBudget, b.Name); err != nil {
 			return nil, false, core.WrapStage(b.Name, core.StagePattern, err)
 		}
-		loads, err := pattern.AnalyzeProgramCtx(ctx, prog, pattern.DefaultConfig())
+		loads, err := pattern.AnalyzeProgramCtx(ctx, prog, pattern.Config{})
 		if err != nil {
 			return nil, false, core.WrapStage(b.Name, core.StagePattern, err)
 		}
@@ -282,9 +282,7 @@ func corruptImage(name string, img *obj.Image) {
 func LoadsInter(ctx context.Context, bd *Build) ([]*pattern.Load, error) {
 	name := bd.Bench.Name
 	loads, _, err := interLoads.Do(ctx, buildKey(name, bd.Optimize, bd.ISA)+"|inter", func() ([]*pattern.Load, bool, error) {
-		conf := pattern.DefaultConfig()
-		conf.Interprocedural = true
-		loads, err := pattern.AnalyzeProgramCtx(ctx, bd.Prog, conf)
+		loads, err := pattern.AnalyzeProgramCtx(ctx, bd.Prog, pattern.Config{Interprocedural: true})
 		return loads, true, err
 	})
 	if err != nil {

@@ -158,10 +158,9 @@ type Config struct {
 	// UseFrequency enables the AG8/AG9 negative classes, which require
 	// an execution profile (Table 11 reports both settings).
 	UseFrequency bool
-	// Pattern bounds forwarded to the pattern builder; this is also
-	// where the Interprocedural knob rides (pattern.Config) when the
-	// whole-program summary analysis is wanted instead of the flat
-	// per-function one.
+	// Pattern selects the pattern analysis: the zero value is the
+	// paper's flat per-function one; Interprocedural asks for the
+	// whole-program summary analysis instead.
 	Pattern pattern.Config
 }
 
@@ -169,7 +168,7 @@ type Config struct {
 // numbers: trained weights, δ = 0.10, frequency classes enabled.
 func DefaultConfig() Config {
 	w := PaperWeights()
-	return Config{Weights: &w, Delta: 0.10, UseFrequency: true, Pattern: pattern.DefaultConfig()}
+	return Config{Weights: &w, Delta: 0.10, UseFrequency: true}
 }
 
 // Scored is one load with its heuristic score.

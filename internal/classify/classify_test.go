@@ -20,7 +20,7 @@ func analyzeLoads(t *testing.T, src string) []*pattern.Load {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loads, err := pattern.AnalyzeProgramCtx(context.Background(), p, pattern.DefaultConfig())
+	loads, err := pattern.AnalyzeProgramCtx(context.Background(), p, pattern.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

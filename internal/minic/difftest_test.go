@@ -81,7 +81,7 @@ func TestDifferentialAnalysis(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d disasm: %v", seed, err)
 			}
-			loads, err := pattern.AnalyzeProgramCtx(context.Background(), prog, pattern.DefaultConfig())
+			loads, err := pattern.AnalyzeProgramCtx(context.Background(), prog, pattern.Config{})
 			if err != nil {
 				t.Fatalf("seed %d pattern: %v", seed, err)
 			}

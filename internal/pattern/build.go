@@ -9,42 +9,29 @@ import (
 	"delinq/internal/isa"
 )
 
-// Config bounds pattern expansion, keeping the analysis "largely local"
-// as the paper requires for acceptable compile-time cost.
+// The expansion budgets keep the analysis "largely local", as the paper
+// requires for acceptable compile-time cost. A budget that cuts an
+// expansion short sets Load.Truncated; it never fails the analysis.
+const (
+	// maxPatterns caps the alternatives kept per load.
+	maxPatterns = 8
+	// MaxSize caps a single pattern's size, in nodes.
+	MaxSize = 64
+	// maxDepth caps substitution depth.
+	maxDepth = 16
+)
+
+// Config selects the analysis. The zero Config is the paper's flat
+// per-function analysis.
 type Config struct {
-	// MaxPatterns caps the alternatives kept per load (default 8).
-	MaxPatterns int
-	// MaxNodes caps a single pattern's size (default 64).
-	MaxNodes int
-	// MaxDepth caps substitution depth (default 16).
-	MaxDepth int
 	// Interprocedural resolves call boundaries instead of stopping at
 	// them: Ret leaves are replaced by the callee's return-value
 	// summary (instantiated with the argument patterns at the call
 	// site) and Param leaves by the union of the argument patterns
-	// arriving from the function's callers. The same MaxPatterns/
-	// MaxNodes/MaxDepth budgets bound the extra expansion. Off by
-	// default, which reproduces the paper's "largely local" analysis
-	// exactly.
+	// arriving from the function's callers. The same expansion budgets
+	// bound the extra expansion. Off by default, which reproduces the
+	// paper's "largely local" analysis exactly.
 	Interprocedural bool
-}
-
-// DefaultConfig returns the bounds used throughout the evaluation.
-func DefaultConfig() Config {
-	return Config{MaxPatterns: 8, MaxNodes: 64, MaxDepth: 16}
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxPatterns <= 0 {
-		c.MaxPatterns = 8
-	}
-	if c.MaxNodes <= 0 {
-		c.MaxNodes = 64
-	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 16
-	}
-	return c
 }
 
 // Load is one analysed load instruction with its address patterns.
@@ -71,11 +58,10 @@ func AnalyzeProgramCtx(ctx context.Context, p *disasm.Program, conf Config) ([]*
 		return nil, err
 	}
 	if conf.Interprocedural {
-		conf = conf.withDefaults()
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		s := ComputeSummaries(p, conf)
+		s := ComputeSummaries(p)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -86,23 +72,21 @@ func AnalyzeProgramCtx(ctx context.Context, p *disasm.Program, conf Config) ([]*
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out = append(out, analyzeFuncMachine(fn, conf, m)...)
+		out = append(out, analyzeFuncMachine(fn, m)...)
 	}
 	return out, nil
 }
 
-func analyzeFuncMachine(fn *disasm.Func, conf Config, m isa.Machine) []*Load {
-	conf = conf.withDefaults()
-	b := newBuilder(fn, conf, m, dataflow.AnalyzeMachine(cfg.Build(fn), m))
+func analyzeFuncMachine(fn *disasm.Func, m isa.Machine) []*Load {
+	b := newBuilder(fn, m, dataflow.AnalyzeMachine(cfg.Build(fn), m))
 	return b.analyzeLoads()
 }
 
 // newBuilder constructs a pattern builder over fn's dataflow facts df,
 // with register roles and the calling convention taken from m.
-func newBuilder(fn *disasm.Func, conf Config, m isa.Machine, df *dataflow.Result) *builder {
+func newBuilder(fn *disasm.Func, m isa.Machine, df *dataflow.Result) *builder {
 	b := &builder{
 		fn:    fn,
-		conf:  conf,
 		m:     m,
 		df:    df,
 		slots: map[int32]int8{},
@@ -141,7 +125,6 @@ func (b *builder) analyzeLoads() []*Load {
 
 type builder struct {
 	fn        *disasm.Func
-	conf      Config
 	m         isa.Machine
 	df        *dataflow.Result
 	truncated bool
@@ -188,7 +171,7 @@ func (b *builder) ensureStoreSlots() {
 			b.storeSlots[off] = append(b.storeSlots[off], i)
 			continue
 		}
-		for _, e := range b.expandReg(in.Rs, i, b.conf.MaxDepth/2, map[int]bool{}) {
+		for _, e := range b.expandReg(in.Rs, i, maxDepth/2, map[int]bool{}) {
 			if o, ok := spSlot(binary(Add, e, NewConst(off))); ok {
 				b.storeSlots[o] = append(b.storeSlots[o], i)
 				break
@@ -198,9 +181,9 @@ func (b *builder) ensureStoreSlots() {
 }
 
 func (b *builder) cap(list []*Expr) []*Expr {
-	if len(list) > b.conf.MaxPatterns {
+	if len(list) > maxPatterns {
 		b.truncated = true
-		return list[:b.conf.MaxPatterns]
+		return list[:maxPatterns]
 	}
 	return list
 }
@@ -217,7 +200,7 @@ func (b *builder) expandReg(reg isa.Reg, at, depth int, visiting map[int]bool) [
 	case reg == b.sp || reg == b.fp:
 		return []*Expr{spLeaf}
 	}
-	if depth >= b.conf.MaxDepth {
+	if depth >= maxDepth {
 		b.truncated = true
 		return []*Expr{unknownLeaf}
 	}
@@ -227,14 +210,14 @@ func (b *builder) expandReg(reg isa.Reg, at, depth int, visiting map[int]bool) [
 	}
 	var out []*Expr
 	add := func(e *Expr) {
-		if e.Size() > b.conf.MaxNodes {
+		if e.Size() > MaxSize {
 			b.truncated = true
 			e = unknownLeaf
 		}
 		out = appendNew(out, e)
 	}
 	for _, d := range defs {
-		if len(out) >= b.conf.MaxPatterns {
+		if len(out) >= maxPatterns {
 			b.truncated = true
 			break
 		}
@@ -441,7 +424,7 @@ func (b *builder) slotRecurrent(off int32, visiting map[int32]bool) bool {
 		// Expand the stored value (bounded) and look for loads of stack
 		// slots among its leaves.
 		saved := b.truncated
-		exprs := b.expandReg(in.Rt, i, b.conf.MaxDepth/2, map[int]bool{})
+		exprs := b.expandReg(in.Rt, i, maxDepth/2, map[int]bool{})
 		b.truncated = saved
 		for _, e := range exprs {
 			e.Walk(func(x *Expr) {

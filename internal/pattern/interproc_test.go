@@ -28,9 +28,7 @@ func assembleProg(t *testing.T, src string) *disasm.Program {
 // programLoads analyses a whole assembled program in the given mode.
 func programLoads(t *testing.T, src string, inter bool) []*Load {
 	t.Helper()
-	conf := DefaultConfig()
-	conf.Interprocedural = inter
-	return analyze(t, assembleProg(t, src), conf)
+	return analyze(t, assembleProg(t, src), Config{Interprocedural: inter})
 }
 
 // analyze runs AnalyzeProgramCtx, failing the test on error.
@@ -261,10 +259,10 @@ main:
 // default pipeline is byte-identical to the flat per-function loop.
 func TestIntraModeUnchanged(t *testing.T) {
 	p := assembleProg(t, retChainSrc)
-	flat := analyze(t, p, DefaultConfig())
+	flat := analyze(t, p, Config{})
 	var manual []*Load
 	for _, fn := range p.Funcs {
-		manual = append(manual, analyzeFuncMachine(fn, DefaultConfig(), mips.M)...)
+		manual = append(manual, analyzeFuncMachine(fn, mips.M)...)
 	}
 	if len(flat) != len(manual) {
 		t.Fatalf("load count %d != %d", len(flat), len(manual))
@@ -289,9 +287,7 @@ func compileProgramLoads(t *testing.T, src string, optimize, inter bool) []*Load
 	if err != nil {
 		t.Fatal(err)
 	}
-	conf := DefaultConfig()
-	conf.Interprocedural = inter
-	return analyze(t, assembleProg(t, asmText), conf)
+	return analyze(t, assembleProg(t, asmText), Config{Interprocedural: inter})
 }
 
 // A linked-list walk where the pointer chase crosses a helper call:

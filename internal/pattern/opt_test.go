@@ -28,7 +28,7 @@ func compileLoads(t *testing.T, src string, optimize bool) []*Load {
 	if f == nil {
 		t.Fatal("no main")
 	}
-	return analyzeFuncMachine(f, DefaultConfig(), mips.M)
+	return analyzeFuncMachine(f, mips.M)
 }
 
 const arrayWalk = `
@@ -168,7 +168,7 @@ int main() {
 			t.Fatal(err)
 		}
 		f := prog.FuncByName("get")
-		loads := analyzeFuncMachine(f, DefaultConfig(), mips.M)
+		loads := analyzeFuncMachine(f, mips.M)
 		ok := false
 		for _, ld := range loads {
 			for _, p := range ld.Patterns {

@@ -24,7 +24,7 @@ func loadsOf(t *testing.T, src, fn string) []*Load {
 	if f == nil {
 		t.Fatalf("no function %q", fn)
 	}
-	return analyzeFuncMachine(f, DefaultConfig(), mips.M)
+	return analyzeFuncMachine(f, mips.M)
 }
 
 // the single load matching op in the list.

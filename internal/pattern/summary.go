@@ -11,7 +11,7 @@
 // summary instantiated at the call site, and a Param leaf becomes the
 // union of the caller-side argument patterns. Recursion terminates
 // because calls within one component collapse to the Rec marker, and
-// all expansion shares the existing MaxPatterns/MaxNodes/MaxDepth
+// all expansion shares the existing maxPatterns/MaxSize/maxDepth
 // budgets.
 package pattern
 
@@ -49,9 +49,8 @@ type Summary struct {
 // Summaries holds the per-function summaries of one program plus the
 // caller-side argument patterns of phase 2.
 type Summaries struct {
-	cg   *callgraph.Graph
-	conf Config
-	m    isa.Machine
+	cg *callgraph.Graph
+	m  isa.Machine
 
 	// cache holds each function's phase-1 result: its summary and the
 	// reaching definitions phase 2 reuses.
@@ -76,15 +75,13 @@ type funcFacts struct {
 // concurrently; the singleflight cache guarantees each summary is
 // computed exactly once, with cross-component dependencies resolved by
 // joining the in-flight computation.
-func ComputeSummaries(p *disasm.Program, conf Config) *Summaries {
-	conf = conf.withDefaults()
+func ComputeSummaries(p *disasm.Program) *Summaries {
 	m, err := isa.ByName(p.Image.ISAName())
 	if err != nil {
 		m = mips.M
 	}
 	s := &Summaries{
 		cg:    callgraph.Build(p),
-		conf:  conf,
 		m:     m,
 		cache: rescache.New[*funcFacts](rescache.Config{}, nil),
 	}
@@ -140,7 +137,7 @@ func (s *Summaries) compute(fn *disasm.Func) *funcFacts {
 		mates[m.Fn] = true
 	}
 	df := dataflow.AnalyzeMachine(cfg.Build(fn), s.m)
-	b := newBuilder(fn, s.conf, s.m, df)
+	b := newBuilder(fn, s.m, df)
 	b.ipc = s
 	b.sccMates = mates
 
@@ -154,7 +151,7 @@ func (s *Summaries) compute(fn *disasm.Func) *funcFacts {
 		}
 		b.truncated = false
 		for _, e := range b.expandReg(isa.V0, i, 0, map[int]bool{}) {
-			if len(sum.Ret) >= s.conf.MaxPatterns {
+			if len(sum.Ret) >= maxPatterns {
 				sum.Truncated = true
 				break
 			}
@@ -273,7 +270,7 @@ func (s *Summaries) analyzeProgram(p *disasm.Program) []*Load {
 			}
 		}
 		for _, n := range sccs[ci] {
-			b := newBuilder(n.Fn, s.conf, s.m, s.factsOf(n.Fn).df)
+			b := newBuilder(n.Fn, s.m, s.factsOf(n.Fn).df)
 			b.ipc = s
 			byFn[n.Fn] = b.analyzeLoads()
 			if !propagate {
@@ -300,7 +297,7 @@ func (s *Summaries) analyzeProgram(p *disasm.Program) []*Load {
 }
 
 // addIncoming merges per-argument patterns into fn's incoming set,
-// deduplicating and capping at MaxPatterns alternatives per register.
+// deduplicating and capping at maxPatterns alternatives per register.
 func (s *Summaries) addIncoming(fn *disasm.Func, args [4][]*Expr) {
 	inc := s.incoming[fn]
 	if inc == nil {
@@ -309,7 +306,7 @@ func (s *Summaries) addIncoming(fn *disasm.Func, args [4][]*Expr) {
 	}
 	for k := 0; k < 4; k++ {
 		for _, e := range args[k] {
-			if len(inc[k]) >= s.conf.MaxPatterns {
+			if len(inc[k]) >= maxPatterns {
 				break
 			}
 			inc[k] = appendNew(inc[k], e)
@@ -370,7 +367,7 @@ func (b *builder) resolveRet(d dataflow.Def, reg isa.Reg, depth int, visiting ma
 	if sum == nil || len(sum.Ret) == 0 {
 		return nil
 	}
-	if depth >= b.conf.MaxDepth {
+	if depth >= maxDepth {
 		b.truncated = true
 		return nil
 	}
@@ -391,7 +388,7 @@ func (b *builder) resolveRet(d dataflow.Def, reg isa.Reg, depth int, visiting ma
 	var out []*Expr
 	for _, rp := range sum.Ret {
 		for _, e := range b.instantiate(rp, getArg) {
-			if len(out) >= b.conf.MaxPatterns {
+			if len(out) >= maxPatterns {
 				b.truncated = true
 				return out
 			}
@@ -403,7 +400,7 @@ func (b *builder) resolveRet(d dataflow.Def, reg isa.Reg, depth int, visiting ma
 
 // instantiate rewrites one callee-side pattern into caller terms:
 // Param leaves become the call-site argument patterns (cross products
-// capped at MaxPatterns), the callee's dead frame (sp) and any leaf
+// capped at maxPatterns), the callee's dead frame (sp) and any leaf
 // that only meant something inside the callee (an unresolved nested
 // Ret) become Unknown, while gp, constants, dereferences, and the Rec
 // marker survive unchanged.

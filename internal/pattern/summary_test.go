@@ -21,7 +21,7 @@ main:
 	jr $ra
 	.endfunc
 `)
-	s := ComputeSummaries(p, DefaultConfig())
+	s := ComputeSummaries(p)
 	sum := s.Of(p.FuncByName("next"))
 	if len(sum.Ret) != 1 {
 		t.Fatalf("Ret = %v", sum.Ret)
@@ -59,7 +59,7 @@ main:
 	jr $ra
 	.endfunc
 `)
-	s := ComputeSummaries(p, DefaultConfig())
+	s := ComputeSummaries(p)
 	if d := s.Of(p.FuncByName("inner")).ArgDeref[0]; d != 2 {
 		t.Errorf("inner ArgDeref[0] = %d, want 2 (chased twice)", d)
 	}
@@ -87,7 +87,7 @@ main:
 	jr $ra
 	.endfunc
 `)
-	s := ComputeSummaries(p, DefaultConfig())
+	s := ComputeSummaries(p)
 	if sum := s.Of(p.FuncByName("opaque")); sum.Ret != nil {
 		t.Errorf("Ret = %v, want nil for an uninformative summary", sum.Ret)
 	}
@@ -122,8 +122,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conf := DefaultConfig()
-	conf.Interprocedural = true
+	conf := Config{Interprocedural: true}
 	want := analyze(t, p, conf)
 	for i := 0; i < 10; i++ {
 		got := analyze(t, p, conf)
@@ -202,8 +201,7 @@ func BenchmarkAnalyzeProgram(b *testing.B) {
 		inter bool
 	}{{"intra", false}, {"inter", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			conf := DefaultConfig()
-			conf.Interprocedural = mode.inter
+			conf := Config{Interprocedural: mode.inter}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if loads := analyze(b, p, conf); len(loads) == 0 {
@@ -216,10 +214,9 @@ func BenchmarkAnalyzeProgram(b *testing.B) {
 
 func BenchmarkSummaries(b *testing.B) {
 	p := benchProg(b)
-	conf := DefaultConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := ComputeSummaries(p, conf)
+		s := ComputeSummaries(p)
 		if s.Of(p.Funcs[0]) == nil {
 			b.Fatal("no summary")
 		}

@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"time"
 
 	"delinq/internal/faultinject"
 	"delinq/internal/tables"
@@ -191,8 +190,14 @@ func (s *Server) handleRun(ctx context.Context, w http.ResponseWriter, r *http.R
 
 // --- GET /v1/table/{id} ----------------------------------------------------------
 
+// handleTable resolves the id before the cache and admission, the way
+// validateTarget runs before the analyze cache: an unknown id is a 400
+// that takes no execution slot, and "S3" and "s3" share one entry.
 func (s *Server) handleTable(ctx context.Context, w http.ResponseWriter, r *http.Request) *apiError {
-	id := r.PathValue("id")
+	id, err := tables.CanonicalID(r.PathValue("id"))
+	if err != nil {
+		return errorf(http.StatusBadRequest, "%v", err)
+	}
 	fill := func() (*cachedResponse, bool, error) {
 		release, ae := s.admit(ctx)
 		if ae != nil {
@@ -315,36 +320,23 @@ func (s *Server) batchOne(ctx context.Context, req analyzeRequest, acquire func(
 	return batchItem{Cache: outcome, Status: ae.Status, Error: ae.Err, Stage: ae.Stage}
 }
 
-// renderTable regenerates one table. Table rendering shares the
-// package-global degradation registry and the per-benchmark timeout of
-// internal/tables, so renders are serialised; the memoised bench stack
-// underneath keeps repeat renders cheap. The context bounds the
-// per-benchmark work via tables.SetTimeout only when this request
-// carries a deadline. Renders always run in the daemon process — they
-// aggregate many benchmarks behind one mutex, so worker isolation
-// would serialise the pool for little protection.
+// renderTable regenerates one table on an engine of its own, under the
+// request context: renders run concurrently, sharing only the memoised
+// builds, simulations and trained weights, and the request's deadline,
+// its client's disconnect or the drain abort stops the render, which
+// then starts no further benchmark. Renders always run in the daemon
+// process: a table reads dozens of memoised builds and simulations,
+// which a sandboxed worker would recompute in a memo of its own.
 func (s *Server) renderTable(ctx context.Context, id string) (string, int, *apiError) {
-	s.tableMu.Lock()
-	defer s.tableMu.Unlock()
-	tables.ResetDegradations()
-	if dl, ok := ctx.Deadline(); ok {
-		if remain := time.Until(dl); remain > 0 {
-			tables.SetTimeout(remain)
-			defer tables.SetTimeout(0)
-		}
-	}
-	t, err := tables.ByID(id)
-	if err != nil {
-		return "", 0, errorf(http.StatusBadRequest, "%v", err)
-	}
 	var buf bytes.Buffer
-	if err := t.Render(&buf); err != nil {
+	degs, err := tables.Engine{}.Render(ctx, &buf, 0, id)
+	if err != nil {
 		return "", 0, pipelineError(err)
 	}
 	// A degraded render is still an answer — the CLI exits 0 on
 	// quarantined rows and the daemon follows suit, serving the partial
 	// table with a Delinq-Degraded count so clients can tell.
-	return buf.String(), len(tables.Degradations()), nil
+	return buf.String(), len(degs), nil
 }
 
 // --- health and observability ----------------------------------------------------------

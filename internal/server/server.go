@@ -5,7 +5,10 @@
 //   - admission control (semaphore + bounded queue) sheds overload with
 //     429 + Retry-After instead of queueing unboundedly;
 //   - per-request deadlines propagate through the pipeline's context
-//     plumbing down to the VM's instruction-budget sentinel;
+//     plumbing down to the VM's instruction-budget sentinel; a table
+//     render too, on a tables.Engine of its own, so renders run
+//     concurrently and a deadline, a disconnect or the drain abort
+//     stops one;
 //   - per-request panic isolation: a recovered handler panic answers
 //     500 with serve-stage provenance, the process never dies;
 //   - graceful drain: BeginDrain flips /readyz to 503 and refuses new
@@ -137,7 +140,6 @@ type Server struct {
 
 	httpMu  sync.Mutex
 	httpSrv *http.Server
-	tableMu sync.Mutex // table renders share package-global state
 }
 
 // New builds a daemon from cfg (zero fields take defaults).

@@ -11,13 +11,13 @@ import (
 	"delinq/internal/pattern"
 )
 
-// TableS1 is this repository's extension experiment, implementing the
+// tableS1 is this repository's extension experiment, implementing the
 // substitution the paper proposes in Section 5.2: using a static
 // frequency estimator (Wu-Larus-style loop-depth propagation) instead of
 // basic-block profiling for the H5 criterion. Three configurations are
 // compared on every benchmark: no frequency classes, statically
 // estimated frequency, and the true basic-block profile.
-func TableS1() (*Table, error) {
+func (r render) tableS1() (*Table, error) {
 	t := &Table{
 		ID:     "S1",
 		Title:  "Extension: static frequency estimation for criterion H5 (pi/rho, %)",
@@ -25,20 +25,20 @@ func TableS1() (*Table, error) {
 		Notes: "unoptimised binaries, Input 1, 8KB baseline cache; estimator: " +
 			"loops iterate 1000x, call counts propagate from the entry",
 	}
-	cfgNone, err := HeuristicConfigISA(false, "")
+	cfgNone, err := r.heuristic(false)
 	if err != nil {
 		return nil, err
 	}
-	cfgFreq, err := HeuristicConfigISA(true, "")
+	cfgFreq, err := r.heuristic(true)
 	if err != nil {
 		return nil, err
 	}
 	pis := make([][]float64, 3)
 	rhos := make([][]float64, 3)
 	for _, b := range bench.All() {
-		ctx, deg := LoadSafeISA(b, false, false, "")
+		ctx, deg := r.load(b, false, false)
 		if deg != nil {
-			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
+			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
 			continue
 		}
 		stats := ctx.Stats(GeomBaseline)
@@ -68,12 +68,12 @@ func TableS1() (*Table, error) {
 	return t, nil
 }
 
-// TableS2 implements the investigation Section 8.6 closes with: "This
+// tableS2 implements the investigation Section 8.6 closes with: "This
 // points to the possibility of using a different δ value for different
 // benchmarks." For every training benchmark, δ is calibrated on Input 1
 // (the smallest π whose coverage stays ≥ 95 %) and then evaluated on
 // Input 2, next to the fixed δ = 0.10.
-func TableS2() (*Table, error) {
+func (r render) tableS2() (*Table, error) {
 	t := &Table{
 		ID:    "S2",
 		Title: "Extension: per-benchmark delinquency thresholds (Section 8.6)",
@@ -82,16 +82,16 @@ func TableS2() (*Table, error) {
 		Notes: "delta* chosen on Input 1 (min pi with rho >= 95%), evaluated on Input 2; " +
 			"unoptimised binaries, 8KB baseline cache",
 	}
-	base, err := HeuristicConfigISA(true, "")
+	base, err := r.heuristic(true)
 	if err != nil {
 		return nil, err
 	}
 	grid := []float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.40, 0.50, 0.65, 0.80, 1.00, 1.25}
 	var fixedPi, fixedRho, calPi, calRho []float64
 	for _, b := range bench.Training() {
-		ctx1, deg := LoadSafeISA(b, false, false, "")
+		ctx1, deg := r.load(b, false, false)
 		if deg != nil {
-			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
+			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
 			continue
 		}
 		stats1 := ctx1.Stats(GeomBaseline)
@@ -105,9 +105,9 @@ func TableS2() (*Table, error) {
 				best, bestPi = d, ev.Pi
 			}
 		}
-		ctx2, deg := LoadSafeISA(b, false, true, "")
+		ctx2, deg := r.load(b, false, true)
 		if deg != nil {
-			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
+			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
 			continue
 		}
 		stats2 := ctx2.Stats(GeomBaseline)
@@ -136,7 +136,7 @@ func TableS2() (*Table, error) {
 	return t, nil
 }
 
-// TableS4 compares the paper's flat per-function pattern analysis with
+// tableS4 compares the paper's flat per-function pattern analysis with
 // the interprocedural summary pipeline on every benchmark: the same
 // heuristic and threshold, but Ret leaves resolved through callee
 // return summaries and Param leaves through caller argument patterns.
@@ -144,7 +144,7 @@ func TableS2() (*Table, error) {
 // selected set and its coverage can only move where calls hide address
 // structure. Rendered on demand (`delinq table S4`); not part of the
 // default sweep so the paper-table golden stays byte-identical.
-func TableS4() (*Table, error) {
+func (r render) tableS4() (*Table, error) {
 	t := &Table{
 		ID:    "S4",
 		Title: "Extension: interprocedural function summaries (pi/rho, %)",
@@ -153,7 +153,7 @@ func TableS4() (*Table, error) {
 		Notes: "Input 1, 8KB baseline cache; inter = Ret/Param leaves resolved " +
 			"through call-graph summaries, same weights and delta",
 	}
-	cfg, err := HeuristicConfigISA(true, "")
+	cfg, err := r.heuristic(true)
 	if err != nil {
 		return nil, err
 	}
@@ -164,11 +164,11 @@ func TableS4() (*Table, error) {
 		var deg *Degradation
 		for _, optimize := range []bool{false, true} {
 			var ctx *Ctx
-			if ctx, deg = LoadSafeISA(b, optimize, false, ""); deg != nil {
+			if ctx, deg = r.load(b, optimize, false); deg != nil {
 				break
 			}
 			var inter []*pattern.Load
-			if inter, deg = loadsInterQuarantined(ctx.Build); deg != nil {
+			if inter, deg = r.loadsInter(ctx.Build); deg != nil {
 				break
 			}
 			stats := ctx.Stats(GeomBaseline)
@@ -177,7 +177,7 @@ func TableS4() (*Table, error) {
 			}
 		}
 		if deg != nil {
-			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
+			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
 			continue
 		}
 		row := []string{b.Name}
@@ -196,7 +196,7 @@ func TableS4() (*Table, error) {
 	return t, nil
 }
 
-// TableS5 is the cross-ISA comparison: every benchmark compiled once,
+// tableS5 is the cross-ISA comparison: every benchmark compiled once,
 // then lowered to each machine description (the native mips encoding
 // and the two-operand arm backend), analysed and simulated per ISA, and
 // evaluated with weights retrained on that ISA's own training set. The
@@ -206,7 +206,7 @@ func TableS4() (*Table, error) {
 // the same band on both — that stability is what the table
 // demonstrates. Rendered on demand (`delinq table S5`); not part of
 // the default sweep so the paper-table golden stays byte-identical.
-func TableS5() (*Table, error) {
+func (r render) tableS5() (*Table, error) {
 	isas := []string{"mips", "arm"}
 	t := &Table{
 		ID:    "S5",
@@ -218,7 +218,7 @@ func TableS5() (*Table, error) {
 	}
 	cfgs := make([]classify.Config, len(isas))
 	for k, isaName := range isas {
-		cfg, err := HeuristicConfigISA(true, isaName)
+		cfg, err := r.on(isaName).heuristic(true)
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +231,7 @@ func TableS5() (*Table, error) {
 		var deg *Degradation
 		for k, isaName := range isas {
 			var ctx *Ctx
-			ctx, deg = LoadSafeISA(b, false, false, isaName)
+			ctx, deg = r.on(isaName).load(b, false, false)
 			if deg != nil {
 				break
 			}
@@ -243,7 +243,7 @@ func TableS5() (*Table, error) {
 				fmt.Sprintf("%.1f / %.0f", ev.Pi*100, ev.Rho*100))
 		}
 		if deg != nil {
-			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
+			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
 			continue
 		}
 		t.Rows = append(t.Rows, row)
@@ -265,28 +265,28 @@ var BlockGeoms = []cache.Config{
 	{SizeBytes: 8 * 1024, Assoc: 4, BlockBytes: 64},
 }
 
-// TableS3 checks the heuristic's stability against cache *block size* —
+// tableS3 checks the heuristic's stability against cache *block size* —
 // the dimension that forced the authors to drop constant-offset checks
 // from criterion H2 ("we could not come up with a constant that was
 // stable across different cache configurations of different block
 // sizes"). The final heuristic should be stable here by construction.
-func TableS3() (*Table, error) {
+func (r render) tableS3() (*Table, error) {
 	t := &Table{
 		ID:     "S3",
 		Title:  "Extension: coverage across cache block sizes",
 		Header: []string{"Benchmark", "pi", "16B rho", "32B rho", "64B rho"},
 		Notes:  "unoptimised binaries, Input 1, 8KB/4-way caches",
 	}
-	cfg, err := HeuristicConfigISA(true, "")
+	cfg, err := r.heuristic(true)
 	if err != nil {
 		return nil, err
 	}
 	var pis []float64
 	rhos := make([][]float64, len(BlockGeoms))
 	for _, b := range bench.Training() {
-		run, deg := Combo{Bench: b, Geoms: BlockGeoms}.runQuarantined()
+		run, deg := r.run(Combo{Bench: b, Geoms: BlockGeoms})
 		if deg != nil {
-			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
+			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
 			continue
 		}
 		delta := classify.DeltaSet(classify.Score(run.Build.Loads, run, cfg))

@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"delinq/internal/bench"
 	"delinq/internal/cache"
+	"delinq/internal/faultinject"
 	"delinq/internal/train"
 )
 
@@ -99,7 +101,6 @@ func TestTrainingOneFillPerISA(t *testing.T) {
 		t.Skip("training simulates every training benchmark")
 	}
 	ResetTraining()
-	ResetDegradations()
 	t.Cleanup(ResetTraining)
 	isas := []string{"mips", "arm"}
 	reps := make([]*train.Report, 4*len(isas))
@@ -108,7 +109,7 @@ func TestTrainingOneFillPerISA(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rep, err := TrainedReportISA(isas[i%len(isas)])
+			rep, err := Engine{ISA: isas[i%len(isas)]}.TrainedReport(context.Background())
 			if err != nil {
 				t.Error(err)
 				return
@@ -161,20 +162,119 @@ func TestResetCacheMidPreload(t *testing.T) {
 	bench.ResetCache()
 }
 
-// TestRenderAllMatchesSerial renders the cheap static table twice —
-// through the parallel engine and directly — as a smoke check that
-// RenderAll's output path is the plain serial renderer. (The full
+// TestRenderAllMatchesSerial renders the full sweep through the
+// parallel engine ("all": a concurrent preload, then the serial
+// rendering pass) and then every table of IDs one by one on a fresh
+// engine, and requires the same bytes and no degradation. (The
 // byte-identity guard against the committed golden file lives in the
 // root package's TestTableAllGolden.)
 func TestRenderAllMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulations in short mode")
 	}
-	rep, err := RenderAll(context.Background(), io.Discard, 0)
+	ctx := context.Background()
+	var all bytes.Buffer
+	degs, err := Engine{}.Render(ctx, &all, 0, "all")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Degraded) != 0 {
-		t.Errorf("fault-free sweep reported degradations: %v", rep.Degraded)
+	if len(degs) != 0 {
+		t.Errorf("fault-free sweep reported degradations: %v", degs)
+	}
+	var serial bytes.Buffer
+	for _, id := range IDs() {
+		if degs, err := (Engine{}).Render(ctx, &serial, 1, id); err != nil || len(degs) != 0 {
+			t.Fatalf("table %s: %v, degraded %v", id, err, degs)
+		}
+	}
+	if all.String() != serial.String() {
+		t.Error("the parallel sweep and the table-by-table renders differ")
+	}
+}
+
+// TestJoinedTrainingQuarantines: a render that joins another render's
+// learning phase shares its outcome, skipped training benchmarks
+// included. With 175.vpr's simulation sabotaged, engine B renders Table
+// 5 while engine A's cold training is in flight: B joins it, both
+// renders are degraded by 175.vpr, and the memo keeps the remainder
+// weights for neither.
+func TestJoinedTrainingQuarantines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training simulates every training benchmark")
+	}
+	p := faultinject.NewPlan(1)
+	p.Arm(faultinject.SimBudget, "175.vpr")
+	withPlan(t, p)
+	ResetTraining()
+	t.Cleanup(ResetTraining)
+
+	ctx := context.Background()
+	type result struct {
+		degs []*Degradation
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		degs, err := Engine{}.Render(ctx, io.Discard, 0, "5")
+		done <- result{degs, err}
+	}()
+	for deadline := time.Now().Add(time.Minute); trained.Stats().Inflight != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("engine A's learning phase never started")
+		}
+	}
+	degsB, errB := Engine{}.Render(ctx, io.Discard, 0, "5")
+	a := <-done
+
+	if st := trained.Stats(); st.Misses != 1 || st.Joined != 1 || st.Entries != 0 {
+		t.Errorf("training memo: %+v, want one fill, one join and nothing retained", st)
+	}
+	for name, r := range map[string]result{"A": a, "B": {degsB, errB}} {
+		if r.err != nil {
+			t.Errorf("render %s: %v", name, r.err)
+		} else if len(r.degs) != 1 || r.degs[0].Benchmark != "175.vpr" {
+			t.Errorf("render %s degradations = %v, want 175.vpr", name, r.degs)
+		}
+	}
+}
+
+// TestEnginesRenderTwoISAs: a mips and an arm engine render Table 2 at
+// once. Neither leaks its machine description into the other: each
+// output equals what a fresh engine of the same ISA renders alone
+// afterwards, and the mips one is the golden table.
+func TestEnginesRenderTwoISAs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulations in short mode")
+	}
+	ctx := context.Background()
+	isas := []string{"mips", "arm"}
+	outs := make([]string, len(isas))
+	var wg sync.WaitGroup
+	for i, isaName := range isas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf bytes.Buffer
+			if degs, err := (Engine{ISA: isaName}).Render(ctx, &buf, 0, "2"); err != nil || len(degs) != 0 {
+				t.Errorf("%s render: %v, degraded %v", isaName, err, degs)
+			}
+			outs[i] = buf.String()
+		}()
+	}
+	wg.Wait()
+	for i, isaName := range isas {
+		var buf bytes.Buffer
+		if _, err := (Engine{ISA: isaName}).Render(ctx, &buf, 0, "2"); err != nil {
+			t.Fatal(err)
+		}
+		if outs[i] != buf.String() {
+			t.Errorf("%s: concurrent render differs from a lone one:\n%s\nalone:\n%s", isaName, outs[i], buf.String())
+		}
+	}
+	if want := goldenTable(t, "2"); outs[0] != want {
+		t.Errorf("mips Table 2 diverges from tables_output.txt:\n%s", outs[0])
+	}
+	if outs[0] == outs[1] {
+		t.Error("the arm engine rendered the mips table")
 	}
 }

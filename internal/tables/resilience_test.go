@@ -14,23 +14,20 @@ import (
 	"delinq/internal/faultinject"
 )
 
-// withPlan installs a fault plan and isolates the registries for one
-// test.
+// withPlan installs a fault plan and isolates the memos for one test.
 func withPlan(t *testing.T, p *faultinject.Plan) {
 	t.Helper()
 	bench.ResetCache()
-	ResetDegradations()
 	faultinject.Install(p)
 	t.Cleanup(func() {
 		faultinject.Clear()
 		bench.ResetCache()
-		ResetDegradations()
 	})
 }
 
 func TestDegradedRowShape(t *testing.T) {
 	d := &Degradation{Benchmark: "181.mcf", Stage: core.StageSimulate}
-	row := DegradedRow(d, 5)
+	row := degradedRow(d, 5)
 	want := []string{"181.mcf", "DEGRADED(simulate)", "-", "-", "-"}
 	if len(row) != len(want) {
 		t.Fatalf("row = %v", row)
@@ -49,9 +46,10 @@ func TestLoadSafeQuarantines(t *testing.T) {
 	withPlan(t, p)
 
 	b := bench.ByName(name)
-	c, deg := LoadSafeISA(b, false, false, "")
+	r := Engine{}.start(context.Background())
+	c, deg := r.load(b, false, false)
 	if c != nil || deg == nil {
-		t.Fatalf("LoadSafeISA = %v, %v; want quarantine", c, deg)
+		t.Fatalf("load = %v, %v; want quarantine", c, deg)
 	}
 	if deg.Benchmark != name || deg.Stage != core.StageSimulate {
 		t.Errorf("degradation = %+v", deg)
@@ -60,36 +58,36 @@ func TestLoadSafeQuarantines(t *testing.T) {
 		t.Errorf("String() = %q", deg.String())
 	}
 
-	// Second call short-circuits on the registry — even with the fault
-	// cleared, the quarantine holds for the rest of the pass.
+	// Second call short-circuits on the quarantine — even with the fault
+	// cleared, the quarantine holds for the rest of the render.
 	faultinject.Clear()
-	c2, deg2 := LoadSafeISA(b, false, false, "")
+	c2, deg2 := r.load(b, false, false)
 	if c2 != nil || deg2 != deg {
 		t.Errorf("short-circuit returned %v, %v; want the original entry", c2, deg2)
 	}
-	if got := Degradations(); len(got) != 1 || got[0] != deg {
-		t.Errorf("Degradations() = %v", got)
+	if got := r.q.list(); len(got) != 1 || got[0] != deg {
+		t.Errorf("quarantine = %v", got)
 	}
 
-	// A fresh pass re-evaluates: after the reset the benchmark is
-	// healthy again.
-	ResetDegradations()
-	bench.ResetCache()
-	c3, deg3 := LoadSafeISA(b, false, false, "")
+	// A new render re-evaluates: the benchmark is healthy again.
+	fresh := Engine{}.start(context.Background())
+	c3, deg3 := fresh.load(b, false, false)
 	if c3 == nil || deg3 != nil {
-		t.Errorf("post-reset LoadSafeISA = %v, %v", c3, deg3)
+		t.Errorf("load in a new render = %v, %v", c3, deg3)
+	}
+	if got := fresh.q.list(); len(got) != 0 {
+		t.Errorf("new render's quarantine = %v, want empty", got)
 	}
 }
 
 func TestRecordFirstWinsAndStageDefault(t *testing.T) {
-	ResetDegradations()
-	t.Cleanup(ResetDegradations)
-	first := record("x", core.WrapStage("x", core.StagePattern, errors.New("a")))
-	second := record("x", core.WrapStage("x", core.StageSimulate, errors.New("b")))
+	q := Engine{}.start(context.Background()).q
+	first := q.record("x", core.WrapStage("x", core.StagePattern, errors.New("a")))
+	second := q.record("x", core.WrapStage("x", core.StageSimulate, errors.New("b")))
 	if first != second || first.Stage != core.StagePattern {
 		t.Errorf("first-wins violated: %+v vs %+v", first, second)
 	}
-	d := record("y", errors.New("stageless"))
+	d := q.record("y", errors.New("stageless"))
 	if d.Stage != core.StageWorker {
 		t.Errorf("stageless error recorded as %s, want worker", d.Stage)
 	}
@@ -97,24 +95,22 @@ func TestRecordFirstWinsAndStageDefault(t *testing.T) {
 
 // TestTimeoutDegrades drives a real table benchmark through an
 // impossibly small deadline and expects quarantine, not a hang or a
-// render error.
+// render error. The deadline belongs to that engine: a zero engine
+// loads the same benchmark.
 func TestTimeoutDegrades(t *testing.T) {
 	bench.ResetCache()
-	ResetDegradations()
-	SetTimeout(1 * time.Nanosecond)
-	t.Cleanup(func() {
-		SetTimeout(0)
-		bench.ResetCache()
-		ResetDegradations()
-	})
+	t.Cleanup(bench.ResetCache)
 
 	b := bench.ByName("126.gcc")
-	c, deg := LoadSafeISA(b, false, false, "")
+	c, deg := Engine{Timeout: time.Nanosecond}.start(context.Background()).load(b, false, false)
 	if c != nil || deg == nil {
-		t.Fatalf("LoadSafeISA under 1ns deadline = %v, %v", c, deg)
+		t.Fatalf("load under 1ns deadline = %v, %v", c, deg)
 	}
 	if !errors.Is(deg.Err, context.DeadlineExceeded) {
 		t.Errorf("degradation cause = %v, want deadline exceeded", deg.Err)
+	}
+	if c, deg := (Engine{}).start(context.Background()).load(b, false, false); c == nil || deg != nil {
+		t.Errorf("load on a zero engine = %v, %v", c, deg)
 	}
 }
 
@@ -128,31 +124,26 @@ func TestTrainingTimeoutNotMemoised(t *testing.T) {
 	}
 	bench.ResetCache()
 	ResetTraining()
-	ResetDegradations()
-	SetTimeout(1 * time.Nanosecond)
 	t.Cleanup(func() {
-		SetTimeout(0)
 		bench.ResetCache()
 		ResetTraining()
-		ResetDegradations()
 	})
 
-	if _, err := TrainedReport(); err != nil {
+	r := Engine{Timeout: time.Nanosecond}.start(context.Background())
+	if _, err := r.trainedReport(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(Degradations()), len(bench.Training()); got != want {
+	if got, want := len(r.q.list()), len(bench.Training()); got != want {
 		t.Fatalf("%d training benchmarks quarantined under a 1ns deadline, want %d", got, want)
 	}
 
-	SetTimeout(0)
-	ResetDegradations()
-	tab, err := Table5()
+	var buf bytes.Buffer
+	degs, err := Engine{}.Render(context.Background(), &buf, 0, "5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := tab.Render(&buf); err != nil {
-		t.Fatal(err)
+	if len(degs) != 0 {
+		t.Errorf("render on a zero engine degraded %v", degs)
 	}
 	if want := goldenTable(t, "5"); buf.String() != want {
 		t.Errorf("Table 5 after the deadline lifted diverges from tables_output.txt:\ngot:\n%s\nwant:\n%s", buf.String(), want)
@@ -187,13 +178,10 @@ func TestDegradedTableRender(t *testing.T) {
 	p.Arm(faultinject.WorkerPanic, name)
 	withPlan(t, p)
 
-	tab, err := ByID("10")
+	var buf bytes.Buffer
+	degs, err := Engine{}.Render(context.Background(), &buf, 0, "10")
 	if err != nil {
 		t.Fatalf("table render failed instead of degrading: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := tab.Render(&buf); err != nil {
-		t.Fatal(err)
 	}
 	out := buf.String()
 	if !strings.Contains(out, "DEGRADED(worker)") {
@@ -202,8 +190,7 @@ func TestDegradedTableRender(t *testing.T) {
 	if !strings.Contains(out, "300.twolf") {
 		t.Errorf("healthy benchmarks missing:\n%s", out)
 	}
-	degs := Degradations()
 	if len(degs) != 1 || degs[0].Benchmark != name {
-		t.Errorf("Degradations() = %v", degs)
+		t.Errorf("degradations = %v", degs)
 	}
 }

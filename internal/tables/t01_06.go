@@ -8,11 +8,11 @@ import (
 	"delinq/internal/metrics"
 )
 
-// Table1 reproduces "Use of profiling in identifying delinquent loads":
+// table1 reproduces "Use of profiling in identifying delinquent loads":
 // for every benchmark, the static load count Λ, the ideal set reaching
 // the same coverage, the profiling hotspot set Δ_P (blocks covering 90 %
 // of compute cycles), and its coverage ρ.
-func Table1() (*Table, error) {
+func (r render) table1() (*Table, error) {
 	t := &Table{
 		ID:     "1",
 		Title:  "Use of profiling in identifying delinquent loads",
@@ -21,9 +21,9 @@ func Table1() (*Table, error) {
 	}
 	var idealPis, profPis, rhos []float64
 	for _, b := range bench.All() {
-		ctx, deg := LoadSafeISA(b, false, false, "")
+		ctx, deg := r.load(b, false, false)
 		if deg != nil {
-			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
+			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
 			continue
 		}
 		stats := ctx.Stats(GeomBaseline)
@@ -48,9 +48,9 @@ func Table1() (*Table, error) {
 	return t, nil
 }
 
-// Table2 reproduces "Typical runtime characteristics of the SPEC
+// table2 reproduces "Typical runtime characteristics of the SPEC
 // benchmarks we used".
-func Table2() (*Table, error) {
+func (r render) table2() (*Table, error) {
 	t := &Table{
 		ID:     "2",
 		Title:  "Runtime characteristics of the benchmarks",
@@ -58,9 +58,9 @@ func Table2() (*Table, error) {
 		Notes:  "unoptimised binaries, Input 1, 8KB/4-way/32B D-cache; misses include stores (write-allocate)",
 	}
 	for _, b := range bench.All() {
-		ctx, deg := LoadSafeISA(b, false, false, "")
+		ctx, deg := r.load(b, false, false)
 		if deg != nil {
-			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
+			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
 			continue
 		}
 		st := ctx.Run.Caches[GeomBaseline].Stats()
@@ -74,11 +74,11 @@ func Table2() (*Table, error) {
 	return t, nil
 }
 
-// Table3 reproduces "Criteria H1 applied to the eleven training
+// table3 reproduces "Criteria H1 applied to the eleven training
 // benchmarks": for each of the fifteen register-usage classes, how many
 // benchmarks contain it and in how many it is relevant.
-func Table3() (*Table, error) {
-	rep, err := TrainedReport()
+func (r render) table3() (*Table, error) {
+	rep, err := r.trainedReport()
 	if err != nil {
 		return nil, err
 	}
@@ -103,10 +103,10 @@ func Table3() (*Table, error) {
 	return t, nil
 }
 
-// Table4 reproduces the m_j/n_j listing for H1 class 5 ("sp=1, gp=1")
+// table4 reproduces the m_j/n_j listing for H1 class 5 ("sp=1, gp=1")
 // over the benchmarks in which the class appears.
-func Table4() (*Table, error) {
-	rep, err := TrainedReport()
+func (r render) table4() (*Table, error) {
+	rep, err := r.trainedReport()
 	if err != nil {
 		return nil, err
 	}
@@ -135,11 +135,11 @@ func Table4() (*Table, error) {
 	return t, nil
 }
 
-// Table5 reproduces "Aggregate classes and their weights used in the
+// table5 reproduces "Aggregate classes and their weights used in the
 // heuristic function", listing the locally trained weight next to the
 // weight the paper reports.
-func Table5() (*Table, error) {
-	rep, err := TrainedReport()
+func (r render) table5() (*Table, error) {
+	rep, err := r.trainedReport()
 	if err != nil {
 		return nil, err
 	}
@@ -167,8 +167,8 @@ func Table5() (*Table, error) {
 	return t, nil
 }
 
-// Table6 lists the two input sets of every benchmark.
-func Table6() (*Table, error) {
+// table6 lists the two input sets of every benchmark.
+func (r render) table6() (*Table, error) {
 	t := &Table{
 		ID:     "6",
 		Title:  "The inputs used in the experiments",

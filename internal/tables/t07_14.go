@@ -9,17 +9,17 @@ import (
 )
 
 // piRho evaluates the heuristic's Δ on one geometry.
-func piRho(ctx *Ctx, gi int, useFreq bool) (metrics.SetEval, error) {
-	cfg, err := HeuristicConfigISA(useFreq, "")
+func (r render) piRho(ctx *Ctx, gi int, useFreq bool) (metrics.SetEval, error) {
+	cfg, err := r.heuristic(useFreq)
 	if err != nil {
 		return metrics.SetEval{}, err
 	}
 	return metrics.Evaluate(ctx.Delta(cfg), ctx.Stats(gi)), nil
 }
 
-// Table7 reproduces "Performance on different inputs": π/ρ of the
+// table7 reproduces "Performance on different inputs": π/ρ of the
 // heuristic on the eleven training benchmarks under both input sets.
-func Table7() (*Table, error) {
+func (r render) table7() (*Table, error) {
 	t := &Table{
 		ID:     "7",
 		Title:  "Performance on different inputs",
@@ -28,20 +28,20 @@ func Table7() (*Table, error) {
 	}
 	var pi1, rho1, pi2, rho2 []float64
 	for _, b := range bench.Training() {
-		c1, deg := LoadSafeISA(b, false, false, "")
+		c1, deg := r.load(b, false, false)
 		var c2 *Ctx
 		if deg == nil {
-			c2, deg = LoadSafeISA(b, false, true, "")
+			c2, deg = r.load(b, false, true)
 		}
 		if deg != nil {
-			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
+			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
 			continue
 		}
-		e1, err := piRho(c1, GeomBaseline, true)
+		e1, err := r.piRho(c1, GeomBaseline, true)
 		if err != nil {
 			return nil, err
 		}
-		e2, err := piRho(c2, GeomBaseline, true)
+		e2, err := r.piRho(c2, GeomBaseline, true)
 		if err != nil {
 			return nil, err
 		}
@@ -63,10 +63,10 @@ func Table7() (*Table, error) {
 	return t, nil
 }
 
-// Table8 reproduces "Performance of heuristic on different
+// table8 reproduces "Performance of heuristic on different
 // associativities of the cache": optimised binaries, 8 KB caches with
 // 2/4/8 ways.
-func Table8() (*Table, error) {
+func (r render) table8() (*Table, error) {
 	t := &Table{
 		ID:     "8",
 		Title:  "Performance on different cache associativities",
@@ -77,15 +77,15 @@ func Table8() (*Table, error) {
 	var pis []float64
 	rhos := make([][]float64, len(gis))
 	for _, b := range bench.Training() {
-		ctx, deg := LoadSafeISA(b, true, false, "")
+		ctx, deg := r.load(b, true, false)
 		if deg != nil {
-			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
+			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
 			continue
 		}
 		row := []string{b.Name}
 		var pi float64
 		for k, gi := range gis {
-			ev, err := piRho(ctx, gi, true)
+			ev, err := r.piRho(ctx, gi, true)
 			if err != nil {
 				return nil, err
 			}
@@ -106,9 +106,9 @@ func Table8() (*Table, error) {
 	return t, nil
 }
 
-// Table9 reproduces the cache-size sweep: optimised binaries on 8, 16,
+// table9 reproduces the cache-size sweep: optimised binaries on 8, 16,
 // 32 and 64 KB 4-way caches.
-func Table9() (*Table, error) {
+func (r render) table9() (*Table, error) {
 	t := &Table{
 		ID:     "9",
 		Title:  "Performance on different cache sizes",
@@ -119,15 +119,15 @@ func Table9() (*Table, error) {
 	var pis []float64
 	rhos := make([][]float64, len(gis))
 	for _, b := range bench.Training() {
-		ctx, deg := LoadSafeISA(b, true, false, "")
+		ctx, deg := r.load(b, true, false)
 		if deg != nil {
-			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
+			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
 			continue
 		}
 		row := []string{b.Name}
 		var pi float64
 		for k, gi := range gis {
-			ev, err := piRho(ctx, gi, true)
+			ev, err := r.piRho(ctx, gi, true)
 			if err != nil {
 				return nil, err
 			}
@@ -149,9 +149,9 @@ func Table9() (*Table, error) {
 	return t, nil
 }
 
-// Table10 reproduces "Performance of the heuristic function on a new set
+// table10 reproduces "Performance of the heuristic function on a new set
 // of benchmarks": the seven held-out programs.
-func Table10() (*Table, error) {
+func (r render) table10() (*Table, error) {
 	t := &Table{
 		ID:     "10",
 		Title:  "Performance on the held-out benchmarks",
@@ -160,12 +160,12 @@ func Table10() (*Table, error) {
 	}
 	var pis, rhos []float64
 	for _, b := range bench.Test() {
-		ctx, deg := LoadSafeISA(b, false, false, "")
+		ctx, deg := r.load(b, false, false)
 		if deg != nil {
-			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
+			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
 			continue
 		}
-		ev, err := piRho(ctx, GeomBaseline, true)
+		ev, err := r.piRho(ctx, GeomBaseline, true)
 		if err != nil {
 			return nil, err
 		}
@@ -181,10 +181,10 @@ func Table10() (*Table, error) {
 	return t, nil
 }
 
-// Table11 reproduces the performance summary: π, ρ and the dynamic
+// table11 reproduces the performance summary: π, ρ and the dynamic
 // false-positive measure ξ with the frequency classes, and π, ρ without
 // them (the purely static AG1-AG7 heuristic).
-func Table11() (*Table, error) {
+func (r render) table11() (*Table, error) {
 	t := &Table{
 		ID:    "11",
 		Title: "Performance summary of the heuristic method",
@@ -194,14 +194,14 @@ func Table11() (*Table, error) {
 	}
 	var pi1, rho1, xis, pi2, rho2 []float64
 	for _, b := range bench.All() {
-		ctx, deg := LoadSafeISA(b, false, false, "")
+		ctx, deg := r.load(b, false, false)
 		if deg != nil {
-			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
+			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
 			continue
 		}
 		stats := ctx.Stats(GeomBaseline)
 
-		cfgF, err := HeuristicConfigISA(true, "")
+		cfgF, err := r.heuristic(true)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +210,7 @@ func Table11() (*Table, error) {
 		ideal := metrics.IdealSet(stats, evF.Rho)
 		xi := metrics.Xi(deltaF, ideal, stats)
 
-		cfgN, err := HeuristicConfigISA(false, "")
+		cfgN, err := r.heuristic(false)
 		if err != nil {
 			return nil, err
 		}
@@ -232,8 +232,8 @@ func Table11() (*Table, error) {
 	return t, nil
 }
 
-// Table12 reproduces the comparison with the OKN and BDH methods.
-func Table12() (*Table, error) {
+// table12 reproduces the comparison with the OKN and BDH methods.
+func (r render) table12() (*Table, error) {
 	t := &Table{
 		ID:     "12",
 		Title:  "Performance of the OKN and BDH methods",
@@ -242,9 +242,9 @@ func Table12() (*Table, error) {
 	}
 	var oPi, oRho, bPi, bRho []float64
 	for _, b := range bench.All() {
-		ctx, deg := LoadSafeISA(b, false, false, "")
+		ctx, deg := r.load(b, false, false)
 		if deg != nil {
-			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
+			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
 			continue
 		}
 		stats := ctx.Stats(GeomBaseline)
@@ -264,9 +264,9 @@ func Table12() (*Table, error) {
 	return t, nil
 }
 
-// Table13 reproduces the delinquency-threshold sweep: δ from 0.10 to
+// table13 reproduces the delinquency-threshold sweep: δ from 0.10 to
 // 0.40 on optimised binaries with a 16 KB cache.
-func Table13() (*Table, error) {
+func (r render) table13() (*Table, error) {
 	deltas := []float64{0.10, 0.20, 0.30, 0.40}
 	t := &Table{
 		ID:     "13",
@@ -277,15 +277,15 @@ func Table13() (*Table, error) {
 	pis := make([][]float64, len(deltas))
 	rhos := make([][]float64, len(deltas))
 	for _, b := range bench.Training() {
-		ctx, deg := LoadSafeISA(b, true, false, "")
+		ctx, deg := r.load(b, true, false)
 		if deg != nil {
-			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
+			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
 			continue
 		}
 		stats := ctx.Stats(Geom16K)
 		row := []string{b.Name}
 		for k, d := range deltas {
-			cfg, err := HeuristicConfigISA(true, "")
+			cfg, err := r.heuristic(true)
 			if err != nil {
 				return nil, err
 			}
@@ -305,10 +305,10 @@ func Table13() (*Table, error) {
 	return t, nil
 }
 
-// Table14 reproduces the combination with profiling: the ε-factor sweep,
+// table14 reproduces the combination with profiling: the ε-factor sweep,
 // including the ρ* random baseline at ε = 0 (average of three seeded
 // draws).
-func Table14() (*Table, error) {
+func (r render) table14() (*Table, error) {
 	eps := []float64{0, 0.10, 0.20, 0.30}
 	t := &Table{
 		ID:     "14",
@@ -319,14 +319,14 @@ func Table14() (*Table, error) {
 	pis := make([][]float64, len(eps))
 	rhos := make([][]float64, len(eps))
 	var rhoStars []float64
-	cfg, err := HeuristicConfigISA(true, "")
+	cfg, err := r.heuristic(true)
 	if err != nil {
 		return nil, err
 	}
 	for _, b := range bench.All() {
-		ctx, deg := LoadSafeISA(b, false, false, "")
+		ctx, deg := r.load(b, false, false)
 		if deg != nil {
-			t.Rows = append(t.Rows, DegradedRow(deg, len(t.Header)))
+			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
 			continue
 		}
 		stats := ctx.Stats(GeomBaseline)

@@ -3,6 +3,12 @@
 // ξ), under the same parameter sweeps. Absolute values differ from the
 // publication (the substrate is a simulator over synthetic workloads);
 // the shapes these tables exist to demonstrate are reproduced.
+//
+// An Engine renders them. It is a plain value carrying the machine
+// description and the per-benchmark deadline; every call builds its own
+// render, with its own context and quarantine, so concurrent renders
+// share only the memoised builds, simulations and trained weights
+// underneath.
 package tables
 
 import (
@@ -12,6 +18,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"time"
 
 	"delinq/internal/bench"
 	"delinq/internal/cache"
@@ -110,55 +117,185 @@ type Ctx struct {
 	Run   *bench.Run
 }
 
-// LoadISACtx compiles and simulates one benchmark with the standard
-// geometry bundle (memoised end to end), lowered to the named machine
-// description; "" resolves through SetISA (mips by default). A deadline
-// or cancellation stops the compile and the simulation promptly.
-func LoadISACtx(ctx context.Context, b *bench.Benchmark, optimize, input2 bool, isaName string) (*Ctx, error) {
-	run, err := Combo{Bench: b, Optimize: optimize, Input2: input2, Geoms: StdGeoms, ISA: isaName}.runCtx(ctx)
+// Stats returns the per-load statistics under geometry gi.
+func (c *Ctx) Stats(gi int) []metrics.LoadStat { return c.Run.LoadStats(c.Build.Loads, gi) }
+
+// Heuristic scores every load with the given configuration.
+func (c *Ctx) Heuristic(cfg classify.Config) []*classify.Scored {
+	return classify.Score(c.Build.Loads, c.Run, cfg)
+}
+
+// Delta returns the possibly-delinquent set under cfg.
+func (c *Ctx) Delta(cfg classify.Config) map[uint32]bool {
+	return classify.DeltaSet(c.Heuristic(cfg))
+}
+
+// Scores returns φ(i) keyed by pc.
+func (c *Ctx) Scores(cfg classify.Config) map[uint32]float64 {
+	out := map[uint32]float64{}
+	for _, s := range c.Heuristic(cfg) {
+		out[s.Load.PC] = s.Phi
+	}
+	return out
+}
+
+// --- the engine ----------------------------------------------------------
+
+// Engine renders tables for one machine description under one
+// per-benchmark deadline. The zero Engine targets mips with no deadline.
+type Engine struct {
+	// ISA names the machine description to lower every benchmark to
+	// ("mips", "arm"); empty means mips. Table S5 compares both ISAs
+	// whatever the engine's.
+	ISA string
+	// Timeout bounds each benchmark's compile, simulation and
+	// interprocedural analysis, on top of the render's context; zero
+	// means no per-benchmark deadline.
+	Timeout time.Duration
+}
+
+// Render writes table id to w and returns the benchmarks the render
+// quarantined, sorted by name (none on a healthy render). The id "all"
+// renders every table of IDs in order, first warming every combination
+// of AllCombos with a pool of workers goroutines (workers <= 0 means
+// GOMAXPROCS), so the serial rendering pass only reads memoised
+// results; the output is byte-identical to rendering each table from
+// cold. A benchmark that fails degrades to DEGRADED rows. The render
+// itself fails when ctx ends: it starts no benchmark after that.
+func (e Engine) Render(ctx context.Context, w io.Writer, workers int, id string) ([]*Degradation, error) {
+	r := e.start(ctx)
+	ids := []string{id}
+	if id == "all" {
+		if err := r.preload(workers, nil); err != nil {
+			return nil, err
+		}
+		ids = IDs()
+	}
+	for _, id := range ids {
+		t, err := r.table(id)
+		if err == nil {
+			err = ctx.Err()
+		}
+		if err == nil {
+			err = t.Render(w)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return r.q.list(), nil
+}
+
+// Load compiles and simulates one benchmark on the engine's ISA with the
+// standard geometry bundle (memoised end to end) under ctx and the
+// per-benchmark deadline.
+func (e Engine) Load(ctx context.Context, b *bench.Benchmark, optimize, input2 bool) (*Ctx, error) {
+	c, d := e.start(ctx).load(b, optimize, input2)
+	if d != nil {
+		return nil, d.Err
+	}
+	return c, nil
+}
+
+// TrainedReport returns the learning phase's report on the engine's ISA
+// (run once per ISA and shared; see trained). Outside a render there is
+// no DEGRADED row to flag weights trained on a remainder, so a phase
+// that had to skip a training benchmark is an error here.
+func (e Engine) TrainedReport(ctx context.Context) (*train.Report, error) {
+	r := e.start(ctx)
+	rep, err := r.trainedReport()
 	if err != nil {
 		return nil, err
 	}
-	return &Ctx{Bench: b, Build: run.Build, Run: run}, nil
+	if degs := r.q.list(); len(degs) > 0 {
+		return nil, fmt.Errorf("tables: training skipped %d benchmark(s): %v", len(degs), degs[0])
+	}
+	return rep, nil
 }
 
-// Stats returns the per-load statistics under geometry gi.
-func (c *Ctx) Stats(gi int) []metrics.LoadStat { return c.Run.LoadStats(c.Build.Loads, gi) }
+// HeuristicConfig returns the evaluation configuration: the engine's
+// trained weights (see TrainedReport), δ = 0.10, frequency classes per
+// useFreq.
+func (e Engine) HeuristicConfig(ctx context.Context, useFreq bool) (classify.Config, error) {
+	rep, err := e.TrainedReport(ctx)
+	if err != nil {
+		return classify.Config{}, err
+	}
+	return heuristicConfig(rep, useFreq), nil
+}
+
+// render is the state of one engine call: its context, machine
+// description, per-benchmark deadline and quarantine. Copies share the
+// quarantine, so Table S5 evaluates both ISAs in one render.
+type render struct {
+	ctx     context.Context
+	isa     string
+	timeout time.Duration
+	q       *quarantine
+}
+
+// start begins one render of the engine under ctx.
+func (e Engine) start(ctx context.Context) render {
+	isaName := e.ISA
+	if isaName == "" {
+		isaName = "mips"
+	}
+	return render{ctx: ctx, isa: isaName, timeout: e.Timeout, q: &quarantine{m: map[string]*Degradation{}}}
+}
+
+// on returns the render retargeted to another machine description.
+func (r render) on(isaName string) render {
+	r.isa = isaName
+	return r
+}
+
+// tableFuncs maps every table's canonical id to its generator.
+var tableFuncs = map[string]func(render) (*Table, error){
+	"1": render.table1, "2": render.table2, "3": render.table3, "4": render.table4,
+	"5": render.table5, "6": render.table6, "7": render.table7, "8": render.table8,
+	"9": render.table9, "10": render.table10, "11": render.table11, "12": render.table12,
+	"13": render.table13, "14": render.table14,
+	"S1": render.tableS1, "S2": render.tableS2, "S3": render.tableS3,
+	"S4": render.tableS4, "S5": render.tableS5,
+}
+
+// CanonicalID resolves a table id — "1".."14" or "S1".."S5", the S in
+// either case — to its canonical spelling, or reports it unknown.
+func CanonicalID(id string) (string, error) {
+	canon := id
+	if strings.HasPrefix(id, "s") {
+		canon = "S" + id[1:]
+	}
+	if _, ok := tableFuncs[canon]; !ok {
+		return "", fmt.Errorf("tables: unknown table %q (valid: 1-14, S1-S5)", id)
+	}
+	return canon, nil
+}
+
+// table regenerates one table by id.
+func (r render) table(id string) (*Table, error) {
+	canon, err := CanonicalID(id)
+	if err != nil {
+		return nil, err
+	}
+	return tableFuncs[canon](r)
+}
+
+// IDs lists the tables of the default sweep, `delinq table all`.
+func IDs() []string {
+	return []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "S1", "S2", "S3"}
+}
 
 // --- parallel experiment engine ----------------------------------------------------
 
 // Combo is one unit of experimental work: a (benchmark, optimize,
-// input, geometry bundle, ISA) combination to compile and simulate.
+// input, geometry bundle) combination to compile and simulate on a
+// render's machine description.
 type Combo struct {
 	Bench    *bench.Benchmark
 	Optimize bool
 	Input2   bool
 	Geoms    []cache.Config
-	// ISA names the machine description to lower to; empty means mips.
-	ISA string
-}
-
-// runCtx compiles and simulates the combo (memoised end to end). The
-// returned Run carries the combo's Build.
-func (cb Combo) runCtx(ctx context.Context) (*bench.Run, error) {
-	bd, err := bench.CompileISACtx(ctx, cb.Bench, cb.Optimize, isaOrDefault(cb.ISA))
-	if err != nil {
-		return nil, err
-	}
-	input := cb.Bench.Input1
-	if cb.Input2 {
-		input = cb.Bench.Input2
-	}
-	return bench.SimulateCtx(ctx, bd, input, cb.Geoms)
-}
-
-// runSafe runs the combo under the per-benchmark deadline. A panic in
-// the compile or the simulation cannot escape to the pool: both run
-// inside a bench cache fill, which reports it as a StageWorker error.
-func (cb Combo) runSafe(parent context.Context) (*bench.Run, error) {
-	ctx, cancel := benchCtx(parent)
-	defer cancel()
-	return cb.runCtx(ctx)
 }
 
 // AllCombos lists every combination a full table sweep (IDs 1-14 and
@@ -183,28 +320,17 @@ func AllCombos() []Combo {
 	return out
 }
 
-// TrainingCombosISA lists the combinations the learning phase needs on
-// the named machine description: unoptimised training benchmarks on
-// Input 1 with the standard geometry bundle.
-func TrainingCombosISA(isaName string) []Combo {
-	var out []Combo
-	for _, b := range bench.Training() {
-		out = append(out, Combo{Bench: b, Geoms: StdGeoms, ISA: isaName})
-	}
-	return out
-}
-
-// Preload warms the compile/simulate memo caches for the given combos
-// (every combo of AllCombos when nil) with a pool of workers
-// goroutines; workers <= 0 means GOMAXPROCS. The singleflight memo
-// layer underneath guarantees each distinct combination is compiled and
-// simulated exactly once no matter how the pool schedules duplicates.
-// All combos are attempted even if some fail: a failing combo (error,
-// panic, or per-benchmark timeout) quarantines its benchmark in the
-// degradation registry instead of aborting the warm-up, so the
-// rendering pass that follows degrades just that benchmark's rows.
-// Preload only returns an error when ctx itself is cancelled.
-func Preload(ctx context.Context, workers int, combos []Combo) error {
+// preload warms the compile/simulate memo caches for combos (every
+// combo of AllCombos when nil) with a pool of workers goroutines;
+// workers <= 0 means GOMAXPROCS. The singleflight memo layer underneath
+// guarantees each distinct combination is compiled and simulated
+// exactly once no matter how the pool schedules duplicates. All combos
+// are attempted even if some fail: a failing combo (error, panic, or
+// per-benchmark timeout) quarantines its benchmark instead of aborting
+// the warm-up, so the rendering pass that follows degrades just that
+// benchmark's rows. preload only returns an error when the render's
+// context has ended.
+func (r render) preload(workers int, combos []Combo) error {
 	if combos == nil {
 		combos = AllCombos()
 	}
@@ -224,11 +350,8 @@ func Preload(ctx context.Context, workers int, combos []Combo) error {
 		go func() {
 			defer wg.Done()
 			for cb := range ch {
-				if ctx.Err() != nil {
-					continue // drain: the render is being abandoned
-				}
-				if _, err := cb.runSafe(ctx); err != nil && ctx.Err() == nil {
-					record(cb.Bench.Name, err)
+				if _, err := r.simulate(cb); err != nil && r.ctx.Err() == nil {
+					r.q.record(cb.Bench.Name, err)
 				}
 			}
 		}()
@@ -238,114 +361,45 @@ func Preload(ctx context.Context, workers int, combos []Combo) error {
 	}
 	close(ch)
 	wg.Wait()
-	return ctx.Err()
-}
-
-// RenderAll renders every table (IDs order) to w, first warming the
-// simulation caches with a workers-wide Preload so the serial rendering
-// pass only reads memoised results. The output is byte-identical to
-// rendering each table serially from cold. Benchmarks that fail degrade
-// to DEGRADED rows; the returned Report lists them (empty on a fully
-// healthy run). The degradation registry is reset at the start, so each
-// call re-evaluates every benchmark.
-func RenderAll(ctx context.Context, w io.Writer, workers int) (*Report, error) {
-	ResetDegradations()
-	if err := Preload(ctx, workers, nil); err != nil {
-		return nil, err
-	}
-	for _, id := range IDs() {
-		t, err := ByID(id)
-		if err != nil {
-			return nil, err
-		}
-		if err := t.Render(w); err != nil {
-			return nil, err
-		}
-	}
-	return &Report{Degraded: Degradations()}, nil
-}
-
-// Heuristic scores every load with the given configuration.
-func (c *Ctx) Heuristic(cfg classify.Config) []*classify.Scored {
-	return classify.Score(c.Build.Loads, c.Run, cfg)
-}
-
-// Delta returns the possibly-delinquent set under cfg.
-func (c *Ctx) Delta(cfg classify.Config) map[uint32]bool {
-	return classify.DeltaSet(c.Heuristic(cfg))
-}
-
-// Scores returns φ(i) keyed by pc.
-func (c *Ctx) Scores(cfg classify.Config) map[uint32]float64 {
-	out := map[uint32]float64{}
-	for _, s := range c.Heuristic(cfg) {
-		out[s.Load.PC] = s.Phi
-	}
-	return out
+	return r.ctx.Err()
 }
 
 // --- trained weights ----------------------------------------------------------
 
-// trained memoises the learning phase per ISA. The zero rescache.Config
-// keeps a report until ResetTraining, but only one trained on every
-// training benchmark: weights from a healthy remainder serve the
-// render that trained them and are then dropped.
-var trained = rescache.New[*train.Report](rescache.Config{}, nil)
-
-var (
-	isaMu      sync.RWMutex
-	defaultISA = "mips"
-)
-
-// SetISA selects the machine description the table engine targets when
-// no explicit ISA is given (the `delinq table -isa` flag); empty
-// restores the default mips. The memo layers underneath keep per-ISA
-// builds, simulations, and trained weights separate, so switching
-// mid-process is safe.
-func SetISA(name string) {
-	if name == "" {
-		name = "mips"
-	}
-	isaMu.Lock()
-	defaultISA = name
-	isaMu.Unlock()
+// trainedWeights is one learning phase's outcome on one ISA: the report
+// and the training benchmarks the phase had to skip.
+type trainedWeights struct {
+	rep     *train.Report
+	skipped []*Degradation
 }
 
-// isaOrDefault resolves an empty machine-description name to the
-// configured default.
-func isaOrDefault(name string) string {
-	if name != "" {
-		return name
-	}
-	isaMu.RLock()
-	defer isaMu.RUnlock()
-	return defaultISA
-}
+// trained memoises the learning phase per ISA across every render.
+// Concurrent renders share one phase. The zero rescache.Config keeps a
+// report until ResetTraining, but only one trained on every training
+// benchmark: weights from a healthy remainder serve the renders that
+// ran or joined that phase, each of which quarantines the skipped
+// benchmarks, and are then dropped.
+var trained = rescache.New[trainedWeights](rescache.Config{}, nil)
 
-// TrainedReport runs (once) the full training phase over the 11 training
-// benchmarks under the training cache geometry and returns the report.
-// Concurrent first callers block on the single training run.
-func TrainedReport() (*train.Report, error) {
-	return TrainedReportISA("")
-}
-
-// TrainedReportISA is TrainedReport for the named machine description:
-// the same learning phase, but over binaries lowered to that ISA, so
-// each backend gets weights fitted to its own pattern population. The
-// reports are memoised per ISA; "" resolves through SetISA (mips by
-// default). Concurrent callers for one ISA share one training run. A
-// run that had to skip a quarantined training benchmark is returned to
-// its callers but not memoised, so the next call trains again.
-func TrainedReportISA(isaName string) (*train.Report, error) {
-	isaName = isaOrDefault(isaName)
-	rep, _, err := trained.Do(context.Background(), isaName, func() (*train.Report, bool, error) {
-		samples, err := TrainingSamplesISA(isaName)
+// trainedReport runs (once per ISA) the full training phase over the 11
+// training benchmarks under the training cache geometry, on binaries
+// lowered to the render's ISA, so each backend gets weights fitted to
+// its own pattern population.
+func (r render) trainedReport() (*train.Report, error) {
+	tw, _, err := trained.Do(r.ctx, r.isa, func() (trainedWeights, bool, error) {
+		samples, skipped, err := r.trainingSamples()
 		if err != nil {
-			return nil, false, err
+			return trainedWeights{}, false, err
 		}
-		return train.Train(samples), len(samples) == len(bench.Training()), nil
+		return trainedWeights{train.Train(samples), skipped}, len(skipped) == 0, nil
 	})
-	return rep, err
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range tw.skipped {
+		r.q.add(d)
+	}
+	return tw.rep, nil
 }
 
 // ResetTraining drops the memoised training reports (every ISA) so the
@@ -355,22 +409,26 @@ func TrainedReportISA(isaName string) (*train.Report, error) {
 // receive its report, but it is not retained.
 func ResetTraining() { trained.Reset() }
 
-// TrainingSamplesISA builds the per-benchmark training data (Section
-// 6's learning phase: unoptimised binaries, Input1, training cache)
-// over binaries lowered to the named machine description. The
-// simulations are warmed by a concurrent Preload; the sample assembly
+// trainingSamples builds the per-benchmark training data (Section 6's
+// learning phase: unoptimised binaries, Input1, training cache). The
+// simulations are warmed by a concurrent preload; the sample assembly
 // that follows is serial and deterministic. A degraded training
-// benchmark is skipped (quarantined in the registry) rather than
-// failing the whole learning phase: the weights train on the healthy
-// remainder.
-func TrainingSamplesISA(isaName string) ([]train.Sample, error) {
-	if err := Preload(context.Background(), 0, TrainingCombosISA(isaName)); err != nil {
-		return nil, err
+// benchmark is skipped and returned rather than failing the whole
+// learning phase: the weights train on the healthy remainder.
+func (r render) trainingSamples() ([]train.Sample, []*Degradation, error) {
+	var combos []Combo
+	for _, b := range bench.Training() {
+		combos = append(combos, Combo{Bench: b, Geoms: StdGeoms})
+	}
+	if err := r.preload(0, combos); err != nil {
+		return nil, nil, err
 	}
 	var samples []train.Sample
+	var skipped []*Degradation
 	for _, b := range bench.Training() {
-		ctx, deg := LoadSafeISA(b, false, false, isaName)
+		ctx, deg := r.load(b, false, false)
 		if deg != nil {
+			skipped = append(skipped, deg)
 			continue
 		}
 		s := train.Sample{Name: b.Name}
@@ -404,23 +462,56 @@ func TrainingSamplesISA(isaName string) ([]train.Sample, error) {
 		}
 		samples = append(samples, s)
 	}
-	return samples, nil
+	return samples, skipped, nil
 }
 
-// HeuristicConfigISA returns the evaluation configuration: weights
-// trained for the named machine description ("" resolves through
-// SetISA), δ = 0.10, frequency classes per useFreq.
-func HeuristicConfigISA(useFreq bool, isaName string) (classify.Config, error) {
-	rep, err := TrainedReportISA(isaName)
+// heuristic returns the evaluation configuration on the render's
+// trained weights; see heuristicConfig.
+func (r render) heuristic(useFreq bool) (classify.Config, error) {
+	rep, err := r.trainedReport()
 	if err != nil {
 		return classify.Config{}, err
 	}
+	return heuristicConfig(rep, useFreq), nil
+}
+
+// heuristicConfig is the evaluation configuration: rep's weights,
+// δ = 0.10, frequency classes per useFreq.
+func heuristicConfig(rep *train.Report, useFreq bool) classify.Config {
 	w := rep.Weights
 	cfg := classify.DefaultConfig()
 	cfg.Weights = &w
 	cfg.UseFrequency = useFreq
-	return cfg, nil
+	return cfg
 }
+
+// --- the default render ----------------------------------------------------------
+
+// defaultRender backs the package-level shortcuts below: mips, no
+// deadline, context.Background(), and one process-wide quarantine that
+// nothing resets. Engine never uses it.
+var defaultRender = Engine{}.start(context.Background())
+
+// ByID regenerates a table by id ("1".."14", "S1".."S5") on the default
+// render.
+func ByID(id string) (*Table, error) { return defaultRender.table(id) }
+
+// Preload warms the compile/simulate memo caches for combos (every
+// combo of AllCombos when nil) on the default render, under ctx; see
+// Engine.Render for the quarantine. It only returns an error when ctx
+// ends.
+func Preload(ctx context.Context, workers int, combos []Combo) error {
+	r := defaultRender
+	r.ctx = ctx
+	return r.preload(workers, combos)
+}
+
+// TrainedReport returns the default render's trained mips weights.
+func TrainedReport() (*train.Report, error) { return defaultRender.trainedReport() }
+
+// Degradations lists the benchmarks the default render has quarantined,
+// sorted by name.
+func Degradations() []*Degradation { return defaultRender.q.list() }
 
 // --- formatting helpers ----------------------------------------------------------
 
@@ -437,54 +528,4 @@ func avg(vals []float64) float64 {
 		s += v
 	}
 	return s / float64(len(vals))
-}
-
-// ByID regenerates a table by its paper number ("1".."14").
-func ByID(id string) (*Table, error) {
-	switch id {
-	case "1":
-		return Table1()
-	case "2":
-		return Table2()
-	case "3":
-		return Table3()
-	case "4":
-		return Table4()
-	case "5":
-		return Table5()
-	case "6":
-		return Table6()
-	case "7":
-		return Table7()
-	case "8":
-		return Table8()
-	case "9":
-		return Table9()
-	case "10":
-		return Table10()
-	case "11":
-		return Table11()
-	case "12":
-		return Table12()
-	case "13":
-		return Table13()
-	case "14":
-		return Table14()
-	case "S1", "s1":
-		return TableS1()
-	case "S2", "s2":
-		return TableS2()
-	case "S3", "s3":
-		return TableS3()
-	case "S4", "s4":
-		return TableS4()
-	case "S5", "s5":
-		return TableS5()
-	}
-	return nil, fmt.Errorf("tables: unknown table %q (valid: 1-14, S1-S5)", id)
-}
-
-// IDs lists the regenerable tables.
-func IDs() []string {
-	return []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "S1", "S2", "S3"}
 }

@@ -25,37 +25,37 @@ func TestStdGeomsValid(t *testing.T) {
 }
 
 func TestByIDUnknown(t *testing.T) {
-	if _, err := ByID("99"); err == nil {
-		t.Error("ByID(99) succeeded")
-	}
-	if _, err := ByID("x"); err == nil {
-		t.Error("ByID(x) succeeded")
+	for _, id := range []string{"99", "x", "all", "s9", ""} {
+		if _, err := ByID(id); err == nil {
+			t.Errorf("ByID(%q) succeeded", id)
+		}
+		if canon, err := CanonicalID(id); err == nil {
+			t.Errorf("CanonicalID(%q) = %q, want an error", id, canon)
+		}
 	}
 }
 
+// TestIDsCoverEveryTable: every id of the default sweep, and S4 and S5,
+// resolves to itself, and the extension tables also in lower case.
 func TestIDsCoverEveryTable(t *testing.T) {
 	ids := IDs()
 	if len(ids) != 17 { // 14 paper tables + extensions S1-S3
 		t.Fatalf("IDs = %v", ids)
 	}
-	for _, id := range ids {
-		if _, err := ByID6Safe(id); err != nil {
-			t.Errorf("ByID(%s) fails: %v", id, err)
+	for _, id := range append(ids, "S4", "S5") {
+		if canon, err := CanonicalID(id); err != nil || canon != id {
+			t.Errorf("CanonicalID(%s) = %q, %v", id, canon, err)
+		}
+		if lower := strings.ToLower(id); lower != id {
+			if canon, err := CanonicalID(lower); err != nil || canon != id {
+				t.Errorf("CanonicalID(%s) = %q, %v; want %s", lower, canon, err, id)
+			}
 		}
 	}
 }
 
-// ByID6Safe resolves only the static tables quickly; heavier tables are
-// exercised by the root benchmarks and TestHeavyTables.
-func ByID6Safe(id string) (*Table, error) {
-	if id == "6" {
-		return Table6()
-	}
-	return &Table{ID: id}, nil
-}
-
 func TestTable6Static(t *testing.T) {
-	tab, err := Table6()
+	tab, err := ByID("6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,14 +141,15 @@ func TestHeadlineShape(t *testing.T) {
 	}
 	// The paper's headline: ~10% of loads cover >90% of misses, and the
 	// baselines need far more loads for the same coverage.
-	cfg, err := HeuristicConfigISA(true, "")
+	eng := Engine{}
+	cfg, err := eng.HeuristicConfig(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pi, rho float64
 	n := 0
 	for _, b := range bench.All() {
-		ctx, err := LoadISACtx(context.Background(), b, false, false, "")
+		ctx, err := eng.Load(context.Background(), b, false, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +169,7 @@ func TestHeadlineShape(t *testing.T) {
 }
 
 func evaluateDelta(ctx *Ctx, cfg classify.Config) (ev struct{ Pi, Rho float64 }) {
-	e, err := piRho(ctx, GeomBaseline, cfg.UseFrequency)
+	e, err := Engine{}.start(context.Background()).piRho(ctx, GeomBaseline, cfg.UseFrequency)
 	if err != nil {
 		return ev
 	}
@@ -180,7 +181,7 @@ func TestTable5AgainstPaperStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run in short mode")
 	}
-	tab, err := Table5()
+	tab, err := ByID("5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestTable3ListsAllH1Classes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run in short mode")
 	}
-	tab, err := Table3()
+	tab, err := ByID("3")
 	if err != nil {
 		t.Fatal(err)
 	}

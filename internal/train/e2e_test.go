@@ -105,7 +105,7 @@ func simulate(t *testing.T, src string) *simulated {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	loads, err := pattern.AnalyzeProgramCtx(ctx, prog, pattern.DefaultConfig())
+	loads, err := pattern.AnalyzeProgramCtx(ctx, prog, pattern.Config{})
 	if err != nil {
 		t.Fatalf("pattern: %v", err)
 	}
@@ -113,7 +113,7 @@ func simulate(t *testing.T, src string) *simulated {
 }
 
 // sampleOf converts a simulation into a train.Sample the same way
-// tables.TrainingSamplesISA does.
+// the table engine's learning phase does.
 func sampleOf(name string, sim *simulated) train.Sample {
 	s := train.Sample{Name: name}
 	for _, ld := range sim.loads {

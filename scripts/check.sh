@@ -44,7 +44,13 @@ echo "== serve chaos (race)"
 # throughout — with the result cache live, so failures never poison
 # cached answers and coalesced waiters survive drain. Once a fault
 # clears, no in-process memo (builds, runs, trained weights) replays it.
-go test -race -run 'TestServeChaosStorm|TestGracefulDrain|TestDrainAbortsStragglers|TestCacheCoalescesThunderingHerd|TestCacheFailureNotCached|TestCacheHitWhileUnitFails|TestFailingSourcesDoNotBlockOthers|TestCacheDrainAbortsCoalescedWaiters|TestPatternFailureLeavesNoState|TestTrainingFaultLeavesNoState' ./internal/server
+# Table renders run concurrently, stop when their request ends, and
+# resolve their id before admission and the cache.
+go test -race -run 'TestServeChaosStorm|TestGracefulDrain|TestDrainAbortsStragglers|TestCacheCoalescesThunderingHerd|TestCacheFailureNotCached|TestCacheHitWhileUnitFails|TestFailingSourcesDoNotBlockOthers|TestCacheDrainAbortsCoalescedWaiters|TestPatternFailureLeavesNoState|TestTrainingFaultLeavesNoState|TestTableIDCheckedBeforeAdmission|TestTableCacheKeyCanonical|TestTableRendersConcurrently|TestDrainAbortsTableRender' ./internal/server
+# Table engines share only the memos: a render joined to another's
+# learning phase inherits its quarantines, two ISAs render side by side,
+# and one learning phase runs per ISA.
+go test -race -run 'TestJoinedTrainingQuarantines|TestEnginesRenderTwoISAs|TestTrainingOneFillPerISA' ./internal/tables
 
 echo "== worker chaos (race)"
 # The process-isolation gate: sandboxed workers SIGKILLed and OOMed
