@@ -38,6 +38,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzArmLowerRoundTrip$$' -fuzztime 5s -run '^$$' ./internal/disasm
 	$(GO) test -fuzz '^FuzzDecodeImage$$' -fuzztime 5s -run '^$$' ./internal/obj
 	$(GO) test -fuzz '^FuzzLowerImageBytes$$' -fuzztime 5s -run '^$$' ./internal/core
+	$(GO) test -fuzz '^FuzzBuildParity$$' -fuzztime 5s -run '^$$' ./internal/core
 	$(GO) test -fuzz '^FuzzCacheAgainstReference$$' -fuzztime 5s -run '^$$' ./internal/cache
 
 # loadtest drives five seconds of skewed closed-loop load at an

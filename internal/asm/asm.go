@@ -1,11 +1,20 @@
 // Package asm implements a two-pass assembler from MIPS-style assembly
-// text to an obj.Image.
+// to an obj.Image.
+//
+// Its input is a Program: typed statements, each a label, a directive
+// or an instruction with typed operands. The mini-C code generator
+// appends statements to a Program directly and AssembleProgram links
+// it, so the build path never prints or parses assembly text. Assemble
+// parses text into the same statements (one statement per line; a
+// label, then a tab and the statement), which is how hand-written
+// assembly is read and how compiled text is checked against the
+// structured path. Program.Text is the rendering Assemble reads back.
 //
 // Beyond instructions it understands segment directives (.text/.data),
 // data directives (.word/.half/.byte/.float/.space/.ascii/.asciiz/.align),
 // symbol metadata emitted by the mini-C compiler (.func/.endfunc/.local/
-// .object/.struct/.entry), and the usual pseudo-instructions (li, la,
-// move, b, beqz/bnez, bge/bgt/ble/blt, neg, not, li.s).
+// .param/.object/.struct/.entry), and the usual pseudo-instructions (li,
+// la, move, b, beqz/bnez, bge/bgt/ble/blt, neg, not, li.s).
 //
 // Comments run from '#' to end of line.
 package asm
@@ -15,18 +24,24 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
+	"delinq/internal/isa"
 	"delinq/internal/obj"
 )
 
-// Error is an assembly diagnostic with its source line.
+// Error is an assembly diagnostic with its source line. Line 0 is a
+// diagnostic about the program as a whole.
 type Error struct {
 	Line int
 	Msg  string
 }
 
-func (e *Error) Error() string { return fmt.Sprintf("asm: line %d: %s", e.Line, e.Msg) }
+func (e *Error) Error() string {
+	if e.Line == 0 {
+		return "asm: " + e.Msg
+	}
+	return fmt.Sprintf("asm: line %d: %s", e.Line, e.Msg)
+}
 
 type segment int
 
@@ -39,28 +54,23 @@ const (
 // source line cannot allocate an arbitrarily large data segment.
 const maxSpace = 1 << 26
 
-// stmt is one parsed source statement.
-type stmt struct {
-	line   int
-	label  string   // optional label defined on this line
-	dir    string   // directive name (with dot) if a directive
-	op     string   // mnemonic if an instruction
-	args   []string // raw operand strings
-	quoted string   // payload of .ascii/.asciiz
-}
-
 type pendingFunc struct {
 	name      string
 	frameSize int32
 	locals    []obj.Local
 }
 
+// symbol is a defined label: its address and segment.
+type symbol struct {
+	addr uint32
+	seg  segment
+}
+
 type assembler struct {
 	img     *obj.Image
-	stmts   []stmt
+	stmts   []Stmt
 	seg     segment
-	sym     map[string]uint32 // label -> address
-	symSeg  map[string]segment
+	sym     map[string]symbol
 	objType map[string]*obj.Type // .object declarations
 	funcs   []*pendingFunc
 	curFunc *pendingFunc
@@ -68,6 +78,7 @@ type assembler struct {
 	data    []byte
 	emitPC  uint32
 	fixups  []fixup
+	insts   [3]isa.Inst // expand's output buffer
 }
 
 // fixup patches a .word holding the address of a symbol that was not yet
@@ -80,26 +91,37 @@ type fixup struct {
 	add  int64
 }
 
-// Assemble translates the given assembly source into a linked image.
+// Assemble parses assembly text and links it into an image.
 func Assemble(src string) (*obj.Image, error) {
+	p, err := parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return AssembleProgram(p)
+}
+
+// AssembleProgram links a program into an image.
+func AssembleProgram(p *Program) (*obj.Image, error) {
+	for i := range p.Stmts {
+		if err := p.Stmts[i].check(); err != nil {
+			return nil, err
+		}
+	}
 	a := &assembler{
 		img:     obj.New(),
-		sym:     map[string]uint32{},
-		symSeg:  map[string]segment{},
+		stmts:   p.Stmts,
+		sym:     map[string]symbol{},
 		objType: map[string]*obj.Type{},
 	}
-	if err := a.parse(src); err != nil {
-		return nil, err
-	}
-	if err := a.prepass(); err != nil {
-		return nil, err
-	}
+	a.prepass()
 	if err := a.layoutData(); err != nil {
 		return nil, err
 	}
-	if err := a.layoutText(); err != nil {
+	n, err := a.layoutText()
+	if err != nil {
 		return nil, err
 	}
+	a.img.Text = make([]uint32, 0, n)
 	if err := a.emit(); err != nil {
 		return nil, err
 	}
@@ -109,134 +131,21 @@ func Assemble(src string) (*obj.Image, error) {
 	return a.img, nil
 }
 
-// prepass registers every .struct definition (two-phase, so mutually
-// recursive structs resolve), .object type annotation, and the .entry
-// selection before any layout begins.
-func (a *assembler) prepass() error {
+// prepass registers every .struct definition, .object type annotation,
+// and the .entry selection before any layout begins.
+func (a *assembler) prepass() {
 	for i := range a.stmts {
 		s := &a.stmts[i]
-		if s.dir == ".struct" && len(s.args) > 0 {
-			name := s.args[0]
-			if a.img.Structs[name] == nil {
-				a.img.Structs[name] = &obj.Type{Kind: obj.KindStruct, Name: name}
-			}
+		switch s.Dir {
+		case DStruct:
+			st := s.Args[0].Type
+			a.img.Structs[st.Name] = st
+		case DObject:
+			a.objType[s.Args[0].Name] = s.Args[1].Type
+		case DEntry:
+			a.entry = s.Args[0].Name
 		}
 	}
-	for i := range a.stmts {
-		s := &a.stmts[i]
-		switch s.dir {
-		case ".struct", ".object", ".entry":
-			if err := a.metaDirective(s); err != nil {
-				return err
-			}
-			s.dir = ".done" // consumed; later passes skip it
-		}
-	}
-	return nil
-}
-
-func (a *assembler) errf(line int, format string, args ...any) error {
-	return &Error{Line: line, Msg: fmt.Sprintf(format, args...)}
-}
-
-// --- parsing -------------------------------------------------------------
-
-func stripComment(s string) string {
-	inStr := false
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			inStr = !inStr
-		case '\\':
-			if inStr {
-				i++
-			}
-		case '#':
-			if !inStr {
-				return s[:i]
-			}
-		}
-	}
-	return s
-}
-
-func (a *assembler) parse(src string) error {
-	for num, raw := range strings.Split(src, "\n") {
-		line := strings.TrimSpace(stripComment(raw))
-		lineNum := num + 1
-		for line != "" {
-			// Leading label?
-			if i := strings.IndexByte(line, ':'); i > 0 && isIdent(line[:i]) &&
-				!strings.ContainsAny(line[:i], " \t") {
-				a.stmts = append(a.stmts, stmt{line: lineNum, label: line[:i]})
-				line = strings.TrimSpace(line[i+1:])
-				continue
-			}
-			break
-		}
-		if line == "" {
-			continue
-		}
-		s := stmt{line: lineNum}
-		if line[0] == '.' {
-			fields := strings.Fields(line)
-			s.dir = fields[0]
-			rest := strings.TrimSpace(line[len(fields[0]):])
-			if s.dir == ".ascii" || s.dir == ".asciiz" {
-				q, err := unquote(rest)
-				if err != nil {
-					return a.errf(lineNum, "%v", err)
-				}
-				s.quoted = q
-			} else {
-				s.args = splitArgs(rest)
-			}
-		} else {
-			sp := strings.IndexAny(line, " \t")
-			if sp < 0 {
-				s.op = line
-			} else {
-				s.op = line[:sp]
-				s.args = splitArgs(strings.TrimSpace(line[sp:]))
-			}
-		}
-		a.stmts = append(a.stmts, s)
-	}
-	return nil
-}
-
-func isIdent(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, c := range s {
-		ok := c == '_' || c == '.' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
-			i > 0 && c >= '0' && c <= '9'
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func splitArgs(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		out = append(out, strings.TrimSpace(p))
-	}
-	return out
-}
-
-func unquote(s string) (string, error) {
-	s = strings.TrimSpace(s)
-	if len(s) < 2 || s[0] != '"' || s[len(s)-1] != '"' {
-		return "", fmt.Errorf("expected quoted string, got %q", s)
-	}
-	return strconv.Unquote(s)
 }
 
 // --- data layout ----------------------------------------------------------
@@ -256,24 +165,25 @@ func (a *assembler) layoutData() error {
 	var labels []labelSite
 	for i := range a.stmts {
 		s := &a.stmts[i]
-		switch {
-		case s.dir == ".text":
-			a.seg = segText
-		case s.dir == ".data":
-			a.seg = segData
-		case s.label != "" && a.seg == segData:
-			if _, dup := a.sym[s.label]; dup {
-				return a.errf(s.line, "duplicate symbol %q", s.label)
+		if s.Label != "" && a.seg == segData {
+			if _, dup := a.sym[s.Label]; dup {
+				return errf(s.Line, "duplicate symbol %q", s.Label)
 			}
-			a.sym[s.label] = obj.DataBase + uint32(len(a.data))
-			a.symSeg[s.label] = segData
-			labels = append(labels, labelSite{s.label, len(a.data)})
-		case a.seg == segData && s.dir != "":
+			a.sym[s.Label] = symbol{obj.DataBase + uint32(len(a.data)), segData}
+			labels = append(labels, labelSite{s.Label, len(a.data)})
+		}
+		switch {
+		case s.Dir == DText:
+			a.seg = segText
+		case s.Dir == DData:
+			a.seg = segData
+		case a.seg != segData:
+		case s.Dir != 0:
 			if err := a.dataDirective(s); err != nil {
 				return err
 			}
-		case a.seg == segData && s.op != "":
-			return a.errf(s.line, "instruction %q in data segment", s.op)
+		case s.Op != 0:
+			return errf(s.Line, "instruction %q in data segment", s.Op.String())
 		}
 	}
 	a.img.Data = a.data
@@ -295,86 +205,118 @@ func (a *assembler) layoutData() error {
 	return nil
 }
 
-func (a *assembler) dataDirective(s *stmt) error {
-	switch s.dir {
-	case ".word":
+func (a *assembler) dataDirective(s *Stmt) error {
+	switch s.Dir {
+	case DWord:
 		a.align(4)
-		for _, arg := range s.args {
-			v, err := a.constOrSymbol(s.line, arg)
-			if err != nil {
-				return err
+		for _, o := range s.Args {
+			v := o.Int
+			if o.Kind == KSym {
+				v = a.symbolValue(s.Line, o)
 			}
 			a.data = binary.LittleEndian.AppendUint32(a.data, uint32(v))
 		}
-	case ".half":
+	case DHalf:
 		a.align(2)
-		for _, arg := range s.args {
-			v, err := parseInt(arg)
-			if err != nil {
-				return a.errf(s.line, "bad .half operand %q", arg)
-			}
-			a.data = binary.LittleEndian.AppendUint16(a.data, uint16(v))
+		for _, o := range s.Args {
+			a.data = binary.LittleEndian.AppendUint16(a.data, uint16(o.Int))
 		}
-	case ".byte":
-		for _, arg := range s.args {
-			v, err := parseInt(arg)
-			if err != nil {
-				return a.errf(s.line, "bad .byte operand %q", arg)
-			}
-			a.data = append(a.data, byte(v))
+	case DByte:
+		for _, o := range s.Args {
+			a.data = append(a.data, byte(o.Int))
 		}
-	case ".float":
+	case DFloat:
 		a.align(4)
-		for _, arg := range s.args {
-			f, err := strconv.ParseFloat(arg, 32)
-			if err != nil {
-				return a.errf(s.line, "bad .float operand %q", arg)
+		for _, o := range s.Args {
+			bits, ok := float32Bits(o)
+			if !ok {
+				return errf(s.Line, "bad .float operand %q", floatText(o))
 			}
-			a.data = binary.LittleEndian.AppendUint32(a.data, math.Float32bits(float32(f)))
+			a.data = binary.LittleEndian.AppendUint32(a.data, bits)
 		}
-	case ".space":
-		if len(s.args) != 1 {
-			return a.errf(s.line, ".space needs one operand")
+	case DSpace:
+		if len(s.Args) != 1 {
+			return errf(s.Line, ".space needs one operand")
 		}
-		n, err := parseInt(s.args[0])
-		if err != nil || n < 0 || n > maxSpace {
-			return a.errf(s.line, "bad .space size %q", s.args[0])
+		n := s.Args[0].Int
+		if n < 0 || n > maxSpace {
+			return errf(s.Line, "bad .space size %q", strconv.FormatInt(n, 10))
 		}
 		a.data = append(a.data, make([]byte, n)...)
-	case ".ascii":
-		a.data = append(a.data, s.quoted...)
-	case ".asciiz":
-		a.data = append(a.data, s.quoted...)
+	case DAscii:
+		a.data = append(a.data, s.Args[0].Name...)
+	case DAsciiz:
+		a.data = append(a.data, s.Args[0].Name...)
 		a.data = append(a.data, 0)
-	case ".align":
-		if len(s.args) != 1 {
-			return a.errf(s.line, ".align needs one operand")
+	case DAlign:
+		if len(s.Args) != 1 {
+			return errf(s.Line, ".align needs one operand")
 		}
-		n, err := parseInt(s.args[0])
-		if err != nil || n < 0 || n > 12 {
-			return a.errf(s.line, "bad .align %q", s.args[0])
+		n := s.Args[0].Int
+		if n < 0 || n > 12 {
+			return errf(s.Line, "bad .align %q", strconv.FormatInt(n, 10))
 		}
 		a.align(1 << n)
-	case ".globl", ".global", ".done":
-		// Visibility is not modelled; accept and ignore.
+	case DGlobl, DStruct, DObject, DEntry:
+		// Visibility is not modelled; metadata was read by prepass.
 	default:
-		return a.errf(s.line, "directive %s not valid in data segment", s.dir)
+		return errf(s.Line, "directive %s not valid in data segment", s.Dir)
 	}
 	return nil
 }
 
-// constOrSymbol evaluates an integer literal or a (possibly offset)
-// symbol reference to its absolute value. Text symbols are not laid out
-// yet when the data segment is built, so unresolved references become
-// fixups patched by finish — this is how function-pointer tables work.
-func (a *assembler) constOrSymbol(line int, arg string) (int64, error) {
-	if v, err := parseInt(arg); err == nil {
-		return v, nil
+// symbolValue evaluates a symbol reference in .word to its absolute
+// value. Text symbols are not laid out yet when the data segment is
+// built, so unresolved references become fixups patched by finish —
+// this is how function-pointer tables work.
+func (a *assembler) symbolValue(line int, o Operand) int64 {
+	if sym, ok := a.sym[o.Name]; ok {
+		return int64(sym.addr) + o.Int
 	}
-	sym, off := splitSymOffset(arg)
-	if addr, ok := a.sym[sym]; ok {
-		return int64(addr) + off, nil
+	a.fixups = append(a.fixups, fixup{line: line, off: len(a.data), sym: o.Name, add: o.Int})
+	return 0
+}
+
+// float32Bits returns the single-precision bits of a .float or li.s
+// operand: exactly what strconv.ParseFloat(text, 32) gives for the
+// operand's text rendering. ok is false when that text is not a
+// single-precision float (a parse failure, or a finite value that
+// overflows float32).
+func float32Bits(o Operand) (bits uint32, ok bool) {
+	switch {
+	case o.Kind == KImm: // an integer initialiser of a float
+		return math.Float32bits(float32(o.Int)), true
+	case o.Name != "":
+		return 0, false
 	}
-	a.fixups = append(a.fixups, fixup{line: line, off: len(a.data), sym: sym, add: off})
-	return 0, nil
+	x := o.F
+	f := float32(x)
+	if float64(f) == x || math.IsInf(x, 0) || math.IsNaN(x) {
+		return math.Float32bits(f), true
+	}
+	// x is not a single. Rounding x and rounding its shortest decimal
+	// spelling agree, except when x lies exactly halfway between two
+	// singles (the spelling may sit on either side of it) or rounds to
+	// infinity; then round the spelling itself.
+	if !math.IsInf(float64(f), 0) && !isSingleMidpoint(x) {
+		return math.Float32bits(f), true
+	}
+	v, err := strconv.ParseFloat(strconv.FormatFloat(x, 'g', -1, 64), 32)
+	if err != nil {
+		return 0, false
+	}
+	return math.Float32bits(float32(v)), true
+}
+
+// isSingleMidpoint reports whether x lies exactly halfway between two
+// adjacent single-precision floats.
+func isSingleMidpoint(x float64) bool {
+	f := float32(x)
+	var other float32
+	if float64(f) < x {
+		other = math.Nextafter32(f, float32(math.Inf(1)))
+	} else {
+		other = math.Nextafter32(f, float32(math.Inf(-1)))
+	}
+	return (float64(f)+float64(other))/2 == x
 }

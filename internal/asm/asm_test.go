@@ -1,6 +1,8 @@
 package asm
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -453,6 +455,110 @@ main:
 	h, _ := img.Lookup("h")
 	if img.Data[h.Addr-obj.DataBase] != 0x66 {
 		t.Errorf("half bytes wrong")
+	}
+}
+
+// TestProgramTextRoundTrip: a program built statement by statement,
+// with every operand kind and metadata notation, renders to text that
+// Assemble reads back into the image AssembleProgram links.
+func TestProgramTextRoundTrip(t *testing.T) {
+	node := &obj.Type{Kind: obj.KindStruct, Name: "node"}
+	node.Fields = []obj.Field{{Name: "v", Offset: 0, Type: obj.TypeFloat}, {Name: "next", Offset: 4, Type: obj.PointerTo(node)}}
+	p := &Program{}
+	p.Dir(DStruct, Typ(node))
+	p.Dir(DData)
+	p.Dir(DObject, Sym("tbl"), Typ(obj.ArrayOf(3, obj.TypeInt)))
+	p.LabelDir("tbl", DWord, Imm(-7), Operand{Kind: KSym, Name: "tbl", Int: 4}, Sym("main"))
+	p.LabelDir("f", DFloat, Float(0.1), Imm(16777217))
+	p.LabelDir("s", DAsciiz, Str("a\tb\"c\x00"))
+	p.Dir(DAlign, Imm(2))
+	p.LabelDir("h", DHalf, Imm(0x5566))
+	p.Dir(DText)
+	p.Dir(DFunc, Sym("main"), Imm(16))
+	p.Dir(DParam, Sym("x"), Imm(8), Typ(obj.PointerTo(node)))
+	p.Label("main")
+	p.Inst(ADDIU, Reg(isa.SP), Reg(isa.SP), Imm(-16))
+	p.Inst(LW, Reg(isa.T0), Operand{Kind: KSym, Name: "tbl", Int: 8})
+	p.Inst(LW, Reg(isa.T1), Operand{Kind: KMem, Name: "tbl", Int: 4, Reg: isa.GP})
+	p.Inst(LS, FReg(4), Mem(-4, isa.SP))
+	p.Inst(LIS, FReg(6), Float(2.5e-7))
+	p.Inst(BLT, Reg(isa.T0), Reg(isa.T1), Sym("main"))
+	p.Inst(JALR, Reg(isa.T2))
+	p.Inst(JR, Reg(isa.RA))
+	p.Dir(DEndfunc)
+
+	want, err := AssembleProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Assemble(p.Text())
+	if err != nil {
+		t.Fatalf("%v\n%s", err, p.Text())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("text round trip differs\n%s", p.Text())
+	}
+}
+
+// TestMalformedStatements: a statement whose operands do not fit its
+// mnemonic or directive is a diagnostic, not a panic in a later pass.
+func TestMalformedStatements(t *testing.T) {
+	for name, build := range map[string]func(p *Program){
+		"too few":    func(p *Program) { p.Inst(ADD, Reg(isa.T0)) },
+		"wrong kind": func(p *Program) { p.Inst(LW, Reg(isa.T0), Imm(4)) },
+		"jalr arity": func(p *Program) { p.Inst(JALR) },
+		"bad struct": func(p *Program) { p.Dir(DStruct, Imm(1)) },
+		"bad local":  func(p *Program) { p.Dir(DLocal, Sym("x"), Imm(0)) },
+		"both kinds": func(p *Program) { p.add(2, "", DText, NOP, nil) },
+		"no such op": func(p *Program) { p.Inst(Mnemonic(250)) },
+	} {
+		p := &Program{}
+		p.Label("main")
+		build(p)
+		if _, err := AssembleProgram(p); err == nil || !strings.Contains(err.Error(), "asm: line 2:") {
+			t.Errorf("%s: error %v, want a line 2 diagnostic", name, err)
+		}
+	}
+}
+
+// TestAssembleReproducible: function symbols that have no .func (here
+// five call targets, laid out in reverse call order) are listed in
+// address order, so repeated assembly encodes to identical bytes.
+func TestAssembleReproducible(t *testing.T) {
+	const src = `
+	.text
+main:
+	jal f1
+	jal f2
+	jal f3
+	jal f4
+	jal f5
+	jr $ra
+f5:	jr $ra
+f4:	jr $ra
+f3:	jr $ra
+f2:	jr $ra
+f1:	jr $ra
+`
+	var first []byte
+	for i := 0; i < 20; i++ {
+		img := mustAssemble(t, src)
+		b, err := img.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = b
+			for j := 1; j < len(img.Syms); j++ {
+				if img.Syms[j].Addr < img.Syms[j-1].Addr {
+					t.Fatalf("symbols out of address order: %+v", img.Syms)
+				}
+			}
+			continue
+		}
+		if !bytes.Equal(b, first) {
+			t.Fatalf("assembly %d encodes differently from the first", i)
+		}
 	}
 }
 

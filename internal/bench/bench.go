@@ -17,12 +17,10 @@ import (
 	"strconv"
 	"strings"
 
-	"delinq/internal/asm"
 	"delinq/internal/cache"
 	"delinq/internal/core"
 	"delinq/internal/disasm"
 	"delinq/internal/faultinject"
-	"delinq/internal/minic"
 	"delinq/internal/obj"
 	"delinq/internal/pattern"
 	"delinq/internal/rescache"
@@ -203,17 +201,14 @@ func runKey(bd *Build, input []int32, geoms []cache.Config) string {
 // failed, and none is memoised: the next call for the key recomputes.
 func CompileISACtx(ctx context.Context, b *Benchmark, optimize bool, isaName string) (*Build, error) {
 	bd, _, err := builds.Do(ctx, buildKey(b.Name, optimize, isaName), func() (*Build, bool, error) {
-		asmText, err := minic.Compile(b.Source, minic.Options{Optimize: optimize})
+		img, err := core.BuildSourceISA(b.Source, optimize, isaName)
 		if err != nil {
-			return nil, false, core.WrapStage(b.Name, core.StageCompile, err)
-		}
-		img, err := asm.Assemble(asmText)
-		if err != nil {
-			return nil, false, core.WrapStage(b.Name, core.StageAssemble, err)
-		}
-		img, err = core.LowerImage(img, isaName)
-		if err != nil {
-			return nil, false, core.WrapStage(b.Name, core.StageAssemble, err)
+			stage := core.BuildStage(err)
+			var se *core.StageError
+			if errors.As(err, &se) {
+				err = se.Err
+			}
+			return nil, false, &core.StageError{Benchmark: b.Name, Stage: stage, Err: err}
 		}
 		corruptImage(b.Name, img)
 		if err := img.Validate(); err != nil {

@@ -2,12 +2,15 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"delinq/internal/cache"
+	"delinq/internal/rescache"
 )
 
 // TestKeysCanonical: logically identical requests share a key; requests
@@ -97,6 +100,70 @@ func TestCompileSingleflight(t *testing.T) {
 		t.Errorf("compiled %d times, want exactly once (stats %+v)", bs.Misses, bs)
 	}
 	ResetCache()
+}
+
+// gateCtx is a leader's context that ends while its fill runs: the
+// fill's first cancellation check (pattern analysis, at a function
+// boundary) parks until gate closes, and then reports cancellation.
+type gateCtx struct {
+	context.Context
+	gate chan struct{}
+}
+
+func (c gateCtx) Done() <-chan struct{} { return c.gate }
+
+func (c gateCtx) Err() error {
+	<-c.gate
+	return context.Canceled
+}
+
+// TestJoinedBuildOutlivesLeader: caller B joins caller A's build of a
+// benchmark, then A's context ends mid-fill. B's context is alive, so B
+// does not inherit A's cancellation: it builds the benchmark itself.
+func TestJoinedBuildOutlivesLeader(t *testing.T) {
+	ResetCache()
+	t.Cleanup(ResetCache)
+	b := ByName("181.mcf")
+	ctxA := gateCtx{context.Background(), make(chan struct{})}
+	errA := make(chan error, 1)
+	go func() {
+		_, err := CompileISACtx(ctxA, b, false, "")
+		errA <- err
+	}()
+	waitBuilds := func(cond func(st rescache.Stats) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+			if st, _ := CacheStats(); cond(st) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("build memo never reached the expected state")
+			}
+		}
+	}
+	waitBuilds(func(st rescache.Stats) bool { return st.Inflight == 1 })
+	type result struct {
+		bd  *Build
+		err error
+	}
+	doneB := make(chan result, 1)
+	go func() {
+		bd, err := CompileISACtx(context.Background(), b, false, "")
+		doneB <- result{bd, err}
+	}()
+	waitBuilds(func(st rescache.Stats) bool { return st.Joined == 1 })
+	close(ctxA.gate)
+
+	if err := <-errA; !errors.Is(err, context.Canceled) {
+		t.Errorf("caller A = %v, want its own cancellation", err)
+	}
+	r := <-doneB
+	if r.err != nil || r.bd == nil || r.bd.NumLoads() == 0 {
+		t.Fatalf("joined caller B = (%v, %v), want a build", r.bd, r.err)
+	}
+	if st, _ := CacheStats(); st.Misses != 2 || st.Joined != 0 || st.Entries != 1 {
+		t.Errorf("build memo %+v, want 2 fills, no join and B's build retained", st)
+	}
 }
 
 // TestResetCacheDuringWork hammers Compile/Simulate from several

@@ -15,6 +15,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -129,20 +130,37 @@ func IdentifySourceCtx(ctx context.Context, src string, opts Options) (*Result, 
 
 // BuildSourceISA compiles and assembles mini-C source, then lowers the
 // image to the named machine description. Empty or "mips" keeps the
-// assembled image; "arm" rewrites it through arm.LowerImage.
+// assembled image; "arm" rewrites it through arm.LowerImage. It is the
+// one compile → assemble → lower chain: the compiler hands the
+// assembler typed statements, so no assembly text is printed or parsed
+// on the way (minic.Compile and asm.Assemble are the text path it is
+// checked against). BuildStage names the stage of a failure.
 func BuildSourceISA(src string, optimize bool, isaName string) (*obj.Image, error) {
-	if _, err := isa.ByName(isaName); err != nil {
-		return nil, err
-	}
-	asmText, err := minic.Compile(src, minic.Options{Optimize: optimize})
+	p, err := minic.CompileProgram(src, minic.Options{Optimize: optimize})
 	if err != nil {
 		return nil, err
 	}
-	img, err := asm.Assemble(asmText)
+	img, err := asm.AssembleProgram(p)
 	if err != nil {
 		return nil, err
 	}
 	return LowerImage(img, isaName)
+}
+
+// BuildStage names the stage a BuildSourceISA failure came from: a
+// lowering failure (an unknown machine description included) is a
+// lower-stage *StageError, an *asm.Error is an assemble failure, and
+// anything else is the compiler's.
+func BuildStage(err error) Stage {
+	var se *StageError
+	var ae *asm.Error
+	switch {
+	case errors.As(err, &se):
+		return se.Stage
+	case errors.As(err, &ae):
+		return StageAssemble
+	}
+	return StageCompile
 }
 
 // LowerImage rewrites an assembled MIPS image for the named machine

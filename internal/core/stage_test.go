@@ -207,3 +207,26 @@ func TestIdentifyImageRejectsCorruptText(t *testing.T) {
 	}
 	_ = fmt.Sprintf("%v", err) // message path must not panic either
 }
+
+// TestBuildStage: BuildStage attributes each BuildSourceISA failure to
+// the stage that failed: a mini-C diagnostic to compile, an assembler
+// diagnostic (an 80 MB global) to assemble, and an unknown machine
+// description to lower.
+func TestBuildStage(t *testing.T) {
+	for _, c := range []struct {
+		src, isa string
+		want     Stage
+	}{
+		{"int main( {", "", StageCompile},
+		{"int a[20000000]; int main() { return a[1]; }", "", StageAssemble},
+		{"int main() { return 0; }", "sparc", StageLower},
+	} {
+		_, err := BuildSourceISA(c.src, false, c.isa)
+		if err == nil {
+			t.Fatalf("%q on %q built", c.src, c.isa)
+		}
+		if got := BuildStage(err); got != c.want {
+			t.Errorf("%q on %q: stage %q, want %q (%v)", c.src, c.isa, got, c.want, err)
+		}
+	}
+}

@@ -18,10 +18,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"delinq/internal/asm"
 	"delinq/internal/core"
 	"delinq/internal/interp"
-	"delinq/internal/minic"
 	"delinq/internal/progen"
 	"delinq/internal/vm"
 )
@@ -77,17 +75,9 @@ func (o outcome) String() string {
 // runCompiled sends src through compile/assemble/lower/simulate at the
 // given optimisation level and machine description.
 func runCompiled(src string, optimize bool, args []int32, maxInsts int64, isaName string) outcome {
-	asmText, err := minic.Compile(src, minic.Options{Optimize: optimize})
+	img, err := core.BuildSourceISA(src, optimize, isaName)
 	if err != nil {
-		return outcome{err: fmt.Errorf("compile: %w", err)}
-	}
-	img, err := asm.Assemble(asmText)
-	if err != nil {
-		return outcome{err: fmt.Errorf("assemble: %w", err)}
-	}
-	img, err = core.LowerImage(img, isaName)
-	if err != nil {
-		return outcome{err: fmt.Errorf("lower: %w", err)}
+		return outcome{err: fmt.Errorf("%s: %w", core.BuildStage(err), err)}
 	}
 	res, err := vm.RunContext(context.Background(), img, vm.Options{
 		Args:          args,

@@ -3,8 +3,9 @@ package minic
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
+	"delinq/internal/asm"
 	"delinq/internal/isa"
 	"delinq/internal/isa/mips"
 	"delinq/internal/obj"
@@ -19,30 +20,58 @@ type Options struct {
 }
 
 // Compile translates mini-C source to assembly text accepted by the asm
-// package, including the program entry stub and the runtime.
+// package, including the program entry stub and the runtime: the text
+// rendering of CompileProgram's program.
 func Compile(src string, opts Options) (string, error) {
-	prog, err := Parse(src)
+	p, err := CompileProgram(src, opts)
 	if err != nil {
 		return "", err
 	}
+	return p.Text(), nil
+}
+
+// CompileProgram translates mini-C source to an assembler program of
+// typed statements, including the program entry stub and the runtime.
+// asm.AssembleProgram links it without any assembly text.
+func CompileProgram(src string, opts Options) (*asm.Program, error) {
+	prog, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
 	if err := Check(prog); err != nil {
-		return "", err
+		return nil, err
 	}
-	g := &gen{prog: prog, opts: opts}
+	g := &gen{prog: prog, opts: opts, p: &asm.Program{}}
 	if err := g.run(); err != nil {
-		return "", err
+		return nil, err
 	}
-	return g.sb.String(), nil
+	return g.p, nil
 }
 
 // mach is the machine description the compiler targets. minic always
-// emits MIPS assembly text; other backends (arm) lower the assembled
-// MIPS image rather than providing their own code generator.
+// emits MIPS assembly; other backends (arm) lower the assembled MIPS
+// image rather than providing their own code generator.
 var mach = mips.M
 
-// regName and fregName spell registers in the target's syntax.
-func regName(r isa.Reg) string  { return mach.RegName(r) }
-func fregName(r isa.Reg) string { return isa.FRegName(r) }
+// Register operands the generator names directly.
+var (
+	rZero = asm.Reg(isa.Zero)
+	rAT   = asm.Reg(isa.AT)
+	rV0   = asm.Reg(isa.V0)
+	rSP   = asm.Reg(isa.SP)
+	rRA   = asm.Reg(isa.RA)
+	fF0   = asm.FReg(0)
+)
+
+// reg and freg are the operands of value registers.
+func reg(r isa.Reg) asm.Operand  { return asm.Reg(r) }
+func freg(r isa.Reg) asm.Operand { return asm.FReg(r) }
+
+// imm is an integer operand.
+func imm[T int | int32 | int64](v T) asm.Operand { return asm.Imm(int64(v)) }
+
+// stack is the stack slot off($sp).
+func stack(off int32) asm.Operand { return asm.Mem(int64(off), isa.SP) }
 
 // Temp register pools. The integer pools come from the machine
 // description; the FP odd/even pairing is a COP1 detail the Machine
@@ -60,7 +89,7 @@ type value struct {
 type gen struct {
 	prog   *Program
 	opts   Options
-	sb     strings.Builder
+	p      *asm.Program
 	fn     *FuncDecl
 	labelN int
 
@@ -77,13 +106,13 @@ type gen struct {
 	breakL, contL []string
 }
 
-func (g *gen) emit(format string, args ...any) {
-	fmt.Fprintf(&g.sb, format+"\n", args...)
-}
+// inst appends one instruction.
+func (g *gen) inst(m asm.Mnemonic, args ...asm.Operand) { g.p.Inst(m, args...) }
 
-func (g *gen) label(prefix string) string {
+// newLabel returns a fresh local label.
+func (g *gen) newLabel(prefix string) string {
 	g.labelN++
-	return fmt.Sprintf(".L%s_%d", prefix, g.labelN)
+	return ".L" + prefix + "_" + strconv.Itoa(g.labelN)
 }
 
 func (g *gen) errf(line int, format string, args ...any) error {
@@ -159,17 +188,17 @@ func (g *gen) saveLiveTemps(line int) (func(), error) {
 	}
 	for _, s := range saved {
 		if s.v.isFlt {
-			g.emit("\ts.s %s, %d($sp)", fregName(s.v.reg), s.off)
+			g.inst(asm.SS, freg(s.v.reg), stack(s.off))
 		} else {
-			g.emit("\tsw %s, %d($sp)", regName(s.v.reg), s.off)
+			g.inst(asm.SW, reg(s.v.reg), stack(s.off))
 		}
 	}
 	return func() {
 		for _, s := range saved {
 			if s.v.isFlt {
-				g.emit("\tl.s %s, %d($sp)", fregName(s.v.reg), s.off)
+				g.inst(asm.LS, freg(s.v.reg), stack(s.off))
 			} else {
-				g.emit("\tlw %s, %d($sp)", regName(s.v.reg), s.off)
+				g.inst(asm.LW, reg(s.v.reg), stack(s.off))
 			}
 		}
 	}, nil
@@ -185,48 +214,42 @@ func (g *gen) run() error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		st := g.prog.Structs[name]
-		parts := make([]string, 0, len(st.Fields)+1)
-		parts = append(parts, name)
-		for _, f := range st.Fields {
-			parts = append(parts, fmt.Sprintf("%s:%d:%s", f.Name, f.Offset, f.Type))
-		}
-		g.emit("\t.struct %s", strings.Join(parts, ", "))
+		g.p.Dir(asm.DStruct, asm.Typ(g.prog.Structs[name]))
 	}
 
 	// Data segment.
-	g.emit("\t.data")
+	g.p.Dir(asm.DData)
 	for _, gd := range g.prog.Globals {
-		g.emit("\t.object %s, %s", gd.Name, gd.Ty)
+		g.p.Dir(asm.DObject, asm.Sym(gd.Name), asm.Typ(gd.Ty))
 		switch {
 		case gd.InitInt != nil:
+			d := asm.DWord
 			if gd.Ty.Kind == obj.KindChar {
-				g.emit("%s:\t.byte %d", gd.Name, *gd.InitInt)
+				d = asm.DByte
 			} else if gd.Ty.Kind == obj.KindFloat {
-				g.emit("%s:\t.float %d", gd.Name, *gd.InitInt)
-			} else {
-				g.emit("%s:\t.word %d", gd.Name, *gd.InitInt)
+				d = asm.DFloat
 			}
+			g.p.LabelDir(gd.Name, d, imm(*gd.InitInt))
 		case gd.InitFloat != nil:
-			g.emit("%s:\t.float %g", gd.Name, *gd.InitFloat)
+			g.p.LabelDir(gd.Name, asm.DFloat, asm.Float(*gd.InitFloat))
 		default:
-			g.emit("%s:\t.space %d", gd.Name, gd.Ty.Size())
+			g.p.LabelDir(gd.Name, asm.DSpace, imm(gd.Ty.Size()))
 		}
-		g.emit("\t.align 2")
+		g.p.Dir(asm.DAlign, imm(2))
 	}
 	for _, s := range g.prog.Strings {
-		g.emit("%s:\t.asciiz %q", s.Label, s.Val)
-		g.emit("\t.align 2")
+		g.p.LabelDir(s.Label, asm.DAsciiz, asm.Str(s.Val))
+		g.p.Dir(asm.DAlign, imm(2))
 	}
 
 	// Entry stub and runtime.
-	g.emit("\t.text")
-	g.emit("\t.entry __start")
-	g.emit("__start:")
-	g.emit("\tjal main")
-	g.emit("\tmove $a0, $v0")
-	g.emit("\tli $v0, 10")
-	g.emit("\tsyscall")
+	g.p.Dir(asm.DText)
+	g.p.Dir(asm.DEntry, asm.Sym("__start"))
+	g.p.Label("__start")
+	g.inst(asm.JAL, asm.Sym("main"))
+	g.inst(asm.MOVE, reg(isa.A0), rV0)
+	g.inst(asm.LI, rV0, imm(10))
+	g.inst(asm.SYSCALL)
 	g.runtime()
 
 	for _, fn := range g.prog.Funcs {
@@ -237,30 +260,29 @@ func (g *gen) run() error {
 	return nil
 }
 
-// runtime emits the builtin library functions.
+// runtime emits the builtin library functions: each is one VM service
+// call (free is a no-op).
 func (g *gen) runtime() {
-	rt := []struct {
-		name string
-		body []string
+	for _, r := range []struct {
+		name    string
+		service int
 	}{
-		{"malloc", []string{"li $v0, 9", "syscall"}},
-		{"sbrk", []string{"li $v0, 9", "syscall"}},
-		{"free", nil},
-		{"print_int", []string{"li $v0, 1", "syscall"}},
-		{"print_char", []string{"li $v0, 11", "syscall"}},
-		{"print_str", []string{"li $v0, 4", "syscall"}},
-		{"print_float", []string{"mtc1 $a0, $f12", "li $v0, 2", "syscall"}},
-		{"arg", []string{"li $v0, 40", "syscall"}},
-		{"nargs", []string{"li $v0, 41", "syscall"}},
-	}
-	for _, r := range rt {
-		g.emit("\t.func %s, frame=0", r.name)
-		g.emit("%s:", r.name)
-		for _, line := range r.body {
-			g.emit("\t%s", line)
+		{"malloc", 9}, {"sbrk", 9}, {"free", 0}, {"print_int", 1},
+		{"print_char", 11}, {"print_str", 4}, {"print_float", 2},
+		{"arg", 40}, {"nargs", 41},
+	} {
+		g.p.Dir(asm.DFunc, asm.Sym(r.name), imm(0))
+		g.p.Label(r.name)
+		if r.name == "print_float" {
+			// The float argument travels as raw bits in $a0.
+			g.inst(asm.MTC1, reg(isa.A0), asm.FReg(12))
 		}
-		g.emit("\tjr $ra")
-		g.emit("\t.endfunc")
+		if r.service != 0 {
+			g.inst(asm.LI, rV0, imm(r.service))
+			g.inst(asm.SYSCALL)
+		}
+		g.inst(asm.JR, rRA)
+		g.p.Dir(asm.DEndfunc)
 	}
 }
 
@@ -313,55 +335,53 @@ func (g *gen) genFunc(fn *FuncDecl) error {
 	off += 4
 	g.frameSize = (off + 7) &^ 7
 
-	g.emit("\t.func %s, frame=%d", fn.Name, g.frameSize)
+	g.p.Dir(asm.DFunc, asm.Sym(fn.Name), imm(g.frameSize))
 	for _, sym := range fn.Syms {
 		if sym.Reg >= 0 {
 			continue
 		}
-		dir := ".local"
+		dir := asm.DLocal
 		if sym.IsParam {
-			dir = ".param"
+			dir = asm.DParam
 		}
-		g.emit("\t%s %s:%d:%s", dir, sym.Name, sym.Offset, sym.Ty)
+		g.p.Dir(dir, asm.Sym(sym.Name), imm(sym.Offset), asm.Typ(sym.Ty))
 	}
-	g.emit("%s:", fn.Name)
-	g.emit("\taddiu $sp, $sp, -%d", g.frameSize)
-	g.emit("\tsw $ra, %d($sp)", raOff)
+	g.p.Label(fn.Name)
+	g.inst(asm.ADDIU, rSP, rSP, imm(-g.frameSize))
+	g.inst(asm.SW, rRA, stack(raOff))
 	for i, r := range g.usedS {
-		g.emit("\tsw %s, %d($sp)", regName(r), savedBase+int32(i)*4)
+		g.inst(asm.SW, reg(r), stack(savedBase+int32(i)*4))
 	}
 	// Home the parameters.
 	for _, sym := range fn.Syms {
 		if !sym.IsParam {
 			continue
 		}
-		areg := regName(isa.A0 + isa.Reg(sym.ParamIx))
+		areg := reg(isa.A0 + isa.Reg(sym.ParamIx))
 		switch {
 		case sym.Reg >= 0:
-			g.emit("\tmove %s, %s", regName(isa.Reg(sym.Reg)), areg)
-		case sym.Ty.Kind == obj.KindFloat:
-			g.emit("\tsw %s, %d($sp)", areg, sym.Offset)
+			g.inst(asm.MOVE, reg(isa.Reg(sym.Reg)), areg)
 		case sym.Ty.Kind == obj.KindChar:
-			g.emit("\tsb %s, %d($sp)", areg, sym.Offset)
-		default:
-			g.emit("\tsw %s, %d($sp)", areg, sym.Offset)
+			g.inst(asm.SB, areg, stack(sym.Offset))
+		default: // ints, pointers and the raw bits of floats
+			g.inst(asm.SW, areg, stack(sym.Offset))
 		}
 	}
 
-	epi := g.label("epi_" + fn.Name)
+	epi := g.newLabel("epi_" + fn.Name)
 	g.breakL, g.contL = nil, nil
 	if err := g.genBlockInto(fn.Body, epi); err != nil {
 		return err
 	}
 
-	g.emit("%s:", epi)
-	g.emit("\tlw $ra, %d($sp)", raOff)
+	g.p.Label(epi)
+	g.inst(asm.LW, rRA, stack(raOff))
 	for i, r := range g.usedS {
-		g.emit("\tlw %s, %d($sp)", regName(r), savedBase+int32(i)*4)
+		g.inst(asm.LW, reg(r), stack(savedBase+int32(i)*4))
 	}
-	g.emit("\taddiu $sp, $sp, %d", g.frameSize)
-	g.emit("\tjr $ra")
-	g.emit("\t.endfunc")
+	g.inst(asm.ADDIU, rSP, rSP, imm(g.frameSize))
+	g.inst(asm.JR, rRA)
+	g.p.Dir(asm.DEndfunc)
 	return nil
 }
 
@@ -412,8 +432,8 @@ func (g *gen) genStmt(s Stmt, ctx genCtx) error {
 		return nil
 
 	case *IfStmt:
-		elseL := g.label("else")
-		endL := g.label("endif")
+		elseL := g.newLabel("else")
+		endL := g.newLabel("endif")
 		if err := g.genCondBranchFalse(st.Cond, elseL); err != nil {
 			return err
 		}
@@ -421,39 +441,39 @@ func (g *gen) genStmt(s Stmt, ctx genCtx) error {
 			return err
 		}
 		if st.Else != nil {
-			g.emit("\tb %s", endL)
+			g.inst(asm.B, asm.Sym(endL))
 		}
-		g.emit("%s:", elseL)
+		g.p.Label(elseL)
 		if st.Else != nil {
 			if err := g.genStmt(st.Else, ctx); err != nil {
 				return err
 			}
-			g.emit("%s:", endL)
+			g.p.Label(endL)
 		}
 		return nil
 
 	case *WhileStmt:
-		top := g.label("while")
-		end := g.label("wend")
+		top := g.newLabel("while")
+		end := g.newLabel("wend")
 		g.breakL = append(g.breakL, end)
 		g.contL = append(g.contL, top)
-		g.emit("%s:", top)
+		g.p.Label(top)
 		if err := g.genCondBranchFalse(st.Cond, end); err != nil {
 			return err
 		}
 		if err := g.genStmt(st.Body, ctx); err != nil {
 			return err
 		}
-		g.emit("\tb %s", top)
-		g.emit("%s:", end)
+		g.inst(asm.B, asm.Sym(top))
+		g.p.Label(end)
 		g.breakL = g.breakL[:len(g.breakL)-1]
 		g.contL = g.contL[:len(g.contL)-1]
 		return nil
 
 	case *ForStmt:
-		top := g.label("for")
-		post := g.label("fpost")
-		end := g.label("fend")
+		top := g.newLabel("for")
+		post := g.newLabel("fpost")
+		end := g.newLabel("fend")
 		if st.Init != nil {
 			if err := g.genStmt(st.Init, ctx); err != nil {
 				return err
@@ -461,7 +481,7 @@ func (g *gen) genStmt(s Stmt, ctx genCtx) error {
 		}
 		g.breakL = append(g.breakL, end)
 		g.contL = append(g.contL, post)
-		g.emit("%s:", top)
+		g.p.Label(top)
 		if st.Cond != nil {
 			if err := g.genCondBranchFalse(st.Cond, end); err != nil {
 				return err
@@ -470,7 +490,7 @@ func (g *gen) genStmt(s Stmt, ctx genCtx) error {
 		if err := g.genStmt(st.Body, ctx); err != nil {
 			return err
 		}
-		g.emit("%s:", post)
+		g.p.Label(post)
 		if st.Post != nil {
 			v, err := g.genExpr(st.Post)
 			if err != nil {
@@ -478,8 +498,8 @@ func (g *gen) genStmt(s Stmt, ctx genCtx) error {
 			}
 			g.free(v)
 		}
-		g.emit("\tb %s", top)
-		g.emit("%s:", end)
+		g.inst(asm.B, asm.Sym(top))
+		g.p.Label(end)
 		g.breakL = g.breakL[:len(g.breakL)-1]
 		g.contL = g.contL[:len(g.contL)-1]
 		return nil
@@ -495,27 +515,27 @@ func (g *gen) genStmt(s Stmt, ctx genCtx) error {
 				return err
 			}
 			if v.isFlt {
-				g.emit("\tmov.s $f0, %s", fregName(v.reg))
+				g.inst(asm.MOVS, fF0, freg(v.reg))
 			} else {
-				g.emit("\tmove $v0, %s", regName(v.reg))
+				g.inst(asm.MOVE, rV0, reg(v.reg))
 			}
 			g.free(v)
 		}
-		g.emit("\tb %s", ctx.epilogue)
+		g.inst(asm.B, asm.Sym(ctx.epilogue))
 		return nil
 
 	case *BreakStmt:
 		if len(g.breakL) == 0 {
 			return g.errf(st.Ln, "break outside loop")
 		}
-		g.emit("\tb %s", g.breakL[len(g.breakL)-1])
+		g.inst(asm.B, asm.Sym(g.breakL[len(g.breakL)-1]))
 		return nil
 
 	case *ContinueStmt:
 		if len(g.contL) == 0 {
 			return g.errf(st.Ln, "continue outside loop")
 		}
-		g.emit("\tb %s", g.contL[len(g.contL)-1])
+		g.inst(asm.B, asm.Sym(g.contL[len(g.contL)-1]))
 		return nil
 	}
 	return fmt.Errorf("minic: unknown statement %T", s)
@@ -533,14 +553,14 @@ func (g *gen) genCondBranchFalse(cond Expr, label string) error {
 		if err != nil {
 			return err
 		}
-		g.emit("\tmtc1 $zero, %s", fregName(tmp))
-		g.emit("\tc.eq.s %s, %s", fregName(v.reg), fregName(tmp))
+		g.inst(asm.MTC1, rZero, freg(tmp))
+		g.inst(asm.CEQS, freg(v.reg), freg(tmp))
 		delete(g.fltBusy, tmp)
 		g.free(v)
-		g.emit("\tbc1t %s", label)
+		g.inst(asm.BC1T, asm.Sym(label))
 		return nil
 	}
-	g.emit("\tbeqz %s, %s", regName(v.reg), label)
+	g.inst(asm.BEQZ, reg(v.reg), asm.Sym(label))
 	g.free(v)
 	return nil
 }

@@ -1,6 +1,7 @@
 package minic
 
 import (
+	"delinq/internal/asm"
 	"delinq/internal/isa"
 	"delinq/internal/obj"
 )
@@ -35,12 +36,12 @@ func (g *gen) genBinary(x *Binary) (value, error) {
 		return g.genFloatBinary(x, lv, rv)
 	}
 
-	a, b := regName(lv.reg), regName(rv.reg)
+	a, b := reg(lv.reg), reg(rv.reg)
 	switch x.Op {
 	case Plus, Minus:
-		op := "add"
+		op := asm.ADD
 		if x.Op == Minus {
-			op = "sub"
+			op = asm.SUB
 		}
 		switch {
 		case lt.IsPointer() && isIntegral(rt):
@@ -48,55 +49,55 @@ func (g *gen) genBinary(x *Binary) (value, error) {
 		case x.Op == Plus && isIntegral(lt) && rt.IsPointer():
 			g.scaleIndex(lv.reg, rt.Elem.Size(), x.Ln)
 		case x.Op == Minus && lt.IsPointer() && rt.IsPointer():
-			g.emit("\tsub %s, %s, %s", a, a, b)
+			g.inst(asm.SUB, a, a, b)
 			sz := lt.Elem.Size()
 			if sz > 1 {
 				if sz&(sz-1) == 0 {
-					g.emit("\tsra %s, %s, %d", a, a, log2i(sz))
+					g.inst(asm.SRA, a, a, imm(log2i(sz)))
 				} else {
-					g.emit("\tli %s, %d", b, sz)
-					g.emit("\tdiv %s, %s", a, b)
-					g.emit("\tmflo %s", a)
+					g.inst(asm.LI, b, imm(sz))
+					g.inst(asm.DIV, a, b)
+					g.inst(asm.MFLO, a)
 				}
 			}
 			g.free(rv)
 			return lv, nil
 		}
-		g.emit("\t%s %s, %s, %s", op, a, a, b)
+		g.inst(op, a, a, b)
 	case Star:
-		g.emit("\tmul %s, %s, %s", a, a, b)
+		g.inst(asm.MUL, a, a, b)
 	case Slash:
-		g.emit("\tdiv %s, %s", a, b)
-		g.emit("\tmflo %s", a)
+		g.inst(asm.DIV, a, b)
+		g.inst(asm.MFLO, a)
 	case Percent:
-		g.emit("\tdiv %s, %s", a, b)
-		g.emit("\tmfhi %s", a)
+		g.inst(asm.DIV, a, b)
+		g.inst(asm.MFHI, a)
 	case Amp:
-		g.emit("\tand %s, %s, %s", a, a, b)
+		g.inst(asm.AND, a, a, b)
 	case Pipe:
-		g.emit("\tor %s, %s, %s", a, a, b)
+		g.inst(asm.OR, a, a, b)
 	case Caret:
-		g.emit("\txor %s, %s, %s", a, a, b)
+		g.inst(asm.XOR, a, a, b)
 	case Shl:
-		g.emit("\tsllv %s, %s, %s", a, a, b)
+		g.inst(asm.SLLV, a, a, b)
 	case Shr:
-		g.emit("\tsrav %s, %s, %s", a, a, b)
+		g.inst(asm.SRAV, a, a, b)
 	case Lt:
-		g.emit("\tslt %s, %s, %s", a, a, b)
+		g.inst(asm.SLT, a, a, b)
 	case Gt:
-		g.emit("\tslt %s, %s, %s", a, b, a)
+		g.inst(asm.SLT, a, b, a)
 	case Le:
-		g.emit("\tslt %s, %s, %s", a, b, a)
-		g.emit("\txori %s, %s, 1", a, a)
+		g.inst(asm.SLT, a, b, a)
+		g.inst(asm.XORI, a, a, imm(1))
 	case Ge:
-		g.emit("\tslt %s, %s, %s", a, a, b)
-		g.emit("\txori %s, %s, 1", a, a)
+		g.inst(asm.SLT, a, a, b)
+		g.inst(asm.XORI, a, a, imm(1))
 	case Eq:
-		g.emit("\txor %s, %s, %s", a, a, b)
-		g.emit("\tsltiu %s, %s, 1", a, a)
+		g.inst(asm.XOR, a, a, b)
+		g.inst(asm.SLTIU, a, a, imm(1))
 	case Ne:
-		g.emit("\txor %s, %s, %s", a, a, b)
-		g.emit("\tsltu %s, $zero, %s", a, a)
+		g.inst(asm.XOR, a, a, b)
+		g.inst(asm.SLTU, a, rZero, a)
 	default:
 		return value{}, g.errf(x.Ln, "internal: binary %v", x.Op)
 	}
@@ -105,54 +106,54 @@ func (g *gen) genBinary(x *Binary) (value, error) {
 }
 
 // scaleIndex multiplies reg by an element size in place.
-func (g *gen) scaleIndex(reg isa.Reg, size, line int) {
+func (g *gen) scaleIndex(r isa.Reg, size, line int) {
 	switch {
 	case size == 1:
 	case size&(size-1) == 0:
-		g.emit("\tsll %s, %s, %d", regName(reg), regName(reg), log2i(size))
+		g.inst(asm.SLL, reg(r), reg(r), imm(log2i(size)))
 	default:
-		g.emit("\tli $at, %d", size)
-		g.emit("\tmul %s, %s, $at", regName(reg), regName(reg))
+		g.inst(asm.LI, rAT, imm(size))
+		g.inst(asm.MUL, reg(r), reg(r), rAT)
 	}
 }
 
 // genFloatBinary handles float arithmetic and comparisons; both operands
 // are float registers.
 func (g *gen) genFloatBinary(x *Binary, lv, rv value) (value, error) {
-	a, b := fregName(lv.reg), fregName(rv.reg)
+	a, b := freg(lv.reg), freg(rv.reg)
 	switch x.Op {
 	case Plus:
-		g.emit("\tadd.s %s, %s, %s", a, a, b)
+		g.inst(asm.ADDS, a, a, b)
 	case Minus:
-		g.emit("\tsub.s %s, %s, %s", a, a, b)
+		g.inst(asm.SUBS, a, a, b)
 	case Star:
-		g.emit("\tmul.s %s, %s, %s", a, a, b)
+		g.inst(asm.MULS, a, a, b)
 	case Slash:
-		g.emit("\tdiv.s %s, %s, %s", a, a, b)
+		g.inst(asm.DIVS, a, a, b)
 	case Eq, Ne, Lt, Gt, Le, Ge:
 		r, err := g.allocInt(x.Ln)
 		if err != nil {
 			return value{}, err
 		}
-		set := g.label("fcset")
+		set := g.newLabel("fcset")
 		switch x.Op {
 		case Eq, Ne:
-			g.emit("\tc.eq.s %s, %s", a, b)
+			g.inst(asm.CEQS, a, b)
 		case Lt:
-			g.emit("\tc.lt.s %s, %s", a, b)
+			g.inst(asm.CLTS, a, b)
 		case Le:
-			g.emit("\tc.le.s %s, %s", a, b)
+			g.inst(asm.CLES, a, b)
 		case Gt:
-			g.emit("\tc.lt.s %s, %s", b, a)
+			g.inst(asm.CLTS, b, a)
 		case Ge:
-			g.emit("\tc.le.s %s, %s", b, a)
+			g.inst(asm.CLES, b, a)
 		}
-		g.emit("\tli %s, 1", regName(r))
-		g.emit("\tbc1t %s", set)
-		g.emit("\tli %s, 0", regName(r))
-		g.emit("%s:", set)
+		g.inst(asm.LI, reg(r), imm(1))
+		g.inst(asm.BC1T, asm.Sym(set))
+		g.inst(asm.LI, reg(r), imm(0))
+		g.p.Label(set)
 		if x.Op == Ne {
-			g.emit("\txori %s, %s, 1", regName(r), regName(r))
+			g.inst(asm.XORI, reg(r), reg(r), imm(1))
 		}
 		g.free(lv)
 		g.free(rv)
@@ -170,7 +171,7 @@ func (g *gen) genLogical(x *Binary) (value, error) {
 	if err != nil {
 		return value{}, err
 	}
-	end := g.label("sc")
+	end := g.newLabel("sc")
 	lv, err := g.genExpr(x.X)
 	if err != nil {
 		return value{}, err
@@ -180,12 +181,12 @@ func (g *gen) genLogical(x *Binary) (value, error) {
 			return value{}, err
 		}
 	}
-	g.emit("\tsltu %s, $zero, %s", regName(out), regName(lv.reg))
+	g.inst(asm.SLTU, reg(out), rZero, reg(lv.reg))
 	g.free(lv)
 	if x.Op == AndAnd {
-		g.emit("\tbeqz %s, %s", regName(out), end)
+		g.inst(asm.BEQZ, reg(out), asm.Sym(end))
 	} else {
-		g.emit("\tbnez %s, %s", regName(out), end)
+		g.inst(asm.BNEZ, reg(out), asm.Sym(end))
 	}
 	rv, err := g.genExpr(x.Y)
 	if err != nil {
@@ -196,9 +197,9 @@ func (g *gen) genLogical(x *Binary) (value, error) {
 			return value{}, err
 		}
 	}
-	g.emit("\tsltu %s, $zero, %s", regName(out), regName(rv.reg))
+	g.inst(asm.SLTU, reg(out), rZero, reg(rv.reg))
 	g.free(rv)
-	g.emit("%s:", end)
+	g.p.Label(end)
 	return value{reg: out}, nil
 }
 
@@ -221,7 +222,7 @@ func (g *gen) genCall(x *Call) (value, error) {
 			if err != nil {
 				return value{}, err
 			}
-			g.emit("\tmfc1 %s, %s", regName(r), fregName(v.reg))
+			g.inst(asm.MFC1, reg(r), freg(v.reg))
 			g.free(v)
 			v = value{reg: r}
 		}
@@ -230,7 +231,7 @@ func (g *gen) genCall(x *Call) (value, error) {
 	// Move into $a0-$a3 and release the temporaries so they are not
 	// pointlessly saved across the call.
 	for i, v := range vals {
-		g.emit("\tmove %s, %s", regName(isa.A0+isa.Reg(i)), regName(v.reg))
+		g.inst(asm.MOVE, reg(isa.A0+isa.Reg(i)), reg(v.reg))
 		g.free(v)
 	}
 	restore, err := g.saveLiveTemps(x.Ln)
@@ -241,7 +242,7 @@ func (g *gen) genCall(x *Call) (value, error) {
 	if x.Builtin != BNone {
 		name = builtinLabels[x.Builtin]
 	}
-	g.emit("\tjal %s", name)
+	g.inst(asm.JAL, asm.Sym(name))
 	restore()
 
 	if x.Type().Kind == obj.KindVoid {
@@ -251,7 +252,7 @@ func (g *gen) genCall(x *Call) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		g.emit("\tmove %s, $zero", regName(r))
+		g.inst(asm.MOVE, reg(r), rZero)
 		return value{reg: r}, nil
 	}
 	if x.Type().Kind == obj.KindFloat {
@@ -259,13 +260,13 @@ func (g *gen) genCall(x *Call) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		g.emit("\tmov.s %s, $f0", fregName(fr))
+		g.inst(asm.MOVS, freg(fr), fF0)
 		return value{reg: fr, isFlt: true}, nil
 	}
 	r, err := g.allocInt(x.Ln)
 	if err != nil {
 		return value{}, err
 	}
-	g.emit("\tmove %s, $v0", regName(r))
+	g.inst(asm.MOVE, reg(r), rV0)
 	return value{reg: r}, nil
 }

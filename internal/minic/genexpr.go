@@ -1,30 +1,48 @@
 package minic
 
 import (
+	"delinq/internal/asm"
 	"delinq/internal/isa"
 	"delinq/internal/obj"
 )
 
 // loadOp returns the load mnemonic for a scalar type.
-func loadOp(t *obj.Type) string {
+func loadOp(t *obj.Type) asm.Mnemonic {
 	switch t.Kind {
 	case obj.KindChar:
-		return "lb"
+		return asm.LB
 	case obj.KindFloat:
-		return "l.s"
+		return asm.LS
 	}
-	return "lw"
+	return asm.LW
 }
 
 // storeOp returns the store mnemonic for a scalar type.
-func storeOp(t *obj.Type) string {
+func storeOp(t *obj.Type) asm.Mnemonic {
 	switch t.Kind {
 	case obj.KindChar:
-		return "sb"
+		return asm.SB
 	case obj.KindFloat:
-		return "s.s"
+		return asm.SS
 	}
-	return "sw"
+	return asm.SW
+}
+
+// valueReg is the operand of a value's register, of either class.
+func valueReg(v value) asm.Operand {
+	if v.isFlt {
+		return freg(v.reg)
+	}
+	return reg(v.reg)
+}
+
+// varAddr is the operand naming a memory-resident variable: its global
+// label or its stack slot.
+func varAddr(sym *VarSym) asm.Operand {
+	if sym.Global {
+		return asm.Sym(sym.Label)
+	}
+	return stack(sym.Offset)
 }
 
 // convert coerces v from type `from` to type `to`, converting between
@@ -43,8 +61,8 @@ func (g *gen) convert(v value, from, to *obj.Type, line int) (value, error) {
 		if err != nil {
 			return v, err
 		}
-		g.emit("\tmtc1 %s, %s", regName(v.reg), fregName(fr))
-		g.emit("\tcvt.s.w %s, %s", fregName(fr), fregName(fr))
+		g.inst(asm.MTC1, reg(v.reg), freg(fr))
+		g.inst(asm.CVTSW, freg(fr), freg(fr))
 		g.free(v)
 		return value{reg: fr, isFlt: true}, nil
 	default:
@@ -52,8 +70,8 @@ func (g *gen) convert(v value, from, to *obj.Type, line int) (value, error) {
 		if err != nil {
 			return v, err
 		}
-		g.emit("\tcvt.w.s %s, %s", fregName(v.reg), fregName(v.reg))
-		g.emit("\tmfc1 %s, %s", regName(ir), fregName(v.reg))
+		g.inst(asm.CVTWS, freg(v.reg), freg(v.reg))
+		g.inst(asm.MFC1, reg(ir), freg(v.reg))
 		g.free(v)
 		return value{reg: ir}, nil
 	}
@@ -72,11 +90,7 @@ func (g *gen) genAddr(e Expr) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		if sym.Global {
-			g.emit("\tla %s, %s", regName(r), sym.Label)
-		} else {
-			g.emit("\taddiu %s, $sp, %d", regName(r), sym.Offset)
-		}
+		g.addrOf(r, sym)
 		return value{reg: r}, nil
 
 	case *Unary:
@@ -100,17 +114,17 @@ func (g *gen) genAddr(e Expr) (value, error) {
 		case size == 1:
 			// no scaling
 		case size&(size-1) == 0:
-			g.emit("\tsll %s, %s, %d", regName(idx.reg), regName(idx.reg), log2i(size))
+			g.inst(asm.SLL, reg(idx.reg), reg(idx.reg), imm(log2i(size)))
 		default:
 			tmp, err := g.allocInt(x.Ln)
 			if err != nil {
 				return value{}, err
 			}
-			g.emit("\tli %s, %d", regName(tmp), size)
-			g.emit("\tmul %s, %s, %s", regName(idx.reg), regName(idx.reg), regName(tmp))
+			g.inst(asm.LI, reg(tmp), imm(size))
+			g.inst(asm.MUL, reg(idx.reg), reg(idx.reg), reg(tmp))
 			delete(g.intBusy, tmp)
 		}
-		g.emit("\tadd %s, %s, %s", regName(base.reg), regName(base.reg), regName(idx.reg))
+		g.inst(asm.ADD, reg(base.reg), reg(base.reg), reg(idx.reg))
 		g.free(idx)
 		return base, nil
 
@@ -126,11 +140,20 @@ func (g *gen) genAddr(e Expr) (value, error) {
 			return value{}, err
 		}
 		if x.Field.Offset != 0 {
-			g.emit("\taddiu %s, %s, %d", regName(base.reg), regName(base.reg), x.Field.Offset)
+			g.inst(asm.ADDIU, reg(base.reg), reg(base.reg), imm(x.Field.Offset))
 		}
 		return base, nil
 	}
 	return value{}, g.errf(e.Line(), "internal: genAddr of %T", e)
+}
+
+// addrOf puts the address of a memory-resident variable in r.
+func (g *gen) addrOf(r isa.Reg, sym *VarSym) {
+	if sym.Global {
+		g.inst(asm.LA, reg(r), asm.Sym(sym.Label))
+	} else {
+		g.inst(asm.ADDIU, reg(r), rSP, imm(sym.Offset))
+	}
 }
 
 func log2i(n int) int {
@@ -150,7 +173,7 @@ func (g *gen) loadVar(sym *VarSym, line int) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		g.emit("\tmove %s, %s", regName(r), regName(isa.Reg(sym.Reg)))
+		g.inst(asm.MOVE, reg(r), reg(isa.Reg(sym.Reg)))
 		return value{reg: r}, nil
 	}
 	// Aggregates decay to their address.
@@ -159,11 +182,7 @@ func (g *gen) loadVar(sym *VarSym, line int) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		if sym.Global {
-			g.emit("\tla %s, %s", regName(r), sym.Label)
-		} else {
-			g.emit("\taddiu %s, $sp, %d", regName(r), sym.Offset)
-		}
+		g.addrOf(r, sym)
 		return value{reg: r}, nil
 	}
 	if t.Kind == obj.KindFloat {
@@ -171,22 +190,14 @@ func (g *gen) loadVar(sym *VarSym, line int) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		if sym.Global {
-			g.emit("\tl.s %s, %s", fregName(r), sym.Label)
-		} else {
-			g.emit("\tl.s %s, %d($sp)", fregName(r), sym.Offset)
-		}
+		g.inst(asm.LS, freg(r), varAddr(sym))
 		return value{reg: r, isFlt: true}, nil
 	}
 	r, err := g.allocInt(line)
 	if err != nil {
 		return value{}, err
 	}
-	if sym.Global {
-		g.emit("\t%s %s, %s", loadOp(t), regName(r), sym.Label)
-	} else {
-		g.emit("\t%s %s, %d($sp)", loadOp(t), regName(r), sym.Offset)
-	}
+	g.inst(loadOp(t), reg(r), varAddr(sym))
 	return value{reg: r}, nil
 }
 
@@ -197,18 +208,10 @@ func (g *gen) storeVar(sym *VarSym, v value, line int) error {
 		if v.isFlt {
 			return g.errf(line, "internal: float store to register variable")
 		}
-		g.emit("\tmove %s, %s", regName(isa.Reg(sym.Reg)), regName(v.reg))
+		g.inst(asm.MOVE, reg(isa.Reg(sym.Reg)), reg(v.reg))
 		return nil
 	}
-	name := regName(v.reg)
-	if v.isFlt {
-		name = fregName(v.reg)
-	}
-	if sym.Global {
-		g.emit("\t%s %s, %s", storeOp(t), name, sym.Label)
-	} else {
-		g.emit("\t%s %s, %d($sp)", storeOp(t), name, sym.Offset)
-	}
+	g.inst(storeOp(t), valueReg(v), varAddr(sym))
 	return nil
 }
 
@@ -224,11 +227,11 @@ func (g *gen) loadThrough(addr value, t *obj.Type, line int) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		g.emit("\tl.s %s, 0(%s)", fregName(fr), regName(addr.reg))
+		g.inst(asm.LS, freg(fr), asm.Mem(0, addr.reg))
 		g.free(addr)
 		return value{reg: fr, isFlt: true}, nil
 	}
-	g.emit("\t%s %s, 0(%s)", loadOp(t), regName(addr.reg), regName(addr.reg))
+	g.inst(loadOp(t), reg(addr.reg), asm.Mem(0, addr.reg))
 	return addr, nil
 }
 
@@ -240,7 +243,7 @@ func (g *gen) genExpr(e Expr) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		g.emit("\tli %s, %d", regName(r), int32(x.Val))
+		g.inst(asm.LI, reg(r), imm(int32(x.Val)))
 		return value{reg: r}, nil
 
 	case *FloatLit:
@@ -248,7 +251,7 @@ func (g *gen) genExpr(e Expr) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		g.emit("\tli.s %s, %g", fregName(r), x.Val)
+		g.inst(asm.LIS, freg(r), asm.Float(x.Val))
 		return value{reg: r, isFlt: true}, nil
 
 	case *StrLit:
@@ -256,7 +259,7 @@ func (g *gen) genExpr(e Expr) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		g.emit("\tla %s, %s", regName(r), x.Label)
+		g.inst(asm.LA, reg(r), asm.Sym(x.Label))
 		return value{reg: r}, nil
 
 	case *SizeofExpr:
@@ -264,7 +267,7 @@ func (g *gen) genExpr(e Expr) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		g.emit("\tli %s, %d", regName(r), x.Of.Size())
+		g.inst(asm.LI, reg(r), imm(x.Of.Size()))
 		return value{reg: r}, nil
 
 	case *Ident:
@@ -310,9 +313,9 @@ func (g *gen) genUnary(x *Unary) (value, error) {
 			return value{}, err
 		}
 		if v.isFlt {
-			g.emit("\tneg.s %s, %s", fregName(v.reg), fregName(v.reg))
+			g.inst(asm.NEGS, freg(v.reg), freg(v.reg))
 		} else {
-			g.emit("\tneg %s, %s", regName(v.reg), regName(v.reg))
+			g.inst(asm.NEG, reg(v.reg), reg(v.reg))
 		}
 		return v, nil
 
@@ -328,7 +331,7 @@ func (g *gen) genUnary(x *Unary) (value, error) {
 			}
 			v = v2
 		}
-		g.emit("\tsltiu %s, %s, 1", regName(v.reg), regName(v.reg))
+		g.inst(asm.SLTIU, reg(v.reg), reg(v.reg), imm(1))
 		return v, nil
 
 	case Tilde:
@@ -336,7 +339,7 @@ func (g *gen) genUnary(x *Unary) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		g.emit("\tnot %s, %s", regName(v.reg), regName(v.reg))
+		g.inst(asm.NOT, reg(v.reg), reg(v.reg))
 		return v, nil
 
 	case Inc, Dec:
@@ -360,17 +363,17 @@ func (g *gen) genIncDec(x *Unary) (value, error) {
 	}
 	// Register-promoted scalar: operate directly.
 	if id, ok := x.X.(*Ident); ok && id.Sym.Reg >= 0 {
-		sreg := regName(isa.Reg(id.Sym.Reg))
+		sreg := reg(isa.Reg(id.Sym.Reg))
 		r, err := g.allocInt(x.Ln)
 		if err != nil {
 			return value{}, err
 		}
 		if x.Postfix {
-			g.emit("\tmove %s, %s", regName(r), sreg)
-			g.emit("\taddiu %s, %s, %d", sreg, sreg, delta)
+			g.inst(asm.MOVE, reg(r), sreg)
+			g.inst(asm.ADDIU, sreg, sreg, imm(delta))
 		} else {
-			g.emit("\taddiu %s, %s, %d", sreg, sreg, delta)
-			g.emit("\tmove %s, %s", regName(r), sreg)
+			g.inst(asm.ADDIU, sreg, sreg, imm(delta))
+			g.inst(asm.MOVE, reg(r), sreg)
 		}
 		return value{reg: r}, nil
 	}
@@ -387,18 +390,19 @@ func (g *gen) genIncDec(x *Unary) (value, error) {
 	if err != nil {
 		return value{}, err
 	}
-	g.emit("\t%s %s, 0(%s)", loadOp(t), regName(val), regName(addr.reg))
+	at := asm.Mem(0, addr.reg)
+	g.inst(loadOp(t), reg(val), at)
 	if x.Postfix {
 		tmp, err := g.allocInt(x.Ln)
 		if err != nil {
 			return value{}, err
 		}
-		g.emit("\taddiu %s, %s, %d", regName(tmp), regName(val), delta)
-		g.emit("\t%s %s, 0(%s)", storeOp(t), regName(tmp), regName(addr.reg))
+		g.inst(asm.ADDIU, reg(tmp), reg(val), imm(delta))
+		g.inst(storeOp(t), reg(tmp), at)
 		delete(g.intBusy, tmp)
 	} else {
-		g.emit("\taddiu %s, %s, %d", regName(val), regName(val), delta)
-		g.emit("\t%s %s, 0(%s)", storeOp(t), regName(val), regName(addr.reg))
+		g.inst(asm.ADDIU, reg(val), reg(val), imm(delta))
+		g.inst(storeOp(t), reg(val), at)
 	}
 	g.free(addr)
 	return value{reg: val}, nil
@@ -421,9 +425,9 @@ func (g *gen) genAssign(x *AssignExpr) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		sreg := regName(isa.Reg(id.Sym.Reg))
+		sreg := reg(isa.Reg(id.Sym.Reg))
 		if x.Op == Assign {
-			g.emit("\tmove %s, %s", sreg, regName(rhs.reg))
+			g.inst(asm.MOVE, sreg, reg(rhs.reg))
 			return rhs, nil
 		}
 		op, err := g.compoundOp(x.Op, x.Ln)
@@ -434,7 +438,7 @@ func (g *gen) genAssign(x *AssignExpr) (value, error) {
 			x.LHS.Type(), x.RHS.Type(), x.Ln); err != nil {
 			return value{}, err
 		}
-		g.emit("\tmove %s, %s", regName(rhs.reg), sreg)
+		g.inst(asm.MOVE, reg(rhs.reg), sreg)
 		return rhs, nil
 	}
 
@@ -463,9 +467,10 @@ func (g *gen) genAssign(x *AssignExpr) (value, error) {
 			if err != nil {
 				return value{}, err
 			}
-			g.emit("\tl.s %s, 0(%s)", fregName(cur), regName(addr.reg))
-			g.emit("\t%s.s %s, %s, %s", op, fregName(cur), fregName(cur), fregName(rhs.reg))
-			g.emit("\ts.s %s, 0(%s)", fregName(cur), regName(addr.reg))
+			at := asm.Mem(0, addr.reg)
+			g.inst(asm.LS, freg(cur), at)
+			g.inst(floatOps[op], freg(cur), freg(cur), freg(rhs.reg))
+			g.inst(asm.SS, freg(cur), at)
 			g.free(rhs)
 			g.free(addr)
 			return value{reg: cur, isFlt: true}, nil
@@ -474,63 +479,65 @@ func (g *gen) genAssign(x *AssignExpr) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		g.emit("\t%s %s, 0(%s)", loadOp(lt), regName(cur), regName(addr.reg))
+		at := asm.Mem(0, addr.reg)
+		g.inst(loadOp(lt), reg(cur), at)
 		if err := g.applyIntOp(op, cur, cur, rhs.reg, lt, x.RHS.Type(), x.Ln); err != nil {
 			return value{}, err
 		}
-		g.emit("\t%s %s, 0(%s)", storeOp(lt), regName(cur), regName(addr.reg))
+		g.inst(storeOp(lt), reg(cur), at)
 		g.free(rhs)
 		g.free(addr)
 		return value{reg: cur}, nil
 	}
 
-	name := regName(rhs.reg)
-	if rhs.isFlt {
-		name = fregName(rhs.reg)
-	}
-	g.emit("\t%s %s, 0(%s)", storeOp(lt), name, regName(addr.reg))
+	g.inst(storeOp(lt), valueReg(rhs), asm.Mem(0, addr.reg))
 	g.free(addr)
 	return rhs, nil
 }
 
-func (g *gen) compoundOp(k TokKind, line int) (string, error) {
+// floatOps maps an integer arithmetic mnemonic to its float form.
+var floatOps = map[asm.Mnemonic]asm.Mnemonic{
+	asm.ADD: asm.ADDS, asm.SUB: asm.SUBS, asm.MUL: asm.MULS, asm.DIV: asm.DIVS,
+}
+
+func (g *gen) compoundOp(k TokKind, line int) (asm.Mnemonic, error) {
 	switch k {
 	case AddAssign:
-		return "add", nil
+		return asm.ADD, nil
 	case SubAssign:
-		return "sub", nil
+		return asm.SUB, nil
 	case MulAssign:
-		return "mul", nil
+		return asm.MUL, nil
 	case DivAssign:
-		return "div", nil
+		return asm.DIV, nil
 	}
-	return "", g.errf(line, "internal: compound op %v", k)
+	return 0, g.errf(line, "internal: compound op %v", k)
 }
 
 // applyIntOp emits rd = ra op rb for integer/pointer compound
 // assignment, scaling pointer arithmetic.
-func (g *gen) applyIntOp(op string, rd, ra, rb isa.Reg, lt, rt *obj.Type, line int) error {
-	if lt.IsPointer() && (op == "add" || op == "sub") {
+func (g *gen) applyIntOp(op asm.Mnemonic, rd, ra, rb isa.Reg, lt, rt *obj.Type, line int) error {
+	if lt.IsPointer() && (op == asm.ADD || op == asm.SUB) {
 		sz := lt.Elem.Size()
 		if sz != 1 {
 			if sz&(sz-1) == 0 {
-				g.emit("\tsll %s, %s, %d", regName(rb), regName(rb), log2i(sz))
+				g.inst(asm.SLL, reg(rb), reg(rb), imm(log2i(sz)))
 			} else {
 				tmp, err := g.allocInt(line)
 				if err != nil {
 					return err
 				}
-				g.emit("\tli %s, %d", regName(tmp), sz)
-				g.emit("\tmul %s, %s, %s", regName(rb), regName(rb), regName(tmp))
+				g.inst(asm.LI, reg(tmp), imm(sz))
+				g.inst(asm.MUL, reg(rb), reg(rb), reg(tmp))
 				delete(g.intBusy, tmp)
 			}
 		}
 	}
-	if op == "div" {
-		g.emit("\tdiv %s, %s", regName(ra), regName(rb))
-		g.emit("\tmflo %s", regName(rd))
+	if op == asm.DIV {
+		g.inst(asm.DIV, reg(ra), reg(rb))
+		g.inst(asm.MFLO, reg(rd))
 		return nil
 	}
-	g.emit("\t%s %s, %s, %s", op, regName(rd), regName(ra), regName(rb))
+	g.inst(op, reg(rd), reg(ra), reg(rb))
 	return nil
 }

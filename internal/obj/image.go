@@ -182,16 +182,32 @@ type wireField struct {
 	Type   string
 }
 
+type wireStruct struct {
+	Name   string
+	Fields []wireField
+}
+
+type wireSrcName struct {
+	Addr uint32
+	Name string
+}
+
+// wireImage carries the image's maps as key-sorted slices, so equal
+// images encode to equal bytes (gob walks a map in its random order).
+// The map fields are how images encoded before that carried them: Encode
+// leaves them empty, and DecodeImage still reads them.
 type wireImage struct {
-	Entry    uint32
-	Text     []uint32
-	ISA      string
-	Data     []byte
-	BSS      uint32
-	GPValue  uint32
-	Syms     []wireSym
-	Structs  map[string][]wireField
-	SrcNames map[uint32]string
+	Entry       uint32
+	Text        []uint32
+	ISA         string
+	Data        []byte
+	BSS         uint32
+	GPValue     uint32
+	Syms        []wireSym
+	Structs     map[string][]wireField
+	SrcNames    map[uint32]string
+	StructList  []wireStruct
+	SrcNameList []wireSrcName
 }
 
 func typeString(t *Type) string {
@@ -205,16 +221,20 @@ func typeString(t *Type) string {
 func (im *Image) Encode() ([]byte, error) {
 	w := wireImage{
 		Entry: im.Entry, Text: im.Text, ISA: im.ISA, Data: im.Data, BSS: im.BSS,
-		GPValue: im.GPValue, SrcNames: im.SrcNames,
-		Structs: map[string][]wireField{},
+		GPValue: im.GPValue,
 	}
 	for name, st := range im.Structs {
-		var fs []wireField
+		ws := wireStruct{Name: name}
 		for _, f := range st.Fields {
-			fs = append(fs, wireField{f.Name, f.Offset, typeString(f.Type)})
+			ws.Fields = append(ws.Fields, wireField{f.Name, f.Offset, typeString(f.Type)})
 		}
-		w.Structs[name] = fs
+		w.StructList = append(w.StructList, ws)
 	}
+	sort.Slice(w.StructList, func(i, j int) bool { return w.StructList[i].Name < w.StructList[j].Name })
+	for addr, name := range im.SrcNames {
+		w.SrcNameList = append(w.SrcNameList, wireSrcName{addr, name})
+	}
+	sort.Slice(w.SrcNameList, func(i, j int) bool { return w.SrcNameList[i].Addr < w.SrcNameList[j].Addr })
 	for _, s := range im.Syms {
 		ws := wireSym{
 			Name: s.Name, Addr: s.Addr, Size: s.Size, Kind: s.Kind,
@@ -249,6 +269,18 @@ func DecodeImage(b []byte) (*Image, error) {
 		Entry: w.Entry, Text: w.Text, ISA: w.ISA, Data: w.Data, BSS: w.BSS,
 		GPValue: w.GPValue, SrcNames: w.SrcNames,
 		Structs: map[string]*Type{},
+	}
+	for _, ws := range w.StructList {
+		if w.Structs == nil {
+			w.Structs = map[string][]wireField{}
+		}
+		w.Structs[ws.Name] = append(w.Structs[ws.Name], ws.Fields...)
+	}
+	for _, sn := range w.SrcNameList {
+		if im.SrcNames == nil {
+			im.SrcNames = map[uint32]string{}
+		}
+		im.SrcNames[sn.Addr] = sn.Name
 	}
 	// Struct resolution is two-phase so self-referential structs decode
 	// into the same cyclic graphs Encode started from.

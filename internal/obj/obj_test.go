@@ -1,6 +1,12 @@
 package obj
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -156,6 +162,74 @@ func TestImageLookups(t *testing.T) {
 	}
 	if got := im.DataEnd(); got != DataBase+8+16 {
 		t.Errorf("DataEnd = %#x", got)
+	}
+}
+
+// TestEncodeReproducible: an image with several structs and source
+// names encodes to the same bytes every time, whatever order its maps
+// iterate in.
+func TestEncodeReproducible(t *testing.T) {
+	im := New()
+	for i, name := range []string{"a", "b", "c", "d"} {
+		st := &Type{Kind: KindStruct, Name: name}
+		st.Fields = []Field{{Name: "v", Offset: 0, Type: TypeInt}, {Name: "n", Offset: 4, Type: PointerTo(st)}}
+		im.Structs[name] = st
+		if im.SrcNames == nil {
+			im.SrcNames = map[uint32]string{}
+		}
+		im.SrcNames[TextBase+uint32(4*i)] = name + ".c"
+	}
+	first, err := im.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		b, err := im.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, first) {
+			t.Fatalf("encoding %d differs from the first", i)
+		}
+	}
+	got, err := DecodeImage(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Structs) != 4 || got.Structs["c"].Fields[1].Type.Elem != got.Structs["c"] ||
+		!reflect.DeepEqual(got.SrcNames, im.SrcNames) {
+		t.Errorf("decoded structs %v, source names %v", got.Structs, got.SrcNames)
+	}
+}
+
+// TestDecodeMapEncodedImage: an image encoded when the wire format
+// still carried its structs as a map (the committed fuzz seed) decodes
+// with them intact, and survives a round trip through today's format.
+func TestDecodeMapEncodedImage(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeImage", "encoded_image"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "[]byte(")
+	b, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := DecodeImage([]byte(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := im.Structs["node"]
+	if node == nil || len(node.Fields) != 2 || node.Fields[1].Type.Elem != node {
+		t.Errorf("struct node decoded as %+v", node)
+	}
+	b2, err := im.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := DecodeImage(b2)
+	if err != nil || !reflect.DeepEqual(again, im) {
+		t.Errorf("round trip through today's format: %v, equal %v", err, reflect.DeepEqual(again, im))
 	}
 }
 

@@ -19,7 +19,10 @@
 // future requests. Waiting is context-aware: a caller joined to another
 // caller's in-flight fill abandons the wait when its own context is
 // cancelled (client disconnect, per-request deadline, drain abort)
-// while the fill itself keeps running for the remaining waiters.
+// while the fill itself keeps running for the remaining waiters. The
+// fill runs under its leader's context, but a joined caller never
+// inherits that context's end: when the leader leaves and its fill
+// fails for it, a caller still waiting runs the fill again itself.
 //
 // A panicking fill is recovered into a *PanicError and delivered to
 // every joined waiter and, like any error, is not retained: the next Do
@@ -130,9 +133,12 @@ type entry[V any] struct {
 	done chan struct{} // closed when the fill finishes
 	val  V
 	err  error
+	// abandoned: the fill failed after its leader's own context had
+	// ended, so err speaks for the leader only.
+	abandoned bool
 	// complete, size, elem and warm are guarded by Cache.mu;
-	// val and err are written by the filling goroutine before done is
-	// closed, so both the hit path and joined waiters observe them.
+	// val, err and abandoned are written before done is closed, so both
+	// the hit path and joined waiters observe them.
 	complete bool
 	warm     bool // seeded from durable-state replay, not filled here
 	size     int
@@ -175,7 +181,12 @@ func protect[V any](fill func() (V, bool, error)) (v V, cacheable bool, err erro
 // fill reports (value, cacheable, err). The value is retained only when
 // err is nil AND cacheable is true; errors and declined results are
 // delivered to every waiter of that flight but the next Do for the key
-// starts fresh.
+// starts fresh. A fill that fails after its leader's context ended is
+// the leader's failure alone: a joined caller whose own context is
+// alive un-counts its join and calls Do again, starting the next fill
+// or joining one, so every Do call counts exactly the outcome it
+// returns. Each retry follows a leader that left, so retries are
+// bounded by the callers that leave.
 func (c *Cache[V]) Do(ctx context.Context, key string, fill func() (V, bool, error)) (V, Outcome, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -184,6 +195,14 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fill func() (V, bool, err
 			c.mu.Unlock()
 			select {
 			case <-e.done:
+				if e.abandoned && ctx.Err() == nil {
+					c.mu.Lock()
+					if c.stats.Joined > 0 { // a Reset may have zeroed it
+						c.stats.Joined--
+					}
+					c.mu.Unlock()
+					return c.Do(ctx, key, fill)
+				}
 				return e.val, OutcomeCoalesced, e.err
 			case <-ctx.Done():
 				var zero V
@@ -213,6 +232,7 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fill func() (V, bool, err
 
 	c.mu.Lock()
 	e.complete = true
+	e.abandoned = e.err != nil && ctx.Err() != nil
 	switch {
 	case e.err != nil:
 		c.stats.Errors++

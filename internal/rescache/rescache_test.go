@@ -384,6 +384,81 @@ func TestWaiterContextCancellation(t *testing.T) {
 	}
 }
 
+// TestJoinerOutlivesLeader: a fill that fails because its leader's
+// context ended is not the joined caller's outcome. The joiner, whose
+// own context is alive, runs the next fill itself, and every Do call
+// counts exactly the outcome it returned: one error, one miss, no join.
+func TestJoinerOutlivesLeader(t *testing.T) {
+	c := New[string](Config{}, nil)
+	ctxA, cancelA := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	release := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(ctxA, "k", func() (string, bool, error) {
+			close(started)
+			<-release
+			return "", false, ctxA.Err()
+		})
+		leaderErr <- err
+	}()
+	<-started
+
+	type result struct {
+		v   string
+		o   Outcome
+		err error
+	}
+	joined := make(chan result, 1)
+	go func() {
+		v, o, err := c.Do(context.Background(), "k", fillOK("fresh"))
+		joined <- result{v, o, err}
+	}()
+	waitUntil(t, func() bool { return c.Stats().Joined == 1 })
+	cancelA()
+	close(release)
+
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader got %v, want context.Canceled", err)
+	}
+	if r := <-joined; r.err != nil || r.v != "fresh" || r.o != OutcomeMiss {
+		t.Fatalf("joiner got (%q, %v, %v), want a fresh miss", r.v, r.o, r.err)
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Joined != 0 || st.Errors != 1 || st.Entries != 1 {
+		t.Errorf("stats %+v, want 2 misses, 0 joins, 1 error, 1 entry", st)
+	}
+}
+
+// TestJoinerSharesLiveLeaderError: a fill that fails while its leader's
+// context is alive is a real outcome, delivered to every joiner.
+func TestJoinerSharesLiveLeaderError(t *testing.T) {
+	c := New[string](Config{}, nil)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	boom := errors.New("boom")
+	go func() {
+		c.Do(context.Background(), "k", func() (string, bool, error) {
+			close(started)
+			<-release
+			return "", false, boom
+		})
+	}()
+	<-started
+	joined := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(context.Background(), "k", fillOK("unused"))
+		joined <- err
+	}()
+	waitUntil(t, func() bool { return c.Stats().Joined == 1 })
+	close(release)
+	if err := <-joined; !errors.Is(err, boom) {
+		t.Fatalf("joiner got %v, want the leader's error", err)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Joined != 1 || st.Errors != 1 {
+		t.Errorf("stats %+v, want 1 miss, 1 join, 1 error", st)
+	}
+}
+
 // TestResetDetachesInflight: Reset during a fill drops retention but
 // the fill still answers its waiters, and a post-Reset Do recomputes.
 func TestResetDetachesInflight(t *testing.T) {

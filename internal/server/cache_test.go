@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -357,6 +358,73 @@ func TestCacheDrainAbortsCoalescedWaiters(t *testing.T) {
 	}
 	if code := <-waiter; code != http.StatusInternalServerError && code != http.StatusServiceUnavailable {
 		t.Errorf("aborted coalesced waiter answered %d, want 500 or 503", code)
+	}
+}
+
+// srcHeavy is a VM-heavy kernel: tens of milliseconds of simulation,
+// long enough for a second client to coalesce onto it.
+const srcHeavy = `
+int a[4096];
+int main() {
+	int i; int s = 0;
+	for (i = 0; i < 1000000; i++) { s = s + a[(i * 16) & 4095]; }
+	print_int(s);
+	return 0;
+}`
+
+// TestCoalescedWaiterOutlivesLeader: client A starts a cold VM-heavy
+// analyze, client B posts the same body and coalesces onto A's fill,
+// then A hangs up. B's context is alive, so B does not inherit A's
+// cancellation (a 500 blaming the simulate stage): its request runs
+// the pipeline again and answers 200 with the body a fresh daemon
+// gives.
+func TestCoalescedWaiterOutlivesLeader(t *testing.T) {
+	s, ts := newTestDaemon(t, Config{})
+	body := fmt.Sprintf(`{"source": %q}`, srcHeavy)
+	post := func(ctx context.Context) (int, string, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/analyze", strings.NewReader(body))
+		if err != nil {
+			return 0, "", err
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return 0, "", err
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b), err
+	}
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	leader := make(chan error, 1)
+	go func() {
+		_, _, err := post(ctxA)
+		leader <- err
+	}()
+	waitFor(t, func() bool { return s.adm.Inflight() == 1 })
+	type reply struct {
+		code int
+		body string
+		err  error
+	}
+	waiter := make(chan reply, 1)
+	go func() {
+		code, got, err := post(context.Background())
+		waiter <- reply{code, got, err}
+	}()
+	waitFor(t, func() bool { return cacheMetric(t, s, "delinq_cache_coalesced_total") == 1 })
+	cancelA()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Errorf("client A = %v, want its own cancellation", err)
+	}
+	r := <-waiter
+	if r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("coalesced client B = %d %s (%v), want 200", r.code, r.body, r.err)
+	}
+	_, fresh := newTestDaemon(t, Config{})
+	if code, _, want := postJSON(t, fresh.URL+"/v1/analyze", body); code != http.StatusOK || r.body != want {
+		t.Errorf("client B's body differs from a fresh daemon's (%d):\n%s\nwant:\n%s", code, r.body, want)
 	}
 }
 

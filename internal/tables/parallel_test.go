@@ -3,6 +3,7 @@ package tables
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"sync"
 	"testing"
@@ -235,6 +236,65 @@ func TestJoinedTrainingQuarantines(t *testing.T) {
 		} else if len(r.degs) != 1 || r.degs[0].Benchmark != "175.vpr" {
 			t.Errorf("render %s degradations = %v, want 175.vpr", name, r.degs)
 		}
+	}
+}
+
+// TestJoinedTrainingOutlivesLeader: engine B joins engine A's learning
+// phase, then A's render is cancelled. B's context is alive, so B does
+// not inherit A's cancellation: the phase runs again for B, and B
+// renders Table 5 clean, byte for byte what a lone render gives.
+func TestJoinedTrainingOutlivesLeader(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training simulates every training benchmark")
+	}
+	bench.ResetCache()
+	ResetTraining()
+	t.Cleanup(ResetTraining)
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	errA := make(chan error, 1)
+	go func() {
+		_, err := Engine{}.Render(ctxA, io.Discard, 0, "5")
+		errA <- err
+	}()
+	for deadline := time.Now().Add(time.Minute); trained.Stats().Inflight != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("engine A's learning phase never started")
+		}
+	}
+	type result struct {
+		out  string
+		degs []*Degradation
+		err  error
+	}
+	doneB := make(chan result, 1)
+	go func() {
+		var buf bytes.Buffer
+		degs, err := Engine{}.Render(context.Background(), &buf, 0, "5")
+		doneB <- result{buf.String(), degs, err}
+	}()
+	for deadline := time.Now().Add(time.Minute); trained.Stats().Joined != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("engine B never joined A's learning phase")
+		}
+	}
+	cancelA()
+	if err := <-errA; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled render A = %v, want context.Canceled", err)
+	}
+	b := <-doneB
+	if b.err != nil || len(b.degs) != 0 {
+		t.Fatalf("render B = %v, degraded %v; want a clean render", b.err, b.degs)
+	}
+
+	ResetTraining()
+	var lone bytes.Buffer
+	if degs, err := (Engine{}).Render(context.Background(), &lone, 0, "5"); err != nil || len(degs) != 0 {
+		t.Fatalf("lone render: %v, degraded %v", err, degs)
+	}
+	if b.out != lone.String() {
+		t.Errorf("render B differs from a lone render:\n%s\nwant:\n%s", b.out, lone.String())
 	}
 }
 

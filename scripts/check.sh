@@ -45,12 +45,13 @@ echo "== serve chaos (race)"
 # cached answers and coalesced waiters survive drain. Once a fault
 # clears, no in-process memo (builds, runs, trained weights) replays it.
 # Table renders run concurrently, stop when their request ends, and
-# resolve their id before admission and the cache.
-go test -race -run 'TestServeChaosStorm|TestGracefulDrain|TestDrainAbortsStragglers|TestCacheCoalescesThunderingHerd|TestCacheFailureNotCached|TestCacheHitWhileUnitFails|TestFailingSourcesDoNotBlockOthers|TestCacheDrainAbortsCoalescedWaiters|TestPatternFailureLeavesNoState|TestTrainingFaultLeavesNoState|TestTableIDCheckedBeforeAdmission|TestTableCacheKeyCanonical|TestTableRendersConcurrently|TestDrainAbortsTableRender' ./internal/server
+# resolve their id before admission and the cache. A coalesced waiter
+# whose own client is still there outlives the client it joined.
+go test -race -run 'TestServeChaosStorm|TestGracefulDrain|TestDrainAbortsStragglers|TestCacheCoalescesThunderingHerd|TestCacheFailureNotCached|TestCacheHitWhileUnitFails|TestFailingSourcesDoNotBlockOthers|TestCacheDrainAbortsCoalescedWaiters|TestCoalescedWaiterOutlivesLeader|TestPatternFailureLeavesNoState|TestTrainingFaultLeavesNoState|TestTableIDCheckedBeforeAdmission|TestTableCacheKeyCanonical|TestTableRendersConcurrently|TestDrainAbortsTableRender' ./internal/server
 # Table engines share only the memos: a render joined to another's
-# learning phase inherits its quarantines, two ISAs render side by side,
-# and one learning phase runs per ISA.
-go test -race -run 'TestJoinedTrainingQuarantines|TestEnginesRenderTwoISAs|TestTrainingOneFillPerISA' ./internal/tables
+# learning phase inherits its quarantines but not its cancellation, two
+# ISAs render side by side, and one learning phase runs per ISA.
+go test -race -run 'TestJoinedTrainingQuarantines|TestJoinedTrainingOutlivesLeader|TestEnginesRenderTwoISAs|TestTrainingOneFillPerISA' ./internal/tables
 
 echo "== worker chaos (race)"
 # The process-isolation gate: sandboxed workers SIGKILLed and OOMed
@@ -79,8 +80,9 @@ echo "== bench smoke"
 # One iteration of the cheap benchmarks: enough to catch a broken
 # benchmark without paying for a full measurement run. The simulator
 # benchmarks cover the dynamic path, BenchmarkPatternAnalysis and
-# BenchmarkExecuteProgen the static path of a cold analyze.
-go test -run '^$' -bench 'BenchmarkCacheAccess|BenchmarkVMInstsPerSec|BenchmarkPatternAnalysis|BenchmarkExecuteProgen' -benchtime 1x ./...
+# BenchmarkExecuteProgen the static path of a cold analyze, and
+# BenchmarkCompiler the structured build path.
+go test -run '^$' -bench 'BenchmarkCacheAccess|BenchmarkVMInstsPerSec|BenchmarkPatternAnalysis|BenchmarkExecuteProgen|BenchmarkCompiler' -benchtime 1x ./...
 
 echo "== coverage floor"
 # Packages with dedicated correctness harnesses must stay above 75%
@@ -142,6 +144,7 @@ go test -fuzz '^FuzzAsmRoundTrip$' -fuzztime 5s -run '^$' ./internal/disasm
 go test -fuzz '^FuzzArmLowerRoundTrip$' -fuzztime 5s -run '^$' ./internal/disasm
 go test -fuzz '^FuzzDecodeImage$' -fuzztime 5s -run '^$' ./internal/obj
 go test -fuzz '^FuzzLowerImageBytes$' -fuzztime 5s -run '^$' ./internal/core
+go test -fuzz '^FuzzBuildParity$' -fuzztime 5s -run '^$' ./internal/core
 go test -fuzz '^FuzzCacheAgainstReference$' -fuzztime 5s -run '^$' ./internal/cache
 
 echo "OK"
