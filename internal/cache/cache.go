@@ -209,7 +209,9 @@ const MaxGroup = 64
 // access hits everywhere and changes nothing but the access counts.
 //
 // A skip touches no cache: the group counts it, and Flush adds the
-// count to each cache's accesses.
+// count to each cache's accesses. Skip is the rule and inlines, so a
+// caller can test it without a call and pass only what it declines to
+// Access.
 type Group struct {
 	caches  []*Cache
 	shift   uint     // log2 of the group's smallest block size
@@ -252,15 +254,27 @@ func NewGroup(caches []*Cache) (*Group, error) {
 	return g, nil
 }
 
+// Skip reports whether the group skips an access to addr, that is,
+// whether addr repeats the previous block of its filter set, and
+// counts the skip when it does. A skipped access is complete: the
+// caller must not pass it to Access as well. Declining an access
+// changes nothing, so the caller passes it to Access, which tests it
+// again.
+func (g *Group) Skip(addr uint32) bool {
+	if g.last[addr>>g.lo&g.mask] != uint64(addr>>g.shift) {
+		return false
+	}
+	g.skipped++
+	return true
+}
+
 // Access feeds one access to every cache of the group and returns a
 // mask with bit i set when caches[i] missed.
 func (g *Group) Access(addr uint32, isStore bool) (missed uint64) {
-	b, last := uint64(addr>>g.shift), &g.last[addr>>g.lo&g.mask]
-	if *last == b {
-		g.skipped++
+	if g.Skip(addr) {
 		return 0
 	}
-	*last = b
+	g.last[addr>>g.lo&g.mask] = uint64(addr >> g.shift)
 	for i, c := range g.caches {
 		c.accesses++
 		base, tag1 := c.locate(addr)

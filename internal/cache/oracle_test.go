@@ -36,7 +36,10 @@ type access struct {
 // per-load misses, and count exactly the statistics, that the
 // reference model computes from the recorded access stream one
 // geometry at a time. The stream also checks the VM's execution counts
-// (checkExec).
+// (checkExec). A hook sends every access of a run down the VM's general
+// path rather than its inline skip, so a run with both the hook and the
+// caches attached must match the hook-free run and record the same
+// stream as the bare run.
 func TestGroupMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	geoms := oracleGeoms()
@@ -64,12 +67,16 @@ func TestGroupMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				caches := make([]*cache.Cache, len(geoms))
-				for i, g := range geoms {
-					if caches[i], err = cache.New(g); err != nil {
-						t.Fatal(err)
+				newCaches := func() []*cache.Cache {
+					caches := make([]*cache.Cache, len(geoms))
+					for i, g := range geoms {
+						if caches[i], err = cache.New(g); err != nil {
+							t.Fatal(err)
+						}
 					}
+					return caches
 				}
+				caches := newCaches()
 				res, err := vm.RunContext(ctx, img, vm.Options{Args: b.Input1, Caches: caches})
 				if err != nil {
 					t.Fatal(err)
@@ -79,6 +86,30 @@ func TestGroupMatchesReference(t *testing.T) {
 						res.Insts, bare.Insts, res.DataAccesses, len(stream))
 				}
 				checkExec(t, img, res, stream)
+				hookedCaches := newCaches()
+				var hookedStream []access
+				hooked, err := vm.RunContext(ctx, img, vm.Options{
+					Args:   b.Input1,
+					Caches: hookedCaches,
+					OnAccess: func(pc, addr uint32, store bool) {
+						hookedStream = append(hookedStream, access{pc, addr, store})
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hooked.Insts != res.Insts || !slices.Equal(hooked.Exec, res.Exec) || !slices.Equal(hookedStream, stream) {
+					t.Fatalf("the hook changed the run: insts %d vs %d, %d accesses recorded vs %d",
+						hooked.Insts, res.Insts, len(hookedStream), len(stream))
+				}
+				for i, g := range geoms {
+					if got, want := hookedCaches[i].Stats(), caches[i].Stats(); got != want {
+						t.Errorf("%v: hooked run's Stats %+v, hook-free run's %+v", g, got, want)
+					}
+					if !slices.Equal(hooked.LoadMisses[i], res.LoadMisses[i]) {
+						t.Errorf("%v: hooked run's load misses differ from the hook-free run's", g)
+					}
+				}
 				for i, g := range geoms {
 					ref := cache.NewRef(g)
 					misses := make([]int64, len(img.Text))

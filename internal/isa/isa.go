@@ -253,9 +253,10 @@ var opNames = [numOps]string{
 	MOVS: "mov.s", NEGS: "neg.s", CVTSW: "cvt.s.w", CVTWS: "cvt.w.s",
 	CEQS: "c.eq.s", CLTS: "c.lt.s", CLES: "c.le.s", BC1T: "bc1t", BC1F: "bc1f",
 
-	// ARM ops are namespaced "arm." in the mnemonic table so OpByName
-	// stays unambiguous where the two ISAs share a spelling (add, sub,
-	// mul, beq, ...). String() strips the prefix when rendering.
+	// ARM ops are namespaced "arm." in the mnemonic table, so Name tells
+	// an ARM op from a MIPS op of the same spelling (add, sub, mul, beq,
+	// ...) in diagnostics and test names. String() strips the prefix
+	// when rendering.
 	AMOV: "arm.mov", AMVN: "arm.mvn",
 	AADD: "arm.add", ASUB: "arm.sub", ARSB: "arm.rsb", AMUL: "arm.mul",
 	AAND: "arm.and", AORR: "arm.orr", AEOR: "arm.eor",
@@ -302,16 +303,6 @@ func (op Op) Name() string {
 		return opNames[op]
 	}
 	return fmt.Sprintf("op%d", op)
-}
-
-// OpByName maps a mnemonic to its Op.
-func OpByName(name string) (Op, bool) {
-	for op, n := range opNames {
-		if n == name && n != "" {
-			return Op(op), true
-		}
-	}
-	return 0, false
 }
 
 // Inst is one decoded instruction.

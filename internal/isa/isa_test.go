@@ -36,15 +36,6 @@ func TestRegNameRoundtrip(t *testing.T) {
 	}
 }
 
-func TestOpByName(t *testing.T) {
-	for op := Op(1); op < numOps; op++ {
-		got, ok := OpByName(op.Name())
-		if !ok || got != op {
-			t.Errorf("OpByName(%q) = %v, %v; want %v", op.Name(), got, ok, op)
-		}
-	}
-}
-
 func TestInstPredicates(t *testing.T) {
 	lw := Inst{Op: LW, Rt: T0, Rs: SP, Imm: 4}
 	if !lw.IsLoad() || lw.IsStore() || lw.MemBytes() != 4 {

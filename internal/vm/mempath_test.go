@@ -2,6 +2,7 @@ package vm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -377,6 +378,155 @@ func TestOneByteBlocksAtTopOfMemory(t *testing.T) {
 		}
 		if st := c.Stats(); st != (cache.Stats{Accesses: 3, Misses: 1, LoadMisses: 1}) {
 			t.Errorf("arm=%v: Stats %+v", arm, st)
+		}
+	}
+}
+
+// conflictPages returns the addresses of n pages whose page numbers are
+// equal modulo tlbEntries, so that all share one translation-cache
+// entry: n-1 in the data segment's directory and the last in the
+// stack's.
+func conflictPages(n int) []uint32 {
+	var pages []uint32
+	for k := 0; k < n-1; k++ {
+		pages = append(pages, obj.DataBase+uint32(k)*tlbEntries*pageSize)
+	}
+	top := (obj.StackTop - 1) / pageSize
+	return append(pages, (top-(top-obj.DataBase/pageSize)%tlbEntries)*pageSize)
+}
+
+// TestTranslationCacheConflicts uses four pages that share one
+// translation-cache entry, so that every access below translates a
+// page other than the previous access's. Word k lies in block k of page
+// k, and a decoy with another value at the same offset of page k+1
+// (mod 4). The program stores the decoys, then the words, loads the
+// words back twice and then the decoys, which a translation cache that
+// confused the pages would read back as the words. With the baseline
+// cache alone each word is the only block of its filter set since its
+// store, so every word load is a skip whose translation misses: fast
+// declines it before the filter and slow counts it, once. With a 2-set
+// direct-mapped cache added, the group skips nothing and every access
+// misses that cache.
+func TestTranslationCacheConflicts(t *testing.T) {
+	pages := conflictPages(4)
+	small := cache.Config{SizeBytes: 64, Assoc: 1, BlockBytes: 32}
+	wordOf := func(k int) uint32 { return memWord + uint32(k) }
+	decoyOf := func(k int) uint32 { return memWord + 16 + uint32(k) }
+	for _, arm := range []bool{false, true} {
+		p := &prog{arm: arm}
+		store := func(addr, v uint32) {
+			p.li(rBase, addr)
+			p.li(rVal, v)
+			p.mem(isa.SW, rVal, rBase, 0)
+		}
+		var loads []int
+		var want strings.Builder
+		load := func(addr, v uint32) {
+			p.li(rBase, addr)
+			loads = append(loads, p.mem(isa.LW, rOut, rBase, 0))
+			p.print(rOut)
+			fmt.Fprintf(&want, "%d ", int32(v))
+		}
+		for k := range pages {
+			store(pages[(k+1)%4]+uint32(32*k), decoyOf(k))
+		}
+		for k, pg := range pages {
+			store(pg+uint32(32*k), wordOf(k))
+		}
+		for range 2 {
+			for k, pg := range pages {
+				load(pg+uint32(32*k), wordOf(k))
+			}
+		}
+		for k := range pages {
+			load(pages[(k+1)%4]+uint32(32*k), decoyOf(k))
+		}
+		img := p.image(t)
+		const stores = 8
+		accesses := uint64(stores + len(loads))
+		for _, geoms := range [][]cache.Config{{cache.Baseline}, {cache.Baseline, small}} {
+			var caches []*cache.Cache
+			for _, g := range geoms {
+				caches = append(caches, mustCache(g))
+			}
+			res, err := RunContext(context.Background(), img, Options{Caches: caches, CaptureOutput: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Output != want.String() {
+				t.Errorf("arm=%v %v: output %q, want %q", arm, geoms, res.Output, want.String())
+			}
+			for i, n := range res.Exec {
+				if n != 1 {
+					t.Errorf("arm=%v %v: Exec[%d] = %d, want 1", arm, geoms, i, n)
+				}
+			}
+			if res.DataAccesses != int64(accesses) {
+				t.Errorf("arm=%v %v: DataAccesses = %d, want %d", arm, geoms, res.DataAccesses, accesses)
+			}
+			// Baseline set k holds word k and decoy k: the stores miss
+			// and every load hits. In the small cache, blocks k and k+2
+			// share a set, and each access there follows one to the
+			// other block.
+			if !slices.Equal(res.LoadMisses[0], make([]int64, len(img.Text))) {
+				t.Errorf("arm=%v %v: baseline LoadMisses %v, want none", arm, geoms, res.LoadMisses[0])
+			}
+			if st := caches[0].Stats(); st != (cache.Stats{Accesses: accesses, Misses: stores, StoreMisses: stores}) {
+				t.Errorf("arm=%v %v: baseline Stats %+v", arm, geoms, st)
+			}
+			if len(caches) == 1 {
+				continue
+			}
+			wantSmall := make([]int64, len(img.Text))
+			for _, i := range loads {
+				wantSmall[i] = 1
+			}
+			if !slices.Equal(res.LoadMisses[1], wantSmall) {
+				t.Errorf("arm=%v: small-cache LoadMisses %v, want %v", arm, res.LoadMisses[1], wantSmall)
+			}
+			if st := caches[1].Stats(); st != (cache.Stats{Accesses: accesses, Misses: accesses,
+				LoadMisses: accesses - stores, StoreMisses: stores}) {
+				t.Errorf("arm=%v: small-cache Stats %+v", arm, st)
+			}
+		}
+	}
+}
+
+// TestMemBudgetConflictingPages stores to fresh pages that all share
+// one translation-cache entry, each store followed by 30 no-ops, in
+// straight-line code. Every page counts 4 KB against MaxMemBytes when
+// first touched, and the budget is checked when a block is entered, at
+// least once per maxBlock instructions; here that is at every multiple
+// of maxBlock. So the run fails at the first multiple after the store
+// that touches one page more than the budget holds.
+func TestMemBudgetConflictingPages(t *testing.T) {
+	const budgetPages = 300
+	for _, arm := range []bool{false, true} {
+		p := &prog{arm: arm}
+		p.li(rBase, obj.DataBase)
+		p.li(rVal, tlbEntries*pageSize)
+		over := -1
+		for k := 0; k < 2*budgetPages; k++ {
+			if i := p.mem(isa.SW, isa.Zero, rBase, 0); k == budgetPages {
+				over = i
+			}
+			if arm {
+				p.emit(isa.Inst{Op: isa.AADD, Rd: rBase, Rt: rVal})
+			} else {
+				p.emit(isa.Inst{Op: isa.ADDU, Rd: rBase, Rs: rBase, Rt: rVal})
+			}
+			for range 30 {
+				p.emit(isa.Inst{Op: isa.NOP})
+			}
+		}
+		img := p.image(t)
+		_, err := RunContext(context.Background(), img, Options{MaxMemBytes: budgetPages * pageSize})
+		var ve *Error
+		if !errors.Is(err, ErrMemBudget) || !errors.As(err, &ve) {
+			t.Fatalf("arm=%v: err = %v, want ErrMemBudget", arm, err)
+		}
+		if want := pcOf((over/maxBlock + 1) * maxBlock); ve.PC != want {
+			t.Errorf("arm=%v: memory budget caught at %#x, want %#x", arm, ve.PC, want)
 		}
 	}
 }

@@ -79,10 +79,10 @@ go test -run 'TestCLIServeWarmRestart' ./cmd/delinq
 echo "== bench smoke"
 # One iteration of the cheap benchmarks: enough to catch a broken
 # benchmark without paying for a full measurement run. The simulator
-# benchmarks cover the dynamic path, BenchmarkPatternAnalysis and
-# BenchmarkExecuteProgen the static path of a cold analyze, and
-# BenchmarkCompiler the structured build path.
-go test -run '^$' -bench 'BenchmarkCacheAccess|BenchmarkVMInstsPerSec|BenchmarkPatternAnalysis|BenchmarkExecuteProgen|BenchmarkCompiler' -benchtime 1x ./...
+# benchmarks and BenchmarkExecuteKernels cover the dynamic path,
+# BenchmarkPatternAnalysis and BenchmarkExecuteProgen the static path
+# of a cold analyze, and BenchmarkCompiler the structured build path.
+go test -run '^$' -bench 'BenchmarkCacheAccess|BenchmarkVMInstsPerSec|BenchmarkPatternAnalysis|BenchmarkExecuteProgen|BenchmarkExecuteKernels|BenchmarkCompiler' -benchtime 1x ./...
 
 echo "== coverage floor"
 # Packages with dedicated correctness harnesses must stay above 75%
