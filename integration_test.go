@@ -75,7 +75,11 @@ func TestDeltaIsDeterministic(t *testing.T) {
 	src := bench.ByName("147.vortex").Source
 	sets := make([]map[uint32]bool, 2)
 	for i := range sets {
-		res, err := core.IdentifySourceCtx(context.Background(), src, core.Options{})
+		img, err := core.BuildSourceISA(src, false, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.IdentifyImageCtx(context.Background(), img, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

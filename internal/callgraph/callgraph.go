@@ -1,9 +1,10 @@
 // Package callgraph builds the whole-program call graph of a
 // disassembled image and computes its strongly connected components.
 // The interprocedural address-pattern analysis walks this graph twice:
-// bottom-up (callees before callers) to compute bounded function
-// summaries, and top-down (callers before callees) to propagate the
-// argument patterns arriving at each function.
+// bottom-up (callees before callers) to compute each function's return
+// patterns, and top-down (callers before callees) to propagate the
+// argument patterns arriving at each function. The static frequency
+// estimator (internal/freq) propagates call counts over its edges.
 //
 // Direct calls (jal/bl to the entry of a known function) become edges.
 // Indirect calls (jalr, blx) have no static target: they are recorded on the
@@ -16,21 +17,18 @@ import (
 	"delinq/internal/disasm"
 )
 
-// Edge is one direct call site: instruction Site of Caller transfers to
-// the entry of Callee.
+// Edge is one direct call site: instruction Site of the calling
+// function transfers to the entry of Callee.
 type Edge struct {
-	Site           int // instruction index in Caller
-	Caller, Callee *disasm.Func
+	Site   int // instruction index in the caller
+	Callee *disasm.Func
 }
 
-// Node is one function with its incoming and outgoing call edges.
+// Node is one function with its outgoing call edges.
 type Node struct {
 	Fn *disasm.Func
 	// Calls lists the node's direct call sites in instruction order.
 	Calls []Edge
-	// CalledBy lists the direct call sites targeting this function,
-	// ordered by caller position in the program and then by site.
-	CalledBy []Edge
 	// HasIndirect reports whether the function contains a jalr call,
 	// whose callee is statically unknown.
 	HasIndirect bool
@@ -78,14 +76,7 @@ func Build(p *disasm.Program) *Graph {
 				g.HasIndirect = true
 				continue
 			}
-			n.Calls = append(n.Calls, Edge{Site: i, Caller: n.Fn, Callee: callee})
-		}
-	}
-	// CalledBy in deterministic program order.
-	for _, n := range g.Nodes {
-		for _, e := range n.Calls {
-			cn := g.byFunc[e.Callee]
-			cn.CalledBy = append(cn.CalledBy, e)
+			n.Calls = append(n.Calls, Edge{Site: i, Callee: callee})
 		}
 	}
 	g.computeSCCs()
@@ -123,24 +114,6 @@ func (g *Graph) SCCs() [][]*Node { return g.sccs }
 func (g *Graph) SameSCC(a, b *disasm.Func) bool {
 	na, nb := g.byFunc[a], g.byFunc[b]
 	return na != nil && nb != nil && na.SCC == nb.SCC
-}
-
-// Recursive reports whether fn can reach itself through calls: it sits
-// in a multi-function component or calls itself directly.
-func (g *Graph) Recursive(fn *disasm.Func) bool {
-	n := g.byFunc[fn]
-	if n == nil {
-		return false
-	}
-	if len(g.sccs[n.SCC]) > 1 {
-		return true
-	}
-	for _, e := range n.Calls {
-		if e.Callee == fn {
-			return true
-		}
-	}
-	return false
 }
 
 // computeSCCs runs Tarjan's algorithm iteratively (generated code can

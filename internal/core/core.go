@@ -5,7 +5,8 @@
 //
 // Typical use:
 //
-//	res, err := core.IdentifySourceCtx(ctx, src, core.Options{})
+//	img, err := core.BuildSourceISA(src, false, "")
+//	res, err := core.IdentifyImageCtx(ctx, img, core.Options{})
 //	for _, d := range res.Delinquent() { fmt.Println(core.Describe(d)) }
 //
 // With an execution profile (simulate first, or bring your own), the
@@ -33,22 +34,15 @@ import (
 	"delinq/internal/vm"
 )
 
-// Options configures identification.
+// Options configures identification. The heuristic is the default one:
+// paper weights, δ=0.10, frequency classes enabled when a profile is
+// available.
 type Options struct {
-	// Optimize selects the compiler's -O mode for IdentifySourceCtx.
-	Optimize bool
-	// ISA names the machine description IdentifySourceCtx builds for
-	// ("mips", "arm"); empty means mips. See BuildSourceISA.
-	ISA string
-	// Classify configures the heuristic; zero value means the trained
-	// default (paper weights, δ=0.10, frequency classes enabled when a
-	// profile is available).
-	Classify *classify.Config
 	// Profile supplies execution counts; nil disables AG8/AG9.
 	Profile classify.ExecProfile
 	// Interprocedural resolves address patterns across call boundaries
-	// using per-function summaries over the call graph (it sets
-	// Classify.Pattern.Interprocedural; see pattern.Config).
+	// using per-function return-value patterns over the call graph (it
+	// sets the heuristic's Pattern.Interprocedural; see pattern.Config).
 	Interprocedural bool
 }
 
@@ -94,15 +88,8 @@ func IdentifyImageCtx(ctx context.Context, img *obj.Image, opts Options) (*Resul
 		return nil, WrapStage("", StageDisasm, err)
 	}
 	cfg := classify.DefaultConfig()
-	if opts.Classify != nil {
-		cfg = *opts.Classify
-	}
-	if opts.Profile == nil {
-		cfg.UseFrequency = false
-	}
-	if opts.Interprocedural {
-		cfg.Pattern.Interprocedural = true
-	}
+	cfg.UseFrequency = opts.Profile != nil
+	cfg.Pattern.Interprocedural = opts.Interprocedural
 	loads, err := pattern.AnalyzeProgramCtx(ctx, prog, cfg.Pattern)
 	if err != nil {
 		return nil, WrapStage("", StagePattern, err)
@@ -114,18 +101,6 @@ func IdentifyImageCtx(ctx context.Context, img *obj.Image, opts Options) (*Resul
 		Scored: classify.Score(loads, opts.Profile, cfg),
 		Config: cfg,
 	}, nil
-}
-
-// IdentifySourceCtx compiles mini-C source and identifies its
-// delinquent loads. A deadline or cancellation stops pattern analysis
-// at the next function boundary (compilation itself is quick and runs
-// to completion).
-func IdentifySourceCtx(ctx context.Context, src string, opts Options) (*Result, error) {
-	img, err := BuildSourceISA(src, opts.Optimize, opts.ISA)
-	if err != nil {
-		return nil, err
-	}
-	return IdentifyImageCtx(ctx, img, opts)
 }
 
 // BuildSourceISA compiles and assembles mini-C source, then lowers the

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"delinq/internal/cache"
-	"delinq/internal/classify"
 )
 
 const chaseSrc = `
@@ -27,11 +26,23 @@ int main() {
 }
 `
 
-func TestIdentifySourcePipeline(t *testing.T) {
-	res, err := IdentifySourceCtx(context.Background(), chaseSrc, Options{})
+// identify builds src for mips and identifies its delinquent loads
+// without a profile.
+func identify(t *testing.T, src string, optimize bool) *Result {
+	t.Helper()
+	img, err := BuildSourceISA(src, optimize, "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := IdentifyImageCtx(context.Background(), img, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestIdentifySourcePipeline(t *testing.T) {
+	res := identify(t, chaseSrc, false)
 	if len(res.Loads) == 0 || len(res.Scored) != len(res.Loads) {
 		t.Fatalf("loads=%d scored=%d", len(res.Loads), len(res.Scored))
 	}
@@ -119,24 +130,8 @@ func TestSimulateBadGeometry(t *testing.T) {
 	}
 }
 
-func TestCustomClassifyConfig(t *testing.T) {
-	w := classify.PaperWeights()
-	cfg := classify.Config{Weights: &w, Delta: 99} // impossible threshold
-	res, err := IdentifySourceCtx(context.Background(), chaseSrc, Options{Classify: &cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Delinquent()) != 0 {
-		t.Error("delta=99 still flagged loads")
-	}
-}
-
 func TestDescribe(t *testing.T) {
-	res, err := IdentifySourceCtx(context.Background(), chaseSrc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := res.Delinquent()
+	d := identify(t, chaseSrc, false).Delinquent()
 	if len(d) == 0 {
 		t.Fatal("nothing to describe")
 	}
@@ -155,11 +150,7 @@ func TestBuildErrors(t *testing.T) {
 }
 
 func TestOptimizedIdentification(t *testing.T) {
-	res, err := IdentifySourceCtx(context.Background(), chaseSrc, Options{Optimize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Delinquent()) == 0 {
+	if len(identify(t, chaseSrc, true).Delinquent()) == 0 {
 		t.Error("no delinquent loads in -O binary; register recurrences should flag")
 	}
 }

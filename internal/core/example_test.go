@@ -8,9 +8,9 @@ import (
 	"delinq/internal/core"
 )
 
-// ExampleIdentifySourceCtx shows the one-call static identification: a
-// pointer-chasing loop is flagged, plain scalar loads are not.
-func ExampleIdentifySourceCtx() {
+// ExampleIdentifyImageCtx shows static identification of a compiled
+// image: a pointer-chasing loop is flagged, plain scalar loads are not.
+func ExampleIdentifyImageCtx() {
 	src := `
 struct Node { int key; struct Node *next; };
 int main() {
@@ -28,7 +28,11 @@ int main() {
 	return sum & 255;
 }
 `
-	res, err := core.IdentifySourceCtx(context.Background(), src, core.Options{})
+	img, err := core.BuildSourceISA(src, false, "")
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := core.IdentifyImageCtx(context.Background(), img, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,9 +14,9 @@
 package freq
 
 import (
+	"delinq/internal/callgraph"
 	"delinq/internal/cfg"
 	"delinq/internal/disasm"
-	"delinq/internal/isa"
 )
 
 // The estimator's constants.
@@ -47,15 +47,16 @@ func Estimate(prog *disasm.Program) *Profile {
 	p := &Profile{counts: map[uint32]int64{}}
 
 	type fnInfo struct {
-		fn    *disasm.Func
+		node  *callgraph.Node
 		graph *cfg.Graph
 		depth []int
 		calls int64 // estimated number of invocations
 	}
-	infos := map[*disasm.Func]*fnInfo{}
-	for _, fn := range prog.Funcs {
-		g := cfg.Build(fn)
-		infos[fn] = &fnInfo{fn: fn, graph: g, depth: g.LoopDepth()}
+	cg := callgraph.Build(prog)
+	infos := make(map[*disasm.Func]*fnInfo, len(cg.Nodes))
+	for _, n := range cg.Nodes {
+		g := cfg.Build(n.Fn)
+		infos[n.Fn] = &fnInfo{node: n, graph: g, depth: g.LoopDepth()}
 	}
 
 	mulCap := func(a, b int64) int64 {
@@ -76,9 +77,10 @@ func Estimate(prog *disasm.Program) *Profile {
 	}
 
 	// The entry function runs once. Propagate call counts over the call
-	// graph; a bounded number of passes handles recursion (each pass a
-	// recursive call site adds another round of its caller's weight,
-	// then the estimate saturates at the cap or stops growing).
+	// graph's direct call sites (jal and bl alike); a bounded number of
+	// passes handles recursion (each pass a recursive call site adds
+	// another round of its caller's weight, then the estimate saturates
+	// at the cap or stops growing).
 	entry := prog.FuncAt(prog.Image.Entry)
 	if entry == nil {
 		return p
@@ -90,15 +92,9 @@ func Estimate(prog *disasm.Program) *Profile {
 			if fi.calls == 0 {
 				continue
 			}
-			for i, in := range fi.fn.Insts {
-				if in.Op != isa.JAL {
-					continue
-				}
-				callee := prog.FuncAt(in.JumpTarget(fi.fn.PC(i)))
-				if callee == nil {
-					continue
-				}
-				siteWeight := mulCap(fi.calls, pow(tripCount, fi.depth[fi.graph.BlockOf[i].Index]))
+			for _, e := range fi.node.Calls {
+				callee := e.Callee
+				siteWeight := mulCap(fi.calls, pow(tripCount, fi.depth[fi.graph.BlockOf[e.Site].Index]))
 				if next[callee]+siteWeight < next[callee] { // overflow
 					next[callee] = maxCount
 				} else {
@@ -121,10 +117,10 @@ func Estimate(prog *disasm.Program) *Profile {
 		}
 	}
 
-	for _, fi := range infos {
-		for i := range fi.fn.Insts {
+	for fn, fi := range infos {
+		for i := range fn.Insts {
 			d := fi.depth[fi.graph.BlockOf[i].Index]
-			p.counts[fi.fn.PC(i)] = mulCap(fi.calls, pow(tripCount, d))
+			p.counts[fn.PC(i)] = mulCap(fi.calls, pow(tripCount, d))
 		}
 	}
 	return p

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"delinq/internal/asm"
+	"delinq/internal/core"
 	"delinq/internal/disasm"
 	"delinq/internal/minic"
 )
@@ -120,8 +121,7 @@ int main() { return fact(10) & 255; }
 	}
 }
 
-func TestDeepCallChain(t *testing.T) {
-	prog, p := estimate(t, `
+const chainSrc = `
 int a[10];
 int f5(int x) { return a[x & 7]; }
 int f4(int x) { return f5(x) + 1; }
@@ -134,7 +134,10 @@ int main() {
 	for (i = 0; i < 100; i++) s += f1(i);
 	return s & 255;
 }
-`)
+`
+
+func TestDeepCallChain(t *testing.T) {
+	prog, p := estimate(t, chainSrc)
 	if c := firstLoadCount(t, prog, p, "f5"); c < 1000 {
 		t.Errorf("deep-chain leaf estimate = %d, want >= 1000", c)
 	}
@@ -144,5 +147,39 @@ func TestZeroForUnknownPC(t *testing.T) {
 	_, p := estimate(t, `int main() { return 0; }`)
 	if c := p.ExecCount(0xdeadbeec); c != 0 {
 		t.Errorf("unknown pc estimate = %d", c)
+	}
+}
+
+// Call counts propagate over direct calls on every ISA: the ARM image
+// (whose calls are bl, not jal) gives each function the entry estimate
+// the MIPS image gives.
+func TestEntryEstimatesAgreeAcrossISAs(t *testing.T) {
+	entries := map[string]map[string]int64{}
+	for _, isaName := range []string{"mips", "arm"} {
+		img, err := core.BuildSourceISA(chainSrc, false, isaName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := disasm.Disassemble(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Estimate(prog)
+		entries[isaName] = map[string]int64{}
+		for _, fn := range prog.Funcs {
+			entries[isaName][fn.Name] = p.ExecCount(fn.Entry)
+		}
+	}
+	mips, arm := entries["mips"], entries["arm"]
+	if len(mips) != len(arm) {
+		t.Fatalf("%d functions on mips, %d on arm", len(mips), len(arm))
+	}
+	if mips["f5"] < 1000 {
+		t.Fatalf("mips f5 entry estimate = %d, want >= 1000", mips["f5"])
+	}
+	for name, want := range mips {
+		if got, ok := arm[name]; !ok || got != want {
+			t.Errorf("%s: arm entry estimate %d, mips %d", name, got, want)
+		}
 	}
 }

@@ -45,27 +45,24 @@ type Load struct {
 }
 
 // AnalyzeProgramCtx builds address patterns for every load in the
-// program. With conf.Interprocedural set it first computes per-function
-// summaries over the call graph (see ComputeSummaries) and resolves Ret
-// and Param leaves through them; the returned loads appear in the same
-// order as the intraprocedural analysis either way. Cancellation is
-// checked between functions (and between the two interprocedural
-// phases), so a deadline stops a pathological analysis at the next
-// function boundary rather than after the whole program.
+// program. With conf.Interprocedural set it first computes every
+// function's return-value patterns over the call graph, callee-first,
+// and then resolves Ret and Param leaves through them; the returned
+// loads appear in the same order as the intraprocedural analysis either
+// way. Cancellation is checked before each function (in both
+// interprocedural phases), so a deadline stops a pathological analysis
+// at the next function boundary rather than after the whole program.
 func AnalyzeProgramCtx(ctx context.Context, p *disasm.Program, conf Config) ([]*Load, error) {
 	m, err := isa.ByName(p.Image.ISAName())
 	if err != nil {
 		return nil, err
 	}
 	if conf.Interprocedural {
-		if err := ctx.Err(); err != nil {
+		s, err := summarize(ctx, p, m)
+		if err != nil {
 			return nil, err
 		}
-		s := ComputeSummaries(p)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return s.analyzeProgram(p), nil
+		return s.analyzeProgram(ctx)
 	}
 	var out []*Load
 	for _, fn := range p.Funcs {
@@ -135,12 +132,13 @@ type builder struct {
 	hasGP            bool
 	argRegs, retRegs uint32
 	// ipc, when non-nil, enables interprocedural resolution of Ret and
-	// Param leaves through the program's function summaries.
-	ipc *Summaries
-	// sccMates, non-nil only while ipc computes the summary of fn
-	// itself, maps callees in fn's own strongly connected component
-	// (including fn) to the recurrence marker instead of recursing.
-	sccMates map[*disasm.Func]bool
+	// Param leaves through the program's per-function facts.
+	ipc *interproc
+	// summarizing is set while phase 1 computes fn's own return
+	// patterns: a call into fn's strongly connected component (fn
+	// included) then yields the recurrence marker instead of
+	// recursing, and Param leaves stay unresolved.
+	summarizing bool
 	// slots memoises stack-slot recurrence queries: 1 yes, 2 no.
 	slots map[int32]int8
 	// storeSlots maps a stack-slot offset to the instructions that

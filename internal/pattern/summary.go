@@ -1,259 +1,119 @@
 // Interprocedural address patterns: bounded per-function summaries over
-// the call graph. Phase 1 walks the strongly connected components in
-// callee-first order (functions computed in parallel, memoised through
-// internal/rescache) and records, per function, the address pattern of
-// its return value and how deeply its loads dereference each argument
-// register. It keeps each function's reaching definitions for phase 2,
-// so one analysis computes them once per function. Phase 2 walks
-// callers-first, propagating the argument patterns that arrive at every
-// direct call site, and rebuilds each function's load patterns with
-// both directions resolved: a Ret leaf becomes the callee's return
-// summary instantiated at the call site, and a Param leaf becomes the
-// union of the caller-side argument patterns. Recursion terminates
-// because calls within one component collapse to the Rec marker, and
-// all expansion shares the existing maxPatterns/MaxSize/maxDepth
-// budgets.
+// the call graph, in two serial passes. Phase 1 walks the strongly
+// connected components callee-first and records, per function, the
+// address patterns of its return value, keeping the function's reaching
+// definitions so that one analysis builds them once per function.
+// Phase 2 walks callers-first, propagating the argument patterns that
+// arrive at every direct call site, and rebuilds each function's load
+// patterns with both directions resolved: a Ret leaf becomes the
+// callee's return patterns instantiated at the call site, and a Param
+// leaf becomes the union of the caller-side argument patterns.
+// Recursion terminates because calls within one component collapse to
+// the Rec marker, and all expansion shares the existing
+// maxPatterns/MaxSize/maxDepth budgets.
 package pattern
 
 import (
 	"context"
-	"strconv"
-	"sync"
 
 	"delinq/internal/callgraph"
 	"delinq/internal/cfg"
 	"delinq/internal/dataflow"
 	"delinq/internal/disasm"
 	"delinq/internal/isa"
-	"delinq/internal/isa/mips"
-	"delinq/internal/rescache"
 )
 
-// Summary is the bounded interprocedural abstract of one function.
-type Summary struct {
-	Fn *disasm.Func
-	// Ret holds the address patterns of the function's return value
-	// ($v0) at its return sites, expressed over the function's own
-	// parameters, gp, and dereferences. Nil when nothing informative is
-	// known (the value is unanalysable or the function returns none).
-	Ret []*Expr
-	// ArgDeref[k] is the maximum dereference depth the function's loads
-	// (transitively, through its direct callees) apply to argument
-	// register a<k>; 0 means the argument is never used as (part of) a
-	// load address.
-	ArgDeref [4]int
-	// Truncated reports that a budget cut the summary short.
-	Truncated bool
-}
-
-// Summaries holds the per-function summaries of one program plus the
-// caller-side argument patterns of phase 2.
-type Summaries struct {
+// interproc is one program's interprocedural analysis state.
+type interproc struct {
 	cg *callgraph.Graph
 	m  isa.Machine
-
-	// cache holds each function's phase-1 result: its summary and the
-	// reaching definitions phase 2 reuses.
-	cache *rescache.Cache[*funcFacts]
-
+	// facts holds each function's phase-1 result.
+	facts map[*disasm.Func]funcFacts
 	// incoming maps a function to the deduplicated argument patterns
 	// arriving at its direct call sites, per argument register. It is
-	// nil during phase 1 (summaries must stay in terms of the
-	// function's own parameters) and populated serially during the
-	// top-down phase 2 pass, so no lock is needed.
+	// filled during phase 2 only: phase 1's return patterns stay in
+	// terms of each function's own parameters.
 	incoming map[*disasm.Func]*[4][]*Expr
 }
 
-// funcFacts is what phase 1 computes once per function.
+// funcFacts is what phase 1 computes once per function and phase 2
+// reads.
 type funcFacts struct {
-	sum *Summary
+	// ret holds the address patterns of the function's return value
+	// ($v0) at its return sites, over its own parameters, gp and
+	// dereferences; nil when nothing informative is known (the value is
+	// unanalysable or the function returns none).
+	ret []*Expr
 	df  *dataflow.Result
 }
 
-// ComputeSummaries builds the call graph of p and computes every
-// function's Summary bottom-up (callees first). Functions are computed
-// concurrently; the singleflight cache guarantees each summary is
-// computed exactly once, with cross-component dependencies resolved by
-// joining the in-flight computation.
-func ComputeSummaries(p *disasm.Program) *Summaries {
-	m, err := isa.ByName(p.Image.ISAName())
-	if err != nil {
-		m = mips.M
-	}
-	s := &Summaries{
-		cg:    callgraph.Build(p),
-		m:     m,
-		cache: rescache.New[*funcFacts](rescache.Config{}, nil),
-	}
-	var wg sync.WaitGroup
+// summarize is phase 1: it builds the call graph of p and computes each
+// function's facts, one function at a time in callee-first component
+// order, so every callee outside a function's own component is done
+// before the function is reached. The context is checked before each
+// function.
+func summarize(ctx context.Context, p *disasm.Program, m isa.Machine) (*interproc, error) {
+	s := &interproc{cg: callgraph.Build(p), m: m, facts: make(map[*disasm.Func]funcFacts, len(p.Funcs))}
 	for _, comp := range s.cg.SCCs() {
 		for _, n := range comp {
-			wg.Add(1)
-			go func(fn *disasm.Func) {
-				defer wg.Done()
-				s.summaryOf(fn)
-			}(n.Fn)
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			s.facts[n.Fn] = s.compute(n.Fn)
 		}
 	}
-	wg.Wait()
-	return s
+	return s, nil
 }
 
-// Graph returns the underlying call graph.
-func (s *Summaries) Graph() *callgraph.Graph { return s.cg }
-
-// Of returns the summary of fn, computing it if needed.
-func (s *Summaries) Of(fn *disasm.Func) *Summary { return s.summaryOf(fn) }
-
-func summaryKey(fn *disasm.Func) string { return strconv.FormatUint(uint64(fn.Entry), 16) }
-
-func (s *Summaries) summaryOf(fn *disasm.Func) *Summary {
-	if f := s.factsOf(fn); f != nil {
-		return f.sum
-	}
-	return nil
-}
-
-// factsOf returns fn's phase-1 result, computing it if needed.
-func (s *Summaries) factsOf(fn *disasm.Func) *funcFacts {
-	if s.cg.NodeOf(fn) == nil {
-		return nil
-	}
-	f, _, _ := s.cache.Do(context.Background(), summaryKey(fn), func() (*funcFacts, bool, error) {
-		return s.compute(fn), true, nil
-	})
-	return f
-}
-
-// compute builds one function's reaching definitions and summary.
-// Callee summaries outside fn's component are demanded recursively
-// (they are in earlier components, so the recursion follows the
-// condensation DAG and terminates); calls within the component resolve
-// to the Rec marker.
-func (s *Summaries) compute(fn *disasm.Func) *funcFacts {
-	node := s.cg.NodeOf(fn)
-	mates := map[*disasm.Func]bool{fn: true}
-	for _, m := range s.cg.SCCs()[node.SCC] {
-		mates[m.Fn] = true
-	}
+// compute builds one function's reaching definitions and return
+// patterns. Calls into the function's own component resolve to the Rec
+// marker; every other callee's facts are already computed.
+func (s *interproc) compute(fn *disasm.Func) funcFacts {
 	df := dataflow.AnalyzeMachine(cfg.Build(fn), s.m)
 	b := newBuilder(fn, s.m, df)
 	b.ipc = s
-	b.sccMates = mates
-
-	sum := &Summary{Fn: fn}
+	b.summarizing = true
 
 	// Return-value patterns of $v0 at each return site (jr $ra).
+	var ret []*Expr
 	informative := false
 	for i, in := range fn.Insts {
 		if !in.IsReturn() {
 			continue
 		}
-		b.truncated = false
 		for _, e := range b.expandReg(isa.V0, i, 0, map[int]bool{}) {
-			if len(sum.Ret) >= maxPatterns {
-				sum.Truncated = true
+			if len(ret) >= maxPatterns {
 				break
 			}
-			sum.Ret = appendNew(sum.Ret, e)
+			ret = appendNew(ret, e)
 			if e.Kind != Unknown && e.Kind != Ret {
 				informative = true
 			}
 		}
-		sum.Truncated = sum.Truncated || b.truncated
 	}
 	if !informative {
-		// A summary of pure unknowns is worse than keeping the caller's
-		// own Ret leaf: drop it.
-		sum.Ret = nil
+		// Patterns of pure unknowns are worse than keeping the caller's
+		// own Ret leaf: drop them.
+		ret = nil
 	}
-
-	// How deeply the function's own loads dereference each argument:
-	// the load itself adds one level over the address pattern.
-	for i, in := range fn.Insts {
-		if !in.IsLoad() {
-			continue
-		}
-		b.truncated = false
-		for _, base := range b.expandReg(in.Rs, i, 0, map[int]bool{}) {
-			p := binary(Add, base, NewConst(in.MemOffset()))
-			for k := 0; k < 4; k++ {
-				if d := derefOverParam(p, isa.A0+isa.Reg(k)); d >= 0 && d+1 > sum.ArgDeref[k] {
-					sum.ArgDeref[k] = d + 1
-				}
-			}
-		}
-	}
-
-	// Arguments forwarded into direct callees inherit the callee's
-	// consumption depth, so a chain of helpers still reports how far
-	// the original argument is chased.
-	for _, e := range node.Calls {
-		if mates[e.Callee] {
-			continue
-		}
-		cs := s.summaryOf(e.Callee)
-		if cs == nil {
-			continue
-		}
-		for k := 0; k < 4; k++ {
-			if cs.ArgDeref[k] == 0 {
-				continue
-			}
-			b.truncated = false
-			for _, a := range b.expandReg(isa.A0+isa.Reg(k), e.Site, 0, map[int]bool{}) {
-				for r := 0; r < 4; r++ {
-					if d := derefOverParam(a, isa.A0+isa.Reg(r)); d >= 0 && d+cs.ArgDeref[k] > sum.ArgDeref[r] {
-						sum.ArgDeref[r] = d + cs.ArgDeref[k]
-					}
-				}
-			}
-		}
-	}
-	return &funcFacts{sum: sum, df: df}
-}
-
-// derefOverParam returns the maximum number of dereferences on a path
-// from the root of e to a Param leaf of reg, or -1 if reg does not
-// occur.
-func derefOverParam(e *Expr, reg isa.Reg) int {
-	best := -1
-	var walk func(e *Expr, d int)
-	walk = func(e *Expr, d int) {
-		switch e.Kind {
-		case Param:
-			if e.Reg == reg && d > best {
-				best = d
-			}
-			return
-		case Deref:
-			walk(e.L, d+1)
-			return
-		}
-		if e.L != nil {
-			walk(e.L, d)
-		}
-		if e.R != nil {
-			walk(e.R, d)
-		}
-	}
-	walk(e, 0)
-	return best
+	return funcFacts{ret: ret, df: df}
 }
 
 // analyzeProgram is phase 2: walk the condensation top-down (callers
 // before callees), analyse each function's loads with interprocedural
 // resolution, and propagate the argument patterns observed at each
-// direct call site into the callee's incoming set. Output order matches
-// the intraprocedural AnalyzeProgramCtx exactly.
-func (s *Summaries) analyzeProgram(p *disasm.Program) []*Load {
-	byFn := make(map[*disasm.Func][]*Load, len(p.Funcs))
+// direct call site into the callee's incoming set. The context is
+// checked before each function. Output order matches the
+// intraprocedural AnalyzeProgramCtx exactly.
+func (s *interproc) analyzeProgram(ctx context.Context) ([]*Load, error) {
+	funcs := s.cg.Prog.Funcs
+	byFn := make(map[*disasm.Func][]*Load, len(funcs))
 	// With an indirect call in the program the caller set of any
 	// function is unknowable, so Param resolution would be built from
 	// an incomplete union; leave incoming nil and keep Param leaves.
 	propagate := !s.cg.HasIndirect
 	if propagate {
-		s.incoming = make(map[*disasm.Func]*[4][]*Expr, len(p.Funcs))
+		s.incoming = make(map[*disasm.Func]*[4][]*Expr, len(funcs))
 	}
 	sccs := s.cg.SCCs()
 	for ci := len(sccs) - 1; ci >= 0; ci-- {
@@ -270,7 +130,10 @@ func (s *Summaries) analyzeProgram(p *disasm.Program) []*Load {
 			}
 		}
 		for _, n := range sccs[ci] {
-			b := newBuilder(n.Fn, s.m, s.factsOf(n.Fn).df)
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			b := newBuilder(n.Fn, s.m, s.facts[n.Fn].df)
 			b.ipc = s
 			byFn[n.Fn] = b.analyzeLoads()
 			if !propagate {
@@ -282,7 +145,6 @@ func (s *Summaries) analyzeProgram(p *disasm.Program) []*Load {
 				}
 				var args [4][]*Expr
 				for k := 0; k < 4; k++ {
-					b.truncated = false
 					args[k] = b.expandReg(isa.A0+isa.Reg(k), e.Site, 0, map[int]bool{})
 				}
 				s.addIncoming(e.Callee, args)
@@ -290,15 +152,15 @@ func (s *Summaries) analyzeProgram(p *disasm.Program) []*Load {
 		}
 	}
 	var out []*Load
-	for _, fn := range p.Funcs {
+	for _, fn := range funcs {
 		out = append(out, byFn[fn]...)
 	}
-	return out
+	return out, nil
 }
 
 // addIncoming merges per-argument patterns into fn's incoming set,
 // deduplicating and capping at maxPatterns alternatives per register.
-func (s *Summaries) addIncoming(fn *disasm.Func, args [4][]*Expr) {
+func (s *interproc) addIncoming(fn *disasm.Func, args [4][]*Expr) {
 	inc := s.incoming[fn]
 	if inc == nil {
 		inc = &[4][]*Expr{}
@@ -317,10 +179,10 @@ func (s *Summaries) addIncoming(fn *disasm.Func, args [4][]*Expr) {
 // resolveParam returns the caller-side patterns for argument register
 // reg of the builder's function, or nil to keep the Param leaf. Only
 // meaningful during phase 2, after incoming sets are populated; during
-// summary computation (phase 1) it always returns nil so summaries stay
-// expressed over the function's own parameters.
+// phase 1 it always returns nil so return patterns stay expressed over
+// the function's own parameters.
 func (b *builder) resolveParam(reg isa.Reg) []*Expr {
-	if b.ipc == nil || b.ipc.incoming == nil || b.sccMates != nil {
+	if b.ipc == nil || b.summarizing {
 		return nil
 	}
 	inc := b.ipc.incoming[b.fn]
@@ -341,10 +203,10 @@ func (b *builder) resolveParam(reg isa.Reg) []*Expr {
 }
 
 // resolveRet replaces the result of the call that produced definition d
-// with the callee's instantiated return summary, or returns nil to keep
+// with the callee's instantiated return patterns, or returns nil to keep
 // the Ret leaf (indirect call, syscall, unknown or uninformative
-// callee). Within a summary computation, calls inside the function's
-// own component yield the Rec marker so the fixpoint terminates.
+// callee). In phase 1, calls inside the function's own component yield
+// the Rec marker so the fixpoint terminates.
 func (b *builder) resolveRet(d dataflow.Def, reg isa.Reg, depth int, visiting map[int]bool) []*Expr {
 	if b.ipc == nil || reg != isa.V0 || visiting[d.ID] {
 		return nil
@@ -360,18 +222,18 @@ func (b *builder) resolveRet(d dataflow.Def, reg isa.Reg, depth int, visiting ma
 	if callee == nil {
 		return nil
 	}
-	if b.sccMates != nil && b.sccMates[callee] {
+	if b.summarizing && b.ipc.cg.SameSCC(b.fn, callee) {
 		return []*Expr{recLeaf}
 	}
-	sum := b.ipc.summaryOf(callee)
-	if sum == nil || len(sum.Ret) == 0 {
+	ret := b.ipc.facts[callee].ret
+	if len(ret) == 0 {
 		return nil
 	}
 	if depth >= maxDepth {
 		b.truncated = true
 		return nil
 	}
-	// The callee summary speaks of its own parameters; instantiate them
+	// The callee's patterns speak of its own parameters; instantiate them
 	// with the argument patterns live at this call site, lazily per
 	// register.
 	visiting[d.ID] = true
@@ -386,7 +248,7 @@ func (b *builder) resolveRet(d dataflow.Def, reg isa.Reg, depth int, visiting ma
 		return args[k]
 	}
 	var out []*Expr
-	for _, rp := range sum.Ret {
+	for _, rp := range ret {
 		for _, e := range b.instantiate(rp, getArg) {
 			if len(out) >= maxPatterns {
 				b.truncated = true

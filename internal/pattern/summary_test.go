@@ -1,12 +1,26 @@
 package pattern
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"delinq/internal/asm"
 	"delinq/internal/disasm"
+	"delinq/internal/isa/mips"
 	"delinq/internal/minic"
 )
+
+// returnPatterns runs phase 1 on p and returns fn's return-value
+// patterns.
+func returnPatterns(t *testing.T, p *disasm.Program, fn string) []*Expr {
+	t.Helper()
+	s, err := summarize(context.Background(), p, mips.M)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.facts[p.FuncByName(fn)].ret
+}
 
 func TestSummaryRetPattern(t *testing.T) {
 	p := assembleProg(t, `
@@ -21,54 +35,12 @@ main:
 	jr $ra
 	.endfunc
 `)
-	s := ComputeSummaries(p)
-	sum := s.Of(p.FuncByName("next"))
-	if len(sum.Ret) != 1 {
-		t.Fatalf("Ret = %v", sum.Ret)
+	ret := returnPatterns(t, p, "next")
+	if len(ret) != 1 {
+		t.Fatalf("ret = %v", ret)
 	}
-	if got := sum.Ret[0].String(); got != "8(param:a0)" {
-		t.Errorf("Ret[0] = %q, want 8(param:a0)", got)
-	}
-	if sum.ArgDeref[0] != 1 {
-		t.Errorf("ArgDeref[0] = %d, want 1", sum.ArgDeref[0])
-	}
-	if sum.ArgDeref[1] != 0 {
-		t.Errorf("ArgDeref[1] = %d, want 0", sum.ArgDeref[1])
-	}
-}
-
-// An argument forwarded through a wrapper inherits the inner function's
-// consumption depth.
-func TestSummaryArgDerefTransitive(t *testing.T) {
-	p := assembleProg(t, `
-	.func inner, frame=0
-inner:
-	lw $t0, 0($a0)
-	lw $t1, 0($t0)
-	jr $ra
-	.endfunc
-	.func outer, frame=0
-outer:
-	move $a0, $a1
-	jal inner
-	jr $ra
-	.endfunc
-	.func main, frame=0
-main:
-	jal outer
-	jr $ra
-	.endfunc
-`)
-	s := ComputeSummaries(p)
-	if d := s.Of(p.FuncByName("inner")).ArgDeref[0]; d != 2 {
-		t.Errorf("inner ArgDeref[0] = %d, want 2 (chased twice)", d)
-	}
-	out := s.Of(p.FuncByName("outer"))
-	if out.ArgDeref[1] != 2 {
-		t.Errorf("outer ArgDeref[1] = %d, want 2 (forwarded to inner's a0)", out.ArgDeref[1])
-	}
-	if out.ArgDeref[0] != 0 {
-		t.Errorf("outer ArgDeref[0] = %d, want 0 (a0 is overwritten)", out.ArgDeref[0])
+	if got := ret[0].String(); got != "8(param:a0)" {
+		t.Errorf("ret[0] = %q, want 8(param:a0)", got)
 	}
 }
 
@@ -87,14 +59,13 @@ main:
 	jr $ra
 	.endfunc
 `)
-	s := ComputeSummaries(p)
-	if sum := s.Of(p.FuncByName("opaque")); sum.Ret != nil {
-		t.Errorf("Ret = %v, want nil for an uninformative summary", sum.Ret)
+	if ret := returnPatterns(t, p, "opaque"); ret != nil {
+		t.Errorf("ret = %v, want nil for uninformative patterns", ret)
 	}
 }
 
-// Phase 1 runs one goroutine per function; the result must not depend
-// on scheduling.
+// Repeated interprocedural analyses of one program agree exactly: no
+// state survives a call, and nothing depends on map iteration order.
 func TestSummariesDeterministic(t *testing.T) {
 	src := `
 struct node { int key; struct node *next; };
@@ -177,7 +148,7 @@ int main() {
 }
 `
 
-func benchProg(b *testing.B) *disasm.Program {
+func benchProg(b testing.TB) *disasm.Program {
 	b.Helper()
 	asmText, err := minic.Compile(benchProgram, minic.Options{Optimize: true})
 	if err != nil {
@@ -192,6 +163,60 @@ func benchProg(b *testing.B) *disasm.Program {
 		b.Fatal(err)
 	}
 	return p
+}
+
+// countdownCtx is a context that ends at its n-th Err call: from then on
+// Err returns context.Canceled and Done is closed.
+type countdownCtx struct {
+	context.Context
+	left int
+	done chan struct{}
+}
+
+func newCountdownCtx(n int) *countdownCtx {
+	return &countdownCtx{Context: context.Background(), left: n, done: make(chan struct{})}
+}
+
+func (c *countdownCtx) Done() <-chan struct{} { return c.done }
+
+func (c *countdownCtx) Err() error {
+	if c.left > 0 {
+		c.left--
+		if c.left == 0 {
+			close(c.done)
+		}
+	}
+	if c.left == 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// Both modes check their context before each function, so a context
+// that ends mid-program stops the analysis at the next function, in
+// either interprocedural phase.
+func TestAnalyzeProgramStopsBetweenFunctions(t *testing.T) {
+	p := benchProg(t)
+	n := len(p.Funcs)
+	if n < 4 {
+		t.Fatalf("%d functions, want at least 4", n)
+	}
+	for _, tc := range []struct {
+		name  string
+		inter bool
+		endAt int // the Err call that first reports the end
+	}{
+		{"flat", false, 3},
+		{"inter/phase1", true, 3},
+		{"inter/phase2", true, n + 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			loads, err := AnalyzeProgramCtx(newCountdownCtx(tc.endAt), p, Config{Interprocedural: tc.inter})
+			if !errors.Is(err, context.Canceled) || loads != nil {
+				t.Fatalf("got %d loads and err %v, want no loads and context.Canceled", len(loads), err)
+			}
+		})
+	}
 }
 
 func BenchmarkAnalyzeProgram(b *testing.B) {
@@ -216,9 +241,12 @@ func BenchmarkSummaries(b *testing.B) {
 	p := benchProg(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := ComputeSummaries(p)
-		if s.Of(p.Funcs[0]) == nil {
-			b.Fatal("no summary")
+		s, err := summarize(context.Background(), p, mips.M)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.facts[p.Funcs[0]].df == nil {
+			b.Fatal("no facts")
 		}
 	}
 }

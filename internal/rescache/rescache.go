@@ -4,10 +4,10 @@
 // expensive computation is never duplicated and never serialised behind
 // an unrelated one. Two layers use it:
 //
-//   - the experiment engine (internal/bench, internal/pattern,
-//     internal/tables) memoises builds, simulations, interprocedural
-//     summaries and trained weights in the zero Config: unbounded, no
-//     expiry, every successful fill retained;
+//   - the experiment engine (internal/bench, internal/tables) memoises
+//     builds, simulations, interprocedural loads and trained weights in
+//     the zero Config: unbounded, no expiry, every successful fill
+//     retained;
 //   - the serve layer keys fully rendered responses by canonical request
 //     digests, bounded by an entry cap and a byte cap, so the cache
 //     cannot grow without bound under millions of distinct requests.

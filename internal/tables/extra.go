@@ -271,41 +271,10 @@ var BlockGeoms = []cache.Config{
 // stable across different cache configurations of different block
 // sizes"). The final heuristic should be stable here by construction.
 func (r render) tableS3() (*Table, error) {
-	t := &Table{
+	return r.geomTable(&Table{
 		ID:     "S3",
 		Title:  "Extension: coverage across cache block sizes",
 		Header: []string{"Benchmark", "pi", "16B rho", "32B rho", "64B rho"},
 		Notes:  "unoptimised binaries, Input 1, 8KB/4-way caches",
-	}
-	cfg, err := r.heuristic(true)
-	if err != nil {
-		return nil, err
-	}
-	var pis []float64
-	rhos := make([][]float64, len(BlockGeoms))
-	for _, b := range bench.Training() {
-		run, deg := r.run(Combo{Bench: b, Geoms: BlockGeoms})
-		if deg != nil {
-			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
-			continue
-		}
-		delta := classify.DeltaSet(classify.Score(run.Build.Loads, run, cfg))
-		row := []string{b.Name}
-		for k := range BlockGeoms {
-			ev := metrics.Evaluate(delta, run.LoadStats(run.Build.Loads, k))
-			if k == 0 {
-				pis = append(pis, ev.Pi)
-				row = append(row, pct(ev.Pi))
-			}
-			rhos[k] = append(rhos[k], ev.Rho)
-			row = append(row, pct(ev.Rho))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	avgRow := []string{"AVERAGE", pct(avg(pis))}
-	for k := range BlockGeoms {
-		avgRow = append(avgRow, pct(avg(rhos[k])))
-	}
-	t.Rows = append(t.Rows, avgRow)
-	return t, nil
+	}, Combo{Geoms: BlockGeoms}, []int{0, 1, 2})
 }

@@ -5,6 +5,7 @@ import (
 
 	"delinq/internal/baseline"
 	"delinq/internal/bench"
+	"delinq/internal/classify"
 	"delinq/internal/metrics"
 )
 
@@ -67,78 +68,56 @@ func (r render) table7() (*Table, error) {
 // associativities of the cache": optimised binaries, 8 KB caches with
 // 2/4/8 ways.
 func (r render) table8() (*Table, error) {
-	t := &Table{
+	return r.geomTable(&Table{
 		ID:     "8",
 		Title:  "Performance on different cache associativities",
 		Header: []string{"Benchmark", "pi", "Assoc 2 rho", "Assoc 4 rho", "Assoc 8 rho"},
 		Notes:  "optimised (-O) binaries, Input 1, 8KB/32B caches",
-	}
-	gis := []int{GeomAssoc2, GeomBaseline, GeomAssoc8}
-	var pis []float64
-	rhos := make([][]float64, len(gis))
-	for _, b := range bench.Training() {
-		ctx, deg := r.load(b, true, false)
-		if deg != nil {
-			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
-			continue
-		}
-		row := []string{b.Name}
-		var pi float64
-		for k, gi := range gis {
-			ev, err := r.piRho(ctx, gi, true)
-			if err != nil {
-				return nil, err
-			}
-			pi = ev.Pi
-			rhos[k] = append(rhos[k], ev.Rho)
-			if k == 0 {
-				row = append(row, pct(ev.Pi))
-			}
-			row = append(row, pct(ev.Rho))
-		}
-		pis = append(pis, pi)
-		t.Rows = append(t.Rows, row)
-	}
-	t.Rows = append(t.Rows, []string{
-		"AVERAGE", pct(avg(pis)),
-		pct(avg(rhos[0])), pct(avg(rhos[1])), pct(avg(rhos[2])),
-	})
-	return t, nil
+	}, Combo{Optimize: true, Geoms: StdGeoms}, []int{GeomAssoc2, GeomBaseline, GeomAssoc8})
 }
 
 // table9 reproduces the cache-size sweep: optimised binaries on 8, 16,
 // 32 and 64 KB 4-way caches.
 func (r render) table9() (*Table, error) {
-	t := &Table{
+	return r.geomTable(&Table{
 		ID:     "9",
 		Title:  "Performance on different cache sizes",
 		Header: []string{"Benchmark", "pi", "8k rho", "16k rho", "32k rho", "64k rho"},
 		Notes:  "optimised (-O) binaries, Input 1, 4-way/32B caches",
+	}, Combo{Optimize: true, Geoms: StdGeoms}, []int{GeomBaseline, Geom16K, Geom32K, Geom64K})
+}
+
+// geomTable fills t with the heuristic's stability across geometries:
+// per training benchmark, run as the combo shape (its Bench is set per
+// row), Δ's π and then its ρ on each geometry index of gis, and an
+// AVERAGE row. Δ is scored once per benchmark, since only ρ depends on
+// the geometry. A degraded benchmark gets a DEGRADED row.
+func (r render) geomTable(t *Table, shape Combo, gis []int) (*Table, error) {
+	cfg, err := r.heuristic(true)
+	if err != nil {
+		return nil, err
 	}
-	gis := []int{GeomBaseline, Geom16K, Geom32K, Geom64K}
 	var pis []float64
 	rhos := make([][]float64, len(gis))
 	for _, b := range bench.Training() {
-		ctx, deg := r.load(b, true, false)
+		cb := shape
+		cb.Bench = b
+		run, deg := r.run(cb)
 		if deg != nil {
 			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
 			continue
 		}
+		delta := classify.DeltaSet(classify.Score(run.Build.Loads, run, cfg))
 		row := []string{b.Name}
-		var pi float64
 		for k, gi := range gis {
-			ev, err := r.piRho(ctx, gi, true)
-			if err != nil {
-				return nil, err
-			}
-			pi = ev.Pi
-			rhos[k] = append(rhos[k], ev.Rho)
+			ev := metrics.Evaluate(delta, run.LoadStats(run.Build.Loads, gi))
 			if k == 0 {
+				pis = append(pis, ev.Pi)
 				row = append(row, pct(ev.Pi))
 			}
+			rhos[k] = append(rhos[k], ev.Rho)
 			row = append(row, pct(ev.Rho))
 		}
-		pis = append(pis, pi)
 		t.Rows = append(t.Rows, row)
 	}
 	avgRow := []string{"AVERAGE", pct(avg(pis))}

@@ -81,8 +81,10 @@ echo "== bench smoke"
 # benchmark without paying for a full measurement run. The simulator
 # benchmarks and BenchmarkExecuteKernels cover the dynamic path,
 # BenchmarkPatternAnalysis and BenchmarkExecuteProgen the static path
-# of a cold analyze, and BenchmarkCompiler the structured build path.
-go test -run '^$' -bench 'BenchmarkCacheAccess|BenchmarkVMInstsPerSec|BenchmarkPatternAnalysis|BenchmarkExecuteProgen|BenchmarkExecuteKernels|BenchmarkCompiler' -benchtime 1x ./...
+# of a cold analyze, BenchmarkAnalyzeProgram the flat and the
+# interprocedural pattern analysis, and BenchmarkCompiler the
+# structured build path.
+go test -run '^$' -bench 'BenchmarkCacheAccess|BenchmarkVMInstsPerSec|BenchmarkPatternAnalysis|BenchmarkAnalyzeProgram|BenchmarkExecuteProgen|BenchmarkExecuteKernels|BenchmarkCompiler' -benchtime 1x ./...
 
 echo "== coverage floor"
 # Packages with dedicated correctness harnesses must stay above 75%
