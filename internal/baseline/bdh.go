@@ -5,7 +5,6 @@ import (
 	"delinq/internal/dataflow"
 	"delinq/internal/disasm"
 	"delinq/internal/isa"
-	"delinq/internal/isa/mips"
 	"delinq/internal/obj"
 	"delinq/internal/pattern"
 )
@@ -22,10 +21,7 @@ func ClassifyBDH(prog *disasm.Program, loads []*pattern.Load) map[uint32]Class {
 	for _, ld := range loads {
 		byFn[ld.Func] = append(byFn[ld.Func], ld)
 	}
-	m, err := isa.ByName(prog.Image.ISAName())
-	if err != nil {
-		m = mips.M
-	}
+	m := prog.Machine
 	for fn, lds := range byFn {
 		c := &bdhClassifier{
 			prog: prog,

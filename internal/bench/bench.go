@@ -203,12 +203,7 @@ func CompileISACtx(ctx context.Context, b *Benchmark, optimize bool, isaName str
 	bd, _, err := builds.Do(ctx, buildKey(b.Name, optimize, isaName), func() (*Build, bool, error) {
 		img, err := core.BuildSourceISA(b.Source, optimize, isaName)
 		if err != nil {
-			stage := core.BuildStage(err)
-			var se *core.StageError
-			if errors.As(err, &se) {
-				err = se.Err
-			}
-			return nil, false, &core.StageError{Benchmark: b.Name, Stage: stage, Err: err}
+			return nil, false, core.WrapStage(b.Name, core.BuildStage(err), err)
 		}
 		corruptImage(b.Name, img)
 		if err := img.Validate(); err != nil {

@@ -61,25 +61,23 @@ type StageError struct {
 	Err       error
 }
 
-// NewStageError wraps err; it returns nil if err is nil, and leaves an
-// existing *StageError untouched so stages never double-wrap.
-func NewStageError(benchmark string, stage Stage, err error) *StageError {
-	if err == nil {
-		return nil
-	}
-	if se, ok := err.(*StageError); ok {
-		return se
-	}
-	return &StageError{Benchmark: benchmark, Stage: stage, Err: err}
-}
-
-// WrapStage is NewStageError returning the error interface (a typed nil
-// *StageError inside a non-nil error interface is a classic footgun).
+// WrapStage wraps err as a *StageError; it returns nil if err is nil.
+// An existing *StageError keeps its stage, so stages never double-wrap:
+// one that names a benchmark passes through untouched, and an unnamed
+// one takes benchmark.
 func WrapStage(benchmark string, stage Stage, err error) error {
 	if err == nil {
 		return nil
 	}
-	return NewStageError(benchmark, stage, err)
+	if se, ok := err.(*StageError); ok {
+		if se.Benchmark != "" || benchmark == "" {
+			return se
+		}
+		named := *se
+		named.Benchmark = benchmark
+		return &named
+	}
+	return &StageError{Benchmark: benchmark, Stage: stage, Err: err}
 }
 
 func (e *StageError) Error() string {

@@ -48,11 +48,11 @@ int main() {
 
 func TestStageErrorFormatting(t *testing.T) {
 	cause := errors.New("boom")
-	se := NewStageError("181.mcf", StageSimulate, cause)
+	se := WrapStage("181.mcf", StageSimulate, cause)
 	if got := se.Error(); got != "181.mcf: simulate: boom" {
 		t.Errorf("Error() = %q", got)
 	}
-	anon := NewStageError("", StageImage, cause)
+	anon := WrapStage("", StageImage, cause)
 	if got := anon.Error(); got != "image: boom" {
 		t.Errorf("benchmark-less Error() = %q", got)
 	}
@@ -62,16 +62,27 @@ func TestStageErrorFormatting(t *testing.T) {
 }
 
 func TestStageErrorNilAndDoubleWrap(t *testing.T) {
-	if NewStageError("b", StageCompile, nil) != nil {
-		t.Error("NewStageError(nil) != nil")
-	}
 	if WrapStage("b", StageCompile, nil) != nil {
 		t.Error("WrapStage(nil) != nil (typed-nil footgun)")
 	}
-	inner := NewStageError("b", StagePattern, errors.New("x"))
-	outer := NewStageError("other", StageSimulate, error(inner))
-	if outer != inner {
+	inner := WrapStage("b", StagePattern, errors.New("x"))
+	if outer := WrapStage("other", StageSimulate, inner); outer != inner {
 		t.Error("wrapping a StageError re-wrapped instead of passing through")
+	}
+	if outer := WrapStage("", StageSimulate, inner); outer != inner {
+		t.Error("wrapping a StageError without a benchmark re-wrapped it")
+	}
+	// An unnamed StageError (a lowering failure, say) wrapped by a
+	// caller that knows the benchmark takes that name and keeps its
+	// stage and cause, without a second layer.
+	cause := errors.New("y")
+	anon := &StageError{Stage: StageLower, Err: cause}
+	named, ok := WrapStage("129.compress", StageCompile, anon).(*StageError)
+	if !ok || named.Benchmark != "129.compress" || named.Stage != StageLower || named.Err != cause {
+		t.Errorf("named unnamed StageError = %#v, want 129.compress at the lower stage around the cause", named)
+	}
+	if anon.Benchmark != "" {
+		t.Error("naming a StageError mutated the original")
 	}
 }
 

@@ -37,10 +37,13 @@ func (f *Func) Index(pc uint32) int {
 	return int((pc - f.Entry) / 4)
 }
 
-// Program is a fully disassembled image.
+// Program is a fully disassembled image. Machine is the image's
+// machine description, resolved once here for every analysis that
+// reads the program.
 type Program struct {
-	Image *obj.Image
-	Funcs []*Func
+	Image   *obj.Image
+	Machine isa.Machine
+	Funcs   []*Func
 }
 
 // Disassemble decodes the image's text segment into functions.
@@ -51,7 +54,7 @@ func Disassemble(img *obj.Image) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("disasm: %w", err)
 	}
-	p := &Program{Image: img}
+	p := &Program{Image: img, Machine: m}
 	syms := img.Funcs()
 	covered := make([]bool, len(img.Text))
 	for _, sym := range syms {

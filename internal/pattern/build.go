@@ -53,12 +53,8 @@ type Load struct {
 // interprocedural phases), so a deadline stops a pathological analysis
 // at the next function boundary rather than after the whole program.
 func AnalyzeProgramCtx(ctx context.Context, p *disasm.Program, conf Config) ([]*Load, error) {
-	m, err := isa.ByName(p.Image.ISAName())
-	if err != nil {
-		return nil, err
-	}
 	if conf.Interprocedural {
-		s, err := summarize(ctx, p, m)
+		s, err := summarize(ctx, p)
 		if err != nil {
 			return nil, err
 		}
@@ -69,7 +65,7 @@ func AnalyzeProgramCtx(ctx context.Context, p *disasm.Program, conf Config) ([]*
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out = append(out, analyzeFuncMachine(fn, m)...)
+		out = append(out, analyzeFuncMachine(fn, p.Machine)...)
 	}
 	return out, nil
 }

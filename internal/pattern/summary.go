@@ -52,8 +52,8 @@ type funcFacts struct {
 // order, so every callee outside a function's own component is done
 // before the function is reached. The context is checked before each
 // function.
-func summarize(ctx context.Context, p *disasm.Program, m isa.Machine) (*interproc, error) {
-	s := &interproc{cg: callgraph.Build(p), m: m, facts: make(map[*disasm.Func]funcFacts, len(p.Funcs))}
+func summarize(ctx context.Context, p *disasm.Program) (*interproc, error) {
+	s := &interproc{cg: callgraph.Build(p), m: p.Machine, facts: make(map[*disasm.Func]funcFacts, len(p.Funcs))}
 	for _, comp := range s.cg.SCCs() {
 		for _, n := range comp {
 			if err := ctx.Err(); err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"delinq/internal/asm"
 	"delinq/internal/disasm"
-	"delinq/internal/isa/mips"
 	"delinq/internal/minic"
 )
 
@@ -15,7 +14,7 @@ import (
 // patterns.
 func returnPatterns(t *testing.T, p *disasm.Program, fn string) []*Expr {
 	t.Helper()
-	s, err := summarize(context.Background(), p, mips.M)
+	s, err := summarize(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +240,7 @@ func BenchmarkSummaries(b *testing.B) {
 	p := benchProg(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s, err := summarize(context.Background(), p, mips.M)
+		s, err := summarize(context.Background(), p)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -28,14 +28,13 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
-	"delinq/internal/core"
 	"delinq/internal/rescache"
+	"delinq/internal/workerpool"
 )
 
 // cachedResponse is one retained result: the fully rendered success
@@ -172,9 +171,9 @@ func (s *Server) admit(ctx context.Context) (func(), *apiError) {
 
 // asAPIError maps a doCached error back to the response envelope:
 // apiErrors pass through; a recovered fill panic becomes the daemon's
-// standard serve-stage 500 (counted like any other recovered panic); a
-// waiter's own context death becomes a 503 (the fill may still be
-// running for others); everything else takes the pipeline mapping.
+// serve-stage panic envelope; a waiter's own context death becomes a
+// 503 (the fill may still be running for others); everything else
+// takes the pipeline mapping.
 func (s *Server) asAPIError(err error) *apiError {
 	var ae *apiError
 	if errors.As(err, &ae) {
@@ -182,18 +181,12 @@ func (s *Server) asAPIError(err error) *apiError {
 	}
 	var pe *rescache.PanicError
 	if errors.As(err, &pe) {
-		s.reg.Counter("delinq_panics_recovered_total").Inc()
-		se := core.NewStageError("", core.StageServe, fmt.Errorf("recovered panic: %v", pe.Value))
-		return &apiError{
-			Status: http.StatusInternalServerError,
-			Err:    se.Error(),
-			Stage:  string(core.StageServe),
-		}
+		return s.panicError(pe.Value)
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return errorf(http.StatusServiceUnavailable, "cancelled while coalesced: %v", err)
 	}
-	return pipelineError(err)
+	return resultError(workerpool.PipelineResult(err))
 }
 
 // serveCached runs one cacheable endpoint end to end: consult the

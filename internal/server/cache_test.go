@@ -456,7 +456,7 @@ func TestBatchEndpoint(t *testing.T) {
 	wantCache := []string{"miss", "hit", "miss", ""}
 	for i, r := range resp.Results {
 		if r.Status != wantStatus[i] {
-			t.Errorf("item %d status = %d, want %d (%s)", i, r.Status, wantStatus[i], r.Error)
+			t.Errorf("item %d status = %d, want %d (%s)", i, r.Status, wantStatus[i], r.Err)
 		}
 		if r.Cache != wantCache[i] {
 			t.Errorf("item %d cache = %q, want %q", i, r.Cache, wantCache[i])
@@ -465,8 +465,8 @@ func TestBatchEndpoint(t *testing.T) {
 	if string(resp.Results[0].Response) != string(resp.Results[1].Response) {
 		t.Error("duplicate batch items returned different payloads")
 	}
-	if !strings.Contains(resp.Results[3].Error, "one of source or benchmark") {
-		t.Errorf("invalid item error = %q", resp.Results[3].Error)
+	if !strings.Contains(resp.Results[3].Err, "one of source or benchmark") {
+		t.Errorf("invalid item error = %q", resp.Results[3].Err)
 	}
 
 	// The batch populated the shared cache: a single request now hits.

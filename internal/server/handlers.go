@@ -128,15 +128,14 @@ func (s *Server) execJob(ctx context.Context, job workerpool.Job) (*workerpool.J
 	var res *workerpool.JobResult
 	if s.pool != nil {
 		var err error
-		res, err = s.pool.Do(ctx, job)
-		if err != nil {
-			return nil, pipelineError(err)
+		if res, err = s.pool.Do(ctx, job); err != nil {
+			res = workerpool.PipelineResult(err)
 		}
 	} else {
 		res = workerpool.Execute(ctx, job)
 	}
 	if res.Status != http.StatusOK {
-		return nil, &apiError{Status: res.Status, Err: res.Err, Stage: res.Stage, Benchmark: res.Benchmark}
+		return nil, resultError(res)
 	}
 	return res, nil
 }
@@ -234,13 +233,13 @@ type batchRequest struct {
 
 // batchItem is one per-request result: Status mirrors what the same
 // request would have answered as a single call; Response carries the
-// success payload, Error/Stage the failure envelope.
+// success payload, the embedded apiError the failure envelope the
+// single call would have written.
 type batchItem struct {
 	Cache    string          `json:"cache,omitempty"`
 	Status   int             `json:"status"`
 	Response json.RawMessage `json:"response,omitempty"`
-	Error    string          `json:"error,omitempty"`
-	Stage    string          `json:"stage,omitempty"`
+	apiError
 }
 
 type batchResponse struct {
@@ -311,13 +310,8 @@ func (s *Server) batchOne(ctx context.Context, req analyzeRequest, acquire func(
 		}
 		ae = s.asAPIError(err)
 	}
-	if ae.Status >= http.StatusInternalServerError {
-		s.reg.Counter("delinq_errors_total").Inc()
-		if ae.Stage != "" {
-			s.reg.Counter("delinq_errors_" + ae.Stage + "_total").Inc()
-		}
-	}
-	return batchItem{Cache: outcome, Status: ae.Status, Error: ae.Err, Stage: ae.Stage}
+	s.countError(ae)
+	return batchItem{Cache: outcome, Status: ae.Status, apiError: *ae}
 }
 
 // renderTable regenerates one table on an engine of its own, under the
@@ -331,7 +325,7 @@ func (s *Server) renderTable(ctx context.Context, id string) (string, int, *apiE
 	var buf bytes.Buffer
 	degs, err := tables.Engine{}.Render(ctx, &buf, 0, id)
 	if err != nil {
-		return "", 0, pipelineError(err)
+		return "", 0, resultError(workerpool.PipelineResult(err))
 	}
 	// A degraded render is still an answer — the CLI exits 0 on
 	// quarantined rows and the daemon follows suit, serving the partial

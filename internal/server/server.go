@@ -28,7 +28,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -344,10 +343,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // --- request plumbing ----------------------------------------------------------
 
 // apiError is the JSON error envelope; Status is the HTTP code and
-// retryAfter, when positive, becomes a Retry-After header.
+// retryAfter, when positive, becomes a Retry-After header. A batch item
+// embeds it, so Err is omitempty: a success item carries no "error".
 type apiError struct {
 	Status    int    `json:"-"`
-	Err       string `json:"error"`
+	Err       string `json:"error,omitempty"`
 	Stage     string `json:"stage,omitempty"`
 	Benchmark string `json:"benchmark,omitempty"`
 
@@ -363,26 +363,36 @@ func errorf(status int, format string, args ...any) *apiError {
 	return &apiError{Status: status, Err: fmt.Sprintf(format, args...)}
 }
 
-// pipelineError maps a pipeline failure to an apiError: compile and
-// assemble failures of user-supplied source are the client's fault
-// (400); everything else — simulation, pattern analysis, worker
-// panics, deadline expiry — is a server-side failure (500). StageError
-// provenance is preserved in the envelope.
-func pipelineError(err error, clientStages ...core.Stage) *apiError {
-	status := http.StatusInternalServerError
-	ae := &apiError{Err: err.Error()}
-	var se *core.StageError
-	if errors.As(err, &se) {
-		ae.Stage = string(se.Stage)
-		ae.Benchmark = se.Benchmark
-		for _, cs := range clientStages {
-			if se.Stage == cs {
-				status = http.StatusBadRequest
-			}
-		}
+// resultError is the envelope of a failed job result. Every pipeline
+// failure reaches the client through it, mapped by
+// workerpool.PipelineResult, so an answer cannot depend on which side
+// ran the pipeline or on which layer failed.
+func resultError(res *workerpool.JobResult) *apiError {
+	return &apiError{Status: res.Status, Err: res.Err, Stage: res.Stage, Benchmark: res.Benchmark}
+}
+
+// panicError is the envelope of a recovered serve-stage panic, whether
+// api's recover caught it or a fill's *rescache.PanicError carried it:
+// a 500 at the serve stage. It counts the panic.
+func (s *Server) panicError(v any) *apiError {
+	s.reg.Counter("delinq_panics_recovered_total").Inc()
+	err := core.WrapStage("", core.StageServe, fmt.Errorf("recovered panic: %v", v))
+	return resultError(workerpool.PipelineResult(err))
+}
+
+// countError is the daemon's one rule for counting a failed answer, a
+// whole response or a batch item: a 500 counts once in
+// delinq_errors_total and once under its stage. A 429, a 503 and a 4xx
+// are the load's or the client's outcome, not a failure, and never
+// count.
+func (s *Server) countError(ae *apiError) {
+	if ae.Status != http.StatusInternalServerError {
+		return
 	}
-	ae.Status = status
-	return ae
+	s.reg.Counter("delinq_errors_total").Inc()
+	if ae.Stage != "" {
+		s.reg.Counter("delinq_errors_" + ae.Stage + "_total").Inc()
+	}
 }
 
 // handlerFunc is one API endpoint: it returns a non-nil apiError to
@@ -422,31 +432,21 @@ func (s *Server) api(name string, h handlerFunc) http.HandlerFunc {
 
 		defer func() {
 			if rec := recover(); rec != nil {
-				s.reg.Counter("delinq_panics_recovered_total").Inc()
-				se := core.NewStageError("", core.StageServe, fmt.Errorf("recovered panic: %v", rec))
-				s.writeError(w, &apiError{
-					Status: http.StatusInternalServerError,
-					Err:    se.Error(),
-					Stage:  string(core.StageServe),
-				})
+				s.writeError(w, s.panicError(rec))
 			}
 		}()
 
 		if ae := h(ctx, w, r); ae != nil {
-			if ae.Status == http.StatusInternalServerError {
-				s.reg.Counter("delinq_errors_total").Inc()
-				if ae.Stage != "" {
-					s.reg.Counter("delinq_errors_" + ae.Stage + "_total").Inc()
-				}
-			}
 			s.writeError(w, ae)
 		}
 	}
 }
 
-// writeError renders the JSON error envelope, with a whole-seconds
-// Retry-After header when the error carries a retryAfter.
+// writeError counts a failed answer and renders its JSON envelope,
+// with a whole-seconds Retry-After header when the error carries a
+// retryAfter.
 func (s *Server) writeError(w http.ResponseWriter, ae *apiError) {
+	s.countError(ae)
 	if ae.retryAfter > 0 {
 		secs := int64((ae.retryAfter + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))

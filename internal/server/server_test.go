@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -321,6 +322,124 @@ func TestPanicIsolation(t *testing.T) {
 	if code != http.StatusOK {
 		t.Errorf("daemon did not survive the panic: %d %s", code, body)
 	}
+}
+
+// TestErrorAccounting pins the one rule for counting failed answers,
+// whole responses and batch items alike: a 500 counts once in
+// delinq_errors_total and once under its stage, a 503 never counts, and
+// a failed batch item carries the envelope the single answer writes.
+func TestErrorAccounting(t *testing.T) {
+	wantCounts := func(t *testing.T, s *Server, want map[string]int64) {
+		t.Helper()
+		for name, n := range want {
+			if v, _ := s.Metrics().Value(name); v != n {
+				t.Errorf("%s = %d, want %d", name, v, n)
+			}
+		}
+	}
+
+	// A serve-stage panic counts the same whether a fill recovers it
+	// (the serve:analyze seam) or api's recover does (serve:batch).
+	for _, c := range []struct{ seam, path, body string }{
+		{"serve:analyze", "/v1/analyze", fmt.Sprintf(`{"source": %q}`, srcLoop)},
+		{"serve:batch", "/v1/analyze/batch", fmt.Sprintf(`{"requests": [{"source": %q}]}`, srcLoop)},
+	} {
+		t.Run("panic at "+c.seam, func(t *testing.T) {
+			s, ts := newTestDaemon(t, Config{})
+			p := faultinject.NewPlan(1)
+			p.ArmN(faultinject.WorkerPanic, c.seam, 1)
+			faultinject.Install(p)
+			t.Cleanup(faultinject.Clear)
+
+			code, _, body := postJSON(t, ts.URL+c.path, c.body)
+			if code != http.StatusInternalServerError || !strings.Contains(body, `"stage":"serve"`) {
+				t.Fatalf("panicking request = %d %s, want a serve-stage 500", code, body)
+			}
+			wantCounts(t, s, map[string]int64{
+				"delinq_panics_recovered_total": 1,
+				"delinq_errors_total":           1,
+				"delinq_errors_serve_total":     1,
+			})
+		})
+	}
+
+	// A request whose client gives up while it is queued answers 503,
+	// alone or as a batch item, and neither counts as a failure.
+	t.Run("503 while queued", func(t *testing.T) {
+		s, ts := newTestDaemon(t, Config{MaxInflight: 1, Queue: 1})
+		post := func(ctx context.Context, path, body string) {
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+path, strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}
+		holdCtx, release := context.WithCancel(context.Background())
+		defer release()
+		go post(holdCtx, "/v1/analyze", fmt.Sprintf(`{"source": %q}`, srcSpin))
+		waitFor(t, func() bool { return s.adm.Inflight() == 1 })
+
+		for _, c := range []struct{ path, body string }{
+			{"/v1/analyze", fmt.Sprintf(`{"source": %q}`, srcLoop)},
+			{"/v1/analyze/batch", fmt.Sprintf(`{"requests": [{"source": %q}]}`, srcLoop)},
+		} {
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			go func() {
+				post(ctx, c.path, c.body)
+				close(done)
+			}()
+			waitFor(t, func() bool { return s.adm.Queued() == 1 })
+			cancel()
+			<-done
+			waitFor(t, func() bool { return s.enteredRequests() == 1 })
+		}
+		wantCounts(t, s, map[string]int64{
+			"delinq_cache_errors_total":  2, // both fills failed in the queue
+			"delinq_responses_503_total": 1, // the single request
+			"delinq_responses_200_total": 1, // the batch, its item a 503
+			"delinq_errors_total":        0,
+		})
+		release()
+		waitFor(t, func() bool { return s.enteredRequests() == 0 })
+	})
+
+	// A failing benchmark item names its benchmark, as the single
+	// answer does.
+	t.Run("benchmark item envelope", func(t *testing.T) {
+		bench.ResetCache()
+		t.Cleanup(bench.ResetCache)
+		s, ts := newTestDaemon(t, Config{})
+		p := faultinject.NewPlan(1)
+		p.Arm(faultinject.SimBudget, "129.compress")
+		faultinject.Install(p)
+		t.Cleanup(faultinject.Clear)
+
+		item := `{"benchmark": "129.compress"}`
+		code, _, body := postJSON(t, ts.URL+"/v1/analyze", item)
+		var single apiError
+		if err := json.Unmarshal([]byte(body), &single); err != nil || code != http.StatusInternalServerError {
+			t.Fatalf("single answer = %d %s (%v), want a 500 envelope", code, body, err)
+		}
+		if single.Benchmark != "129.compress" || single.Stage != "simulate" {
+			t.Fatalf("single envelope = %+v, want 129.compress at the simulate stage", single)
+		}
+		code, _, body = postJSON(t, ts.URL+"/v1/analyze/batch", `{"requests": [`+item+`]}`)
+		var resp batchResponse
+		if err := json.Unmarshal([]byte(body), &resp); err != nil || code != http.StatusOK || len(resp.Results) != 1 {
+			t.Fatalf("batch = %d %s (%v), want 200 with one item", code, body, err)
+		}
+		if got := resp.Results[0]; got.Status != http.StatusInternalServerError || got.apiError != single {
+			t.Errorf("batch item = %d %+v, want 500 %+v", got.Status, got.apiError, single)
+		}
+		wantCounts(t, s, map[string]int64{
+			"delinq_errors_total":          2,
+			"delinq_errors_simulate_total": 2,
+		})
+	})
 }
 
 // TestShed occupies the single execution slot with a spinning request

@@ -2,17 +2,34 @@ package wal
 
 import (
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"testing"
 )
 
-// BenchmarkWALAppend measures the no-fsync append path — the CPU cost
-// of encoding, checksumming, and writing one record (fsync latency is
-// the disk's, not ours; the serve daemon runs with per-append sync and
-// pays it deliberately).
+// noSyncFS is the OS filesystem with a Sync that does nothing, so the
+// benchmarks time the CPU path and not the disk's fsync latency (the
+// serve daemon syncs every append and pays that latency deliberately).
+type noSyncFS struct{ OSFS }
+
+func (noSyncFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
+	f, err := os.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return noSyncFile{f}, nil
+}
+
+type noSyncFile struct{ *os.File }
+
+func (noSyncFile) Sync() error { return nil }
+
+// BenchmarkWALAppend measures the append path without fsync: the CPU
+// cost of encoding, checksumming, and writing one record.
 func BenchmarkWALAppend(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench.wal")
-	s, _, _, err := Open(path, Options{NoSync: true})
+	s, _, _, err := Open(path, Options{FS: noSyncFS{}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -31,7 +48,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // the cost a restarted daemon pays before it can serve warm.
 func BenchmarkWALReplay(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench.wal")
-	s, _, _, err := Open(path, Options{NoSync: true})
+	s, _, _, err := Open(path, Options{FS: noSyncFS{}})
 	if err != nil {
 		b.Fatal(err)
 	}

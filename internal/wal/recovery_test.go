@@ -9,7 +9,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"testing"
 )
@@ -267,7 +269,7 @@ func TestForeignGenerationQuarantined(t *testing.T) {
 	s.Close()
 
 	// Splice a gen-1 record onto the gen-2 log.
-	stale := encodeRecord(kindPut, "stale", []byte("old-lifetime"), 1)
+	stale := encodeRecord("stale", []byte("old-lifetime"), 1)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -307,4 +309,38 @@ func TestCorruptLengthField(t *testing.T) {
 	}
 	defer s.Close()
 	assertNeverCorrupt(t, entries, want)
+}
+
+// TestOtherKindQuarantined: every record a store writes is a put (kind
+// 0). A record of any other kind, here a kind-1 record with a valid
+// checksum between two puts, fails decoding like any other damage and
+// is quarantined; the puts around it survive.
+func TestOtherKindQuarantined(t *testing.T) {
+	path := t.TempDir() + "/kind.wal"
+	s, _, _, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Append("before", []byte("1"))
+	s.Close()
+
+	other := encodeRecord("before", nil, 1)
+	other[recHeaderSize] = 1
+	binary.LittleEndian.PutUint32(other[8:12], crc32.Checksum(other[recHeaderSize:], castagnoli))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(other)
+	f.Write(encodeRecord("after", []byte("2"), 1))
+	f.Close()
+
+	_, entries, st, err := Open(path, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	m := entryMap(entries)
+	if st.Quarantined != 1 || st.TornTail || st.Records != 2 || string(m["before"]) != "1" || string(m["after"]) != "2" {
+		t.Fatalf("kind-1 record not quarantined: stats=%+v entries=%+v", st, entries)
+	}
 }

@@ -31,7 +31,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"delinq/internal/faultinject"
@@ -44,6 +43,9 @@ import (
 //	record := mark4 len4 crc4 gen4 payload
 //	payload:= kind1 klen4 key value     len4 = len(payload)
 //	                                    crc4 = CRC-32C(payload)
+//
+// Every record is a put: kind is always 0, and a record of any other
+// kind fails decoding like any other damage.
 //
 // The record mark is a resync point: replay that hits a corrupt record
 // scans forward for the next mark whose record validates. The
@@ -63,10 +65,7 @@ var recMark = [4]byte{0xD1, 0x5C, 0xA1, 0x0D}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-const (
-	kindPut    = 0
-	kindDelete = 1
-)
+const kindPut = 0
 
 const tmpSuffix = ".tmp"
 
@@ -80,9 +79,7 @@ type Entry struct {
 
 // ReplayStats describes what Open found in an existing log.
 type ReplayStats struct {
-	Records          int  // valid records applied (puts + deletes)
-	Puts             int  // valid put records
-	Deletes          int  // valid tombstones
+	Records          int  // valid records applied
 	Entries          int  // live entries after replay
 	TornTail         bool // a truncated or corrupt tail was dropped
 	DroppedTailBytes int  // bytes discarded from the tail
@@ -104,18 +101,13 @@ type Options struct {
 	// Name is the faultinject target and diagnostic label for this
 	// store; empty means the log file's base name.
 	Name string
-	// NoSync skips the fsync after each append. Appends become as fast
-	// as the page cache, and a crash can lose recent records — but
-	// never corrupt the survivors. Compaction always syncs.
-	NoSync bool
 }
 
 // Store is one open log. All methods are safe for concurrent use.
 type Store struct {
-	fs     FS
-	name   string
-	path   string
-	noSync bool
+	fs   FS
+	name string
+	path string
 
 	mu     sync.Mutex
 	f      *appendFile
@@ -131,7 +123,7 @@ type Store struct {
 // until the next Compact rewrites the log. An unreadable header resets
 // the store to empty — every entry recomputes, none is served corrupt.
 func Open(path string, opts Options) (*Store, []Entry, ReplayStats, error) {
-	s := &Store{fs: opts.FS, name: opts.Name, path: path, noSync: opts.NoSync}
+	s := &Store{fs: opts.FS, name: opts.Name, path: path}
 	if s.fs == nil {
 		s.fs = OSFS{}
 	}
@@ -199,10 +191,7 @@ func replay(b []byte, gen uint32, name string) ([]Entry, ReplayStats) {
 	st := ReplayStats{Generation: gen}
 
 	injectedDrop := 0
-	if faultinject.Fires(faultinject.WALReplay, name) {
-		if faultinject.Lethal() {
-			killSelf()
-		}
+	if fire(faultinject.WALReplay, name, nil, nil, 0) != nil {
 		// Error mode: the unread second half of the log is dropped,
 		// exactly as if the tail had torn there. Those entries
 		// recompute on demand; nothing corrupt survives.
@@ -211,19 +200,16 @@ func replay(b []byte, gen uint32, name string) ([]Entry, ReplayStats) {
 		b = b[:keep]
 	}
 
-	type slot struct {
-		order int
-		val   []byte
-		live  bool
-	}
-	state := map[string]*slot{}
-	order := 0
+	// Every valid put in log order, and the index of each key's last:
+	// an entry is live at the position of its last put.
+	var puts []Entry
+	last := map[string]int{}
 
 	off := headerSize
 	lastGood := off
 	inCorrupt := false // inside a damaged region, pre-resync
 	for off+recHeaderSize <= len(b) {
-		key, val, kind, rgen, size, ok := decodeRecord(b[off:])
+		key, val, rgen, size, ok := decodeRecord(b[off:])
 		if !ok {
 			inCorrupt = true
 			// Resync: scan for the next record mark and try again.
@@ -248,17 +234,8 @@ func replay(b []byte, gen uint32, name string) ([]Entry, ReplayStats) {
 			continue
 		}
 		st.Records++
-		switch kind {
-		case kindPut:
-			st.Puts++
-			state[key] = &slot{order: order, val: val, live: true}
-			order++
-		case kindDelete:
-			st.Deletes++
-			if sl, ok := state[key]; ok {
-				sl.live = false
-			}
-		}
+		last[key] = len(puts)
+		puts = append(puts, Entry{Key: key, Val: val})
 		off += size
 		lastGood = off
 	}
@@ -268,17 +245,12 @@ func replay(b []byte, gen uint32, name string) ([]Entry, ReplayStats) {
 	}
 	st.Bytes = int64(lastGood)
 
-	entries := make([]Entry, 0, len(state))
-	orders := make(map[string]int, len(state))
-	for key, sl := range state {
-		if sl.live {
-			entries = append(entries, Entry{Key: key, Val: sl.val})
-			orders[key] = sl.order
+	entries := make([]Entry, 0, len(last))
+	for i, e := range puts {
+		if last[e.Key] == i {
+			entries = append(entries, e)
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		return orders[entries[i].Key] < orders[entries[j].Key]
-	})
 	st.Entries = len(entries)
 	return entries, st
 }
@@ -297,39 +269,39 @@ func decodeHeader(b []byte) (uint32, bool) {
 	return gen, true
 }
 
-// decodeRecord parses one record at the start of rec (which holds at
-// least recHeaderSize bytes). ok=false means corrupt or truncated.
-func decodeRecord(rec []byte) (key string, val []byte, kind byte, gen uint32, size int, ok bool) {
+// decodeRecord parses one put record at the start of rec (which holds
+// at least recHeaderSize bytes). ok=false means corrupt, truncated or
+// of another kind.
+func decodeRecord(rec []byte) (key string, val []byte, gen uint32, size int, ok bool) {
 	if *(*[4]byte)(rec[0:4]) != recMark {
-		return "", nil, 0, 0, 0, false
+		return "", nil, 0, 0, false
 	}
 	plen := binary.LittleEndian.Uint32(rec[4:8])
 	crc := binary.LittleEndian.Uint32(rec[8:12])
 	gen = binary.LittleEndian.Uint32(rec[12:16])
 	if plen > maxRecordBytes {
-		return "", nil, 0, 0, 0, false
+		return "", nil, 0, 0, false
 	}
 	size = recHeaderSize + int(plen)
 	if size > len(rec) {
 		// The declared payload extends past EOF: a torn tail, unless a
 		// valid record follows the damage (the resync scan decides).
-		return "", nil, 0, 0, 0, false
+		return "", nil, 0, 0, false
 	}
 	payload := rec[recHeaderSize:size]
 	if crc32.Checksum(payload, castagnoli) != crc {
-		return "", nil, 0, 0, 0, false
+		return "", nil, 0, 0, false
 	}
 	if len(payload) < 5 {
-		return "", nil, 0, 0, 0, false
+		return "", nil, 0, 0, false
 	}
-	kind = payload[0]
 	klen := binary.LittleEndian.Uint32(payload[1:5])
-	if kind > kindDelete || int64(klen) > int64(len(payload)-5) {
-		return "", nil, 0, 0, 0, false
+	if payload[0] != kindPut || int64(klen) > int64(len(payload)-5) {
+		return "", nil, 0, 0, false
 	}
 	key = string(payload[5 : 5+klen])
 	val = payload[5+klen:]
-	return key, val, kind, gen, size, true
+	return key, val, gen, size, true
 }
 
 // findMark returns the next offset >= from where a whole record header
@@ -343,15 +315,15 @@ func findMark(b []byte, from int) int {
 	return -1
 }
 
-// encodeRecord renders one record for generation gen.
-func encodeRecord(kind byte, key string, val []byte, gen uint32) []byte {
+// encodeRecord renders one put record for generation gen.
+func encodeRecord(key string, val []byte, gen uint32) []byte {
 	plen := 5 + len(key) + len(val)
 	rec := make([]byte, recHeaderSize+plen)
 	copy(rec[0:4], recMark[:])
 	binary.LittleEndian.PutUint32(rec[4:8], uint32(plen))
 	binary.LittleEndian.PutUint32(rec[12:16], gen)
 	p := rec[recHeaderSize:]
-	p[0] = kind
+	p[0] = kindPut
 	binary.LittleEndian.PutUint32(p[1:5], uint32(len(key)))
 	copy(p[5:], key)
 	copy(p[5+len(key):], val)
@@ -373,36 +345,19 @@ func encodeHeader(gen uint32) []byte {
 // consumers and tests can compute exact offsets.
 const RecordOverhead = recHeaderSize + 5
 
-// Append durably records key → val. The record is fully on disk (and,
-// unless NoSync, synced) before Append returns; a crash mid-append
-// leaves a torn tail the next Open drops.
+// Append durably records key → val, replacing any earlier value. The
+// record is fully on disk and synced before Append returns; a crash
+// mid-append leaves a torn tail the next Open drops.
 func (s *Store) Append(key string, val []byte) error {
-	return s.append(kindPut, key, val)
-}
-
-// Delete records a tombstone for key: replay after this point no
-// longer reports the entry.
-func (s *Store) Delete(key string) error {
-	return s.append(kindDelete, key, nil)
-}
-
-func (s *Store) append(kind byte, key string, val []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("wal %s: append on closed store", s.name)
 	}
-	rec := encodeRecord(kind, key, val, s.gen)
+	rec := encodeRecord(key, val, s.gen)
 
-	if faultinject.Fires(faultinject.WALWrite, s.name) {
-		if faultinject.Lethal() {
-			// Die mid-write: half the record lands (synced, so the
-			// tear survives the page cache), then SIGKILL.
-			s.f.Write(rec[:len(rec)/2])
-			s.f.Sync()
-			killSelf()
-		}
-		return &faultinject.Fault{Point: faultinject.WALWrite, Target: s.name}
+	if err := fire(faultinject.WALWrite, s.name, s.f.f, rec, s.f.off); err != nil {
+		return err
 	}
 
 	n, err := s.f.Write(rec)
@@ -414,16 +369,11 @@ func (s *Store) append(kind byte, key string, val []byte) error {
 		return fmt.Errorf("wal %s: append: wrote %d of %d: %w", s.name, n, len(rec), err)
 	}
 
-	if faultinject.Fires(faultinject.WALFsync, s.name) {
-		if faultinject.Lethal() {
-			killSelf()
-		}
-		return &faultinject.Fault{Point: faultinject.WALFsync, Target: s.name}
+	if err := fire(faultinject.WALFsync, s.name, nil, nil, 0); err != nil {
+		return err
 	}
-	if !s.noSync {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("wal %s: fsync: %w", s.name, err)
-		}
+	if err := s.f.Sync(); err != nil {
+		return fmt.Errorf("wal %s: fsync: %w", s.name, err)
 	}
 	s.size += int64(len(rec))
 	return nil
@@ -452,43 +402,27 @@ func (s *Store) Compact(entries []Entry) error {
 		if err != nil {
 			return
 		}
-		if faultinject.Fires(faultinject.WALWrite, s.name) {
-			if faultinject.Lethal() {
-				f.WriteAt(b[:len(b)/2], size)
-				f.Sync()
-				killSelf()
-			}
-			err = &faultinject.Fault{Point: faultinject.WALWrite, Target: s.name}
+		if err = fire(faultinject.WALWrite, s.name, f, b, size); err != nil {
 			return
 		}
-		if _, werr := f.WriteAt(b, size); werr != nil {
-			err = werr
-			return
+		if _, err = f.WriteAt(b, size); err == nil {
+			size += int64(len(b))
 		}
-		size += int64(len(b))
 	}
 	write(encodeHeader(gen))
 	for _, e := range entries {
-		write(encodeRecord(kindPut, e.Key, e.Val, gen))
+		write(encodeRecord(e.Key, e.Val, gen))
 	}
 	if err == nil {
-		if faultinject.Fires(faultinject.WALFsync, s.name) {
-			if faultinject.Lethal() {
-				killSelf()
-			}
-			err = &faultinject.Fault{Point: faultinject.WALFsync, Target: s.name}
-		} else {
+		if err = fire(faultinject.WALFsync, s.name, nil, nil, 0); err == nil {
 			err = f.Sync()
 		}
 	}
 	if cerr := f.Close(); err == nil && cerr != nil {
 		err = cerr
 	}
-	if err == nil && faultinject.Fires(faultinject.WALRename, s.name) {
-		if faultinject.Lethal() {
-			killSelf()
-		}
-		err = &faultinject.Fault{Point: faultinject.WALRename, Target: s.name}
+	if err == nil {
+		err = fire(faultinject.WALRename, s.name, nil, nil, 0)
 	}
 	if err == nil {
 		err = s.fs.Rename(tmp, s.path)
@@ -535,16 +469,6 @@ func (s *Store) createFresh() error {
 	return nil
 }
 
-// Sync forces the log to disk (useful with NoSync appends).
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	return s.f.Sync()
-}
-
 // Close syncs and closes the log. Further operations fail.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -556,12 +480,6 @@ func (s *Store) Close() error {
 	s.f.Sync()
 	return s.f.Close()
 }
-
-// Path returns the log's file path.
-func (s *Store) Path() string { return s.path }
-
-// Name returns the store's faultinject target / diagnostic name.
-func (s *Store) Name() string { return s.name }
 
 // Generation returns the current log generation (bumped by Compact).
 func (s *Store) Generation() uint32 {
@@ -603,6 +521,25 @@ func (a *appendFile) Truncate(size int64) error {
 }
 
 func (a *appendFile) Close() error { return a.f.Close() }
+
+// fire passes one disk fault seam of the store called name. An unarmed
+// seam returns nil; an armed one returns the injected fault or, in
+// lethal mode, SIGKILLs the process, after writing and syncing the
+// first half of b at off in f when b is given: a death mid-write whose
+// tear survives the page cache.
+func fire(pt faultinject.Point, name string, f File, b []byte, off int64) error {
+	if !faultinject.Fires(pt, name) {
+		return nil
+	}
+	if faultinject.Lethal() {
+		if b != nil {
+			f.WriteAt(b[:len(b)/2], off)
+			f.Sync()
+		}
+		killSelf()
+	}
+	return &faultinject.Fault{Point: pt, Target: name}
+}
 
 // killSelf delivers SIGKILL to this process: the lethal arm of the
 // disk seams. It never returns.

@@ -95,10 +95,12 @@ func errResult(status int, format string, args ...any) *JobResult {
 	return &JobResult{Status: status, Err: fmt.Sprintf(format, args...)}
 }
 
-// pipelineResult maps a pipeline failure exactly as the daemon's
-// pipelineError does: everything reaching it is a server-side 500, with
-// StageError provenance preserved in the envelope.
-func pipelineResult(err error) *JobResult {
+// PipelineResult maps a pipeline failure to its answer: a server-side
+// 500 carrying the StageError's stage and benchmark, when err has them.
+// It is the daemon's one such mapping: a job's failure in process or in
+// a worker, a worker's death, a table render's failure and a recovered
+// serve-stage panic all take it.
+func PipelineResult(err error) *JobResult {
 	res := &JobResult{Status: http.StatusInternalServerError, Err: err.Error()}
 	var se *core.StageError
 	if errors.As(err, &se) {
@@ -113,7 +115,7 @@ func pipelineResult(err error) *JobResult {
 func okJSON(v any) *JobResult {
 	b, err := json.Marshal(v)
 	if err != nil {
-		return pipelineResult(core.WrapStage("", core.StageServe, err))
+		return PipelineResult(core.WrapStage("", core.StageServe, err))
 	}
 	return &JobResult{
 		Status:      http.StatusOK,
@@ -132,14 +134,14 @@ func executeSource(ctx context.Context, job Job) *JobResult {
 	}
 	sim, err := core.SimulateCtx(ctx, img, job.Args)
 	if err != nil {
-		return pipelineResult(err)
+		return PipelineResult(err)
 	}
 	if job.Kind == JobRun {
 		return runResponse(job, "", sim)
 	}
 	res, err := core.IdentifyImageCtx(ctx, img, core.Options{Profile: sim, Interprocedural: job.Inter})
 	if err != nil {
-		return pipelineResult(err)
+		return PipelineResult(err)
 	}
 	return analyzeResponse(job, "", res, sim)
 }
@@ -155,7 +157,7 @@ func executeBenchmark(ctx context.Context, job Job) *JobResult {
 	}
 	bd, err := bench.CompileISACtx(ctx, b, job.Optimize, job.ISA)
 	if err != nil {
-		return pipelineResult(err)
+		return PipelineResult(err)
 	}
 	input := b.Input1
 	if job.Input2 {
@@ -163,7 +165,7 @@ func executeBenchmark(ctx context.Context, job Job) *JobResult {
 	}
 	run, err := bench.SimulateCtx(ctx, bd, input, tables.StdGeoms)
 	if err != nil {
-		return pipelineResult(err)
+		return PipelineResult(err)
 	}
 	sim := &run.Simulation
 	if job.Kind == JobRun {
@@ -172,7 +174,7 @@ func executeBenchmark(ctx context.Context, job Job) *JobResult {
 	loads := bd.Loads
 	if job.Inter {
 		if loads, err = bench.LoadsInter(ctx, bd); err != nil {
-			return pipelineResult(err)
+			return PipelineResult(err)
 		}
 	}
 	cfg := classify.DefaultConfig()

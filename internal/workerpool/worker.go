@@ -56,10 +56,7 @@ func ServeWorker(r io.Reader, w io.Writer, memLimit int64) error {
 		if req.Job != nil {
 			resp.Result = executeRecover(&req)
 		} else {
-			resp.Result = &JobResult{
-				Status: http.StatusBadRequest,
-				Err:    "malformed worker frame: no job",
-			}
+			resp.Result = errResult(http.StatusBadRequest, "malformed worker frame: no job")
 		}
 		resp.RSS = CurrentRSS()
 		if err := writeFrame(bw, &resp); err != nil {
@@ -79,14 +76,8 @@ func ServeWorker(r io.Reader, w io.Writer, memLimit int64) error {
 func executeRecover(req *request) (res *JobResult) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			se := core.NewStageError(req.Job.Benchmark, core.StageWorker,
-				fmt.Errorf("recovered worker panic: %v", rec))
-			res = &JobResult{
-				Status:    http.StatusInternalServerError,
-				Err:       se.Error(),
-				Stage:     string(core.StageWorker),
-				Benchmark: req.Job.Benchmark,
-			}
+			res = PipelineResult(core.WrapStage(req.Job.Benchmark, core.StageWorker,
+				fmt.Errorf("recovered worker panic: %v", rec)))
 		}
 	}()
 	ctx := context.Background()

@@ -46,8 +46,9 @@ echo "== serve chaos (race)"
 # clears, no in-process memo (builds, runs, trained weights) replays it.
 # Table renders run concurrently, stop when their request ends, and
 # resolve their id before admission and the cache. A coalesced waiter
-# whose own client is still there outlives the client it joined.
-go test -race -run 'TestServeChaosStorm|TestGracefulDrain|TestDrainAbortsStragglers|TestCacheCoalescesThunderingHerd|TestCacheFailureNotCached|TestCacheHitWhileUnitFails|TestFailingSourcesDoNotBlockOthers|TestCacheDrainAbortsCoalescedWaiters|TestCoalescedWaiterOutlivesLeader|TestPatternFailureLeavesNoState|TestTrainingFaultLeavesNoState|TestTableIDCheckedBeforeAdmission|TestTableCacheKeyCanonical|TestTableRendersConcurrently|TestDrainAbortsTableRender' ./internal/server
+# whose own client is still there outlives the client it joined. Every
+# failed answer, whole response or batch item, is counted by one rule.
+go test -race -run 'TestServeChaosStorm|TestGracefulDrain|TestDrainAbortsStragglers|TestCacheCoalescesThunderingHerd|TestCacheFailureNotCached|TestCacheHitWhileUnitFails|TestFailingSourcesDoNotBlockOthers|TestCacheDrainAbortsCoalescedWaiters|TestCoalescedWaiterOutlivesLeader|TestPatternFailureLeavesNoState|TestTrainingFaultLeavesNoState|TestTableIDCheckedBeforeAdmission|TestTableCacheKeyCanonical|TestTableRendersConcurrently|TestDrainAbortsTableRender|TestErrorAccounting' ./internal/server
 # Table engines share only the memos: a render joined to another's
 # learning phase inherits its quarantines but not its cancellation, two
 # ISAs render side by side, and one learning phase runs per ISA.
@@ -135,18 +136,8 @@ cmp /tmp/delinq-tables-isa.txt tables_isa.txt
 rm -f /tmp/delinq-tables-isa.txt
 
 echo "== fuzz smoke"
-# Each native fuzz target gets a short time-boxed run (the Go fuzzer
-# accepts one -fuzz target per invocation). The committed corpora under
-# testdata/fuzz/ already ran as ordinary tests above; this adds a little
-# fresh mutation on every gate run.
-go test -fuzz '^FuzzParse$' -fuzztime 5s -run '^$' ./internal/minic
-go test -fuzz '^FuzzCompile$' -fuzztime 5s -run '^$' ./internal/minic
-go test -fuzz '^FuzzAssemble$' -fuzztime 5s -run '^$' ./internal/asm
-go test -fuzz '^FuzzAsmRoundTrip$' -fuzztime 5s -run '^$' ./internal/disasm
-go test -fuzz '^FuzzArmLowerRoundTrip$' -fuzztime 5s -run '^$' ./internal/disasm
-go test -fuzz '^FuzzDecodeImage$' -fuzztime 5s -run '^$' ./internal/obj
-go test -fuzz '^FuzzLowerImageBytes$' -fuzztime 5s -run '^$' ./internal/core
-go test -fuzz '^FuzzBuildParity$' -fuzztime 5s -run '^$' ./internal/core
-go test -fuzz '^FuzzCacheAgainstReference$' -fuzztime 5s -run '^$' ./internal/cache
+# A short time-boxed run of every native fuzz target; the committed
+# corpora under testdata/fuzz/ already ran as ordinary tests above.
+sh scripts/fuzz-smoke.sh
 
 echo "OK"
