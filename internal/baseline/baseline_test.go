@@ -111,6 +111,46 @@ func TestBDHClassification(t *testing.T) {
 	_ = fn
 }
 
+// symtabSrc exercises the symbol-table half of BDH: each load's class
+// comes from the declared type at its address, with no value
+// propagation. pad pushes far out of the gp window, so its load is an
+// absolute (lui-based) address.
+const symtabSrc = `
+	.struct Node, key:0:int, next:4:ptr:struct:Node
+	.data
+	.object garr, arr:32:int
+garr:    .space 128
+	.object gnode, struct:Node
+gnode:   .space 8
+pad:     .space 70000
+	.object far, ptr:int
+far:     .word 0
+	.text
+	.func main, frame=48
+	.local parr:16:arr:4:ptr:int
+	.local s:32:struct:Node
+main:
+	lw $t0, 20($sp)       # 0: element of a local array of pointers -> SAP
+	lw $t1, 36($sp)       # 1: field of a local struct -> SFN
+	lw $t2, garr+8        # 2: constant element of a global array -> GAN
+	lw $t3, gnode+4       # 3: pointer field of a global struct -> GFP
+	lw $t4, far           # 4-5: lui, then an absolute global pointer -> GSP
+	jr $ra
+	.endfunc
+`
+
+func TestBDHSymbolTableClasses(t *testing.T) {
+	prog, loads := analyze(t, symtabSrc)
+	classes := ClassifyBDH(prog, loads)
+	for idx, w := range map[int]string{0: "SAP", 1: "SFN", 2: "GAN", 3: "GFP", 5: "GSP"} {
+		ld := loadAt(t, prog, loads, "main", idx)
+		if got := classes[ld.PC]; got.String() != w {
+			t.Errorf("load %d (%v): class %s, want %s (pattern %v)",
+				idx, ld.Inst, got, w, ld.Patterns[0])
+		}
+	}
+}
+
 func TestBDHDelinquentSet(t *testing.T) {
 	prog, loads := analyze(t, bdhSrc)
 	set := BDH(prog, loads)

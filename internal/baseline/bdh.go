@@ -1,10 +1,7 @@
 package baseline
 
 import (
-	"delinq/internal/cfg"
-	"delinq/internal/dataflow"
 	"delinq/internal/disasm"
-	"delinq/internal/isa"
 	"delinq/internal/obj"
 	"delinq/internal/pattern"
 )
@@ -12,31 +9,17 @@ import (
 // ClassifyBDH assigns every load a BDH class using the image's symbol
 // table (types of globals, stack-frame layouts, struct definitions) and
 // register value propagation to detect pointer loads, following the
-// static reconstruction described in Section 8.5.
+// static reconstruction described in Section 8.5. Value propagation is
+// pattern analysis's: a load it marks Pointer is a pointer load.
 func ClassifyBDH(prog *disasm.Program, loads []*pattern.Load) map[uint32]Class {
-	out := map[uint32]Class{}
-	// Pointer detection needs per-function dataflow; group loads by
-	// function.
-	byFn := map[*disasm.Func][]*pattern.Load{}
+	out := make(map[uint32]Class, len(loads))
 	for _, ld := range loads {
-		byFn[ld.Func] = append(byFn[ld.Func], ld)
-	}
-	m := prog.Machine
-	for fn, lds := range byFn {
-		c := &bdhClassifier{
-			prog: prog,
-			fn:   fn,
-			m:    m,
-			df:   dataflow.AnalyzeMachine(cfg.Build(fn), m),
+		c := bdhClassifier{prog: prog, fn: ld.Func}
+		cls := c.classify(ld)
+		if ld.Pointer {
+			cls.Type = TypePointer
 		}
-		ptrs := c.pointerLoads()
-		for _, ld := range lds {
-			cls := c.classify(ld)
-			if ptrs[ld.Index] {
-				cls.Type = TypePointer
-			}
-			out[ld.PC] = cls
-		}
+		out[ld.PC] = cls
 	}
 	return out
 }
@@ -57,8 +40,6 @@ func BDH(prog *disasm.Program, loads []*pattern.Load) map[uint32]bool {
 type bdhClassifier struct {
 	prog *disasm.Program
 	fn   *disasm.Func
-	m    isa.Machine
-	df   *dataflow.Result
 }
 
 // classify determines region, kind and the statically visible part of
@@ -303,56 +284,4 @@ func fieldTypeAt(st *obj.Type, off int) *obj.Type {
 		return f.Type
 	}
 	return nil
-}
-
-// pointerLoads finds loads whose value flows (through copies and
-// arithmetic) into the address of a later memory access — the paper's
-// "used as part of the address in a subsequent load" rule.
-func (c *bdhClassifier) pointerLoads() map[int]bool {
-	out := map[int]bool{}
-	const maxDepth = 6
-	gp, hasGP := c.m.GP()
-	var chase func(reg isa.Reg, at, depth int, visiting map[int]bool)
-	chase = func(reg isa.Reg, at, depth int, visiting map[int]bool) {
-		if depth > maxDepth || reg == c.m.Zero() || reg == c.m.SP() ||
-			(hasGP && reg == gp) || reg == c.m.FP() {
-			return
-		}
-		for _, d := range c.df.ReachingAt(at, reg) {
-			if d.Kind != dataflow.DefInst || visiting[d.ID] {
-				continue
-			}
-			visiting[d.ID] = true
-			in := c.fn.Insts[d.Inst]
-			switch {
-			case in.IsLoad():
-				out[d.Inst] = true
-			case in.Op == isa.ADDI || in.Op == isa.ADDIU || in.Op == isa.ORI:
-				chase(in.Rs, d.Inst, depth+1, visiting)
-			case in.Op == isa.ADD || in.Op == isa.ADDU || in.Op == isa.SUB ||
-				in.Op == isa.SUBU || in.Op == isa.MUL:
-				chase(in.Rs, d.Inst, depth+1, visiting)
-				chase(in.Rt, d.Inst, depth+1, visiting)
-			case in.Op == isa.SLL || in.Op == isa.SRL || in.Op == isa.SRA:
-				chase(in.Rt, d.Inst, depth+1, visiting)
-			case in.Op == isa.AMOV:
-				chase(in.Rs, d.Inst, depth+1, visiting)
-			case in.Op == isa.AADDI || in.Op == isa.AORRI ||
-				in.Op == isa.ALSLI || in.Op == isa.ALSRI || in.Op == isa.AASRI:
-				chase(in.Rd, d.Inst, depth+1, visiting)
-			case in.Op == isa.AADD || in.Op == isa.ASUB || in.Op == isa.ARSB ||
-				in.Op == isa.AMUL || in.Op == isa.ALSL || in.Op == isa.ALSR ||
-				in.Op == isa.AASR:
-				chase(in.Rd, d.Inst, depth+1, visiting)
-				chase(in.Rt, d.Inst, depth+1, visiting)
-			}
-			delete(visiting, d.ID)
-		}
-	}
-	for i, in := range c.fn.Insts {
-		if in.IsLoad() || in.IsStore() {
-			chase(in.Rs, i, 0, map[int]bool{})
-		}
-	}
-	return out
 }

@@ -42,6 +42,12 @@ type Load struct {
 	Inst      isa.Inst
 	Patterns  []*Expr
 	Truncated bool
+	// Pointer reports that the loaded value reaches the address of a
+	// later load or store in the same function through copies and
+	// arithmetic: the BDH baseline's pointer-load rule (Section 8.5).
+	// It reads only the function's own reaching definitions, so both
+	// Configs set it alike.
+	Pointer bool
 }
 
 // AnalyzeProgramCtx builds address patterns for every load in the
@@ -98,7 +104,7 @@ func newBuilder(fn *disasm.Func, m isa.Machine, df *dataflow.Result) *builder {
 }
 
 // analyzeLoads builds the address patterns of every load in the
-// builder's function.
+// builder's function and marks its pointer loads.
 func (b *builder) analyzeLoads() []*Load {
 	var out []*Load
 	for i, in := range b.fn.Insts {
@@ -113,7 +119,67 @@ func (b *builder) analyzeLoads() []*Load {
 		ld.Truncated = b.truncated
 		out = append(out, ld)
 	}
+	if len(out) > 0 {
+		ptr := b.pointerLoads()
+		for _, ld := range out {
+			ld.Pointer = ptr[ld.Index]
+		}
+	}
 	return out
+}
+
+// pointerDepth caps how many definitions chase follows back.
+const pointerDepth = 6
+
+// pointerLoads reports, per instruction, whether it is a load whose
+// value flows (through copies and arithmetic) into the address of a
+// later memory access: the paper's "used as part of the address in a
+// subsequent load" rule for BDH.
+func (b *builder) pointerLoads() []bool {
+	ptr := make([]bool, len(b.fn.Insts))
+	visiting := map[int]bool{}
+	for i, in := range b.fn.Insts {
+		if in.IsLoad() || in.IsStore() {
+			b.chase(ptr, in.Rs, i, 0, visiting)
+		}
+	}
+	return ptr
+}
+
+// chase marks in ptr every load that defines reg before instruction
+// at, directly or through the arithmetic that computes it. Any load
+// definition counts, a pre/post-indexed writeback included.
+func (b *builder) chase(ptr []bool, reg isa.Reg, at, depth int, visiting map[int]bool) {
+	if depth > pointerDepth || reg == b.zero || reg == b.sp ||
+		(b.hasGP && reg == b.gp) || reg == b.fp {
+		return
+	}
+	for _, d := range b.df.ReachingAt(at, reg) {
+		if d.Kind != dataflow.DefInst || visiting[d.ID] {
+			continue
+		}
+		visiting[d.ID] = true
+		in := b.fn.Insts[d.Inst]
+		if in.IsLoad() {
+			ptr[d.Inst] = true
+		} else {
+			switch in.Op {
+			case isa.ADDI, isa.ADDIU, isa.ORI, isa.AMOV:
+				b.chase(ptr, in.Rs, d.Inst, depth+1, visiting)
+			case isa.ADD, isa.ADDU, isa.SUB, isa.SUBU, isa.MUL:
+				b.chase(ptr, in.Rs, d.Inst, depth+1, visiting)
+				b.chase(ptr, in.Rt, d.Inst, depth+1, visiting)
+			case isa.SLL, isa.SRL, isa.SRA:
+				b.chase(ptr, in.Rt, d.Inst, depth+1, visiting)
+			case isa.AADDI, isa.AORRI, isa.ALSLI, isa.ALSRI, isa.AASRI:
+				b.chase(ptr, in.Rd, d.Inst, depth+1, visiting)
+			case isa.AADD, isa.ASUB, isa.ARSB, isa.AMUL, isa.ALSL, isa.ALSR, isa.AASR:
+				b.chase(ptr, in.Rd, d.Inst, depth+1, visiting)
+				b.chase(ptr, in.Rt, d.Inst, depth+1, visiting)
+			}
+		}
+		delete(visiting, d.ID)
+	}
 }
 
 type builder struct {

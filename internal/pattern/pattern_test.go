@@ -39,6 +39,24 @@ func oneLoad(t *testing.T, loads []*Load, op isa.Op, rt isa.Reg) *Load {
 	return nil
 }
 
+// A loaded value that reaches a later address through arithmetic
+// makes its load a pointer load; the last load's value goes nowhere.
+func TestPointerLoadPropagated(t *testing.T) {
+	loads := loadsOf(t, `
+main:
+	lw $t0, 4($sp)
+	addiu $t1, $t0, 8
+	lw $t2, 0($t1)
+	jr $ra
+`, "main")
+	if len(loads) != 2 || !loads[0].Pointer || loads[1].Pointer {
+		t.Errorf("Pointer flags of %d loads: want true then false", len(loads))
+		for _, l := range loads {
+			t.Logf("%v: Pointer %v", l.Inst, l.Pointer)
+		}
+	}
+}
+
 func TestScalarStackLoad(t *testing.T) {
 	loads := loadsOf(t, `
 main:

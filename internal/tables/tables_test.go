@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"delinq/internal/baseline"
 	"delinq/internal/bench"
 	"delinq/internal/classify"
+	"delinq/internal/metrics"
 )
 
 func TestStdGeomsValid(t *testing.T) {
@@ -146,7 +148,7 @@ func TestHeadlineShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pi, rho float64
+	var pi, rho, oknPi, oknRho, bdhPi, bdhRho float64
 	n := 0
 	for _, b := range bench.All() {
 		ctx, err := eng.Load(context.Background(), b, false, false)
@@ -156,15 +158,33 @@ func TestHeadlineShape(t *testing.T) {
 		ev := evaluateDelta(ctx, cfg)
 		pi += ev.Pi
 		rho += ev.Rho
+		stats := ctx.Stats(GeomBaseline)
+		okn := metrics.Evaluate(baseline.OKN(ctx.Build.Loads), stats)
+		bdh := metrics.Evaluate(baseline.BDH(ctx.Build.Prog, ctx.Build.Loads), stats)
+		oknPi += okn.Pi
+		oknRho += okn.Rho
+		bdhPi += bdh.Pi
+		bdhRho += bdh.Rho
 		n++
 	}
-	pi /= float64(n)
-	rho /= float64(n)
+	avg := func(x float64) float64 { return x / float64(n) }
+	pi, rho = avg(pi), avg(rho)
 	if pi < 0.03 || pi > 0.20 {
 		t.Errorf("average pi = %.1f%%, want roughly 10%%", 100*pi)
 	}
 	if rho < 0.85 {
 		t.Errorf("average rho = %.1f%%, want > 85%%", 100*rho)
+	}
+	for _, bl := range []struct {
+		name    string
+		pi, rho float64
+	}{{"OKN", avg(oknPi), avg(oknRho)}, {"BDH", avg(bdhPi), avg(bdhRho)}} {
+		if bl.pi < 2*pi {
+			t.Errorf("%s average pi = %.1f%%, want at least twice the heuristic's %.1f%%", bl.name, 100*bl.pi, 100*pi)
+		}
+		if bl.rho < 0.90 {
+			t.Errorf("%s average rho = %.1f%%, want >= 90%%", bl.name, 100*bl.rho)
+		}
 	}
 }
 

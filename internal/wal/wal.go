@@ -347,7 +347,8 @@ const RecordOverhead = recHeaderSize + 5
 
 // Append durably records key → val, replacing any earlier value. The
 // record is fully on disk and synced before Append returns; a crash
-// mid-append leaves a torn tail the next Open drops.
+// mid-append leaves a torn tail the next Open drops. An error means the
+// record is not persisted: a failed write or fsync is rolled back.
 func (s *Store) Append(key string, val []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -369,10 +370,14 @@ func (s *Store) Append(key string, val []byte) error {
 		return fmt.Errorf("wal %s: append: wrote %d of %d: %w", s.name, n, len(rec), err)
 	}
 
+	// An unsynced record is rolled back too, so Size() stays the
+	// file's length and the record never replays.
 	if err := fire(faultinject.WALFsync, s.name, nil, nil, 0); err != nil {
+		s.f.Truncate(s.size)
 		return err
 	}
 	if err := s.f.Sync(); err != nil {
+		s.f.Truncate(s.size)
 		return fmt.Errorf("wal %s: fsync: %w", s.name, err)
 	}
 	s.size += int64(len(rec))

@@ -297,12 +297,37 @@ func TestAppendWriteErrorRollsBack(t *testing.T) {
 }
 
 func TestAppendSyncError(t *testing.T) {
+	path := tempLog(t)
 	ffs := &faultFS{}
-	s, _, _ := mustOpen(t, tempLog(t), Options{FS: ffs})
-	defer s.Close()
+	s, _, _ := mustOpen(t, path, Options{FS: ffs})
+	s.Append("a", []byte("1"))
 	ffs.syncErr = errInjected
-	if err := s.Append("k", nil); !errors.Is(err, errInjected) {
+	if err := s.Append("b", []byte("2")); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected", err)
+	}
+	ffs.syncErr = nil
+	if err := s.Append("c", []byte("3")); err != nil {
+		t.Fatalf("append after failed fsync: %v", err)
+	}
+	checkUnsyncedRolledBack(t, s, path)
+}
+
+// checkUnsyncedRolledBack is the contract after Append(a), an Append(b)
+// whose fsync failed, and Append(c): the store's size is the file's,
+// and a reopen replays a and c but not b.
+func checkUnsyncedRolledBack(t *testing.T, s *Store, path string) {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Size() != fi.Size() {
+		t.Errorf("Size() = %d, file holds %d bytes", s.Size(), fi.Size())
+	}
+	s.Close()
+	_, entries, st := mustOpen(t, path, Options{})
+	if st.Dirty() || len(entries) != 2 || entries[0].Key != "a" || entries[1].Key != "c" {
+		t.Fatalf("replayed %+v (stats %+v), want a then c", entries, st)
 	}
 }
 
@@ -388,12 +413,17 @@ func TestSeamWriteError(t *testing.T) {
 }
 
 func TestSeamFsyncError(t *testing.T) {
-	s, _, _ := mustOpen(t, tempLog(t), Options{Name: "seamtest"})
-	defer s.Close()
-	installPlan(t, "wal:fsync=*", false)
-	if err := s.Append("k", nil); !faultinject.Injected(err) {
+	path := tempLog(t)
+	s, _, _ := mustOpen(t, path, Options{Name: "seamtest"})
+	s.Append("a", []byte("1"))
+	installPlan(t, "wal:fsync=seamtest#1", false)
+	if err := s.Append("b", []byte("2")); !faultinject.Injected(err) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
+	if err := s.Append("c", []byte("3")); err != nil {
+		t.Fatalf("append after seam: %v", err)
+	}
+	checkUnsyncedRolledBack(t, s, path)
 }
 
 func TestSeamRenameError(t *testing.T) {

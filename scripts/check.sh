@@ -72,8 +72,10 @@ echo "== crash recovery matrix (race)"
 # and a real SIGKILL at every disk-I/O fault seam — reopening cleanly
 # every time, never serving a corrupt byte. The daemon proves the same
 # guarantees end to end: warm restarts are byte-identical and poisoned
-# fills never persist.
-go test -race -run 'TestTruncationSweep|TestBitFlipSweep|TestMultiByteCorruption|TestKillMatrix|TestSeam' ./internal/wal
+# fills never persist. An append whose write or fsync fails is rolled
+# back, so the store's size stays the file's and the record never
+# replays.
+go test -race -run 'TestTruncationSweep|TestBitFlipSweep|TestMultiByteCorruption|TestKillMatrix|TestSeam|TestAppendSyncError' ./internal/wal
 go test -race -run 'TestWarmRestart|TestPoisonedFillNotPersisted|TestCorruptStateRecovers|TestEvictionDuringReplayCompacts' ./internal/server
 go test -run 'TestCLIServeWarmRestart' ./cmd/delinq
 
@@ -101,7 +103,8 @@ go test -cover \
     ./internal/rescache ./internal/isa/mips ./internal/isa/arm \
     ./internal/wal ./internal/workerpool \
     ./internal/bench ./internal/tables ./internal/pattern \
-    ./internal/core ./internal/classify ./internal/freq |
+    ./internal/core ./internal/classify ./internal/freq \
+    ./internal/baseline |
 awk '
 /coverage:/ {
     pct = $5; sub(/%.*/, "", pct)
