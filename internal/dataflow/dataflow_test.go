@@ -48,7 +48,7 @@ main:
 	addiu $t1, $t0, 1
 	jr $ra
 `, "main")
-	defs := r.ReachingAt(1, isa.T0)
+	defs := r.ReachingAt(1, isa.T0, nil)
 	if len(defs) != 1 || defs[0].Kind != DefInst || defs[0].Inst != 0 {
 		t.Errorf("defs = %+v", defs)
 	}
@@ -60,12 +60,12 @@ main:
 	addiu $t0, $a0, 4
 	jr $ra
 `, "main")
-	defs := r.ReachingAt(0, isa.A0)
+	defs := r.ReachingAt(0, isa.A0, nil)
 	if len(defs) != 1 || defs[0].Kind != DefEntry {
 		t.Errorf("a0 defs = %+v", defs)
 	}
 	// $zero has no definitions.
-	if got := r.ReachingAt(0, isa.Zero); got != nil {
+	if got := r.ReachingAt(0, isa.Zero, nil); got != nil {
 		t.Errorf("zero defs = %+v", got)
 	}
 }
@@ -78,7 +78,7 @@ main:
 	addiu $t1, $t0, 0
 	jr $ra
 `, "main")
-	defs := r.ReachingAt(2, isa.T0)
+	defs := r.ReachingAt(2, isa.T0, nil)
 	if len(defs) != 1 || defs[0].Inst != 1 {
 		t.Errorf("defs = %+v; first li should be killed", defs)
 	}
@@ -103,7 +103,7 @@ join:
 			joinIdx = i
 		}
 	}
-	defs := r.ReachingAt(joinIdx, isa.T0)
+	defs := r.ReachingAt(joinIdx, isa.T0, nil)
 	ni, ne, _ := kinds(defs)
 	if ni != 2 {
 		t.Errorf("want 2 instruction defs at join, got %+v", defs)
@@ -130,7 +130,7 @@ join:
 			joinIdx = i
 		}
 	}
-	defs := r.ReachingAt(joinIdx, isa.T0)
+	defs := r.ReachingAt(joinIdx, isa.T0, nil)
 	ni, ne, _ := kinds(defs)
 	if ni != 1 || ne != 1 {
 		t.Errorf("want inst+entry defs, got %+v", defs)
@@ -164,14 +164,14 @@ helper:
 		at  int
 		reg isa.Reg
 	}{{useT0, isa.T0}, {useV0, isa.V0}} {
-		defs := r.ReachingAt(c.at, c.reg)
+		defs := r.ReachingAt(c.at, c.reg, nil)
 		ni, _, nc := kinds(defs)
 		if nc != 1 || ni != 0 {
 			t.Errorf("%v after call: %+v", c.reg, defs)
 		}
 	}
 	// Callee-saved $s0 is not clobbered.
-	defs := r.ReachingAt(useT0, isa.S0)
+	defs := r.ReachingAt(useT0, isa.S0, nil)
 	if _, ne, nc := kinds(defs); ne != 1 || nc != 0 {
 		t.Errorf("s0 after call: %+v", defs)
 	}
@@ -188,11 +188,11 @@ loop:
 `, "main")
 	// At the addiu (index 1), both the initial li and the addiu itself
 	// reach around the back edge.
-	defs := r.ReachingAt(1, isa.T0)
+	defs := r.ReachingAt(1, isa.T0, nil)
 	if len(defs) != 2 {
 		t.Fatalf("loop defs = %+v", defs)
 	}
-	insts := map[int]bool{}
+	insts := map[int32]bool{}
 	for _, d := range defs {
 		insts[d.Inst] = true
 	}
@@ -209,7 +209,7 @@ main:
 	addiu $t0, $v0, 0
 	jr $ra
 `, "main")
-	defs := r.ReachingAt(2, isa.V0)
+	defs := r.ReachingAt(2, isa.V0, nil)
 	if _, _, nc := kinds(defs); nc != 1 || len(defs) != 1 {
 		t.Errorf("v0 after syscall: %+v", defs)
 	}

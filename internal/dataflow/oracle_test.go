@@ -116,9 +116,20 @@ func referenceIn(g *cfg.Graph, defs []refDef, ofInst [][]int) []refSet {
 	return in
 }
 
+// ids lists the IDs of defs.
+func ids(defs []dataflow.Def) []int {
+	var out []int
+	for _, d := range defs {
+		out = append(out, int(d.ID))
+	}
+	return out
+}
+
 // checkAgainstReference compares ReachingAt at every instruction and
 // every register 1–31 with the reference, returning the first few
-// disagreements.
+// disagreements. A second, fresh Result is first queried at the last
+// instruction for registers 31 down to 1, so its registers are solved
+// in another order; its answers must be the first one's.
 func checkAgainstReference(fn *disasm.Func, m isa.Machine) []string {
 	g := cfg.Build(fn)
 	r := dataflow.AnalyzeMachine(g, m)
@@ -128,14 +139,20 @@ func checkAgainstReference(fn *disasm.Func, m isa.Machine) []string {
 		return []string{fmt.Sprintf("%s: %d defs, reference %d", fn.Name, len(r.Defs), len(defs))}
 	}
 	for id, d := range r.Defs {
-		if want := defs[id]; d.ID != id || d.Kind != want.kind || d.Inst != want.inst || d.Reg != want.reg {
+		if want := defs[id]; int(d.ID) != id || d.Kind != want.kind || int(d.Inst) != want.inst || d.Reg != want.reg {
 			return []string{fmt.Sprintf("%s: def %d = %+v, reference %+v", fn.Name, id, d, want)}
 		}
 	}
 	in := referenceIn(g, defs, ofInst)
+	fresh := dataflow.AnalyzeMachine(g, m)
+	for reg := isa.Reg(31); reg >= 1; reg-- {
+		fresh.ReachingAt(len(fn.Insts)-1, reg, nil)
+	}
+	var want []int
+	var got, again []dataflow.Def
 	for i := range fn.Insts {
 		for reg := isa.Reg(1); reg < 32; reg++ {
-			var want []int
+			want = want[:0]
 			for w, word := range in[i] {
 				for rest := word; rest != 0; rest &= rest - 1 {
 					if id := w*64 + bits.TrailingZeros64(rest); defs[id].reg == reg {
@@ -143,12 +160,13 @@ func checkAgainstReference(fn *disasm.Func, m isa.Machine) []string {
 					}
 				}
 			}
-			var got []int
-			for _, d := range r.ReachingAt(i, reg) {
-				got = append(got, d.ID)
+			got = r.ReachingAt(i, reg, got[:0])
+			again = fresh.ReachingAt(i, reg, again[:0])
+			if !slices.Equal(ids(got), want) && len(bad) < 5 {
+				bad = append(bad, fmt.Sprintf("%s inst %d reg %d: ReachingAt %v, reference %v", fn.Name, i, reg, ids(got), want))
 			}
-			if !slices.Equal(got, want) && len(bad) < 5 {
-				bad = append(bad, fmt.Sprintf("%s inst %d reg %d: ReachingAt %v, reference %v", fn.Name, i, reg, got, want))
+			if !slices.Equal(again, got) && len(bad) < 5 {
+				bad = append(bad, fmt.Sprintf("%s inst %d reg %d: ReachingAt %v after solving 31 down to 1, %v otherwise", fn.Name, i, reg, ids(again), ids(got)))
 			}
 		}
 	}

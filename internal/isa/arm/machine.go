@@ -37,8 +37,22 @@ func (machine) FP() isa.Reg         { return 30 }
 func (machine) RA() isa.Reg         { return 31 }
 func (machine) GP() (isa.Reg, bool) { return 0, false }
 
-func (machine) ArgRegs() []isa.Reg { return []isa.Reg{4, 5, 6, 7} }
-func (machine) RetRegs() []isa.Reg { return []isa.Reg{2, 3} }
+// The lists the analyses read per function are built once.
+var (
+	argRegs = []isa.Reg{4, 5, 6, 7}
+	retRegs = []isa.Reg{2, 3}
+	// The MIPS caller-saved set at the same indices, plus ip: callees
+	// rematerialise through it freely.
+	callClobbered = []isa.Reg{
+		2, 3, 4, 5, 6, 7,
+		8, 9, 10, 11, 12, 13, 14, 15,
+		24, 25, 1, ip, 31,
+	}
+)
+
+func (machine) ArgRegs() []isa.Reg       { return argRegs }
+func (machine) RetRegs() []isa.Reg       { return retRegs }
+func (machine) CallClobbered() []isa.Reg { return callClobbered }
 
 func (machine) TempRegs() []isa.Reg {
 	return []isa.Reg{8, 9, 10, 11, 12, 13, 14, 15, 24, 25}
@@ -46,16 +60,6 @@ func (machine) TempRegs() []isa.Reg {
 
 func (machine) SavedRegs() []isa.Reg {
 	return []isa.Reg{16, 17, 18, 19, 20, 21, 22, 23}
-}
-
-func (machine) CallClobbered() []isa.Reg {
-	// The MIPS caller-saved set at the same indices, plus ip: callees
-	// rematerialise through it freely.
-	return []isa.Reg{
-		2, 3, 4, 5, 6, 7,
-		8, 9, 10, 11, 12, 13, 14, 15,
-		24, 25, 1, ip, 31,
-	}
 }
 
 func (machine) RegName(r isa.Reg) string { return isa.ARMRegName(r) }

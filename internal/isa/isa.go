@@ -453,39 +453,37 @@ func (i Inst) DirectJumpTarget(pc uint32) (uint32, bool) {
 	return 0, false
 }
 
-// Defs returns the integer registers written by the instruction.
-// FP register definitions are not tracked: address computation, the only
-// consumer of def-use information, is integer-only.
+// regs backs Defs' one-register answers, so they allocate nothing.
+var regs = [32]Reg{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+	16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31}
+
+// Defs returns the integer registers written by the instruction; the
+// caller must not modify the slice. FP register definitions are not
+// tracked: address computation, the only consumer of def-use
+// information, is integer-only.
 func (i Inst) Defs() []Reg {
+	var r Reg
 	switch i.Op {
 	case SLL, SRL, SRA, SLLV, SRLV, SRAV, ADD, ADDU, SUB, SUBU,
-		AND, OR, XOR, NOR, SLT, SLTU, MUL, MFHI, MFLO:
-		return []Reg{i.Rd}
-	case ADDI, ADDIU, SLTI, SLTIU, ANDI, ORI, XORI, LUI,
-		LB, LH, LW, LBU, LHU:
-		return []Reg{i.Rt}
-	case MFC1:
-		return []Reg{i.Rt}
-	case JAL:
-		return []Reg{RA}
-	case JALR:
-		return []Reg{i.Rd}
-	case AMOV, AMVN, AADD, ASUB, ARSB, AMUL, AAND, AORR, AEOR,
+		AND, OR, XOR, NOR, SLT, SLTU, MUL, MFHI, MFLO, JALR,
+		AMOV, AMVN, AADD, ASUB, ARSB, AMUL, AAND, AORR, AEOR,
 		ALSL, ALSR, AASR, AADDI, AANDI, AORRI, AEORI, ALSLI, ALSRI, AASRI,
-		AMOVI, AMOVW, AMOVT, ASETLT, ASETLO:
-		return []Reg{i.Rd}
-	case ALDR, ALDRH, ALDRSH, ALDRB, ALDRSB:
-		return []Reg{i.Rt}
+		AMOVI, AMOVW, AMOVT, ASETLT, ASETLO, ABLX:
+		r = i.Rd
+	case ADDI, ADDIU, SLTI, SLTIU, ANDI, ORI, XORI, LUI,
+		LB, LH, LW, LBU, LHU, MFC1,
+		ALDR, ALDRH, ALDRSH, ALDRB, ALDRSB:
+		r = i.Rt
+	case JAL, ABL:
+		r = RA
+	case ASTRPRE, ASTRPOST:
+		r = i.Rs
 	case ALDRPRE, ALDRPOST:
 		return []Reg{i.Rt, i.Rs}
-	case ASTRPRE, ASTRPOST:
-		return []Reg{i.Rs}
-	case ABL:
-		return []Reg{RA}
-	case ABLX:
-		return []Reg{i.Rd}
+	default:
+		return nil
 	}
-	return nil
+	return regs[r : r+1 : r+1]
 }
 
 // Uses returns the integer registers read by the instruction.

@@ -16,6 +16,8 @@ import (
 // which index plays which role and how it is spelled. A backend with no
 // small-data globals register reports that through GP's second result,
 // and the pattern lattice then simply never produces GP leaves for it.
+// The register lists a Machine returns may be shared: callers must not
+// modify them.
 type Machine interface {
 	// Name is the backend's canonical lowercase name ("mips", "arm").
 	Name() string

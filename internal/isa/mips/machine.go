@@ -23,8 +23,20 @@ func (machine) FP() isa.Reg         { return isa.FP }
 func (machine) RA() isa.Reg         { return isa.RA }
 func (machine) GP() (isa.Reg, bool) { return isa.GP, true }
 
-func (machine) ArgRegs() []isa.Reg { return []isa.Reg{isa.A0, isa.A1, isa.A2, isa.A3} }
-func (machine) RetRegs() []isa.Reg { return []isa.Reg{isa.V0, isa.V1} }
+// The lists the analyses read per function are built once.
+var (
+	argRegs       = []isa.Reg{isa.A0, isa.A1, isa.A2, isa.A3}
+	retRegs       = []isa.Reg{isa.V0, isa.V1}
+	callClobbered = []isa.Reg{
+		isa.V0, isa.V1, isa.A0, isa.A1, isa.A2, isa.A3,
+		isa.T0, isa.T1, isa.T2, isa.T3, isa.T4, isa.T5, isa.T6, isa.T7,
+		isa.T8, isa.T9, isa.AT, isa.RA,
+	}
+)
+
+func (machine) ArgRegs() []isa.Reg       { return argRegs }
+func (machine) RetRegs() []isa.Reg       { return retRegs }
+func (machine) CallClobbered() []isa.Reg { return callClobbered }
 
 func (machine) TempRegs() []isa.Reg {
 	return []isa.Reg{isa.T0, isa.T1, isa.T2, isa.T3, isa.T4, isa.T5, isa.T6, isa.T7, isa.T8, isa.T9}
@@ -32,14 +44,6 @@ func (machine) TempRegs() []isa.Reg {
 
 func (machine) SavedRegs() []isa.Reg {
 	return []isa.Reg{isa.S0, isa.S1, isa.S2, isa.S3, isa.S4, isa.S5, isa.S6, isa.S7}
-}
-
-func (machine) CallClobbered() []isa.Reg {
-	return []isa.Reg{
-		isa.V0, isa.V1, isa.A0, isa.A1, isa.A2, isa.A3,
-		isa.T0, isa.T1, isa.T2, isa.T3, isa.T4, isa.T5, isa.T6, isa.T7,
-		isa.T8, isa.T9, isa.AT, isa.RA,
-	}
 }
 
 func (machine) RegName(r isa.Reg) string { return isa.RegName(r) }

@@ -34,14 +34,17 @@ func Compile(src string, opts Options) (string, error) {
 // typed statements, including the program entry stub and the runtime.
 // asm.AssembleProgram links it without any assembly text.
 func CompileProgram(src string, opts Options) (*asm.Program, error) {
-	prog, err := Parse(src)
+	prog, tokens, err := parse(src)
 	if err != nil {
 		return nil, err
 	}
 	if err := Check(prog); err != nil {
 		return nil, err
 	}
-	g := &gen{prog: prog, opts: opts, p: &asm.Program{}}
+	// Generated code takes under one statement per source token, so
+	// the statement list is sized once from the token count.
+	stmts := make([]asm.Stmt, 0, tokens+runtimeStmts)
+	g := &gen{prog: prog, opts: opts, p: &asm.Program{Stmts: stmts}}
 	if err := g.run(); err != nil {
 		return nil, err
 	}
@@ -259,6 +262,10 @@ func (g *gen) run() error {
 	}
 	return nil
 }
+
+// runtimeStmts is how many statements the section directives, the entry
+// stub and the runtime take; it only sizes the statement list.
+const runtimeStmts = 61
 
 // runtime emits the builtin library functions: each is one VM service
 // call (free is a no-op).

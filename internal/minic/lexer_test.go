@@ -1,6 +1,26 @@
 package minic
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
+
+// lexAll scans the entire source into tokens ending in EOF, or returns
+// the first lexical error.
+func lexAll(src string) ([]Token, error) {
+	l := newLexer(src)
+	var out []Token
+	for {
+		t, err := l.next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+		if t.Kind == EOF {
+			return out, nil
+		}
+	}
+}
 
 func lex(t *testing.T, src string) []Token {
 	t.Helper()
@@ -111,6 +131,34 @@ func TestLexErrors(t *testing.T) {
 	for _, src := range []string{"`", "\"unterminated", "'a", "/* unterminated", `"bad \q escape"`} {
 		if _, err := lexAll(src); err == nil {
 			t.Errorf("lexAll(%q) succeeded", src)
+		}
+	}
+}
+
+// TestParseLexErrorWins pins the error contract of the streaming
+// parser: a lexical error anywhere in the source is reported over a
+// parse error that comes before it, as when the whole source was lexed
+// before parsing.
+func TestParseLexErrorWins(t *testing.T) {
+	const parseErr = "int x = ;\n" // line 1: not a constant initialiser
+	for _, c := range []struct {
+		name, src string
+		line      int
+		msg       string
+	}{
+		{"block comment", parseErr + "int y;\n/* never closed\nint z;\n", 5, "unterminated block comment"},
+		{"stray char", parseErr + "int main() { return 1 @ 2; }\n", 2, "unexpected character '@'"},
+		{"integer", parseErr + "int main() { return 99999999999999999999; }\n", 2, `bad integer literal "99999999999999999999"`},
+		{"escape", parseErr + "int main() { return '\\q'; }\n", 2, `unknown escape \q`},
+		{"char literal", parseErr + "int main() { return 'ab'; }\n", 2, "unterminated char literal"},
+		{"string literal", parseErr + "int main() { print_str(\"abc);\n}\n", 2, "unterminated string literal"},
+		{"after a clean parse", "int main() { return 0; }\n@\n", 2, "unexpected character '@'"},
+		{"parse error only", parseErr + "int main() { return 0; }\n", 1, "global initialiser must be a constant"},
+	} {
+		_, err := Parse(c.src)
+		var e *Error
+		if !errors.As(err, &e) || e.Line != c.line || e.Msg != c.msg {
+			t.Errorf("%s: Parse error %v, want line %d: %s", c.name, err, c.line, c.msg)
 		}
 	}
 }

@@ -6,11 +6,20 @@ import (
 	"delinq/internal/obj"
 )
 
+// parser reads tokens from the lexer through a three-token window,
+// enough for the grammar's two-token lookahead.
 type parser struct {
-	toks    []Token
-	pos     int
-	depth   int
-	structs map[string]*obj.Type
+	lex *lexer
+	// win is a ring: win[head] is the current token, then the next two.
+	win  [3]Token
+	head int
+	// lexErr is the first lexical error met; from it on the window
+	// fills with EOF.
+	lexErr error
+	// consumed counts the tokens next has returned.
+	consumed int
+	depth    int
+	structs  map[string]*obj.Type
 }
 
 // maxParseDepth bounds recursion in the recursive-descent parser so
@@ -20,31 +29,56 @@ const maxParseDepth = 256
 
 // Parse builds the AST of one translation unit.
 func Parse(src string) (*Program, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
+	prog, _, err := parse(src)
+	return prog, err
+}
+
+// parse is Parse that also returns how many tokens the program has. A
+// lexical error anywhere in the source wins over a parse error, as if
+// the whole source were lexed first.
+func parse(src string) (*Program, int, error) {
+	p := &parser{lex: newLexer(src), structs: map[string]*obj.Type{}}
+	for i := range p.win {
+		p.win[i] = p.scan()
 	}
-	p := &parser{toks: toks, structs: map[string]*obj.Type{}}
 	prog := &Program{Structs: p.structs}
 	for p.peek().Kind != EOF {
 		if err := p.topLevel(prog); err != nil {
-			return nil, err
+			// Lex the rest of the source for an error that outranks
+			// this one.
+			for p.lexErr == nil && p.scan().Kind != EOF {
+			}
+			if p.lexErr != nil {
+				return nil, 0, p.lexErr
+			}
+			return nil, 0, err
 		}
 	}
-	return prog, nil
-}
-
-func (p *parser) peek() Token       { return p.toks[p.pos] }
-func (p *parser) at(k TokKind) bool { return p.toks[p.pos].Kind == k }
-
-// peekN looks ahead n tokens, saturating at the trailing EOF token so
-// multi-token lookahead never indexes past the slice.
-func (p *parser) peekN(n int) Token {
-	if p.pos+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
+	if p.lexErr != nil {
+		return nil, 0, p.lexErr
 	}
-	return p.toks[p.pos+n]
+	return prog, p.consumed, nil
 }
+
+// scan lexes one token, recording the first lexical error and
+// answering EOF from then on.
+func (p *parser) scan() Token {
+	if p.lexErr == nil {
+		t, err := p.lex.next()
+		if err == nil {
+			return t
+		}
+		p.lexErr = err
+	}
+	return Token{Kind: EOF, Line: p.lex.line}
+}
+
+func (p *parser) peek() Token       { return p.win[p.head] }
+func (p *parser) at(k TokKind) bool { return p.win[p.head].Kind == k }
+
+// peekN looks ahead n ≤ 2 tokens; past the end of the source every
+// token is EOF.
+func (p *parser) peekN(n int) Token { return p.win[(p.head+n)%3] }
 
 func (p *parser) enter() error {
 	p.depth++
@@ -56,9 +90,11 @@ func (p *parser) enter() error {
 
 func (p *parser) leave() { p.depth-- }
 func (p *parser) next() Token {
-	t := p.toks[p.pos]
+	t := p.win[p.head]
 	if t.Kind != EOF {
-		p.pos++
+		p.win[p.head] = p.scan()
+		p.head = (p.head + 1) % 3
+		p.consumed++
 	}
 	return t
 }

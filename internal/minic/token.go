@@ -384,22 +384,3 @@ func unescape(c byte) (byte, error) {
 	}
 	return 0, fmt.Errorf("unknown escape \\%c", c)
 }
-
-// lexAll scans the entire source. The token slice is sized once from
-// the source length: mini-C averages about 2.3 to 3 source bytes per
-// token (comments and indentation included), so denser sources are the
-// only ones that grow it.
-func lexAll(src string) ([]Token, error) {
-	l := newLexer(src)
-	out := make([]Token, 0, len(src)/2+1)
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.Kind == EOF {
-			return out, nil
-		}
-	}
-}

@@ -154,31 +154,33 @@ func (b *builder) chase(ptr []bool, reg isa.Reg, at, depth int, visiting map[int
 		(b.hasGP && reg == b.gp) || reg == b.fp {
 		return
 	}
-	for _, d := range b.df.ReachingAt(at, reg) {
-		if d.Kind != dataflow.DefInst || visiting[d.ID] {
+	var buf [4]dataflow.Def
+	for _, d := range b.df.ReachingAt(at, reg, buf[:0]) {
+		if d.Kind != dataflow.DefInst || visiting[int(d.ID)] {
 			continue
 		}
-		visiting[d.ID] = true
-		in := b.fn.Insts[d.Inst]
+		visiting[int(d.ID)] = true
+		i := int(d.Inst)
+		in := b.fn.Insts[i]
 		if in.IsLoad() {
-			ptr[d.Inst] = true
+			ptr[i] = true
 		} else {
 			switch in.Op {
 			case isa.ADDI, isa.ADDIU, isa.ORI, isa.AMOV:
-				b.chase(ptr, in.Rs, d.Inst, depth+1, visiting)
+				b.chase(ptr, in.Rs, i, depth+1, visiting)
 			case isa.ADD, isa.ADDU, isa.SUB, isa.SUBU, isa.MUL:
-				b.chase(ptr, in.Rs, d.Inst, depth+1, visiting)
-				b.chase(ptr, in.Rt, d.Inst, depth+1, visiting)
+				b.chase(ptr, in.Rs, i, depth+1, visiting)
+				b.chase(ptr, in.Rt, i, depth+1, visiting)
 			case isa.SLL, isa.SRL, isa.SRA:
-				b.chase(ptr, in.Rt, d.Inst, depth+1, visiting)
+				b.chase(ptr, in.Rt, i, depth+1, visiting)
 			case isa.AADDI, isa.AORRI, isa.ALSLI, isa.ALSRI, isa.AASRI:
-				b.chase(ptr, in.Rd, d.Inst, depth+1, visiting)
+				b.chase(ptr, in.Rd, i, depth+1, visiting)
 			case isa.AADD, isa.ASUB, isa.ARSB, isa.AMUL, isa.ALSL, isa.ALSR, isa.AASR:
-				b.chase(ptr, in.Rd, d.Inst, depth+1, visiting)
-				b.chase(ptr, in.Rt, d.Inst, depth+1, visiting)
+				b.chase(ptr, in.Rd, i, depth+1, visiting)
+				b.chase(ptr, in.Rt, i, depth+1, visiting)
 			}
 		}
-		delete(visiting, d.ID)
+		delete(visiting, int(d.ID))
 	}
 }
 
@@ -264,7 +266,8 @@ func (b *builder) expandReg(reg isa.Reg, at, depth int, visiting map[int]bool) [
 		b.truncated = true
 		return []*Expr{unknownLeaf}
 	}
-	defs := b.df.ReachingAt(at, reg)
+	var buf [4]dataflow.Def
+	defs := b.df.ReachingAt(at, reg, buf[:0])
 	if len(defs) == 0 {
 		return []*Expr{unknownLeaf}
 	}
@@ -307,15 +310,15 @@ func (b *builder) expandReg(reg isa.Reg, at, depth int, visiting map[int]bool) [
 				add(unknownLeaf)
 			}
 		case dataflow.DefInst:
-			if visiting[d.ID] {
+			if visiting[int(d.ID)] {
 				add(recLeaf)
 				continue
 			}
-			visiting[d.ID] = true
-			for _, e := range b.expandInst(d.Inst, reg, depth+1, visiting) {
+			visiting[int(d.ID)] = true
+			for _, e := range b.expandInst(int(d.Inst), reg, depth+1, visiting) {
 				add(e)
 			}
-			delete(visiting, d.ID)
+			delete(visiting, int(d.ID))
 		}
 	}
 	if len(out) == 0 {

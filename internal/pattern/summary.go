@@ -208,17 +208,18 @@ func (b *builder) resolveParam(reg isa.Reg) []*Expr {
 // callee). In phase 1, calls inside the function's own component yield
 // the Rec marker so the fixpoint terminates.
 func (b *builder) resolveRet(d dataflow.Def, reg isa.Reg, depth int, visiting map[int]bool) []*Expr {
-	if b.ipc == nil || reg != isa.V0 || visiting[d.ID] {
+	if b.ipc == nil || reg != isa.V0 || visiting[int(d.ID)] {
 		return nil
 	}
-	in := b.fn.Insts[d.Inst]
+	site := int(d.Inst)
+	in := b.fn.Insts[site]
 	if !in.IsCall() {
 		return nil // syscall clobber: no callee at all
 	}
-	if _, ok := in.DirectJumpTarget(b.fn.PC(d.Inst)); !ok {
+	if _, ok := in.DirectJumpTarget(b.fn.PC(site)); !ok {
 		return nil // indirect call (jalr/blx): no static callee
 	}
-	callee := b.ipc.cg.CalleeAt(b.fn, d.Inst)
+	callee := b.ipc.cg.CalleeAt(b.fn, site)
 	if callee == nil {
 		return nil
 	}
@@ -236,14 +237,14 @@ func (b *builder) resolveRet(d dataflow.Def, reg isa.Reg, depth int, visiting ma
 	// The callee's patterns speak of its own parameters; instantiate them
 	// with the argument patterns live at this call site, lazily per
 	// register.
-	visiting[d.ID] = true
-	defer delete(visiting, d.ID)
+	visiting[int(d.ID)] = true
+	defer delete(visiting, int(d.ID))
 	var args [4][]*Expr
 	var done [4]bool
 	getArg := func(k int) []*Expr {
 		if !done[k] {
 			done[k] = true
-			args[k] = b.expandReg(isa.A0+isa.Reg(k), d.Inst, depth+1, visiting)
+			args[k] = b.expandReg(isa.A0+isa.Reg(k), site, depth+1, visiting)
 		}
 		return args[k]
 	}

@@ -10,13 +10,13 @@ import (
 	"delinq/internal/progen"
 )
 
-// BenchmarkExecuteProgen measures the static path of a cold analyze
-// job: Execute over generated programs in the 24 combinations of
-// statement budget {12, 40, 120}, ISA, -O and -inter, the mix a stream
-// of distinct ad-hoc sources exercises. The VM does little on these
-// programs; compile, pattern analysis and classification dominate. One
-// op is all 24 jobs, with sources drawn from a fixed seed.
-func BenchmarkExecuteProgen(b *testing.B) {
+// progenJobs is the static path of a cold analyze as a stream of
+// distinct ad-hoc sources exercises it: analyze jobs over generated
+// programs in the 24 combinations of statement budget {12, 40, 120},
+// ISA, -O and -inter, with sources drawn from a fixed seed. The VM does
+// little on these programs; compile, pattern analysis and
+// classification dominate.
+func progenJobs() []Job {
 	rng := rand.New(rand.NewSource(1))
 	var jobs []Job
 	for k := 0; k < 24; k++ {
@@ -31,6 +31,13 @@ func BenchmarkExecuteProgen(b *testing.B) {
 			Args:     []int32{int32(k)},
 		})
 	}
+	return jobs
+}
+
+// BenchmarkExecuteProgen runs Execute over progenJobs. One op is all 24
+// jobs.
+func BenchmarkExecuteProgen(b *testing.B) {
+	jobs := progenJobs()
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
