@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race check bench tables fmt difftest fuzz-smoke loadtest
+.PHONY: build test race check bench tables fmt difftest fuzz-smoke loadtest loc
 
 build:
 	$(GO) build ./...
@@ -43,3 +43,8 @@ loadtest:
 
 fmt:
 	gofmt -w .
+
+# loc prints the non-test Go line count that ROADMAP's code budget
+# tracks; the separate delinqbench module is not counted.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^delinqbench/' | xargs cat | wc -l

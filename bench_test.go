@@ -108,7 +108,7 @@ func BenchmarkAblationPhiMax(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			scored := ctx.Heuristic(cfg)
+			scored := classify.Score(ctx.Build.Loads, ctx, cfg)
 			nMax, nSum := 0, 0
 			for _, s := range scored {
 				if s.Delinquent {

@@ -10,8 +10,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -147,6 +149,103 @@ func TestChaos(t *testing.T) {
 		}
 		t.Fatal("chaos output not deterministic (length differs)")
 	}
+}
+
+// TestChaosExtensions renders the on-demand Tables S4 and S5, which the
+// sweep of TestChaos leaves out, under the same plan. Their rows ask for
+// further runs (S4 the -O build and both builds' interprocedural loads,
+// S5 the arm build). Every victim must render as one DEGRADED row at
+// the expected stage, every untouched row must equal its golden row,
+// and every AVERAGE cell must be the mean of the untouched rows alone.
+func TestChaosExtensions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full table renders in short mode")
+	}
+	t.Cleanup(func() {
+		faultinject.Clear()
+		bench.ResetCache()
+		tables.ResetTraining()
+	})
+	untouched := map[string]bool{}
+	for _, b := range bench.All() {
+		if _, hit := chaosVictims[b.Name]; !hit {
+			untouched[b.Name] = true
+		}
+	}
+	for _, tc := range []struct{ id, golden string }{{"S4", "tables_inter.txt"}, {"S5", "tables_isa.txt"}} {
+		bench.ResetCache()
+		tables.ResetTraining()
+		faultinject.Install(chaosPlan())
+		var buf bytes.Buffer
+		degs, err := tables.Engine{}.Render(context.Background(), &buf, 0, tc.id)
+		faultinject.Clear()
+		if err != nil {
+			t.Fatalf("table %s under chaos: %v", tc.id, err)
+		}
+		if len(degs) != len(chaosVictims) {
+			t.Errorf("table %s degraded %d benchmarks, want %d: %v", tc.id, len(degs), len(chaosVictims), degs)
+		}
+		out := buf.String()
+
+		for name, marker := range chaosVictims {
+			rows := benchRows(out, map[string]bool{name: true})
+			if want := name + " " + marker + " - - -"; len(rows) != 1 || rows[0] != want {
+				t.Errorf("table %s rows for %s = %q, want [%q]", tc.id, name, rows, want)
+			}
+		}
+
+		golden, err := os.ReadFile(tc.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotRows, wantRows := benchRows(out, untouched), benchRows(string(golden), untouched)
+		if strings.Join(gotRows, "\n") != strings.Join(wantRows, "\n") {
+			t.Errorf("table %s untouched rows diverged:\ngot:\n%s\nwant:\n%s", tc.id,
+				strings.Join(gotRows, "\n"), strings.Join(wantRows, "\n"))
+		}
+
+		// π cells carry one decimal and ρ cells none, so a mean of
+		// rounded cells is within 0.1 and 1 of the rounded mean.
+		avgRows := benchRows(out, map[string]bool{"AVERAGE": true})
+		if len(avgRows) != 1 {
+			t.Fatalf("table %s AVERAGE rows = %q", tc.id, avgRows)
+		}
+		avg := piRhoCells(t, avgRows[0])
+		sums := make([][2]float64, len(avg))
+		for _, row := range gotRows {
+			for k, p := range piRhoCells(t, row) {
+				sums[k][0] += p[0]
+				sums[k][1] += p[1]
+			}
+		}
+		for k := range avg {
+			for j, tol := range []float64{0.1, 1} {
+				if mean := sums[k][j] / float64(len(gotRows)); math.Abs(mean-avg[k][j]) > tol+1e-9 {
+					t.Errorf("table %s AVERAGE pair %d reads %g, but the untouched rows average %.2f: a DEGRADED benchmark counted in it",
+						tc.id, k, avg[k][j], mean)
+				}
+			}
+		}
+	}
+}
+
+// piRhoCells parses the "π / ρ" cells of a collapsed row, in order.
+func piRhoCells(t *testing.T, row string) [][2]float64 {
+	t.Helper()
+	f := strings.Fields(row)
+	var out [][2]float64
+	for i := 1; i+1 < len(f); i++ {
+		if f[i] != "/" {
+			continue
+		}
+		pi, err1 := strconv.ParseFloat(f[i-1], 64)
+		rho, err2 := strconv.ParseFloat(f[i+1], 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("unparsable cell %q in row %q", strings.Join(f[i-1:i+2], " "), row)
+		}
+		out = append(out, [2]float64{pi, rho})
+	}
+	return out
 }
 
 // TestChaosTraceFlip arms the trace-replay seam: a deterministically

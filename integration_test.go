@@ -17,7 +17,7 @@ import (
 	"delinq/internal/tables"
 )
 
-func loadCtx(t *testing.T, name string) *tables.Ctx {
+func loadCtx(t *testing.T, name string) *bench.Run {
 	t.Helper()
 	ctx, err := tables.Engine{}.Load(context.Background(), bench.ByName(name), false, false)
 	if err != nil {
@@ -223,9 +223,9 @@ func TestClassifyScoreMatchesManualPhi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scored := ctx.Heuristic(cfg)
+	scored := classify.Score(ctx.Build.Loads, ctx, cfg)
 	for _, s := range scored[:10] {
-		freqClass := classify.FreqClass(ctx.Run.ExecCount(s.Load.PC))
+		freqClass := classify.FreqClass(ctx.ExecCount(s.Load.PC))
 		best := 0.0
 		first := true
 		for _, p := range s.Load.Patterns {

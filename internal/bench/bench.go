@@ -18,9 +18,11 @@ import (
 	"strings"
 
 	"delinq/internal/cache"
+	"delinq/internal/classify"
 	"delinq/internal/core"
 	"delinq/internal/disasm"
 	"delinq/internal/faultinject"
+	"delinq/internal/metrics"
 	"delinq/internal/obj"
 	"delinq/internal/pattern"
 	"delinq/internal/rescache"
@@ -90,15 +92,22 @@ type Build struct {
 	Loads []*pattern.Load
 }
 
-// NumLoads returns |Λ|.
-func (b *Build) NumLoads() int { return len(b.Loads) }
-
 // Run is one completed simulation of a build on one input: the VM
 // profile plus a cache model per requested geometry.
 type Run struct {
 	core.Simulation
 	Build *Build
 	Input []int32
+}
+
+// Stats returns the per-load statistics of the build's loads under
+// geometry gi.
+func (r *Run) Stats(gi int) []metrics.LoadStat { return r.LoadStats(r.Build.Loads, gi) }
+
+// Delta returns the heuristic's possibly-delinquent set under cfg, with
+// the run as the execution profile.
+func (r *Run) Delta(cfg classify.Config) map[uint32]bool {
+	return classify.DeltaSet(classify.Score(r.Build.Loads, r, cfg))
 }
 
 // builds memoises compiled binaries and runs completed simulations;

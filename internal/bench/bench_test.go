@@ -48,7 +48,7 @@ func TestAllBenchmarksRun(t *testing.T) {
 				if err != nil {
 					t.Fatalf("compile(opt=%v): %v", opt, err)
 				}
-				if n := bd.NumLoads(); n < 25 {
+				if n := len(bd.Loads); n < 25 {
 					t.Errorf("opt=%v: only %d static loads", opt, n)
 				}
 				run, err := SimulateCtx(ctx, bd, b.Input1, geoms)
@@ -64,7 +64,7 @@ func TestAllBenchmarksRun(t *testing.T) {
 					t.Errorf("opt=%v: cache stats %+v", opt, st)
 				}
 				t.Logf("opt=%v: insts=%d loads=%d accesses=%d missrate=%.2f%%",
-					opt, insts, bd.NumLoads(), st.Accesses, 100*st.MissRate())
+					opt, insts, len(bd.Loads), st.Accesses, 100*st.MissRate())
 			}
 		})
 	}
@@ -133,8 +133,8 @@ func TestLoadStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := run.LoadStats(bd.Loads, 0)
-	if len(stats) != bd.NumLoads() {
-		t.Fatalf("stats = %d, loads = %d", len(stats), bd.NumLoads())
+	if len(stats) != len(bd.Loads) {
+		t.Fatalf("stats = %d, loads = %d", len(stats), len(bd.Loads))
 	}
 	var exec, misses int64
 	for _, s := range stats {

@@ -158,7 +158,7 @@ func TestJoinedBuildOutlivesLeader(t *testing.T) {
 		t.Errorf("caller A = %v, want its own cancellation", err)
 	}
 	r := <-doneB
-	if r.err != nil || r.bd == nil || r.bd.NumLoads() == 0 {
+	if r.err != nil || r.bd == nil || len(r.bd.Loads) == 0 {
 		t.Fatalf("joined caller B = (%v, %v), want a build", r.bd, r.err)
 	}
 	if st, _ := CacheStats(); st.Misses != 2 || st.Joined != 0 || st.Entries != 1 {

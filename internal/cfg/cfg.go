@@ -18,9 +18,6 @@ type Block struct {
 	Preds []*Block
 }
 
-// Len returns the number of instructions in the block.
-func (b *Block) Len() int { return b.End - b.Start }
-
 // Graph is the control-flow graph of a single function.
 type Graph struct {
 	Fn     *disasm.Func
@@ -190,12 +187,17 @@ func (g *Graph) BackEdges() [][2]*Block {
 // body contains it — the loop-nesting depth used by static frequency
 // estimation. Blocks outside every loop have depth 0.
 func (g *Graph) LoopDepth() []int {
-	depth := make([]int, len(g.Blocks))
-	type loop struct{ body map[int]bool }
-	var loops []loop
+	// A back edge (t, h) adds to h's loop the blocks found by walking
+	// predecessors from t until h. Back edges sharing a header make one
+	// loop, not two nesting levels.
+	bodies := map[*Block]map[int]bool{}
 	for _, e := range g.BackEdges() {
 		tail, head := e[0], e[1]
-		body := map[int]bool{head.Index: true}
+		body := bodies[head]
+		if body == nil {
+			body = map[int]bool{head.Index: true}
+			bodies[head] = body
+		}
 		stack := []*Block{tail}
 		for len(stack) > 0 {
 			b := stack[len(stack)-1]
@@ -204,52 +206,14 @@ func (g *Graph) LoopDepth() []int {
 				continue
 			}
 			body[b.Index] = true
-			for _, p := range b.Preds {
-				stack = append(stack, p)
-			}
-		}
-		loops = append(loops, loop{body})
-	}
-	// Merge loops sharing a header: two back edges to the same head are
-	// one loop, not two nesting levels.
-	merged := map[*Block]map[int]bool{}
-	for i, e := range g.BackEdges() {
-		head := e[1]
-		if merged[head] == nil {
-			merged[head] = map[int]bool{}
-		}
-		for b := range loops[i].body {
-			merged[head][b] = true
+			stack = append(stack, b.Preds...)
 		}
 	}
-	for _, body := range merged {
+	depth := make([]int, len(g.Blocks))
+	for _, body := range bodies {
 		for b := range body {
 			depth[b]++
 		}
 	}
 	return depth
-}
-
-// LoopBlocks returns the set of block indices that lie on some cycle:
-// for each back edge (t, h), the natural-loop body found by walking
-// predecessors from t until h.
-func (g *Graph) LoopBlocks() map[int]bool {
-	in := map[int]bool{}
-	for _, e := range g.BackEdges() {
-		tail, head := e[0], e[1]
-		in[head.Index] = true
-		stack := []*Block{tail}
-		for len(stack) > 0 {
-			b := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if in[b.Index] {
-				continue
-			}
-			in[b.Index] = true
-			for _, p := range b.Preds {
-				stack = append(stack, p)
-			}
-		}
-	}
-	return in
 }

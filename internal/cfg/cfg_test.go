@@ -36,7 +36,7 @@ main:
 		t.Fatalf("blocks = %d, want 1", len(g.Blocks))
 	}
 	b := g.Blocks[0]
-	if b.Len() != 4 || len(b.Succs) != 0 {
+	if b.End-b.Start != 4 || len(b.Succs) != 0 {
 		t.Errorf("block = %+v", b)
 	}
 }
@@ -85,12 +85,12 @@ loop:
 	if head.Start != 1 || tail != head {
 		t.Errorf("back edge = (%d->%d)", tail.Index, head.Index)
 	}
-	lb := g.LoopBlocks()
-	if !lb[head.Index] {
-		t.Error("loop head not in loop set")
+	depth := g.LoopDepth()
+	if depth[head.Index] != 1 {
+		t.Errorf("loop head depth = %d, want 1", depth[head.Index])
 	}
-	if lb[g.Blocks[0].Index] {
-		t.Error("preheader wrongly in loop set")
+	if depth[g.Blocks[0].Index] != 0 {
+		t.Errorf("preheader depth = %d, want 0", depth[g.Blocks[0].Index])
 	}
 }
 
@@ -111,6 +111,41 @@ inner:
 `, "main")
 	if got := len(g.BackEdges()); got != 2 {
 		t.Errorf("back edges = %d, want 2", got)
+	}
+	// entry, outer head, inner loop, outer latch, exit
+	checkDepth(t, g, []int{0, 1, 2, 1, 0})
+}
+
+// TestSharedHeaderIsOneLoop: two back edges to one header are one loop,
+// not two nesting levels.
+func TestSharedHeaderIsOneLoop(t *testing.T) {
+	g := buildGraph(t, `
+main:
+	li $t0, 0
+loop:
+	addiu $t0, $t0, 1
+	beq $t0, $a0, loop
+	slti $at, $t0, 10
+	bne $at, $zero, loop
+	jr $ra
+`, "main")
+	if got := len(g.BackEdges()); got != 2 {
+		t.Errorf("back edges = %d, want 2", got)
+	}
+	checkDepth(t, g, []int{0, 1, 1, 0})
+}
+
+func checkDepth(t *testing.T, g *Graph, want []int) {
+	t.Helper()
+	depth := g.LoopDepth()
+	if len(depth) != len(want) {
+		t.Fatalf("LoopDepth = %v, want %v", depth, want)
+	}
+	for i := range want {
+		if depth[i] != want[i] {
+			t.Errorf("LoopDepth = %v, want %v", depth, want)
+			return
+		}
 	}
 }
 

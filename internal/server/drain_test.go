@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -74,6 +75,38 @@ func TestGracefulDrain(t *testing.T) {
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("clean drain returned %v", err)
+	}
+}
+
+// TestShutdownBeforeServe: a SIGTERM can land between the listening
+// line and Serve. A Shutdown that runs from onListen, before Serve has
+// started, still stops the daemon: ListenAndServe returns nil at once
+// and the listener is closed.
+func TestShutdownBeforeServe(t *testing.T) {
+	s := New(Config{Addr: "127.0.0.1:0"})
+	addrCh := make(chan net.Addr, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- s.ListenAndServe(func(a net.Addr) {
+			addrCh <- a
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := s.Shutdown(ctx); err != nil {
+				t.Errorf("shutdown = %v", err)
+			}
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("ListenAndServe after an early Shutdown = %v, want nil", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("daemon still serving 3s after a Shutdown that ran before Serve")
+	}
+	if c, err := net.Dial("tcp", (<-addrCh).String()); err == nil {
+		c.Close()
+		t.Error("listener still accepting after Shutdown")
 	}
 }
 

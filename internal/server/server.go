@@ -137,7 +137,8 @@ type Server struct {
 	drainDone chan struct{}
 	drainOnce sync.Once
 
-	httpMu  sync.Mutex
+	// httpSrv serves every listener. It exists from New on, so a Shutdown
+	// that runs before Serve still stops it: Serve then returns at once.
 	httpSrv *http.Server
 }
 
@@ -154,6 +155,12 @@ func New(cfg Config) *Server {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		drainDone:  make(chan struct{}),
+	}
+	s.httpSrv = &http.Server{
+		Handler: s.mux,
+		// Request contexts derive from baseCtx, so aborting stragglers
+		// at the end of a drain cancels every in-flight pipeline.
+		BaseContext: func(net.Listener) context.Context { return s.baseCtx },
 	}
 	if cfg.Isolate {
 		s.pool = workerpool.New(workerpool.Config{
@@ -238,19 +245,11 @@ func (s *Server) ListenAndServe(onListen func(addr net.Addr)) error {
 	return s.Serve(l)
 }
 
-// Serve serves connections from l until Shutdown. http.ErrServerClosed
-// is swallowed: a drained shutdown is a success, not an error.
+// Serve serves connections from l until Shutdown; after Shutdown it
+// closes l and returns at once. http.ErrServerClosed is swallowed: a
+// drained shutdown is a success, not an error.
 func (s *Server) Serve(l net.Listener) error {
-	srv := &http.Server{
-		Handler: s.mux,
-		// Request contexts derive from baseCtx, so aborting stragglers
-		// at the end of a drain cancels every in-flight pipeline.
-		BaseContext: func(net.Listener) context.Context { return s.baseCtx },
-	}
-	s.httpMu.Lock()
-	s.httpSrv = srv
-	s.httpMu.Unlock()
-	err := srv.Serve(l)
+	err := s.httpSrv.Serve(l)
 	if err == http.ErrServerClosed {
 		return nil
 	}
@@ -320,13 +319,8 @@ func (s *Server) Drain(ctx context.Context) error {
 // full SIGTERM path. The ctx deadline bounds the whole shutdown.
 func (s *Server) Shutdown(ctx context.Context) error {
 	drainErr := s.Drain(ctx)
-	s.httpMu.Lock()
-	srv := s.httpSrv
-	s.httpMu.Unlock()
-	if srv != nil {
-		if err := srv.Shutdown(ctx); err != nil {
-			srv.Close()
-		}
+	if err := s.httpSrv.Shutdown(ctx); err != nil {
+		s.httpSrv.Close()
 	}
 	s.baseCancel()
 	// The drain (or its abort) has flushed every fill out of the pool,

@@ -33,38 +33,21 @@ func (r render) tableS1() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pis := make([][]float64, 3)
-	rhos := make([][]float64, 3)
-	for _, b := range bench.All() {
-		ctx, deg := r.load(b, false, false)
-		if deg != nil {
-			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
-			continue
+	mean := r.rows(t, bench.All(), Combo{Geoms: StdGeoms}, func(run *bench.Run) ([]string, []float64, *Degradation) {
+		stats := run.Stats(GeomBaseline)
+		var cells []string
+		var vals []float64
+		for _, e := range []struct {
+			prof classify.ExecProfile
+			cfg  classify.Config
+		}{{nil, cfgNone}, {freq.Estimate(run.Build.Prog), cfgFreq}, {run, cfgFreq}} {
+			ev := metrics.Evaluate(classify.DeltaSet(classify.Score(run.Build.Loads, e.prof, e.cfg)), stats)
+			cells = append(cells, pair(1, ev.Pi, ev.Rho))
+			vals = append(vals, ev.Pi, ev.Rho)
 		}
-		stats := ctx.Stats(GeomBaseline)
-		est := freq.Estimate(ctx.Build.Prog)
-
-		evalWith := func(prof classify.ExecProfile, cfg classify.Config) metrics.SetEval {
-			return metrics.Evaluate(classify.DeltaSet(classify.Score(ctx.Build.Loads, prof, cfg)), stats)
-		}
-		evals := []metrics.SetEval{
-			evalWith(nil, cfgNone),
-			evalWith(est, cfgFreq),
-			evalWith(ctx.Run, cfgFreq),
-		}
-		row := []string{b.Name}
-		for k, ev := range evals {
-			pis[k] = append(pis[k], ev.Pi)
-			rhos[k] = append(rhos[k], ev.Rho)
-			row = append(row, fmt.Sprintf("%.1f / %.0f", ev.Pi*100, ev.Rho*100))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	avgRow := []string{"AVERAGE"}
-	for k := 0; k < 3; k++ {
-		avgRow = append(avgRow, fmt.Sprintf("%.1f / %.0f", avg(pis[k])*100, avg(rhos[k])*100))
-	}
-	t.Rows = append(t.Rows, avgRow)
+		return cells, vals, nil
+	})
+	t.Rows = append(t.Rows, averagePairs(1, 3, mean))
 	return t, nil
 }
 
@@ -87,52 +70,35 @@ func (r render) tableS2() (*Table, error) {
 		return nil, err
 	}
 	grid := []float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.40, 0.50, 0.65, 0.80, 1.00, 1.25}
-	var fixedPi, fixedRho, calPi, calRho []float64
-	for _, b := range bench.Training() {
-		ctx1, deg := r.load(b, false, false)
-		if deg != nil {
-			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
-			continue
-		}
-		stats1 := ctx1.Stats(GeomBaseline)
+	mean := r.rows(t, bench.Training(), Combo{Geoms: StdGeoms}, func(run *bench.Run) ([]string, []float64, *Degradation) {
+		stats1 := run.Stats(GeomBaseline)
 		best := 0.10
 		bestPi := 2.0
 		for _, d := range grid {
 			cfg := base
 			cfg.Delta = d
-			ev := metrics.Evaluate(ctx1.Delta(cfg), stats1)
+			ev := metrics.Evaluate(run.Delta(cfg), stats1)
 			if ev.Rho >= 0.95 && ev.Pi < bestPi {
 				best, bestPi = d, ev.Pi
 			}
 		}
-		ctx2, deg := r.load(b, false, true)
+		run2, deg := r.run(Combo{Bench: run.Build.Bench, Input2: true, Geoms: StdGeoms})
 		if deg != nil {
-			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
-			continue
+			return nil, nil, deg
 		}
-		stats2 := ctx2.Stats(GeomBaseline)
-		cfgF := base
-		cfgF.Delta = 0.10
-		evF := metrics.Evaluate(ctx2.Delta(cfgF), stats2)
-		cfgC := base
-		cfgC.Delta = best
-		evC := metrics.Evaluate(ctx2.Delta(cfgC), stats2)
-		fixedPi = append(fixedPi, evF.Pi)
-		fixedRho = append(fixedRho, evF.Rho)
-		calPi = append(calPi, evC.Pi)
-		calRho = append(calRho, evC.Rho)
-		t.Rows = append(t.Rows, []string{
-			b.Name,
-			fmt.Sprintf("%.2f", best),
-			fmt.Sprintf("%.1f / %.0f", evF.Pi*100, evF.Rho*100),
-			fmt.Sprintf("%.1f / %.0f", evC.Pi*100, evC.Rho*100),
-		})
-	}
-	t.Rows = append(t.Rows, []string{
-		"AVERAGE", "",
-		fmt.Sprintf("%.1f / %.0f", avg(fixedPi)*100, avg(fixedRho)*100),
-		fmt.Sprintf("%.1f / %.0f", avg(calPi)*100, avg(calRho)*100),
+		stats2 := run2.Stats(GeomBaseline)
+		cells := []string{fmt.Sprintf("%.2f", best)}
+		var vals []float64
+		for _, d := range []float64{0.10, best} {
+			cfg := base
+			cfg.Delta = d
+			ev := metrics.Evaluate(run2.Delta(cfg), stats2)
+			cells = append(cells, pair(1, ev.Pi, ev.Rho))
+			vals = append(vals, ev.Pi, ev.Rho)
+		}
+		return cells, vals, nil
 	})
+	t.Rows = append(t.Rows, []string{"AVERAGE", "", pair(1, mean(0), mean(1)), pair(1, mean(2), mean(3))})
 	return t, nil
 }
 
@@ -157,42 +123,28 @@ func (r render) tableS4() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pis := make([][]float64, 4)
-	rhos := make([][]float64, 4)
-	for _, b := range bench.All() {
-		var evs []metrics.SetEval
-		var deg *Degradation
-		for _, optimize := range []bool{false, true} {
-			var ctx *Ctx
-			if ctx, deg = r.load(b, optimize, false); deg != nil {
-				break
-			}
-			var inter []*pattern.Load
-			if inter, deg = r.loadsInter(ctx.Build); deg != nil {
-				break
-			}
-			stats := ctx.Stats(GeomBaseline)
-			for _, loads := range [][]*pattern.Load{ctx.Build.Loads, inter} {
-				evs = append(evs, metrics.Evaluate(classify.DeltaSet(classify.Score(loads, ctx.Run, cfg)), stats))
-			}
-		}
+	mean := r.rows(t, bench.All(), Combo{Geoms: StdGeoms}, func(run *bench.Run) ([]string, []float64, *Degradation) {
+		opt, deg := r.run(Combo{Bench: run.Build.Bench, Optimize: true, Geoms: StdGeoms})
 		if deg != nil {
-			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
-			continue
+			return nil, nil, deg
 		}
-		row := []string{b.Name}
-		for col, ev := range evs {
-			pis[col] = append(pis[col], ev.Pi)
-			rhos[col] = append(rhos[col], ev.Rho)
-			row = append(row, fmt.Sprintf("%.1f / %.0f", ev.Pi*100, ev.Rho*100))
+		var cells []string
+		var vals []float64
+		for _, run := range []*bench.Run{run, opt} {
+			inter, deg := r.loadsInter(run.Build)
+			if deg != nil {
+				return nil, nil, deg
+			}
+			stats := run.Stats(GeomBaseline)
+			for _, loads := range [][]*pattern.Load{run.Build.Loads, inter} {
+				ev := metrics.Evaluate(classify.DeltaSet(classify.Score(loads, run, cfg)), stats)
+				cells = append(cells, pair(1, ev.Pi, ev.Rho))
+				vals = append(vals, ev.Pi, ev.Rho)
+			}
 		}
-		t.Rows = append(t.Rows, row)
-	}
-	avgRow := []string{"AVERAGE"}
-	for k := 0; k < 4; k++ {
-		avgRow = append(avgRow, fmt.Sprintf("%.1f / %.0f", avg(pis[k])*100, avg(rhos[k])*100))
-	}
-	t.Rows = append(t.Rows, avgRow)
+		return cells, vals, nil
+	})
+	t.Rows = append(t.Rows, averagePairs(1, 4, mean))
 	return t, nil
 }
 
@@ -224,36 +176,21 @@ func (r render) tableS5() (*Table, error) {
 		}
 		cfgs[k] = cfg
 	}
-	pis := make([][]float64, len(isas))
-	rhos := make([][]float64, len(isas))
-	for _, b := range bench.All() {
-		row := []string{b.Name}
-		var deg *Degradation
-		for k, isaName := range isas {
-			var ctx *Ctx
-			ctx, deg = r.on(isaName).load(b, false, false)
-			if deg != nil {
-				break
-			}
-			ev := metrics.Evaluate(ctx.Delta(cfgs[k]), ctx.Stats(GeomBaseline))
-			pis[k] = append(pis[k], ev.Pi)
-			rhos[k] = append(rhos[k], ev.Rho)
-			row = append(row,
-				fmt.Sprintf("%d", len(ctx.Build.Loads)),
-				fmt.Sprintf("%.1f / %.0f", ev.Pi*100, ev.Rho*100))
-		}
+	mean := r.on(isas[0]).rows(t, bench.All(), Combo{Geoms: StdGeoms}, func(run *bench.Run) ([]string, []float64, *Degradation) {
+		other, deg := r.on(isas[1]).run(Combo{Bench: run.Build.Bench, Geoms: StdGeoms})
 		if deg != nil {
-			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
-			continue
+			return nil, nil, deg
 		}
-		t.Rows = append(t.Rows, row)
-	}
-	avgRow := []string{"AVERAGE"}
-	for k := range isas {
-		avgRow = append(avgRow, "",
-			fmt.Sprintf("%.1f / %.0f", avg(pis[k])*100, avg(rhos[k])*100))
-	}
-	t.Rows = append(t.Rows, avgRow)
+		var cells []string
+		var vals []float64
+		for k, run := range []*bench.Run{run, other} {
+			ev := metrics.Evaluate(run.Delta(cfgs[k]), run.Stats(GeomBaseline))
+			cells = append(cells, fmt.Sprint(len(run.Build.Loads)), pair(1, ev.Pi, ev.Rho))
+			vals = append(vals, ev.Pi, ev.Rho)
+		}
+		return cells, vals, nil
+	})
+	t.Rows = append(t.Rows, []string{"AVERAGE", "", pair(1, mean(0), mean(1)), "", pair(1, mean(2), mean(3))})
 	return t, nil
 }
 

@@ -1,13 +1,13 @@
 // Graceful degradation for the table engine: a benchmark whose pipeline
 // fails (or times out, or panics) is quarantined in its render's
-// quarantine instead of aborting the whole render. Every table renders
-// the quarantined benchmark as a DEGRADED(<stage>) row, excludes it from
-// averages, and the rest of the suite is unaffected. A quarantined
-// training benchmark is left out of the learning phase; the weights
-// trained on the healthy remainder serve the renders that ran or joined
-// that phase only (see trained). On a fault-free run nothing here fires
-// and the rendered output is byte-identical to the pre-resilience
-// engine.
+// quarantine instead of aborting the whole render. Every per-benchmark
+// table renders through one loop, rows, which renders the quarantined
+// benchmark as a DEGRADED(<stage>) row and excludes it from averages;
+// the rest of the suite is unaffected. A quarantined training benchmark
+// is left out of the learning phase; the weights trained on the healthy
+// remainder serve the renders that ran or joined that phase only (see
+// trained). On a fault-free run nothing here fires and the rendered
+// output is byte-identical to the pre-resilience engine.
 package tables
 
 import (
@@ -144,14 +144,44 @@ func (r render) run(cb Combo) (*bench.Run, *Degradation) {
 	return run, nil
 }
 
-// load is run on the standard geometry bundle, as a Ctx. Exactly one of
-// the results is non-nil.
-func (r render) load(b *bench.Benchmark, optimize, input2 bool) (*Ctx, *Degradation) {
-	run, d := r.run(Combo{Bench: b, Optimize: optimize, Input2: input2, Geoms: StdGeoms})
-	if d != nil {
-		return nil, d
+// rows renders one row per benchmark of set into t and returns each
+// value column's mean over the healthy rows, summed in row order. Each
+// benchmark runs as shape with its Bench filled in, and row turns that
+// run into the cells after the benchmark's name and the row's values.
+// A benchmark renders as one DEGRADED row, and counts in no mean, when
+// its run is quarantined or when row returns the Degradation of a
+// further run it asked for. With no healthy row every mean is 0.
+func (r render) rows(t *Table, set []*bench.Benchmark, shape Combo,
+	row func(*bench.Run) ([]string, []float64, *Degradation)) (mean func(col int) float64) {
+	var sums []float64
+	n := 0
+	for _, b := range set {
+		shape.Bench = b
+		run, deg := r.run(shape)
+		var cells []string
+		var vals []float64
+		if deg == nil {
+			cells, vals, deg = row(run)
+		}
+		if deg != nil {
+			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
+			continue
+		}
+		t.Rows = append(t.Rows, append([]string{b.Name}, cells...))
+		if sums == nil {
+			sums = make([]float64, len(vals))
+		}
+		for k, v := range vals {
+			sums[k] += v
+		}
+		n++
 	}
-	return &Ctx{Bench: b, Build: run.Build, Run: run}, nil
+	return func(col int) float64 {
+		if n == 0 {
+			return 0
+		}
+		return sums[col] / float64(n)
+	}
 }
 
 // loadsInter is bench.LoadsInter under the per-benchmark deadline,

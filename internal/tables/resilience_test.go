@@ -45,9 +45,9 @@ func TestLoadSafeQuarantines(t *testing.T) {
 	p.Arm(faultinject.SimBudget, name)
 	withPlan(t, p)
 
-	b := bench.ByName(name)
+	cb := Combo{Bench: bench.ByName(name), Geoms: StdGeoms}
 	r := Engine{}.start(context.Background())
-	c, deg := r.load(b, false, false)
+	c, deg := r.run(cb)
 	if c != nil || deg == nil {
 		t.Fatalf("load = %v, %v; want quarantine", c, deg)
 	}
@@ -61,7 +61,7 @@ func TestLoadSafeQuarantines(t *testing.T) {
 	// Second call short-circuits on the quarantine — even with the fault
 	// cleared, the quarantine holds for the rest of the render.
 	faultinject.Clear()
-	c2, deg2 := r.load(b, false, false)
+	c2, deg2 := r.run(cb)
 	if c2 != nil || deg2 != deg {
 		t.Errorf("short-circuit returned %v, %v; want the original entry", c2, deg2)
 	}
@@ -71,7 +71,7 @@ func TestLoadSafeQuarantines(t *testing.T) {
 
 	// A new render re-evaluates: the benchmark is healthy again.
 	fresh := Engine{}.start(context.Background())
-	c3, deg3 := fresh.load(b, false, false)
+	c3, deg3 := fresh.run(cb)
 	if c3 == nil || deg3 != nil {
 		t.Errorf("load in a new render = %v, %v", c3, deg3)
 	}
@@ -101,15 +101,15 @@ func TestTimeoutDegrades(t *testing.T) {
 	bench.ResetCache()
 	t.Cleanup(bench.ResetCache)
 
-	b := bench.ByName("126.gcc")
-	c, deg := Engine{Timeout: time.Nanosecond}.start(context.Background()).load(b, false, false)
+	cb := Combo{Bench: bench.ByName("126.gcc"), Geoms: StdGeoms}
+	c, deg := Engine{Timeout: time.Nanosecond}.start(context.Background()).run(cb)
 	if c != nil || deg == nil {
 		t.Fatalf("load under 1ns deadline = %v, %v", c, deg)
 	}
 	if !errors.Is(deg.Err, context.DeadlineExceeded) {
 		t.Errorf("degradation cause = %v, want deadline exceeded", deg.Err)
 	}
-	if c, deg := (Engine{}).start(context.Background()).load(b, false, false); c == nil || deg != nil {
+	if c, deg := (Engine{}).start(context.Background()).run(cb); c == nil || deg != nil {
 		t.Errorf("load on a zero engine = %v, %v", c, deg)
 	}
 }

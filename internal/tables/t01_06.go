@@ -19,32 +19,20 @@ func (r render) table1() (*Table, error) {
 		Header: []string{"Benchmark", "Lambda", "Ideal |D|(pi)", "Profiling |D|(pi)", "rho"},
 		Notes:  "unoptimised binaries, Input 1, 8KB/4-way/32B D-cache; hotspot = blocks covering 90% of cycles",
 	}
-	var idealPis, profPis, rhos []float64
-	for _, b := range bench.All() {
-		ctx, deg := r.load(b, false, false)
-		if deg != nil {
-			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
-			continue
-		}
-		stats := ctx.Stats(GeomBaseline)
-		hot := metrics.HotspotLoads(ctx.Build.Prog, ctx.Run.Result.ExecAt, 0.90)
+	mean := r.rows(t, bench.All(), Combo{Geoms: StdGeoms}, func(run *bench.Run) ([]string, []float64, *Degradation) {
+		stats := run.Stats(GeomBaseline)
+		hot := metrics.HotspotLoads(run.Build.Prog, run.Result.ExecAt, 0.90)
 		ev := metrics.Evaluate(hot, stats)
 		ideal := metrics.IdealSet(stats, ev.Rho)
 		idealPi := float64(len(ideal)) / float64(len(stats))
-		idealPis = append(idealPis, idealPi)
-		profPis = append(profPis, ev.Pi)
-		rhos = append(rhos, ev.Rho)
-		t.Rows = append(t.Rows, []string{
-			b.Name,
+		return []string{
 			fmt.Sprint(len(stats)),
 			fmt.Sprintf("%d (%s)", len(ideal), pct2(idealPi)),
 			fmt.Sprintf("%d (%s)", ev.Selected, pct2(ev.Pi)),
 			pct(ev.Rho),
-		})
-	}
-	t.Rows = append(t.Rows, []string{
-		"AVERAGE", "", pct2(avg(idealPis)), pct2(avg(profPis)), pct1(avg(rhos)),
+		}, []float64{idealPi, ev.Pi, ev.Rho}, nil
 	})
+	t.Rows = append(t.Rows, []string{"AVERAGE", "", pct2(mean(0)), pct2(mean(1)), pct1(mean(2))})
 	return t, nil
 }
 
@@ -57,20 +45,10 @@ func (r render) table2() (*Table, error) {
 		Header: []string{"Benchmark", "Instr executed", "L1 D accesses", "L1 D misses"},
 		Notes:  "unoptimised binaries, Input 1, 8KB/4-way/32B D-cache; misses include stores (write-allocate)",
 	}
-	for _, b := range bench.All() {
-		ctx, deg := r.load(b, false, false)
-		if deg != nil {
-			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
-			continue
-		}
-		st := ctx.Run.Caches[GeomBaseline].Stats()
-		t.Rows = append(t.Rows, []string{
-			b.Name,
-			sci(float64(ctx.Run.Result.Insts)),
-			sci(float64(st.Accesses)),
-			sci(float64(st.Misses)),
-		})
-	}
+	r.rows(t, bench.All(), Combo{Geoms: StdGeoms}, func(run *bench.Run) ([]string, []float64, *Degradation) {
+		st := run.Caches[GeomBaseline].Stats()
+		return []string{sci(float64(run.Result.Insts)), sci(float64(st.Accesses)), sci(float64(st.Misses))}, nil, nil
+	})
 	return t, nil
 }
 

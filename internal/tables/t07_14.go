@@ -9,15 +9,6 @@ import (
 	"delinq/internal/metrics"
 )
 
-// piRho evaluates the heuristic's Δ on one geometry.
-func (r render) piRho(ctx *Ctx, gi int, useFreq bool) (metrics.SetEval, error) {
-	cfg, err := r.heuristic(useFreq)
-	if err != nil {
-		return metrics.SetEval{}, err
-	}
-	return metrics.Evaluate(ctx.Delta(cfg), ctx.Stats(gi)), nil
-}
-
 // table7 reproduces "Performance on different inputs": π/ρ of the
 // heuristic on the eleven training benchmarks under both input sets.
 func (r render) table7() (*Table, error) {
@@ -27,40 +18,26 @@ func (r render) table7() (*Table, error) {
 		Header: []string{"Benchmark", "Input 1 pi/rho", "Input 2 pi/rho"},
 		Notes:  "unoptimised binaries, 8KB/4-way baseline cache, trained weights, delta=0.10",
 	}
-	var pi1, rho1, pi2, rho2 []float64
-	for _, b := range bench.Training() {
-		c1, deg := r.load(b, false, false)
-		var c2 *Ctx
-		if deg == nil {
-			c2, deg = r.load(b, false, true)
-		}
-		if deg != nil {
-			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
-			continue
-		}
-		e1, err := r.piRho(c1, GeomBaseline, true)
-		if err != nil {
-			return nil, err
-		}
-		e2, err := r.piRho(c2, GeomBaseline, true)
-		if err != nil {
-			return nil, err
-		}
-		pi1 = append(pi1, e1.Pi)
-		rho1 = append(rho1, e1.Rho)
-		pi2 = append(pi2, e2.Pi)
-		rho2 = append(rho2, e2.Rho)
-		t.Rows = append(t.Rows, []string{
-			b.Name,
-			fmt.Sprintf("%s / %s", pct(e1.Pi), pct(e1.Rho)),
-			fmt.Sprintf("%s / %s", pct(e2.Pi), pct(e2.Rho)),
-		})
+	cfg, err := r.heuristic(true)
+	if err != nil {
+		return nil, err
 	}
-	t.Rows = append(t.Rows, []string{
-		"AVERAGE",
-		fmt.Sprintf("%s / %s", pct(avg(pi1)), pct(avg(rho1))),
-		fmt.Sprintf("%s / %s", pct(avg(pi2)), pct(avg(rho2))),
+	cell := func(pi, rho float64) string { return pct(pi) + " / " + pct(rho) }
+	mean := r.rows(t, bench.Training(), Combo{Geoms: StdGeoms}, func(run *bench.Run) ([]string, []float64, *Degradation) {
+		run2, deg := r.run(Combo{Bench: run.Build.Bench, Input2: true, Geoms: StdGeoms})
+		if deg != nil {
+			return nil, nil, deg
+		}
+		var cells []string
+		var vals []float64
+		for _, run := range []*bench.Run{run, run2} {
+			ev := metrics.Evaluate(run.Delta(cfg), run.Stats(GeomBaseline))
+			cells = append(cells, cell(ev.Pi, ev.Rho))
+			vals = append(vals, ev.Pi, ev.Rho)
+		}
+		return cells, vals, nil
 	})
+	t.Rows = append(t.Rows, []string{"AVERAGE", cell(mean(0), mean(1)), cell(mean(2), mean(3))})
 	return t, nil
 }
 
@@ -88,41 +65,33 @@ func (r render) table9() (*Table, error) {
 }
 
 // geomTable fills t with the heuristic's stability across geometries:
-// per training benchmark, run as the combo shape (its Bench is set per
-// row), Δ's π and then its ρ on each geometry index of gis, and an
-// AVERAGE row. Δ is scored once per benchmark, since only ρ depends on
-// the geometry. A degraded benchmark gets a DEGRADED row.
+// per training benchmark, run as the combo shape, Δ's π and then its ρ
+// on each geometry index of gis, and an AVERAGE row. Δ is scored once
+// per benchmark, since only ρ depends on the geometry.
 func (r render) geomTable(t *Table, shape Combo, gis []int) (*Table, error) {
 	cfg, err := r.heuristic(true)
 	if err != nil {
 		return nil, err
 	}
-	var pis []float64
-	rhos := make([][]float64, len(gis))
-	for _, b := range bench.Training() {
-		cb := shape
-		cb.Bench = b
-		run, deg := r.run(cb)
-		if deg != nil {
-			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
-			continue
-		}
-		delta := classify.DeltaSet(classify.Score(run.Build.Loads, run, cfg))
-		row := []string{b.Name}
+	mean := r.rows(t, bench.Training(), shape, func(run *bench.Run) ([]string, []float64, *Degradation) {
+		delta := run.Delta(cfg)
+		var vals []float64
 		for k, gi := range gis {
-			ev := metrics.Evaluate(delta, run.LoadStats(run.Build.Loads, gi))
+			ev := metrics.Evaluate(delta, run.Stats(gi))
 			if k == 0 {
-				pis = append(pis, ev.Pi)
-				row = append(row, pct(ev.Pi))
+				vals = append(vals, ev.Pi)
 			}
-			rhos[k] = append(rhos[k], ev.Rho)
-			row = append(row, pct(ev.Rho))
+			vals = append(vals, ev.Rho)
 		}
-		t.Rows = append(t.Rows, row)
-	}
-	avgRow := []string{"AVERAGE", pct(avg(pis))}
-	for k := range gis {
-		avgRow = append(avgRow, pct(avg(rhos[k])))
+		var cells []string
+		for _, v := range vals {
+			cells = append(cells, pct(v))
+		}
+		return cells, vals, nil
+	})
+	avgRow := []string{"AVERAGE"}
+	for k := 0; k <= len(gis); k++ {
+		avgRow = append(avgRow, pct(mean(k)))
 	}
 	t.Rows = append(t.Rows, avgRow)
 	return t, nil
@@ -137,26 +106,16 @@ func (r render) table10() (*Table, error) {
 		Header: []string{"Benchmark", "|D| / |Lambda| (pi)", "rho"},
 		Notes:  "unoptimised binaries, Input 1, 8KB baseline cache, weights trained on the other 11",
 	}
-	var pis, rhos []float64
-	for _, b := range bench.Test() {
-		ctx, deg := r.load(b, false, false)
-		if deg != nil {
-			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
-			continue
-		}
-		ev, err := r.piRho(ctx, GeomBaseline, true)
-		if err != nil {
-			return nil, err
-		}
-		pis = append(pis, ev.Pi)
-		rhos = append(rhos, ev.Rho)
-		t.Rows = append(t.Rows, []string{
-			b.Name,
-			fmt.Sprintf("%d / %d (%s)", ev.Selected, ev.Loads, pct2(ev.Pi)),
-			pct(ev.Rho),
-		})
+	cfg, err := r.heuristic(true)
+	if err != nil {
+		return nil, err
 	}
-	t.Rows = append(t.Rows, []string{"AVERAGE", pct2(avg(pis)), pct2(avg(rhos))})
+	mean := r.rows(t, bench.Test(), Combo{Geoms: StdGeoms}, func(run *bench.Run) ([]string, []float64, *Degradation) {
+		ev := metrics.Evaluate(run.Delta(cfg), run.Stats(GeomBaseline))
+		return []string{fmt.Sprintf("%d / %d (%s)", ev.Selected, ev.Loads, pct2(ev.Pi)), pct(ev.Rho)},
+			[]float64{ev.Pi, ev.Rho}, nil
+	})
+	t.Rows = append(t.Rows, []string{"AVERAGE", pct2(mean(0)), pct2(mean(1))})
 	return t, nil
 }
 
@@ -171,43 +130,24 @@ func (r render) table11() (*Table, error) {
 			"pi (no AG8/9)", "rho (no AG8/9)"},
 		Notes: "unoptimised binaries, Input 1, 8KB baseline cache",
 	}
-	var pi1, rho1, xis, pi2, rho2 []float64
-	for _, b := range bench.All() {
-		ctx, deg := r.load(b, false, false)
-		if deg != nil {
-			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
-			continue
-		}
-		stats := ctx.Stats(GeomBaseline)
-
-		cfgF, err := r.heuristic(true)
-		if err != nil {
-			return nil, err
-		}
-		deltaF := ctx.Delta(cfgF)
-		evF := metrics.Evaluate(deltaF, stats)
-		ideal := metrics.IdealSet(stats, evF.Rho)
-		xi := metrics.Xi(deltaF, ideal, stats)
-
-		cfgN, err := r.heuristic(false)
-		if err != nil {
-			return nil, err
-		}
-		evN := metrics.Evaluate(ctx.Delta(cfgN), stats)
-
-		pi1 = append(pi1, evF.Pi)
-		rho1 = append(rho1, evF.Rho)
-		xis = append(xis, xi)
-		pi2 = append(pi2, evN.Pi)
-		rho2 = append(rho2, evN.Rho)
-		t.Rows = append(t.Rows, []string{
-			b.Name, pct2(evF.Pi), pct(evF.Rho), pct(xi), pct2(evN.Pi), pct(evN.Rho),
-		})
+	cfgF, err := r.heuristic(true)
+	if err != nil {
+		return nil, err
 	}
-	t.Rows = append(t.Rows, []string{
-		"AVERAGE", pct2(avg(pi1)), pct2(avg(rho1)), pct2(avg(xis)),
-		pct2(avg(pi2)), pct2(avg(rho2)),
+	cfgN, err := r.heuristic(false)
+	if err != nil {
+		return nil, err
+	}
+	mean := r.rows(t, bench.All(), Combo{Geoms: StdGeoms}, func(run *bench.Run) ([]string, []float64, *Degradation) {
+		stats := run.Stats(GeomBaseline)
+		deltaF := run.Delta(cfgF)
+		evF := metrics.Evaluate(deltaF, stats)
+		xi := metrics.Xi(deltaF, metrics.IdealSet(stats, evF.Rho), stats)
+		evN := metrics.Evaluate(run.Delta(cfgN), stats)
+		return []string{pct2(evF.Pi), pct(evF.Rho), pct(xi), pct2(evN.Pi), pct(evN.Rho)},
+			[]float64{evF.Pi, evF.Rho, xi, evN.Pi, evN.Rho}, nil
 	})
+	t.Rows = append(t.Rows, []string{"AVERAGE", pct2(mean(0)), pct2(mean(1)), pct2(mean(2)), pct2(mean(3)), pct2(mean(4))})
 	return t, nil
 }
 
@@ -219,27 +159,14 @@ func (r render) table12() (*Table, error) {
 		Header: []string{"Benchmark", "OKN pi", "OKN rho", "BDH pi", "BDH rho"},
 		Notes:  "same unoptimised binaries and 8KB baseline cache as Table 11",
 	}
-	var oPi, oRho, bPi, bRho []float64
-	for _, b := range bench.All() {
-		ctx, deg := r.load(b, false, false)
-		if deg != nil {
-			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
-			continue
-		}
-		stats := ctx.Stats(GeomBaseline)
-		okn := metrics.Evaluate(baseline.OKN(ctx.Build.Loads), stats)
-		bdh := metrics.Evaluate(baseline.BDH(ctx.Build.Prog, ctx.Build.Loads), stats)
-		oPi = append(oPi, okn.Pi)
-		oRho = append(oRho, okn.Rho)
-		bPi = append(bPi, bdh.Pi)
-		bRho = append(bRho, bdh.Rho)
-		t.Rows = append(t.Rows, []string{
-			b.Name, pct2(okn.Pi), pct(okn.Rho), pct2(bdh.Pi), pct(bdh.Rho),
-		})
-	}
-	t.Rows = append(t.Rows, []string{
-		"AVERAGE", pct2(avg(oPi)), pct2(avg(oRho)), pct2(avg(bPi)), pct2(avg(bRho)),
+	mean := r.rows(t, bench.All(), Combo{Geoms: StdGeoms}, func(run *bench.Run) ([]string, []float64, *Degradation) {
+		stats := run.Stats(GeomBaseline)
+		okn := metrics.Evaluate(baseline.OKN(run.Build.Loads), stats)
+		bdh := metrics.Evaluate(baseline.BDH(run.Build.Prog, run.Build.Loads), stats)
+		return []string{pct2(okn.Pi), pct(okn.Rho), pct2(bdh.Pi), pct(bdh.Rho)},
+			[]float64{okn.Pi, okn.Rho, bdh.Pi, bdh.Rho}, nil
 	})
+	t.Rows = append(t.Rows, []string{"AVERAGE", pct2(mean(0)), pct2(mean(1)), pct2(mean(2)), pct2(mean(3))})
 	return t, nil
 }
 
@@ -253,34 +180,24 @@ func (r render) table13() (*Table, error) {
 		Header: []string{"Benchmark", "d=0.10", "d=0.20", "d=0.30", "d=0.40"},
 		Notes:  "optimised (-O) binaries, Input 1, 16KB/4-way cache",
 	}
-	pis := make([][]float64, len(deltas))
-	rhos := make([][]float64, len(deltas))
-	for _, b := range bench.Training() {
-		ctx, deg := r.load(b, true, false)
-		if deg != nil {
-			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
-			continue
-		}
-		stats := ctx.Stats(Geom16K)
-		row := []string{b.Name}
-		for k, d := range deltas {
-			cfg, err := r.heuristic(true)
-			if err != nil {
-				return nil, err
-			}
+	cfg, err := r.heuristic(true)
+	if err != nil {
+		return nil, err
+	}
+	mean := r.rows(t, bench.Training(), Combo{Optimize: true, Geoms: StdGeoms}, func(run *bench.Run) ([]string, []float64, *Degradation) {
+		stats := run.Stats(Geom16K)
+		var cells []string
+		var vals []float64
+		for _, d := range deltas {
+			cfg := cfg
 			cfg.Delta = d
-			ev := metrics.Evaluate(ctx.Delta(cfg), stats)
-			pis[k] = append(pis[k], ev.Pi)
-			rhos[k] = append(rhos[k], ev.Rho)
-			row = append(row, fmt.Sprintf("%.0f / %.0f", ev.Pi*100, ev.Rho*100))
+			ev := metrics.Evaluate(run.Delta(cfg), stats)
+			cells = append(cells, pair(0, ev.Pi, ev.Rho))
+			vals = append(vals, ev.Pi, ev.Rho)
 		}
-		t.Rows = append(t.Rows, row)
-	}
-	avgRow := []string{"AVERAGE"}
-	for k := range deltas {
-		avgRow = append(avgRow, fmt.Sprintf("%.0f / %.0f", avg(pis[k])*100, avg(rhos[k])*100))
-	}
-	t.Rows = append(t.Rows, avgRow)
+		return cells, vals, nil
+	})
+	t.Rows = append(t.Rows, averagePairs(0, len(deltas), mean))
 	return t, nil
 }
 
@@ -295,57 +212,42 @@ func (r render) table14() (*Table, error) {
 		Header: []string{"Benchmark", "e=0 (pi/rho/rho*)", "e=0.10", "e=0.20", "e=0.30"},
 		Notes:  "unoptimised binaries, Input 1, 8KB baseline cache; rho* = random same-size hotspot pick, 3-seed average",
 	}
-	pis := make([][]float64, len(eps))
-	rhos := make([][]float64, len(eps))
-	var rhoStars []float64
 	cfg, err := r.heuristic(true)
 	if err != nil {
 		return nil, err
 	}
-	for _, b := range bench.All() {
-		ctx, deg := r.load(b, false, false)
-		if deg != nil {
-			t.Rows = append(t.Rows, degradedRow(deg, len(t.Header)))
-			continue
+	mean := r.rows(t, bench.All(), Combo{Geoms: StdGeoms}, func(run *bench.Run) ([]string, []float64, *Degradation) {
+		stats := run.Stats(GeomBaseline)
+		hot := metrics.HotspotLoads(run.Build.Prog, run.Result.ExecAt, 0.90)
+		scored := classify.Score(run.Build.Loads, run, cfg)
+		scores := map[uint32]float64{}
+		for _, s := range scored {
+			scores[s.Load.PC] = s.Phi
 		}
-		stats := ctx.Stats(GeomBaseline)
-		hot := metrics.HotspotLoads(ctx.Build.Prog, ctx.Run.Result.ExecAt, 0.90)
-		heur := ctx.Delta(cfg)
-		scores := ctx.Scores(cfg)
+		heur := classify.DeltaSet(scored)
 		scoreFn := func(pc uint32) float64 { return scores[pc] }
 
-		row := []string{b.Name}
+		var cells []string
+		var vals []float64
+		var rhoStar float64
 		for k, e := range eps {
-			set := metrics.Combine(hot, heur, scoreFn, e)
-			ev := metrics.Evaluate(set, stats)
-			pis[k] = append(pis[k], ev.Pi)
-			rhos[k] = append(rhos[k], ev.Rho)
+			ev := metrics.Evaluate(metrics.Combine(hot, heur, scoreFn, e), stats)
+			cells = append(cells, pair(2, ev.Pi, ev.Rho))
+			vals = append(vals, ev.Pi, ev.Rho)
 			if k == 0 {
 				// ρ*: random loads from the hotspots, same count.
-				var rs float64
 				for seed := int64(1); seed <= 3; seed++ {
 					rand := metrics.RandomFromHotspots(hot, ev.Selected, seed)
-					rs += metrics.Evaluate(rand, stats).Rho
+					rhoStar += metrics.Evaluate(rand, stats).Rho
 				}
-				rs /= 3
-				rhoStars = append(rhoStars, rs)
-				row = append(row, fmt.Sprintf("%.2f / %.0f / %.0f",
-					ev.Pi*100, ev.Rho*100, rs*100))
-			} else {
-				row = append(row, fmt.Sprintf("%.2f / %.0f", ev.Pi*100, ev.Rho*100))
+				rhoStar /= 3
 			}
 		}
-		t.Rows = append(t.Rows, row)
-	}
-	avgRow := []string{"AVERAGE"}
-	for k := range eps {
-		if k == 0 {
-			avgRow = append(avgRow, fmt.Sprintf("%.2f / %.0f / %.0f",
-				avg(pis[k])*100, avg(rhos[k])*100, avg(rhoStars)*100))
-		} else {
-			avgRow = append(avgRow, fmt.Sprintf("%.2f / %.0f", avg(pis[k])*100, avg(rhos[k])*100))
-		}
-	}
+		cells[0] += fmt.Sprintf(" / %.0f", rhoStar*100)
+		return cells, append(vals, rhoStar), nil
+	})
+	avgRow := averagePairs(2, len(eps), mean)
+	avgRow[1] += fmt.Sprintf(" / %.0f", mean(2*len(eps))*100)
 	t.Rows = append(t.Rows, avgRow)
 	return t, nil
 }

@@ -110,35 +110,6 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// Ctx is one simulated benchmark ready for evaluation.
-type Ctx struct {
-	Bench *bench.Benchmark
-	Build *bench.Build
-	Run   *bench.Run
-}
-
-// Stats returns the per-load statistics under geometry gi.
-func (c *Ctx) Stats(gi int) []metrics.LoadStat { return c.Run.LoadStats(c.Build.Loads, gi) }
-
-// Heuristic scores every load with the given configuration.
-func (c *Ctx) Heuristic(cfg classify.Config) []*classify.Scored {
-	return classify.Score(c.Build.Loads, c.Run, cfg)
-}
-
-// Delta returns the possibly-delinquent set under cfg.
-func (c *Ctx) Delta(cfg classify.Config) map[uint32]bool {
-	return classify.DeltaSet(c.Heuristic(cfg))
-}
-
-// Scores returns φ(i) keyed by pc.
-func (c *Ctx) Scores(cfg classify.Config) map[uint32]float64 {
-	out := map[uint32]float64{}
-	for _, s := range c.Heuristic(cfg) {
-		out[s.Load.PC] = s.Phi
-	}
-	return out
-}
-
 // --- the engine ----------------------------------------------------------
 
 // Engine renders tables for one machine description under one
@@ -189,12 +160,12 @@ func (e Engine) Render(ctx context.Context, w io.Writer, workers int, id string)
 // Load compiles and simulates one benchmark on the engine's ISA with the
 // standard geometry bundle (memoised end to end) under ctx and the
 // per-benchmark deadline.
-func (e Engine) Load(ctx context.Context, b *bench.Benchmark, optimize, input2 bool) (*Ctx, error) {
-	c, d := e.start(ctx).load(b, optimize, input2)
+func (e Engine) Load(ctx context.Context, b *bench.Benchmark, optimize, input2 bool) (*bench.Run, error) {
+	run, d := e.start(ctx).run(Combo{Bench: b, Optimize: optimize, Input2: input2, Geoms: StdGeoms})
 	if d != nil {
 		return nil, d.Err
 	}
-	return c, nil
+	return run, nil
 }
 
 // TrainedReport returns the learning phase's report on the engine's ISA
@@ -426,19 +397,19 @@ func (r render) trainingSamples() ([]train.Sample, []*Degradation, error) {
 	var samples []train.Sample
 	var skipped []*Degradation
 	for _, b := range bench.Training() {
-		ctx, deg := r.load(b, false, false)
+		run, deg := r.run(Combo{Bench: b, Geoms: StdGeoms})
 		if deg != nil {
 			skipped = append(skipped, deg)
 			continue
 		}
 		s := train.Sample{Name: b.Name}
-		stats := ctx.Stats(GeomTraining)
+		stats := run.Stats(GeomTraining)
 		byPC := map[uint32]metrics.LoadStat{}
 		for _, st := range stats {
 			byPC[st.PC] = st
 			s.TotalMisses += st.Misses
 		}
-		for _, ld := range ctx.Build.Loads {
+		for _, ld := range run.Build.Loads {
 			st := byPC[ld.PC]
 			ls := train.LoadSample{
 				PC:      ld.PC,
@@ -519,13 +490,19 @@ func pct(v float64) string  { return fmt.Sprintf("%.0f%%", v*100) }
 func pct1(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
 func pct2(v float64) string { return fmt.Sprintf("%.2f%%", v*100) }
 func sci(v float64) string  { return fmt.Sprintf("%.2e", v) }
-func avg(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
+
+// pair formats a π/ρ pair as percentages, π to prec decimals and ρ to
+// none.
+func pair(prec int, pi, rho float64) string {
+	return fmt.Sprintf("%.*f / %.0f", prec, pi*100, rho*100)
+}
+
+// averagePairs is the AVERAGE row of a table whose n value-column pairs
+// are π/ρ pairs, formatted by pair with prec.
+func averagePairs(prec, n int, mean func(int) float64) []string {
+	row := []string{"AVERAGE"}
+	for k := 0; k < n; k++ {
+		row = append(row, pair(prec, mean(2*k), mean(2*k+1)))
 	}
-	var s float64
-	for _, v := range vals {
-		s += v
-	}
-	return s / float64(len(vals))
+	return row
 }

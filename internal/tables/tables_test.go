@@ -155,10 +155,10 @@ func TestHeadlineShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev := evaluateDelta(ctx, cfg)
+		stats := ctx.Stats(GeomBaseline)
+		ev := metrics.Evaluate(ctx.Delta(cfg), stats)
 		pi += ev.Pi
 		rho += ev.Rho
-		stats := ctx.Stats(GeomBaseline)
 		okn := metrics.Evaluate(baseline.OKN(ctx.Build.Loads), stats)
 		bdh := metrics.Evaluate(baseline.BDH(ctx.Build.Prog, ctx.Build.Loads), stats)
 		oknPi += okn.Pi
@@ -186,15 +186,6 @@ func TestHeadlineShape(t *testing.T) {
 			t.Errorf("%s average rho = %.1f%%, want >= 90%%", bl.name, 100*bl.rho)
 		}
 	}
-}
-
-func evaluateDelta(ctx *Ctx, cfg classify.Config) (ev struct{ Pi, Rho float64 }) {
-	e, err := Engine{}.start(context.Background()).piRho(ctx, GeomBaseline, cfg.UseFrequency)
-	if err != nil {
-		return ev
-	}
-	ev.Pi, ev.Rho = e.Pi, e.Rho
-	return ev
 }
 
 func TestTable5AgainstPaperStructure(t *testing.T) {

@@ -47,8 +47,9 @@ echo "== serve chaos (race)"
 # Table renders run concurrently, stop when their request ends, and
 # resolve their id before admission and the cache. A coalesced waiter
 # whose own client is still there outlives the client it joined. Every
-# failed answer, whole response or batch item, is counted by one rule.
-go test -race -run 'TestServeChaosStorm|TestGracefulDrain|TestDrainAbortsStragglers|TestCacheCoalescesThunderingHerd|TestCacheFailureNotCached|TestCacheHitWhileUnitFails|TestFailingSourcesDoNotBlockOthers|TestCacheDrainAbortsCoalescedWaiters|TestCoalescedWaiterOutlivesLeader|TestPatternFailureLeavesNoState|TestTrainingFaultLeavesNoState|TestTableIDCheckedBeforeAdmission|TestTableCacheKeyCanonical|TestTableRendersConcurrently|TestDrainAbortsTableRender|TestErrorAccounting' ./internal/server
+# failed answer, whole response or batch item, is counted by one rule. A
+# Shutdown that lands before Serve starts still stops the daemon.
+go test -race -run 'TestServeChaosStorm|TestGracefulDrain|TestDrainAbortsStragglers|TestCacheCoalescesThunderingHerd|TestCacheFailureNotCached|TestCacheHitWhileUnitFails|TestFailingSourcesDoNotBlockOthers|TestCacheDrainAbortsCoalescedWaiters|TestCoalescedWaiterOutlivesLeader|TestPatternFailureLeavesNoState|TestTrainingFaultLeavesNoState|TestTableIDCheckedBeforeAdmission|TestTableCacheKeyCanonical|TestTableRendersConcurrently|TestDrainAbortsTableRender|TestErrorAccounting|TestShutdownBeforeServe' ./internal/server
 # Table engines share only the memos: a render joined to another's
 # learning phase inherits its quarantines but not its cancellation, two
 # ISAs render side by side, and one learning phase runs per ISA.
