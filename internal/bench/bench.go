@@ -22,6 +22,7 @@ import (
 	"delinq/internal/core"
 	"delinq/internal/disasm"
 	"delinq/internal/faultinject"
+	"delinq/internal/isa"
 	"delinq/internal/metrics"
 	"delinq/internal/obj"
 	"delinq/internal/pattern"
@@ -158,11 +159,8 @@ func buildKey(name string, optimize bool, isaName string) string {
 	} else {
 		sb.WriteString("|O0")
 	}
-	if isaName == "" {
-		isaName = "mips"
-	}
 	sb.WriteString("|isa=")
-	sb.WriteString(isaName)
+	sb.WriteString(isa.Canonical(isaName))
 	return sb.String()
 }
 
@@ -313,7 +311,7 @@ func SimulateCtx(ctx context.Context, bd *Build, input []int32, geoms []cache.Co
 			}
 			caches[i] = c
 		}
-		opts := vm.Options{Args: input, Caches: caches, MaxInsts: 3e8}
+		opts := vm.Options{Args: input, Caches: caches, MaxInsts: 3e8, CaptureOutput: true}
 		if faultinject.Fires(faultinject.SimBudget, name) {
 			opts.MaxInsts = 10000
 		}

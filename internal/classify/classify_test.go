@@ -350,37 +350,6 @@ main:
 	}
 }
 
-func TestAggFromClass(t *testing.T) {
-	cases := []struct {
-		c    ClassID
-		want AggClass
-	}{
-		{ClassID{H1, 5}, AG1},
-		{ClassID{H1, 8}, AG1},
-		{ClassID{H1, 7}, AG2},
-		{ClassID{H1, 13}, AG2},
-		{ClassID{H1, 4}, 0},
-		{ClassID{H1, 1}, 0},
-		{ClassID{H1, 15}, 0},
-		{ClassID{H2, H2MulShift}, AG3},
-		{ClassID{H2, 0}, 0},
-		{ClassID{H3, 1}, AG4},
-		{ClassID{H3, 2}, AG5},
-		{ClassID{H3, 3}, AG6},
-		{ClassID{H3, 5}, AG6},
-		{ClassID{H3, 0}, 0},
-		{ClassID{H4, H4Recurrent}, AG7},
-		{ClassID{H5, H5Seldom}, AG8},
-		{ClassID{H5, H5Rare}, AG9},
-		{ClassID{H5, H5Fair}, 0},
-	}
-	for _, c := range cases {
-		if got := AggFromClass(c.c); got != c.want {
-			t.Errorf("AggFromClass(%v) = %v, want %v", c.c, got, c.want)
-		}
-	}
-}
-
 func TestStringers(t *testing.T) {
 	if AG3.String() != "AG3" || AG3.Feature() != "multiplication/shifts" {
 		t.Error("AG3 stringers wrong")

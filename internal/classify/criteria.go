@@ -150,45 +150,3 @@ func LoadClasses(ld *pattern.Load, exec int64) []ClassID {
 	}
 	return out
 }
-
-// AggFromClass maps a criterion class to the aggregate class it was
-// merged into (Section 7.3), or 0 if it does not contribute.
-func AggFromClass(c ClassID) AggClass {
-	switch c.Crit {
-	case H1:
-		if c.Idx >= 1 && c.Idx < NumH1Classes {
-			sp, gp := h1Table[c.Idx].sp, h1Table[c.Idx].gp
-			if sp >= 1 && gp >= 1 {
-				return AG1
-			}
-			if sp >= 2 && gp == 0 {
-				return AG2
-			}
-		}
-	case H2:
-		if c.Idx == H2MulShift {
-			return AG3
-		}
-	case H3:
-		switch {
-		case c.Idx == 1:
-			return AG4
-		case c.Idx == 2:
-			return AG5
-		case c.Idx >= 3:
-			return AG6
-		}
-	case H4:
-		if c.Idx == H4Recurrent {
-			return AG7
-		}
-	case H5:
-		switch c.Idx {
-		case H5Seldom:
-			return AG8
-		case H5Rare:
-			return AG9
-		}
-	}
-	return 0
-}

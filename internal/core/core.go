@@ -139,9 +139,9 @@ func BuildStage(err error) Stage {
 }
 
 // LowerImage rewrites an assembled MIPS image for the named machine
-// description; empty or "mips" returns img unchanged. Any failure —
-// including a nil or corrupt-but-decodable image — comes back as a
-// StageError at the lower stage, never a panic.
+// description. An empty name (not read as isa.Canonical reads it) or
+// the image's own returns img unchanged. Any failure, even a nil or
+// corrupt-but-decodable image, is a lower-stage StageError, not a panic.
 func LowerImage(img *obj.Image, isaName string) (*obj.Image, error) {
 	if img == nil {
 		return nil, WrapStage("", StageLower, fmt.Errorf("nil image"))

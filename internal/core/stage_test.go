@@ -8,10 +8,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"delinq/internal/asm"
 	"delinq/internal/cache"
+	"delinq/internal/obj"
 	"delinq/internal/trace"
 	"delinq/internal/vm"
 )
@@ -238,6 +240,52 @@ func TestBuildStage(t *testing.T) {
 		}
 		if got := BuildStage(err); got != c.want {
 			t.Errorf("%q on %q: stage %q, want %q (%v)", c.src, c.isa, got, c.want, err)
+		}
+	}
+}
+
+// TestLowerImageNames pins LowerImage's name rule, which is not
+// isa.Canonical's: the empty name, like the image's own, keeps the image
+// whatever its machine, "arm" lowers a MIPS image, and any other name
+// is a lower-stage error, an unknown one listing the machines.
+func TestLowerImageNames(t *testing.T) {
+	mipsImg, err := BuildSourceISA("int main() { return 0; }", false, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	armImg, err := LowerImage(mipsImg, "arm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		img  *obj.Image
+		name string
+		// keep: img itself comes back; lowered: a new image for that
+		// machine; errHas: a lower-stage error containing it.
+		keep            bool
+		lowered, errHas string
+	}{
+		{img: mipsImg, name: "", keep: true},
+		{img: mipsImg, name: "mips", keep: true},
+		{img: armImg, name: "", keep: true},
+		{img: armImg, name: "arm", keep: true},
+		{img: mipsImg, name: "arm", lowered: "arm"},
+		{img: armImg, name: "mips", errHas: `no lowering to ISA "mips"`},
+		{img: mipsImg, name: "sparc", errHas: `unknown machine "sparc" (have [arm mips])`},
+	} {
+		got, err := LowerImage(c.img, c.name)
+		label := fmt.Sprintf("LowerImage(%s image, %q)", c.img.ISAName(), c.name)
+		switch {
+		case c.errHas != "":
+			if !errors.Is(err, &StageError{Stage: StageLower}) || !strings.Contains(fmt.Sprint(err), c.errHas) {
+				t.Errorf("%s = %v, want a lower-stage error containing %s", label, err, c.errHas)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", label, err)
+		case c.keep && got != c.img:
+			t.Errorf("%s returned a new image, want the image itself", label)
+		case !c.keep && (got == c.img || got.ISAName() != c.lowered):
+			t.Errorf("%s = %s image %p, want a new %s image", label, got.ISAName(), got, c.lowered)
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package arm
 
 import (
+	"slices"
 	"testing"
 
 	"delinq/internal/asm"
 	"delinq/internal/isa"
+	"delinq/internal/isa/mips"
 	"delinq/internal/obj"
 )
 
@@ -77,14 +79,19 @@ func TestMachineSurface(t *testing.T) {
 	if _, hasGP := m.GP(); hasGP {
 		t.Error("ARM reports a globals register")
 	}
-	if len(m.TempRegs()) == 0 || len(m.SavedRegs()) == 0 {
-		t.Error("empty temp/saved register sets")
+	// Calls clobber the MIPS set plus ip, the index MIPS keeps for $gp.
+	want := append(slices.Clone(mips.M.CallClobbered()), ip)
+	got := slices.Clone(m.CallClobbered())
+	slices.Sort(want)
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("CallClobbered = %v, want the MIPS set plus ip: %v", got, want)
 	}
-	if got := m.RegName(m.SP()); got != "sp" {
-		t.Errorf("RegName(SP) = %q, want sp", got)
+	if got := isa.ARMRegName(isa.SP); got != "sp" {
+		t.Errorf("ARMRegName(SP) = %q, want sp", got)
 	}
 	in := isa.Inst{Op: isa.AADD, Rd: 1, Rt: 2}
-	w, err := m.Encode(in)
+	w, err := Encode(in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@
 // text, and LowerImage rewrites an assembled MIPS image into ARM
 // instructions (two-operand expansion, compare/branch splitting,
 // constant materialisation through the ip scratch register, and a
-// pre/post-index peephole). Register indices are shared with MIPS;
-// only roles and spellings differ — r28, MIPS's $gp, becomes the
+// pre/post-index peephole). Register indices and their roles are shared
+// with MIPS; only spellings differ, and r28, MIPS's $gp, becomes the
 // call-clobbered scratch register ip.
 package arm
 
@@ -30,39 +30,16 @@ var M isa.Machine = machine{}
 
 func init() { isa.Register(M) }
 
-func (machine) Name() string        { return "arm" }
-func (machine) Zero() isa.Reg       { return 0 }
-func (machine) SP() isa.Reg         { return 29 }
-func (machine) FP() isa.Reg         { return 30 }
-func (machine) RA() isa.Reg         { return 31 }
-func (machine) GP() (isa.Reg, bool) { return 0, false }
-
-// The lists the analyses read per function are built once.
-var (
-	argRegs = []isa.Reg{4, 5, 6, 7}
-	retRegs = []isa.Reg{2, 3}
-	// The MIPS caller-saved set at the same indices, plus ip: callees
-	// rematerialise through it freely.
-	callClobbered = []isa.Reg{
-		2, 3, 4, 5, 6, 7,
-		8, 9, 10, 11, 12, 13, 14, 15,
-		24, 25, 1, ip, 31,
-	}
-)
-
-func (machine) ArgRegs() []isa.Reg       { return argRegs }
-func (machine) RetRegs() []isa.Reg       { return retRegs }
-func (machine) CallClobbered() []isa.Reg { return callClobbered }
-
-func (machine) TempRegs() []isa.Reg {
-	return []isa.Reg{8, 9, 10, 11, 12, 13, 14, 15, 24, 25}
+// callClobbered is the MIPS caller-saved set at the same indices, plus
+// ip: callees rematerialise through it freely. It is built once: the
+// analyses read it per function.
+var callClobbered = []isa.Reg{
+	isa.V0, isa.V1, isa.A0, isa.A1, isa.A2, isa.A3,
+	isa.T0, isa.T1, isa.T2, isa.T3, isa.T4, isa.T5, isa.T6, isa.T7,
+	isa.T8, isa.T9, isa.AT, ip, isa.RA,
 }
 
-func (machine) SavedRegs() []isa.Reg {
-	return []isa.Reg{16, 17, 18, 19, 20, 21, 22, 23}
-}
-
-func (machine) RegName(r isa.Reg) string { return isa.ARMRegName(r) }
-
-func (machine) Encode(i isa.Inst) (uint32, error)    { return Encode(i) }
+func (machine) Name() string                         { return "arm" }
+func (machine) GP() (isa.Reg, bool)                  { return 0, false }
+func (machine) CallClobbered() []isa.Reg             { return callClobbered }
 func (machine) Decode(word uint32) (isa.Inst, error) { return Decode(word) }

@@ -69,6 +69,47 @@ func TestInstPredicates(t *testing.T) {
 	if (Inst{Op: ADD}).EndsBlock() {
 		t.Error("ADD ends block")
 	}
+
+	// ARM addressing: only pre/post-indexed forms write the base back,
+	// and a post-indexed access uses the base before its increment.
+	for _, c := range []struct {
+		op         Op
+		off        int32
+		writesBack bool
+	}{
+		{ALDR, 8, false}, {ASTRB, 8, false},
+		{ALDRPRE, 8, true}, {ASTRPRE, 8, true},
+		{ALDRPOST, 0, true}, {ASTRPOST, 0, true},
+	} {
+		in := Inst{Op: c.op, Rt: T0, Rs: T1, Imm: 8}
+		if in.MemOffset() != c.off || in.WritesBack() != c.writesBack {
+			t.Errorf("%s: MemOffset %d WritesBack %v, want %d %v", c.op.Name(), in.MemOffset(), in.WritesBack(), c.off, c.writesBack)
+		}
+	}
+	if !(Inst{Op: AVLDR}).IsFPMem() || !(Inst{Op: AVSTR}).IsFPMem() || (Inst{Op: ALDR}).IsFPMem() {
+		t.Error("ARM IsFPMem wrong")
+	}
+	if !(Inst{Op: AVLDR}).IsLoad() || !(Inst{Op: ASTRPOST}).IsStore() || (Inst{Op: ALDRSH}).MemBytes() != 2 {
+		t.Error("ARM memory predicates wrong")
+	}
+	if !(Inst{Op: ABX, Rs: RA}).IsReturn() || !(Inst{Op: ABLX}).IsCall() || !(Inst{Op: ASVC}).EndsBlock() {
+		t.Error("ARM control predicates wrong")
+	}
+	for _, c := range []struct {
+		in     Inst
+		target uint32
+		ok     bool
+	}{
+		{Inst{Op: J, Imm: 0x00400040 >> 2}, 0x00400040, true},
+		{Inst{Op: AB, Imm: -2}, 0x0040000c, true},
+		{Inst{Op: ABL, Imm: 3}, 0x00400020, true},
+		{Inst{Op: ABX, Rs: RA}, 0, false},
+		{Inst{Op: ABEQ, Imm: 3}, 0, false},
+	} {
+		if got, ok := c.in.DirectJumpTarget(0x00400010); got != c.target || ok != c.ok {
+			t.Errorf("%v DirectJumpTarget = %#x, %v; want %#x, %v", c.in, got, ok, c.target, c.ok)
+		}
+	}
 }
 
 func TestBranchAndJumpTargets(t *testing.T) {
@@ -157,6 +198,29 @@ func TestStringRendering(t *testing.T) {
 		{Inst{Op: SYSCALL}, "syscall"},
 		{Inst{Op: LWC1, Rt: 4, Rs: SP, Imm: 12}, "lwc1 $f4, 12($sp)"},
 		{Inst{Op: ADDS, Rd: 0, Rs: 2, Rt: 4}, "add.s $f0, $f2, $f4"},
+
+		// One ARM case per rendering shape.
+		{Inst{Op: AMOV, Rd: T0, Rs: T1}, "mov r8, r9"},
+		{Inst{Op: ASUB, Rd: T0, Rt: A0}, "sub r8, r4"},
+		{Inst{Op: AADDI, Rd: SP, Imm: -16}, "add sp, #-16"},
+		{Inst{Op: ALSLI, Rd: T0, Imm: 2}, "lsl r8, #2"},
+		{Inst{Op: AMOVI, Rd: V0, Imm: -1}, "movi r2, #-1"},
+		{Inst{Op: AMOVW, Rd: GP, Imm: 4096}, "movw ip, #4096"},
+		{Inst{Op: AMOVT, Rd: GP, Imm: 4096}, "movt ip, #4096"},
+		{Inst{Op: ACMP, Rs: T0, Rt: T1}, "cmp r8, r9"},
+		{Inst{Op: ACMPI, Rs: T0, Imm: 10}, "cmp r8, #10"},
+		{Inst{Op: ASETLT, Rd: T2}, "setlt r10"},
+		{Inst{Op: ABNE, Imm: -3}, "bne -3"},
+		{Inst{Op: AB, Imm: 5}, "b 5"},
+		{Inst{Op: ABL, Imm: 12}, "bl 12"},
+		{Inst{Op: ABX, Rs: RA}, "bx lr"},
+		{Inst{Op: ABLX, Rd: RA, Rs: T9}, "blx lr, r25"},
+		{Inst{Op: ASVC}, "svc"},
+		{Inst{Op: ALDR, Rt: T0, Rs: SP, Imm: 4}, "ldr r8, [sp, #4]"},
+		{Inst{Op: ASTRB, Rt: Zero, Rs: FP, Imm: -1}, "strb zr, [fp, #-1]"},
+		{Inst{Op: ALDRPRE, Rt: T0, Rs: T1, Imm: 4}, "ldr r8, [r9, #4]!"},
+		{Inst{Op: ASTRPOST, Rt: T0, Rs: T1, Imm: -4}, "str r8, [r9], #-4"},
+		{Inst{Op: AVLDR, Rt: 4, Rs: SP, Imm: 12}, "vldr s4, [sp, #12]"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {

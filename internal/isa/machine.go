@@ -6,42 +6,27 @@ import (
 	"sync"
 )
 
-// Machine describes one instruction-set backend: its register roles and
-// classes, its calling convention, and its binary encoding. The
-// analysis packages (cfg, dataflow, pattern, classify, ...) consult a
-// Machine instead of hardcoding any one ISA, so a second backend is a
-// new description rather than a new analysis.
+// Machine describes what one instruction-set backend does not share
+// with the others: its name, its globals register, the registers its
+// calls clobber, and how its machine words decode. Register indices
+// 0-31 and their calling-convention roles are shared (the Reg constants
+// SP, RA, A0-A3, V0-V1 and the rest), so the analysis packages name
+// those directly and consult a Machine only for the differences; a
+// second backend is a new description rather than a new analysis.
 //
-// Registers are shared indices 0-31 across backends; what differs is
-// which index plays which role and how it is spelled. A backend with no
-// small-data globals register reports that through GP's second result,
-// and the pattern lattice then simply never produces GP leaves for it.
-// The register lists a Machine returns may be shared: callers must not
-// modify them.
+// A backend with no small-data globals register reports that through
+// GP's second result, and the pattern lattice then simply never
+// produces GP leaves for it. The list CallClobbered returns may be
+// shared: callers must not modify it.
 type Machine interface {
 	// Name is the backend's canonical lowercase name ("mips", "arm").
 	Name() string
-
-	// Register roles.
-	Zero() Reg            // hardwired zero register
-	SP() Reg              // stack pointer
-	FP() Reg              // frame pointer
-	RA() Reg              // return-address register
-	GP() (Reg, bool)      // globals/small-data base, if the ISA has one
-	ArgRegs() []Reg       // integer argument registers, in order
-	RetRegs() []Reg       // integer return-value registers, in order
-	TempRegs() []Reg      // caller-saved allocatable temporaries
-	SavedRegs() []Reg     // callee-saved allocatable registers
-	CallClobbered() []Reg // registers a call may overwrite
-
-	// RegName spells an integer register in the backend's assembly
-	// syntax ("$sp" on MIPS, "sp" on ARM).
-	RegName(r Reg) string
-
-	// Encode and Decode translate between the shared Inst form and the
-	// backend's 32-bit machine words. Every backend must round-trip:
-	// Decode(Encode(i)) == i for any i it can encode.
-	Encode(i Inst) (uint32, error)
+	// GP is the globals/small-data base register, if the ISA has one.
+	GP() (Reg, bool)
+	// CallClobbered lists the registers a call may overwrite.
+	CallClobbered() []Reg
+	// Decode translates one of the backend's 32-bit machine words into
+	// the shared Inst form.
 	Decode(word uint32) (Inst, error)
 }
 
@@ -62,13 +47,20 @@ func Register(m Machine) {
 	machines[m.Name()] = m
 }
 
-// ByName resolves a backend by name. The empty string resolves to
-// "mips", the original ISA, so images from before machine descriptions
-// existed keep decoding.
-func ByName(name string) (Machine, error) {
+// Canonical resolves a machine name as every image, request and key
+// means it: the empty string is "mips", the original ISA, so images
+// from before machine descriptions existed keep decoding. Any other
+// name is returned unchanged.
+func Canonical(name string) string {
 	if name == "" {
-		name = "mips"
+		return "mips"
 	}
+	return name
+}
+
+// ByName resolves a backend by name, after Canonical.
+func ByName(name string) (Machine, error) {
+	name = Canonical(name)
 	machinesMu.RLock()
 	defer machinesMu.RUnlock()
 	m, ok := machines[name]

@@ -7,7 +7,6 @@ import (
 
 	"delinq/internal/asm"
 	"delinq/internal/isa"
-	"delinq/internal/isa/mips"
 	"delinq/internal/obj"
 )
 
@@ -51,11 +50,6 @@ func CompileProgram(src string, opts Options) (*asm.Program, error) {
 	return g.p, nil
 }
 
-// mach is the machine description the compiler targets. minic always
-// emits MIPS assembly; other backends (arm) lower the assembled MIPS
-// image rather than providing their own code generator.
-var mach = mips.M
-
 // Register operands the generator names directly.
 var (
 	rZero = asm.Reg(isa.Zero)
@@ -76,12 +70,12 @@ func imm[T int | int32 | int64](v T) asm.Operand { return asm.Imm(int64(v)) }
 // stack is the stack slot off($sp).
 func stack(off int32) asm.Operand { return asm.Mem(int64(off), isa.SP) }
 
-// Temp register pools. The integer pools come from the machine
-// description; the FP odd/even pairing is a COP1 detail the Machine
-// interface does not model.
-var intTemps = mach.TempRegs()
+// Temp register pools: the caller-saved integer temporaries, the FP
+// temporaries (their odd/even pairing is a COP1 detail), and the
+// callee-saved registers -O promotes locals to.
+var intTemps = []isa.Reg{isa.T0, isa.T1, isa.T2, isa.T3, isa.T4, isa.T5, isa.T6, isa.T7, isa.T8, isa.T9}
 var fltTemps = []isa.Reg{4, 6, 8, 10, 14, 16, 18, 20}
-var sRegs = mach.SavedRegs()
+var sRegs = []isa.Reg{isa.S0, isa.S1, isa.S2, isa.S3, isa.S4, isa.S5, isa.S6, isa.S7}
 
 // value is an expression result: a register of one of the two classes.
 type value struct {

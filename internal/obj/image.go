@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"sort"
+
+	"delinq/internal/isa"
 )
 
 // Default memory layout. Text and data live in disjoint regions; the heap
@@ -61,15 +63,10 @@ type Image struct {
 	SrcNames map[uint32]string
 }
 
-// ISAName returns the image's machine description name, mapping the
-// empty string (images from before machine descriptions existed) to
-// "mips".
-func (im *Image) ISAName() string {
-	if im.ISA == "" {
-		return "mips"
-	}
-	return im.ISA
-}
+// ISAName returns the image's machine description name, after
+// isa.Canonical: an image from before machine descriptions existed
+// names "mips".
+func (im *Image) ISAName() string { return isa.Canonical(im.ISA) }
 
 // New returns an empty image with the default layout.
 func New() *Image {

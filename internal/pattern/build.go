@@ -81,26 +81,18 @@ func analyzeFuncMachine(fn *disasm.Func, m isa.Machine) []*Load {
 	return b.analyzeLoads()
 }
 
-// newBuilder constructs a pattern builder over fn's dataflow facts df,
-// with register roles and the calling convention taken from m.
+// The calling convention's argument and return-value registers, as
+// bitmasks over the 32 shared register indices.
+const (
+	paramRegs uint32 = 1<<isa.A0 | 1<<isa.A1 | 1<<isa.A2 | 1<<isa.A3
+	retRegs   uint32 = 1<<isa.V0 | 1<<isa.V1
+)
+
+// newBuilder constructs a pattern builder over fn's dataflow facts df;
+// m says whether the machine has a globals register.
 func newBuilder(fn *disasm.Func, m isa.Machine, df *dataflow.Result) *builder {
-	b := &builder{
-		fn:    fn,
-		m:     m,
-		df:    df,
-		slots: map[int32]int8{},
-		zero:  m.Zero(),
-		sp:    m.SP(),
-		fp:    m.FP(),
-	}
-	b.gp, b.hasGP = m.GP()
-	for _, r := range m.ArgRegs() {
-		b.argRegs |= 1 << r
-	}
-	for _, r := range m.RetRegs() {
-		b.retRegs |= 1 << r
-	}
-	return b
+	_, hasGP := m.GP()
+	return &builder{fn: fn, df: df, hasGP: hasGP, slots: map[int32]int8{}}
 }
 
 // analyzeLoads builds the address patterns of every load in the
@@ -150,8 +142,8 @@ func (b *builder) pointerLoads() []bool {
 // at, directly or through the arithmetic that computes it. Any load
 // definition counts, a pre/post-indexed writeback included.
 func (b *builder) chase(ptr []bool, reg isa.Reg, at, depth int, visiting map[int]bool) {
-	if depth > pointerDepth || reg == b.zero || reg == b.sp ||
-		(b.hasGP && reg == b.gp) || reg == b.fp {
+	if depth > pointerDepth || reg == isa.Zero || reg == isa.SP ||
+		(b.hasGP && reg == isa.GP) || reg == isa.FP {
 		return
 	}
 	var buf [4]dataflow.Def
@@ -186,15 +178,10 @@ func (b *builder) chase(ptr []bool, reg isa.Reg, at, depth int, visiting map[int
 
 type builder struct {
 	fn        *disasm.Func
-	m         isa.Machine
 	df        *dataflow.Result
 	truncated bool
-	// Register roles, resolved once from the machine description. gp is
-	// meaningful only when hasGP is set; argRegs/retRegs are bitmasks
-	// over the 32 shared register indices.
-	zero, sp, fp, gp isa.Reg
-	hasGP            bool
-	argRegs, retRegs uint32
+	// hasGP says whether isa.GP is the machine's globals register.
+	hasGP bool
 	// ipc, when non-nil, enables interprocedural resolution of Ret and
 	// Param leaves through the program's per-function facts.
 	ipc *interproc
@@ -229,7 +216,7 @@ func (b *builder) ensureStoreSlots() {
 			continue
 		}
 		off := in.MemOffset()
-		if in.Rs == b.sp || in.Rs == b.fp {
+		if in.Rs == isa.SP || in.Rs == isa.FP {
 			b.storeSlots[off] = append(b.storeSlots[off], i)
 			continue
 		}
@@ -255,11 +242,11 @@ func (b *builder) cap(list []*Expr) []*Expr {
 // on the current substitution path for register-recurrence detection.
 func (b *builder) expandReg(reg isa.Reg, at, depth int, visiting map[int]bool) []*Expr {
 	switch {
-	case reg == b.zero:
+	case reg == isa.Zero:
 		return []*Expr{zeroConst}
-	case b.hasGP && reg == b.gp:
+	case b.hasGP && reg == isa.GP:
 		return []*Expr{gpLeaf}
-	case reg == b.sp || reg == b.fp:
+	case reg == isa.SP || reg == isa.FP:
 		return []*Expr{spLeaf}
 	}
 	if depth >= maxDepth {
@@ -286,7 +273,7 @@ func (b *builder) expandReg(reg isa.Reg, at, depth int, visiting map[int]bool) [
 		}
 		switch d.Kind {
 		case dataflow.DefEntry:
-			if b.argRegs&(1<<reg) != 0 {
+			if paramRegs&(1<<reg) != 0 {
 				if alts := b.resolveParam(reg); alts != nil {
 					for _, e := range alts {
 						add(e)
@@ -298,7 +285,7 @@ func (b *builder) expandReg(reg isa.Reg, at, depth int, visiting map[int]bool) [
 				add(unknownLeaf)
 			}
 		case dataflow.DefCall:
-			if b.retRegs&(1<<reg) != 0 {
+			if retRegs&(1<<reg) != 0 {
 				if alts := b.resolveRet(d, reg, depth, visiting); alts != nil {
 					for _, e := range alts {
 						add(e)

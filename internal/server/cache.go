@@ -33,6 +33,7 @@ import (
 	"strings"
 	"time"
 
+	"delinq/internal/isa"
 	"delinq/internal/rescache"
 	"delinq/internal/workerpool"
 )
@@ -95,27 +96,17 @@ func boolKey(b bool) string {
 	return "0"
 }
 
-// isaKey canonicalizes the machine-description field for keying: the
-// empty name means mips, so `"isa": ""` and `"isa": "mips"` share one
-// entry while any other ISA can never cross-hit it.
-func isaKey(name string) string {
-	if name == "" {
-		return "mips"
-	}
-	return name
-}
-
 // analyzeCacheKey is the content address of one analyze request.
 func analyzeCacheKey(req analyzeRequest) string {
 	return cacheKey("analyze", canonSource(req.Source), req.Benchmark,
 		boolKey(req.Optimize), boolKey(req.Inter), boolKey(req.Input2),
-		fmtArgs(req.Args), isaKey(req.ISA))
+		fmtArgs(req.Args), isa.Canonical(req.ISA))
 }
 
 // runCacheKey is the content address of one run request.
 func runCacheKey(req runRequest) string {
 	return cacheKey("run", canonSource(req.Source), req.Benchmark,
-		boolKey(req.Optimize), boolKey(req.Input2), fmtArgs(req.Args), isaKey(req.ISA))
+		boolKey(req.Optimize), boolKey(req.Input2), fmtArgs(req.Args), isa.Canonical(req.ISA))
 }
 
 // tableCacheKey is the content address of one table render.

@@ -23,6 +23,7 @@ import (
 	"delinq/internal/bench"
 	"delinq/internal/cache"
 	"delinq/internal/classify"
+	"delinq/internal/isa"
 	"delinq/internal/metrics"
 	"delinq/internal/rescache"
 	"delinq/internal/train"
@@ -207,11 +208,7 @@ type render struct {
 
 // start begins one render of the engine under ctx.
 func (e Engine) start(ctx context.Context) render {
-	isaName := e.ISA
-	if isaName == "" {
-		isaName = "mips"
-	}
-	return render{ctx: ctx, isa: isaName, timeout: e.Timeout, q: &quarantine{m: map[string]*Degradation{}}}
+	return render{ctx: ctx, isa: isa.Canonical(e.ISA), timeout: e.Timeout, q: &quarantine{m: map[string]*Degradation{}}}
 }
 
 // on returns the render retargeted to another machine description.

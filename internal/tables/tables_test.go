@@ -188,6 +188,54 @@ func TestHeadlineShape(t *testing.T) {
 	}
 }
 
+// TestCrossISAShape is Table S5's claim as an invariant: lowering to
+// arm keeps every benchmark's loads one for one, and each load runs and
+// misses the baseline cache exactly as often on both machines, so with
+// each ISA scored by its own trained weights coverage moves only by
+// what the retrained weights flag differently.
+func TestCrossISAShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("both ISAs' full evaluation in short mode")
+	}
+	ctx := context.Background()
+	engs := []Engine{{ISA: "mips"}, {ISA: "arm"}}
+	cfgs := make([]classify.Config, len(engs))
+	for k, eng := range engs {
+		cfg, err := eng.HeuristicConfig(ctx, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs[k] = cfg
+	}
+	for _, b := range bench.All() {
+		var runs [2]*bench.Run
+		for k, eng := range engs {
+			run, err := eng.Load(ctx, b, false, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[k] = run
+		}
+		mips, arm := runs[0].Stats(GeomBaseline), runs[1].Stats(GeomBaseline)
+		if len(mips) != len(arm) {
+			t.Errorf("%s: |L| = %d on mips, %d on arm", b.Name, len(mips), len(arm))
+			continue
+		}
+		for i := range mips {
+			if mips[i].Exec != arm[i].Exec || mips[i].Misses != arm[i].Misses {
+				t.Errorf("%s load %d: E/M = %d/%d on mips, %d/%d on arm",
+					b.Name, i, mips[i].Exec, mips[i].Misses, arm[i].Exec, arm[i].Misses)
+			}
+		}
+		rho := func(k int, stats []metrics.LoadStat) float64 {
+			return metrics.Evaluate(runs[k].Delta(cfgs[k]), stats).Rho
+		}
+		if d := rho(0, mips) - rho(1, arm); d > 0.001 || d < -0.001 {
+			t.Errorf("%s: rho differs by %.2f points across ISAs", b.Name, 100*d)
+		}
+	}
+}
+
 func TestTable5AgainstPaperStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run in short mode")

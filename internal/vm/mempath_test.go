@@ -11,6 +11,8 @@ import (
 	"delinq/internal/asm"
 	"delinq/internal/cache"
 	"delinq/internal/isa"
+	"delinq/internal/isa/arm"
+	"delinq/internal/isa/mips"
 	"delinq/internal/obj"
 )
 
@@ -78,19 +80,15 @@ func (p *prog) print(r isa.Reg) {
 
 func (p *prog) image(t *testing.T) *obj.Image {
 	t.Helper()
-	name := "mips"
+	name, encode := "mips", mips.Encode
 	if p.arm {
-		name = "arm"
+		name, encode = "arm", arm.Encode
 	}
 	p.syscall(SysExit)
-	mach, err := isa.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
 	img := obj.New()
 	img.ISA, img.Entry = name, obj.TextBase
 	for _, in := range p.code {
-		w, err := mach.Encode(in)
+		w, err := encode(in)
 		if err != nil {
 			t.Fatalf("encode %v: %v", in, err)
 		}

@@ -251,8 +251,8 @@ func RunContext(ctx context.Context, img *obj.Image, opts Options) (*Result, err
 	if gp, ok := mach.GP(); ok {
 		m.reg[gp] = int32(img.GPValue)
 	}
-	m.reg[mach.SP()] = int32(obj.StackTop)
-	m.reg[mach.RA()] = 0 // returning from the entry halts
+	m.reg[isa.SP] = int32(obj.StackTop)
+	m.reg[isa.RA] = 0 // returning from the entry halts
 	if ctx.Done() != nil {
 		m.ctx = ctx
 	}

@@ -167,6 +167,31 @@ func TestExecuteUnknownKind(t *testing.T) {
 	}
 }
 
+// TestExecuteBenchmarkRunOutput: a run job on a registered benchmark
+// answers what the program printed, the same as a run of its source on
+// its Input 1.
+func TestExecuteBenchmarkRunOutput(t *testing.T) {
+	b := bench.ByName("181.mcf")
+	run := func(job Job) RunResponse {
+		t.Helper()
+		res := Execute(context.Background(), job)
+		if res.Status != http.StatusOK {
+			t.Fatalf("%+v: status = %d (err %q)", job, res.Status, res.Err)
+		}
+		var rr RunResponse
+		if err := json.Unmarshal(res.Body, &rr); err != nil {
+			t.Fatal(err)
+		}
+		return rr
+	}
+	got := run(Job{Kind: JobRun, Benchmark: b.Name})
+	want := run(Job{Kind: JobRun, Source: b.Source, Args: b.Input1})
+	if got.Output == "" || got.Output != want.Output || got.Exit != want.Exit {
+		t.Errorf("benchmark run: exit %d output %q; source run: exit %d output %q",
+			got.Exit, got.Output, want.Exit, want.Output)
+	}
+}
+
 // TestExecuteInterHonoursContext: a benchmark inter job runs its
 // interprocedural analysis under the caller's context, so a cancelled
 // request fails at the pattern stage even when the build and run are

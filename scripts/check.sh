@@ -101,7 +101,7 @@ go test -cover \
     ./internal/cfg ./internal/dataflow ./internal/callgraph \
     ./internal/faultinject ./internal/cache \
     ./internal/server ./internal/metrics \
-    ./internal/rescache ./internal/isa/mips ./internal/isa/arm \
+    ./internal/rescache ./internal/isa ./internal/isa/mips ./internal/isa/arm \
     ./internal/wal ./internal/workerpool \
     ./internal/bench ./internal/tables ./internal/pattern \
     ./internal/core ./internal/classify ./internal/freq \
