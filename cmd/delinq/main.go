@@ -501,7 +501,7 @@ func cmdTrain() error {
 	fmt.Println()
 	for _, ar := range rep.Aggs {
 		fmt.Printf("%-4v %-24s %-9v weight %+.2f (relevant in %d of 11)\n",
-			ar.Agg, ar.Agg.Feature(), ar.Nature, ar.Weight, ar.RelevantIn)
+			ar.Class, ar.Class.Feature(), ar.Nature, ar.Weight, ar.RelevantIn)
 	}
 	paper := classify.PaperWeights()
 	fmt.Println("\npaper weights for comparison:")

@@ -22,8 +22,8 @@ const (
 	AG5                     // two levels of dereferencing (H3)
 	AG6                     // three or more levels of dereferencing (H3)
 	AG7                     // recurrence present (H4)
-	AG8                     // seldom executed: 100–1000 times (H5)
-	AG9                     // rarely executed: fewer than 100 times (H5)
+	AG8                     // seldom executed (H5, see FreqClass)
+	AG9                     // rarely executed (H5, see FreqClass)
 
 	NumAggClasses = 9
 )
@@ -126,23 +126,15 @@ func PatternClasses(f Features) []AggClass {
 	return out
 }
 
-// Frequency thresholds of criterion H5.
-const (
-	// RareBelow: loads executed fewer than this many times are "rarely
-	// executed" (AG9).
-	RareBelow = 100
-	// SeldomBelow: loads executed in [RareBelow, SeldomBelow) are
-	// "seldom executed" (AG8).
-	SeldomBelow = 1000
-)
-
-// FreqClass returns the frequency class (AG8, AG9 or 0 for neither)
-// given a load's execution count.
+// FreqClass returns criterion H5's frequency class of a load executed
+// exec times: AG9 ("rarely executed") below 100, AG8 ("seldom
+// executed") below 1000, and 0 for neither. It is the one statement of
+// H5's thresholds; LoadClasses and Score both ask it.
 func FreqClass(exec int64) AggClass {
 	switch {
-	case exec < RareBelow:
+	case exec < 100:
 		return AG9
-	case exec < SeldomBelow:
+	case exec < 1000:
 		return AG8
 	}
 	return 0
@@ -179,7 +171,8 @@ type Scored struct {
 	// Phi is the heuristic value φ(i).
 	Phi float64
 	// Classes is the union of aggregate classes over all patterns
-	// (including the frequency class), for reporting.
+	// (including the frequency class): the classes φ weighs, and the
+	// ones training fits their weights on (train.NewSample).
 	Classes []AggClass
 	// Delinquent reports φ(i) > δ.
 	Delinquent bool

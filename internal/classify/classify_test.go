@@ -348,6 +348,13 @@ main:
 			t.Errorf("unexpected class %v in %v", c, classes)
 		}
 	}
+	// H5 follows FreqClass at its thresholds.
+	for exec, h5 := range map[int64]int{99: H5Rare, 100: H5Seldom, 999: H5Seldom, 1000: H5Fair} {
+		classes := LoadClasses(arr, exec)
+		if got := classes[len(classes)-1]; got != (ClassID{H5, h5}) {
+			t.Errorf("LoadClasses(exec=%d) H5 class = %v, want H5.%d", exec, got, h5)
+		}
+	}
 }
 
 func TestStringers(t *testing.T) {

@@ -88,7 +88,7 @@ const (
 	MaxH3Level = 5
 	// H4: index 1 = recurrent, 0 = not.
 	H4Recurrent = 1
-	// H5: 0 = rarely (<100), 1 = seldom (<1000), 2 = fair or more.
+	// H5: 0 = rarely (FreqClass AG9), 1 = seldom (AG8), 2 = fair or more.
 	H5Rare   = 0
 	H5Seldom = 1
 	H5Fair   = 2
@@ -140,10 +140,10 @@ func LoadClasses(ld *pattern.Load, exec int64) []ClassID {
 			add(ClassID{H4, 0})
 		}
 	}
-	switch {
-	case exec < RareBelow:
+	switch FreqClass(exec) {
+	case AG9:
 		add(ClassID{H5, H5Rare})
-	case exec < SeldomBelow:
+	case AG8:
 		add(ClassID{H5, H5Seldom})
 	default:
 		add(ClassID{H5, H5Fair})

@@ -119,20 +119,6 @@ func (p *Program) FuncByName(name string) *Func {
 	return nil
 }
 
-// NumLoads counts static load instructions in the program: the paper's
-// |Λ| for one binary.
-func (p *Program) NumLoads() int {
-	n := 0
-	for _, f := range p.Funcs {
-		for _, in := range f.Insts {
-			if in.IsLoad() {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // Print writes an objdump-style listing.
 func (p *Program) Print(w io.Writer) error {
 	for _, f := range p.Funcs {

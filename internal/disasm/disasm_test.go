@@ -85,13 +85,6 @@ func TestFuncAt(t *testing.T) {
 	}
 }
 
-func TestNumLoads(t *testing.T) {
-	p := mustProgram(t, sample)
-	if n := p.NumLoads(); n != 3 {
-		t.Errorf("NumLoads = %d, want 3", n)
-	}
-}
-
 func TestPrintListing(t *testing.T) {
 	p := mustProgram(t, sample)
 	var sb strings.Builder

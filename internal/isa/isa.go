@@ -344,20 +344,6 @@ func (i Inst) IsStore() bool {
 	return false
 }
 
-// MemBytes returns the access width of a load or store, or 0.
-func (i Inst) MemBytes() int {
-	switch i.Op {
-	case LB, LBU, SB, ALDRB, ALDRSB, ASTRB:
-		return 1
-	case LH, LHU, SH, ALDRH, ALDRSH, ASTRH:
-		return 2
-	case LW, SW, LWC1, SWC1,
-		ALDR, ASTR, ALDRPRE, ALDRPOST, ASTRPRE, ASTRPOST, AVLDR, AVSTR:
-		return 4
-	}
-	return 0
-}
-
 // IsFPMem reports whether a load or store moves an FP register
 // (the data register names the FP file, not the integer file).
 func (i Inst) IsFPMem() bool {

@@ -38,15 +38,15 @@ func TestRegNameRoundtrip(t *testing.T) {
 
 func TestInstPredicates(t *testing.T) {
 	lw := Inst{Op: LW, Rt: T0, Rs: SP, Imm: 4}
-	if !lw.IsLoad() || lw.IsStore() || lw.MemBytes() != 4 {
+	if !lw.IsLoad() || lw.IsStore() {
 		t.Errorf("LW predicates wrong: %+v", lw)
 	}
 	sb := Inst{Op: SB, Rt: T0, Rs: SP}
-	if sb.IsLoad() || !sb.IsStore() || sb.MemBytes() != 1 {
+	if sb.IsLoad() || !sb.IsStore() {
 		t.Errorf("SB predicates wrong: %+v", sb)
 	}
 	lwc1 := Inst{Op: LWC1, Rt: 2, Rs: GP}
-	if !lwc1.IsLoad() || lwc1.MemBytes() != 4 {
+	if !lwc1.IsLoad() || !lwc1.IsFPMem() {
 		t.Errorf("LWC1 predicates wrong: %+v", lwc1)
 	}
 	if !(Inst{Op: JR, Rs: RA}).IsReturn() {
@@ -89,7 +89,7 @@ func TestInstPredicates(t *testing.T) {
 	if !(Inst{Op: AVLDR}).IsFPMem() || !(Inst{Op: AVSTR}).IsFPMem() || (Inst{Op: ALDR}).IsFPMem() {
 		t.Error("ARM IsFPMem wrong")
 	}
-	if !(Inst{Op: AVLDR}).IsLoad() || !(Inst{Op: ASTRPOST}).IsStore() || (Inst{Op: ALDRSH}).MemBytes() != 2 {
+	if !(Inst{Op: AVLDR}).IsLoad() || !(Inst{Op: ASTRPOST}).IsStore() || !(Inst{Op: ALDRSH}).IsLoad() {
 		t.Error("ARM memory predicates wrong")
 	}
 	if !(Inst{Op: ABX, Rs: RA}).IsReturn() || !(Inst{Op: ABLX}).IsCall() || !(Inst{Op: ASVC}).EndsBlock() {

@@ -25,19 +25,11 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestCounterAddIgnoresNegative(t *testing.T) {
-	var c Counter
-	c.Add(5)
-	c.Add(-3)
-	c.Add(0)
-	if c.Value() != 5 {
-		t.Fatalf("value = %d, want 5", c.Value())
-	}
-}
-
 func TestExpositionShape(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("delinq_requests_total").Add(3)
+	for i := 0; i < 3; i++ {
+		r.Counter("delinq_requests_total").Inc()
+	}
 	r.Counter("delinq_requests_shed_total")
 	r.Gauge("delinq_requests_inflight", func() int64 { return 2 })
 

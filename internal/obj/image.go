@@ -116,21 +116,6 @@ func (im *Image) Lookup(name string) (*Sym, bool) {
 	return nil, false
 }
 
-// FuncAt returns the function symbol whose extent covers pc.
-func (im *Image) FuncAt(pc uint32) (*Sym, bool) {
-	var best *Sym
-	for i := range im.Syms {
-		s := &im.Syms[i]
-		if s.Kind != SymFunc || pc < s.Addr {
-			continue
-		}
-		if pc < s.Addr+s.Size && (best == nil || s.Addr > best.Addr) {
-			best = s
-		}
-	}
-	return best, best != nil
-}
-
 // DataSymAt returns the data symbol covering the given data address.
 func (im *Image) DataSymAt(addr uint32) (*Sym, bool) {
 	for i := range im.Syms {
@@ -322,13 +307,4 @@ func (im *Image) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, b, 0o644)
-}
-
-// ReadFile loads an image written by WriteFile.
-func ReadFile(path string) (*Image, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeImage(b)
 }

@@ -132,15 +132,6 @@ func TestImageLookups(t *testing.T) {
 	if _, ok := im.Lookup("nope"); ok {
 		t.Error("Lookup(nope) succeeded")
 	}
-	if f, ok := im.FuncAt(TextBase + 8); !ok || f.Name != "main" {
-		t.Errorf("FuncAt = %v, %v; want main", f, ok)
-	}
-	if f, ok := im.FuncAt(TextBase + 12); !ok || f.Name != "helper" {
-		t.Errorf("FuncAt = %v, %v; want helper", f, ok)
-	}
-	if _, ok := im.FuncAt(TextBase + 100); ok {
-		t.Error("FuncAt past end succeeded")
-	}
 	if s, ok := im.DataSymAt(DataBase + 4); !ok || s.Name != "tbl" {
 		t.Errorf("DataSymAt = %v, %v; want tbl", s, ok)
 	}
@@ -279,7 +270,11 @@ func TestImageFileRoundtrip(t *testing.T) {
 	if err := im.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeImage(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,15 +45,13 @@ type stateStore struct {
 	wal         *wal.Store
 	compactDead int64 // test-overridable threshold
 
-	compactMu sync.Mutex  // one compaction at a time
-	booting   atomic.Bool // true during boot replay seeding
+	compactMu sync.Mutex // one compaction at a time
 
 	dead         atomic.Int64 // dead records since the last compaction
 	appendErrs   atomic.Int64
 	compactions  atomic.Int64
 	replayed     atomic.Int64 // entries seeded at boot
 	badDecode    atomic.Int64 // replayed records that failed to decode
-	seedEvicted  atomic.Int64 // entries evicted while seeding (caps smaller than log)
 	quarantined  atomic.Int64 // from replay stats
 	tornTail     atomic.Int64 // 1 if boot recovery dropped a torn tail
 	bootCompacts atomic.Int64 // compactions forced by a dirty boot
@@ -78,10 +76,7 @@ func (s *Server) OpenState() error {
 	// The eviction hook must be live before seeding so evictions during
 	// replay (a log grown past the configured caps) are counted as dead
 	// records like any other eviction.
-	s.cache.SetOnEvict(func(string, *cachedResponse) {
-		st.dead.Add(1)
-		st.seedEvictedIfBooting()
-	})
+	s.cache.SetOnEvict(func(string, *cachedResponse) { st.dead.Add(1) })
 
 	w, entries, rst, err := wal.Open(filepath.Join(s.cfg.StateDir, stateFile), wal.Options{Name: "rescache"})
 	if err != nil {
@@ -93,7 +88,6 @@ func (s *Server) OpenState() error {
 	}
 	st.quarantined.Store(int64(rst.Quarantined))
 
-	st.booting.Store(true)
 	for _, e := range entries {
 		cr, ok := decodeCachedResponse(e.Val)
 		if !ok {
@@ -104,12 +98,12 @@ func (s *Server) OpenState() error {
 			st.replayed.Add(1)
 		}
 	}
-	st.booting.Store(false)
 
 	// A dirty boot (torn tail, quarantined regions, undecodable values,
 	// or a log larger than the caps) leaves dead bytes: rewrite once now
-	// so the steady state starts clean.
-	if rst.Dirty() || st.badDecode.Load() > 0 || st.seedEvicted.Load() > 0 {
+	// so the steady state starts clean. No traffic has been served yet,
+	// so every eviction so far is one seeding made.
+	if rst.Dirty() || st.badDecode.Load() > 0 || s.cache.Stats().EvictedSize > 0 {
 		if err := st.compact(s.cache); err == nil {
 			st.bootCompacts.Add(1)
 		}
@@ -118,14 +112,6 @@ func (s *Server) OpenState() error {
 	s.state = st
 	s.registerStateMetrics()
 	return nil
-}
-
-// booting marks the replay-seeding window so the eviction hook can
-// attribute evictions to replay.
-func (st *stateStore) seedEvictedIfBooting() {
-	if st.booting.Load() {
-		st.seedEvicted.Add(1)
-	}
 }
 
 // persist journals one filled response. Failures are counted, never
@@ -186,13 +172,20 @@ func (s *Server) registerStateMetrics() {
 
 // --- cachedResponse wire format -------------------------------------------
 //
-//	v1 := 0x01 ctLen4 contentType body
+//	record := persistVersion ctLen4 contentType body
 //
 // Degraded renders are never cacheable, hence never persisted, so the
 // format carries no degraded field; decode rejects anything it does not
 // fully understand and the entry recomputes.
 
-const persistVersion = 1
+// persistVersion is the version of the rendered answers, not only of
+// the record layout: cache keys name a request's content, so a record
+// another build rendered would otherwise replay that build's bytes after
+// an upgrade. Bump it whenever an answer's bytes change (an analyze,
+// run or table body); decode then rejects the older records, which
+// count in delinq_state_bad_decode_total, recompute, and are dropped by
+// the boot compaction. TestAnswerFormatPinned fails until it is bumped.
+const persistVersion = 2
 
 func encodeCachedResponse(cr *cachedResponse) []byte {
 	b := make([]byte, 0, 5+len(cr.contentType)+len(cr.body))

@@ -7,6 +7,8 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -16,6 +18,8 @@ import (
 	"time"
 
 	"delinq/internal/faultinject"
+	"delinq/internal/wal"
+	"delinq/internal/workerpool"
 )
 
 // newStatefulDaemon builds a daemon with durable state attached.
@@ -221,8 +225,8 @@ func TestEvictionDuringReplayCompacts(t *testing.T) {
 	if got := s2.cache.Stats().Entries; got != 2 {
 		t.Fatalf("cache entries after capped replay = %d, want 2", got)
 	}
-	if n := s2.state.seedEvicted.Load(); n != 4 {
-		t.Fatalf("seedEvicted = %d, want 4", n)
+	if n := s2.cache.Stats().EvictedSize; n != 4 {
+		t.Fatalf("evicted while seeding = %d, want 4", n)
 	}
 	if s2.state.bootCompacts.Load() != 1 {
 		t.Fatal("capped replay did not boot-compact")
@@ -285,13 +289,89 @@ func TestEncodeDecodeCachedResponse(t *testing.T) {
 	for _, bad := range [][]byte{
 		nil,
 		{},
-		{2, 0, 0, 0, 0},              // wrong version
-		{1, 255, 255, 255, 255, 'x'}, // ctLen overruns
-		{1, 0, 0, 0, 0},              // empty content type
-		encodeCachedResponse(cr)[:3], // truncated
+		{persistVersion - 1, 1, 0, 0, 0, 'x'}, // older answer format
+		{persistVersion, 255, 255, 255, 255, 'x'}, // ctLen overruns
+		{persistVersion, 0, 0, 0, 0},              // empty content type
+		encodeCachedResponse(cr)[:3],              // truncated
 	} {
 		if _, ok := decodeCachedResponse(bad); ok {
 			t.Fatalf("decode accepted %v", bad)
 		}
+	}
+}
+
+// TestOlderAnswerFormatRecomputes: a record an older build rendered
+// (answer format 1, here a /v1/run body from before benchmark runs
+// captured their output) is not replayed after an upgrade. The
+// restarted daemon recomputes the answer, and the boot compaction drops
+// the record.
+func TestOlderAnswerFormatRecomputes(t *testing.T) {
+	dir := t.TempDir()
+	w, _, _, err := wal.Open(filepath.Join(dir, stateFile), wal.Options{Name: "rescache"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ct = "application/json"
+	stale := append([]byte{1, byte(len(ct)), 0, 0, 0}, ct...)
+	stale = append(stale, `{"exit":0,"output":""}`+"\n"...)
+	if err := w.Append(runCacheKey(runRequest{Source: srcLoop}), stale); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newStatefulDaemon(t, Config{StateDir: dir})
+	code, hdr, body := postJSON(t, ts.URL+"/v1/run", `{"source": `+jsonString(srcLoop)+`}`)
+	fresh := workerpool.Execute(context.Background(), workerpool.Job{Kind: workerpool.JobRun, Source: srcLoop})
+	if code != 200 || hdr.Get("Delinq-Cache") != "miss" {
+		t.Fatalf("restart on an older answer format: code=%d cache=%q body=%s", code, hdr.Get("Delinq-Cache"), body)
+	}
+	if body != string(fresh.Body) {
+		t.Fatalf("body = %s, want the fresh answer %s", body, fresh.Body)
+	}
+	if n := s.state.badDecode.Load(); n != 1 {
+		t.Errorf("badDecode = %d, want 1", n)
+	}
+	if n := s.state.bootCompacts.Load(); n != 1 {
+		t.Errorf("bootCompacts = %d, want 1", n)
+	}
+}
+
+// answerDigests records, per persistVersion, the SHA-256 of the answers
+// TestAnswerFormatPinned renders.
+var answerDigests = map[int]string{
+	2: "07ede35a7cff3bc1fba99c1326d717087fecaf8ada89e266caff2aa046d2d0e3",
+}
+
+// TestAnswerFormatPinned hashes fixed ad-hoc and benchmark analyze and
+// run answers, rendered as the daemon renders them, and the committed
+// table goldens, which pin every /v1/table body. When the digest no
+// longer matches the one recorded for persistVersion, an answer's bytes
+// changed and records of the current version would replay stale bytes
+// after an upgrade.
+func TestAnswerFormatPinned(t *testing.T) {
+	h := sha256.New()
+	for _, job := range []workerpool.Job{
+		{Kind: workerpool.JobAnalyze, Source: srcLoop},
+		{Kind: workerpool.JobRun, Source: srcLoop},
+		{Kind: workerpool.JobRun, Benchmark: "181.mcf"},
+	} {
+		res := workerpool.Execute(context.Background(), job)
+		if res.Status != 200 {
+			t.Fatalf("%+v: status %d: %s", job, res.Status, res.Err)
+		}
+		h.Write(res.Body)
+	}
+	for _, golden := range []string{"tables_output.txt", "tables_inter.txt", "tables_isa.txt"} {
+		b, err := os.ReadFile(filepath.Join("..", "..", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(b)
+	}
+	if got, want := hex.EncodeToString(h.Sum(nil)), answerDigests[persistVersion]; got != want {
+		t.Fatalf("answer digest %s, recorded for persistVersion %d: %q; "+
+			"an answer's bytes changed: bump persistVersion and record the new digest", got, persistVersion, want)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"delinq/internal/cache"
 	"delinq/internal/classify"
 	"delinq/internal/isa"
-	"delinq/internal/metrics"
 	"delinq/internal/rescache"
 	"delinq/internal/train"
 )
@@ -399,36 +398,8 @@ func (r render) trainingSamples() ([]train.Sample, []*Degradation, error) {
 			skipped = append(skipped, deg)
 			continue
 		}
-		s := train.Sample{Name: b.Name}
-		stats := run.Stats(GeomTraining)
-		byPC := map[uint32]metrics.LoadStat{}
-		for _, st := range stats {
-			byPC[st.PC] = st
-			s.TotalMisses += st.Misses
-		}
-		for _, ld := range run.Build.Loads {
-			st := byPC[ld.PC]
-			ls := train.LoadSample{
-				PC:      ld.PC,
-				Classes: classify.LoadClasses(ld, st.Exec),
-				Exec:    st.Exec,
-				Misses:  st.Misses,
-			}
-			seen := map[classify.AggClass]bool{}
-			for _, p := range ld.Patterns {
-				for _, a := range classify.PatternClasses(classify.FeaturesOf(p)) {
-					if !seen[a] {
-						seen[a] = true
-						ls.Aggs = append(ls.Aggs, a)
-					}
-				}
-			}
-			if f := classify.FreqClass(st.Exec); f != 0 && !seen[f] {
-				ls.Aggs = append(ls.Aggs, f)
-			}
-			s.Loads = append(s.Loads, ls)
-		}
-		samples = append(samples, s)
+		misses := func(pc uint32) int64 { return run.Result.MissesAt(GeomTraining, pc) }
+		samples = append(samples, train.NewSample(b.Name, run.Build.Loads, run, misses))
 	}
 	return samples, skipped, nil
 }

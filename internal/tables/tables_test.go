@@ -137,38 +137,55 @@ func TestTrainedWeightsSane(t *testing.T) {
 	}
 }
 
+// averages loads every benchmark of set as (optimize, input2) on the
+// mips engine and returns the mean of each value f computes per run.
+func averages(t *testing.T, set []*bench.Benchmark, optimize, input2 bool, f func(*bench.Run) []float64) []float64 {
+	t.Helper()
+	var sum []float64
+	for _, b := range set {
+		run, err := Engine{}.Load(context.Background(), b, optimize, input2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := f(run)
+		if sum == nil {
+			sum = make([]float64, len(vals))
+		}
+		for i, v := range vals {
+			sum[i] += v
+		}
+	}
+	for i := range sum {
+		sum[i] /= float64(len(set))
+	}
+	return sum
+}
+
+// heuristic returns the mips engine's trained configuration.
+func heuristic(t *testing.T, useFreq bool) classify.Config {
+	t.Helper()
+	cfg, err := Engine{}.HeuristicConfig(context.Background(), useFreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
 func TestHeadlineShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluation in short mode")
 	}
 	// The paper's headline: ~10% of loads cover >90% of misses, and the
 	// baselines need far more loads for the same coverage.
-	eng := Engine{}
-	cfg, err := eng.HeuristicConfig(context.Background(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pi, rho, oknPi, oknRho, bdhPi, bdhRho float64
-	n := 0
-	for _, b := range bench.All() {
-		ctx, err := eng.Load(context.Background(), b, false, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats := ctx.Stats(GeomBaseline)
-		ev := metrics.Evaluate(ctx.Delta(cfg), stats)
-		pi += ev.Pi
-		rho += ev.Rho
-		okn := metrics.Evaluate(baseline.OKN(ctx.Build.Loads), stats)
-		bdh := metrics.Evaluate(baseline.BDH(ctx.Build.Prog, ctx.Build.Loads), stats)
-		oknPi += okn.Pi
-		oknRho += okn.Rho
-		bdhPi += bdh.Pi
-		bdhRho += bdh.Rho
-		n++
-	}
-	avg := func(x float64) float64 { return x / float64(n) }
-	pi, rho = avg(pi), avg(rho)
+	cfg := heuristic(t, true)
+	avg := averages(t, bench.All(), false, false, func(run *bench.Run) []float64 {
+		stats := run.Stats(GeomBaseline)
+		ev := metrics.Evaluate(run.Delta(cfg), stats)
+		okn := metrics.Evaluate(baseline.OKN(run.Build.Loads), stats)
+		bdh := metrics.Evaluate(baseline.BDH(run.Build.Prog, run.Build.Loads), stats)
+		return []float64{ev.Pi, ev.Rho, okn.Pi, okn.Rho, bdh.Pi, bdh.Rho}
+	})
+	pi, rho := avg[0], avg[1]
 	if pi < 0.03 || pi > 0.20 {
 		t.Errorf("average pi = %.1f%%, want roughly 10%%", 100*pi)
 	}
@@ -178,7 +195,7 @@ func TestHeadlineShape(t *testing.T) {
 	for _, bl := range []struct {
 		name    string
 		pi, rho float64
-	}{{"OKN", avg(oknPi), avg(oknRho)}, {"BDH", avg(bdhPi), avg(bdhRho)}} {
+	}{{"OKN", avg[2], avg[3]}, {"BDH", avg[4], avg[5]}} {
 		if bl.pi < 2*pi {
 			t.Errorf("%s average pi = %.1f%%, want at least twice the heuristic's %.1f%%", bl.name, 100*bl.pi, 100*pi)
 		}
@@ -186,6 +203,114 @@ func TestHeadlineShape(t *testing.T) {
 			t.Errorf("%s average rho = %.1f%%, want >= 90%%", bl.name, 100*bl.rho)
 		}
 	}
+}
+
+// TestCoverageStableShape is the claim of Tables 7-9: the heuristic's
+// coverage barely moves with the input, the cache's associativity and
+// size, or the optimisation level. Within each table the average-rho
+// columns lie within 3 points of each other and at 90 % or above, and
+// the unoptimised and -O binaries lie within 5 points of each other on
+// the baseline cache.
+func TestCoverageStableShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full evaluation in short mode")
+	}
+	cfg := heuristic(t, true)
+	// rhos averages rho over the training benchmarks on each geometry.
+	rhos := func(optimize, input2 bool, gis ...int) []float64 {
+		return averages(t, bench.Training(), optimize, input2, func(run *bench.Run) []float64 {
+			delta := run.Delta(cfg)
+			var out []float64
+			for _, gi := range gis {
+				out = append(out, metrics.Evaluate(delta, run.Stats(gi)).Rho)
+			}
+			return out
+		})
+	}
+	o0 := rhos(false, false, GeomBaseline)[0]
+	input2 := rhos(false, true, GeomBaseline)[0]
+	assoc := rhos(true, false, GeomAssoc2, GeomBaseline, GeomAssoc8)
+	size := rhos(true, false, GeomBaseline, Geom16K, Geom32K, Geom64K)
+	for _, tab := range []struct {
+		id   string
+		cols []float64
+	}{{"7", []float64{o0, input2}}, {"8", assoc}, {"9", size}} {
+		lo, hi := tab.cols[0], tab.cols[0]
+		for _, rho := range tab.cols {
+			lo, hi = min(lo, rho), max(hi, rho)
+		}
+		if lo < 0.90 || hi-lo > 0.03 {
+			t.Errorf("Table %s average rho columns %.1f%%: want all >= 90%% and within 3 points", tab.id, scale(tab.cols))
+		}
+	}
+	if d := o0 - assoc[1]; d > 0.05 || d < -0.05 {
+		t.Errorf("baseline-cache rho: -O0 %.1f%%, -O %.1f%%: want within 5 points", 100*o0, 100*assoc[1])
+	}
+}
+
+// TestFrequencyClassesShape is Table 11's claim: the frequency classes
+// AG8/AG9 cut the flagged set about 2-3x at unchanged coverage. Over
+// the 18 benchmarks, average pi without them is 2 to 3.5 times average
+// pi with them, and average rho moves by at most 1 point.
+func TestFrequencyClassesShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full evaluation in short mode")
+	}
+	with, without := heuristic(t, true), heuristic(t, false)
+	avg := averages(t, bench.All(), false, false, func(run *bench.Run) []float64 {
+		stats := run.Stats(GeomBaseline)
+		evW := metrics.Evaluate(run.Delta(with), stats)
+		evN := metrics.Evaluate(run.Delta(without), stats)
+		return []float64{evW.Pi, evW.Rho, evN.Pi, evN.Rho}
+	})
+	if r := avg[2] / avg[0]; r < 2 || r > 3.5 {
+		t.Errorf("average pi without AG8/AG9 %.2f%% / with %.2f%% = %.2f, want in [2, 3.5]", 100*avg[2], 100*avg[0], r)
+	}
+	if d := avg[3] - avg[1]; d > 0.01 || d < -0.01 {
+		t.Errorf("average rho with AG8/AG9 %.2f%%, without %.2f%%: want within 1 point", 100*avg[1], 100*avg[3])
+	}
+}
+
+// TestProfilingCombinedShape is Table 14's claim at epsilon = 0: the
+// loads that both profiling (the hotspot blocks covering 90 % of the
+// cycles) and the heuristic flag are about 2 % of all loads and cover
+// about 90 % of the misses, while as many loads drawn at random from
+// the hotspots (rho*, three seeds) cover about 20 %. Averages over the
+// 18 benchmarks: pi <= 3 %, rho >= 85 % and rho* <= 35 %.
+func TestProfilingCombinedShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full evaluation in short mode")
+	}
+	cfg := heuristic(t, true)
+	avg := averages(t, bench.All(), false, false, func(run *bench.Run) []float64 {
+		stats := run.Stats(GeomBaseline)
+		hot := metrics.HotspotLoads(run.Build.Prog, run.Result.ExecAt, 0.90)
+		both := map[uint32]bool{}
+		for pc := range run.Delta(cfg) {
+			if hot[pc] {
+				both[pc] = true
+			}
+		}
+		ev := metrics.Evaluate(both, stats)
+		var rhoStar float64
+		for seed := int64(1); seed <= 3; seed++ {
+			rhoStar += metrics.Evaluate(metrics.RandomFromHotspots(hot, ev.Selected, seed), stats).Rho / 3
+		}
+		return []float64{ev.Pi, ev.Rho, rhoStar}
+	})
+	if avg[0] > 0.03 || avg[1] < 0.85 || avg[2] > 0.35 {
+		t.Errorf("epsilon=0: pi %.2f%%, rho %.1f%%, rho* %.1f%%: want pi <= 3%%, rho >= 85%%, rho* <= 35%%",
+			100*avg[0], 100*avg[1], 100*avg[2])
+	}
+}
+
+// scale returns fractions as percentages, for messages.
+func scale(fs []float64) []float64 {
+	out := make([]float64, len(fs))
+	for i, f := range fs {
+		out[i] = 100 * f
+	}
+	return out
 }
 
 // TestCrossISAShape is Table S5's claim as an invariant: lowering to

@@ -15,10 +15,10 @@ import (
 )
 
 // The end-to-end slice of the paper's pipeline: compile synthetic
-// workloads, simulate them against a small cache, assemble training
-// samples exactly as the experiment engine does, run the training phase,
-// and then classify with the trained weights — asserting that the known
-// cache-hostile load comes out delinquent.
+// workloads, simulate them against a small cache, build training samples
+// with train.NewSample as the experiment engine does, run the training
+// phase, and then classify with the trained weights — asserting that the
+// known cache-hostile load comes out delinquent.
 
 // chaseSrc builds a 32 KB linked list and chases it repeatedly: the
 // p->next load misses heavily in an 8 KB cache.
@@ -112,35 +112,9 @@ func simulate(t *testing.T, src string) *simulated {
 	return &simulated{loads: loads, res: res}
 }
 
-// sampleOf converts a simulation into a train.Sample the same way
-// the table engine's learning phase does.
+// sampleOf converts a simulation into a train.Sample.
 func sampleOf(name string, sim *simulated) train.Sample {
-	s := train.Sample{Name: name}
-	for _, ld := range sim.loads {
-		exec := sim.res.ExecAt(ld.PC)
-		misses := sim.res.MissesAt(0, ld.PC)
-		s.TotalMisses += misses
-		ls := train.LoadSample{
-			PC:      ld.PC,
-			Classes: classify.LoadClasses(ld, exec),
-			Exec:    exec,
-			Misses:  misses,
-		}
-		seen := map[classify.AggClass]bool{}
-		for _, p := range ld.Patterns {
-			for _, a := range classify.PatternClasses(classify.FeaturesOf(p)) {
-				if !seen[a] {
-					seen[a] = true
-					ls.Aggs = append(ls.Aggs, a)
-				}
-			}
-		}
-		if f := classify.FreqClass(exec); f != 0 && !seen[f] {
-			ls.Aggs = append(ls.Aggs, f)
-		}
-		s.Loads = append(s.Loads, ls)
-	}
-	return s
+	return train.NewSample(name, sim.loads, sim, func(pc uint32) int64 { return sim.res.MissesAt(0, pc) })
 }
 
 func TestTrainThenClassifyEndToEnd(t *testing.T) {

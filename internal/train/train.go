@@ -7,9 +7,11 @@ package train
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"delinq/internal/classify"
+	"delinq/internal/pattern"
 )
 
 // LoadSample is one static load's training data under the training cache.
@@ -26,6 +28,27 @@ type Sample struct {
 	Name        string
 	Loads       []LoadSample
 	TotalMisses int64 // M(P(I), C) over loads
+}
+
+// NewSample builds one benchmark's training data from its loads, their
+// execution counts (prof) and their misses under the training cache.
+// Each load's aggregate classes are the ones classify.Score puts it in,
+// frequency classes included, so training weighs exactly the classes
+// that φ later sums.
+func NewSample(name string, loads []*pattern.Load, prof classify.ExecProfile, misses func(pc uint32) int64) Sample {
+	s := Sample{Name: name, Loads: make([]LoadSample, 0, len(loads))}
+	for _, sc := range classify.Score(loads, prof, classify.Config{UseFrequency: true}) {
+		m := misses(sc.Load.PC)
+		s.TotalMisses += m
+		s.Loads = append(s.Loads, LoadSample{
+			PC:      sc.Load.PC,
+			Classes: classify.LoadClasses(sc.Load, sc.Exec),
+			Aggs:    sc.Classes,
+			Exec:    sc.Exec,
+			Misses:  m,
+		})
+	}
+	return s
 }
 
 // The training thresholds.
@@ -74,9 +97,10 @@ type BenchStat struct {
 	Relevant bool
 }
 
-// ClassReport is the trained summary of one criterion class.
-type ClassReport struct {
-	Class      classify.ClassID
+// ClassReport is the trained summary of one class: a criterion class
+// (K is classify.ClassID) or an aggregate class (classify.AggClass).
+type ClassReport[K comparable] struct {
+	Class      K
 	PerBench   []BenchStat
 	FoundIn    int
 	RelevantIn int
@@ -84,20 +108,10 @@ type ClassReport struct {
 	Weight     float64 // defined for positive classes
 }
 
-// AggReport is the trained summary of one aggregate class.
-type AggReport struct {
-	Agg        classify.AggClass
-	PerBench   []BenchStat
-	FoundIn    int
-	RelevantIn int
-	Nature     Nature
-	Weight     float64
-}
-
 // Report is the full training outcome.
 type Report struct {
-	Classes []ClassReport
-	Aggs    []AggReport
+	Classes []ClassReport[classify.ClassID]
+	Aggs    []ClassReport[classify.AggClass]
 	// Weights is ready to plug into classify.Config.
 	Weights classify.Weights
 }
@@ -172,50 +186,44 @@ func natureAndWeight(stats []BenchStat) (Nature, float64) {
 	return Positive, sum / float64(n)
 }
 
+// reports trains each of classes, where of lists the classes a load
+// belongs to.
+func reports[K comparable](samples []Sample, classes []K, of func(*LoadSample) []K) []ClassReport[K] {
+	out := make([]ClassReport[K], 0, len(classes))
+	for _, k := range classes {
+		stats, found, rel := classStats(samples, func(l *LoadSample) bool { return slices.Contains(of(l), k) })
+		cr := ClassReport[K]{Class: k, PerBench: stats, FoundIn: found, RelevantIn: rel}
+		cr.Nature, cr.Weight = natureAndWeight(stats)
+		out = append(out, cr)
+	}
+	return out
+}
+
 // Train runs the full training phase over the benchmark samples.
 func Train(samples []Sample) *Report {
-	rep := &Report{}
-
-	// Per-criterion classes (Tables 3 and 4).
-	for _, cid := range classify.AllClasses() {
-		cid := cid
-		stats, found, rel := classStats(samples, func(l *LoadSample) bool {
-			for _, c := range l.Classes {
-				if c == cid {
-					return true
-				}
-			}
-			return false
-		})
-		cr := ClassReport{Class: cid, PerBench: stats, FoundIn: found, RelevantIn: rel}
-		cr.Nature, cr.Weight = natureAndWeight(stats)
-		rep.Classes = append(rep.Classes, cr)
+	aggs := make([]classify.AggClass, 0, classify.NumAggClasses)
+	for agg := classify.AG1; agg <= classify.AG9; agg++ {
+		aggs = append(aggs, agg)
+	}
+	rep := &Report{
+		// Per-criterion classes (Tables 3 and 4).
+		Classes: reports(samples, classify.AllClasses(), func(l *LoadSample) []classify.ClassID { return l.Classes }),
+		// Aggregate classes (Table 5).
+		Aggs: reports(samples, aggs, func(l *LoadSample) []classify.AggClass { return l.Aggs }),
 	}
 
-	// Aggregate classes (Table 5).
 	var positives []float64
-	for agg := classify.AG1; agg <= classify.AG9; agg++ {
-		agg := agg
-		stats, found, rel := classStats(samples, func(l *LoadSample) bool {
-			for _, a := range l.Aggs {
-				if a == agg {
-					return true
-				}
-			}
-			return false
-		})
-		ar := AggReport{Agg: agg, PerBench: stats, FoundIn: found, RelevantIn: rel}
-		ar.Nature, ar.Weight = natureAndWeight(stats)
-		if agg >= classify.AG8 {
+	for i := range rep.Aggs {
+		ar := &rep.Aggs[i]
+		switch {
+		case ar.Class >= classify.AG8:
 			// Frequency classes are negative by construction (Section
 			// 7.3): their weight comes from the positive weights below.
-			ar.Nature, ar.Weight = Negative, 0
-		}
-		if ar.Nature == Positive && agg <= classify.AG7 {
+			ar.Nature = Negative
+		case ar.Nature == Positive:
 			positives = append(positives, ar.Weight)
-			rep.Weights[agg] = ar.Weight
+			rep.Weights[ar.Class] = ar.Weight
 		}
-		rep.Aggs = append(rep.Aggs, ar)
 	}
 
 	// Negative weights: the trimmed mean of the positive weights,
@@ -224,11 +232,8 @@ func Train(samples []Sample) *Report {
 	rep.Weights[classify.AG9] = neg
 	rep.Weights[classify.AG8] = neg / 2
 	for i := range rep.Aggs {
-		switch rep.Aggs[i].Agg {
-		case classify.AG8:
-			rep.Aggs[i].Weight = rep.Weights[classify.AG8]
-		case classify.AG9:
-			rep.Aggs[i].Weight = rep.Weights[classify.AG9]
+		if agg := rep.Aggs[i].Class; agg >= classify.AG8 {
+			rep.Aggs[i].Weight = rep.Weights[agg]
 		}
 	}
 	return rep
@@ -252,24 +257,24 @@ func trimmedMean(vals []float64) float64 {
 	return sum / float64(len(sorted))
 }
 
-// ClassByID returns the report of one criterion class.
-func (r *Report) ClassByID(id classify.ClassID) (*ClassReport, bool) {
-	for i := range r.Classes {
-		if r.Classes[i].Class == id {
-			return &r.Classes[i], true
+// find returns the report of class k in rs.
+func find[K comparable](rs []ClassReport[K], k K) (*ClassReport[K], bool) {
+	for i := range rs {
+		if rs[i].Class == k {
+			return &rs[i], true
 		}
 	}
 	return nil, false
 }
 
+// ClassByID returns the report of one criterion class.
+func (r *Report) ClassByID(id classify.ClassID) (*ClassReport[classify.ClassID], bool) {
+	return find(r.Classes, id)
+}
+
 // AggByClass returns the report of one aggregate class.
-func (r *Report) AggByClass(a classify.AggClass) (*AggReport, bool) {
-	for i := range r.Aggs {
-		if r.Aggs[i].Agg == a {
-			return &r.Aggs[i], true
-		}
-	}
-	return nil, false
+func (r *Report) AggByClass(a classify.AggClass) (*ClassReport[classify.AggClass], bool) {
+	return find(r.Aggs, a)
 }
 
 // String summarises the trained weights.

@@ -75,9 +75,11 @@ echo "== crash recovery matrix (race)"
 # guarantees end to end: warm restarts are byte-identical and poisoned
 # fills never persist. An append whose write or fsync fails is rolled
 # back, so the store's size stays the file's and the record never
-# replays.
+# replays. A record rendered in an older answer format recomputes
+# instead of replaying, and a change to an answer's bytes must bump
+# that format's version.
 go test -race -run 'TestTruncationSweep|TestBitFlipSweep|TestMultiByteCorruption|TestKillMatrix|TestSeam|TestAppendSyncError' ./internal/wal
-go test -race -run 'TestWarmRestart|TestPoisonedFillNotPersisted|TestCorruptStateRecovers|TestEvictionDuringReplayCompacts' ./internal/server
+go test -race -run 'TestWarmRestart|TestPoisonedFillNotPersisted|TestCorruptStateRecovers|TestEvictionDuringReplayCompacts|TestOlderAnswerFormatRecomputes|TestAnswerFormatPinned' ./internal/server
 go test -run 'TestCLIServeWarmRestart' ./cmd/delinq
 
 echo "== bench smoke"
@@ -132,12 +134,17 @@ echo "== dual-ISA golden gate"
 # 1000 programs each, zero disagreements required. The interpreter leg
 # is machine-independent, so an ARM failure localises to the
 # lowering/encoder/decoder/evaluator. Then both committed table goldens
-# must re-render byte-identically.
+# must re-render byte-identically, and so must the learning phase's
+# report (the weights, and each aggregate class's nature, weight and
+# relevant-in count).
 go run ./cmd/delinq difftest -n 1000 -seed 1
 go run ./cmd/delinq difftest -n 1000 -seed 1 -isa arm
 go run ./cmd/delinq table S5 > /tmp/delinq-tables-isa.txt
 cmp /tmp/delinq-tables-isa.txt tables_isa.txt
 rm -f /tmp/delinq-tables-isa.txt
+go run ./cmd/delinq train > /tmp/delinq-train.txt
+cmp /tmp/delinq-train.txt train_output.txt
+rm -f /tmp/delinq-train.txt
 
 echo "== fuzz smoke"
 # A short time-boxed run of every native fuzz target; the committed
